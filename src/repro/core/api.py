@@ -22,7 +22,6 @@ from repro.core.rounds import CostModel, RoundLedger
 from repro.errors import GraphError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
-from repro.graphs.properties import diameter
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only imports
     from repro.decomposition.tree_decomposition import DecompositionResult
@@ -89,13 +88,7 @@ class LowTreewidthSolver:
     def cost_model(self) -> CostModel:
         """The round-cost model for this instance's communication graph."""
         if self._cost_model is None:
-            comm = self.communication_graph
-            self._cost_model = CostModel(
-                n=comm.num_nodes(),
-                diameter=diameter(comm, exact=comm.num_nodes() <= 600),
-                log_factor_exponent=self.config.cost_log_exponent,
-                constant=self.config.cost_constant,
-            )
+            self._cost_model = CostModel.for_graph(self.communication_graph, self.config)
         return self._cost_model
 
     def tree_decomposition(self, rebuild: bool = False) -> "DecompositionResult":
@@ -150,12 +143,27 @@ class LowTreewidthSolver:
             cost_model=self.cost_model,
         )
 
-    def girth(self, weighted: bool = True) -> "GirthResult":
-        """Weighted girth of the instance (Theorem 5)."""
-        from repro.girth.girth import compute_girth
+    def girth(self) -> "GirthResult":
+        """Weighted girth of the instance (Theorem 5).
 
-        return compute_girth(
+        Dispatches on symmetry like :func:`~repro.girth.girth.compute_girth`,
+        and reuses the solver's cached artefacts instead of rebuilding them: a
+        directed instance decodes its girth from :meth:`distance_labeling`,
+        and a symmetric one runs its count-1 trials over
+        :meth:`tree_decomposition`.
+        """
+        from repro.girth.girth import directed_girth, is_symmetric, undirected_girth
+
+        if is_symmetric(self.instance):
+            return undirected_girth(
+                self.instance.underlying_weighted_graph(),
+                config=self.config,
+                cost_model=self.cost_model,
+                decomposition=self.tree_decomposition(),
+            )
+        return directed_girth(
             self.instance,
+            labeling=self.distance_labeling(),
             config=self.config,
             cost_model=self.cost_model,
         )

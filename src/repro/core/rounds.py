@@ -31,6 +31,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.config import FrameworkConfig
+from repro.graphs.graph import Graph
+from repro.graphs.properties import diameter
+
 
 @dataclass
 class CostModel:
@@ -62,6 +66,21 @@ class CostModel:
             raise ValueError("CostModel requires n >= 1")
         if self.diameter < 0:
             raise ValueError("CostModel requires diameter >= 0")
+
+    @classmethod
+    def for_graph(cls, graph: Graph, config: FrameworkConfig) -> "CostModel":
+        """The cost model of communication graph ``graph`` under ``config``.
+
+        D is exact (a BFS from every node) up to 600 nodes and a sampled
+        estimate above that.
+        """
+        n = graph.num_nodes()
+        return cls(
+            n=n,
+            diameter=diameter(graph, exact=n <= 600),
+            log_factor_exponent=config.cost_log_exponent,
+            constant=config.cost_constant,
+        )
 
     # -- helpers --------------------------------------------------------- #
     @property

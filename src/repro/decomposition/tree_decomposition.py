@@ -34,7 +34,6 @@ from repro.core.rounds import CostModel, RoundLedger
 from repro.decomposition.separator import BalancedSeparator, SeparatorResult
 from repro.errors import DecompositionError, GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.properties import diameter
 
 NodeId = Hashable
 Label = Tuple[int, ...]
@@ -223,12 +222,7 @@ def build_tree_decomposition(
     config.validate()
     rng = config.rng()
     if cost_model is None:
-        cost_model = CostModel(
-            n=graph.num_nodes(),
-            diameter=diameter(graph, exact=graph.num_nodes() <= 600),
-            log_factor_exponent=config.cost_log_exponent,
-            constant=config.cost_constant,
-        )
+        cost_model = CostModel.for_graph(graph, config)
     ledger = RoundLedger()
     separator_engine = BalancedSeparator(
         params=config.separator, rng=rng, cost_model=cost_model
@@ -304,12 +298,13 @@ def build_tree_decomposition(
                 remaining.connected_components(), key=lambda c: min(str(v) for v in c)
             )
             for idx, comp in enumerate(components):
-                # G_{x•i}: the component plus the adjacent bag vertices.
-                adjacent_bag = {
-                    b
-                    for b in bag
-                    if any(nb in comp for nb in graph.neighbors(b))
-                }
+                # G_{x•i}: the component plus the adjacent bag vertices, found
+                # from the component side in O(vol(comp) + |bag|) rather than
+                # O(vol(bag)), which matters when the bag holds high-degree
+                # hubs.  Filtering ``bag`` keeps the set's insertion order, so
+                # the decomposition is unchanged.
+                touched = {nb for v in comp for nb in graph.neighbors(v) if nb in bag}
+                adjacent_bag = {b for b in bag if b in touched}
                 child_vertices = set(comp) | adjacent_bag
                 next_level.append((label + (idx,), child_vertices, bag & child_vertices))
 

@@ -38,7 +38,6 @@ from repro.decomposition.tree_decomposition import (
 from repro.errors import GraphError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
-from repro.graphs.properties import diameter
 from repro.labeling.construction import DistanceLabelingResult, build_distance_labeling
 from repro.walks.cdl import build_constrained_labeling
 from repro.walks.constraints import CountWalkConstraint
@@ -77,7 +76,7 @@ class GirthResult:
     exact_whp: bool = True
 
 
-def _is_symmetric(instance: WeightedDiGraph) -> bool:
+def is_symmetric(instance: WeightedDiGraph) -> bool:
     """Heuristic: does every directed edge have an equal-weight reverse twin?"""
     weights: Dict[Tuple[NodeId, NodeId], List[float]] = {}
     for e in instance.edges():
@@ -100,14 +99,8 @@ def directed_girth(
 ) -> GirthResult:
     """Weighted girth of a directed multigraph via per-edge label exchange."""
     config = config or FrameworkConfig()
-    comm = instance.underlying_graph()
     if cost_model is None:
-        cost_model = CostModel(
-            n=comm.num_nodes(),
-            diameter=diameter(comm, exact=comm.num_nodes() <= 600),
-            log_factor_exponent=config.cost_log_exponent,
-            constant=config.cost_constant,
-        )
+        cost_model = CostModel.for_graph(instance.underlying_graph(), config)
     ledger = RoundLedger()
     if labeling is None:
         labeling = build_distance_labeling(instance, config=config, cost_model=cost_model)
@@ -169,12 +162,7 @@ def undirected_girth(
         raise GraphError("undirected_girth requires a connected graph")
 
     if cost_model is None:
-        cost_model = CostModel(
-            n=graph.num_nodes(),
-            diameter=diameter(graph, exact=graph.num_nodes() <= 600),
-            log_factor_exponent=config.cost_log_exponent,
-            constant=config.cost_constant,
-        )
+        cost_model = CostModel.for_graph(graph, config)
     rng = config.rng()
     ledger = RoundLedger()
     if decomposition is None:
@@ -250,7 +238,7 @@ def compute_girth(
     else as directed.
     """
     if directed is None:
-        directed = not _is_symmetric(instance)
+        directed = not is_symmetric(instance)
     if directed:
         return directed_girth(instance, config=config, cost_model=cost_model)
     return undirected_girth(

@@ -68,6 +68,9 @@ class WeightedDiGraph:
         self._out: Dict[NodeId, List[int]] = {}
         self._in: Dict[NodeId, List[int]] = {}
         self._next_eid = 0
+        # True while every edge id was larger than all earlier ones, so that
+        # ``edges()`` (insertion) order is ascending edge-id order.
+        self._ascending_eids = True
         self._version = 0
         self._ug_cache: Optional[Graph] = None
         self._ug_version = -1
@@ -108,6 +111,8 @@ class WeightedDiGraph:
             eid = self._next_eid
         if eid in self._edges:
             raise GraphError(f"duplicate edge id {eid}")
+        if eid < self._next_eid:
+            self._ascending_eids = False
         self._next_eid = max(self._next_eid, eid) + 1
         edge = Edge(eid, tail, head, float(weight), label)
         self._edges[eid] = edge
@@ -150,6 +155,7 @@ class WeightedDiGraph:
         g._out = {u: list(eids) for u, eids in self._out.items()}
         g._in = {u: list(eids) for u, eids in self._in.items()}
         g._next_eid = self._next_eid
+        g._ascending_eids = self._ascending_eids
         return g
 
     # ------------------------------------------------------------------ #
@@ -232,22 +238,35 @@ class WeightedDiGraph:
         return g
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "WeightedDiGraph":
-        """Return the subgraph induced by ``nodes`` (edge ids preserved)."""
+        """Return the subgraph induced by ``nodes`` (edge ids preserved).
+
+        Reads only the kept nodes' own incidence lists: O(vol + k log k) for
+        kept-node degree sum ``vol`` and ``k`` kept edges, instead of a scan
+        of all m edges.  Per-node edge order, ``edges()`` order, edge ids and
+        the next free edge id are the parent's.  A parent whose edge ids were
+        not added in ascending order still pays O(m), to recover its
+        ``edges()`` order.
+        """
         keep = set(nodes)
         missing = keep - self._nodes
         if missing:
             raise GraphError(f"nodes not in graph: {sorted(map(repr, missing))[:5]}")
         # Direct structural construction: immutable Edge objects are shared,
-        # and edges keep the parent's (deterministic) insertion order.
+        # and each node's lists keep the parent's (deterministic) order.
         g = WeightedDiGraph(keep)
-        edges = g._edges
-        out = g._out
-        inn = g._in
-        for e in self._edges.values():
-            if e.tail in keep and e.head in keep:
-                edges[e.eid] = e
-                out[e.tail].append(e.eid)
-                inn[e.head].append(e.eid)
+        edges = self._edges
+        out, inn = self._out, self._in
+        for u in keep:
+            g._out[u] = [eid for eid in out[u] if edges[eid].head in keep]
+            g._in[u] = [eid for eid in inn[u] if edges[eid].tail in keep]
+        if self._ascending_eids:
+            kept = sorted(eid for eids in g._out.values() for eid in eids)
+            g._edges = {eid: edges[eid] for eid in kept}
+        else:
+            g._edges = {
+                eid: e for eid, e in edges.items() if e.tail in keep and e.head in keep
+            }
+            g._ascending_eids = False
         g._next_eid = self._next_eid
         return g
 

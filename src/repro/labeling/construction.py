@@ -38,7 +38,7 @@ from repro.decomposition.tree_decomposition import (
 from repro.errors import GraphError, LabelingError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
-from repro.graphs.properties import diameter, dijkstra
+from repro.graphs.properties import dijkstra
 from repro.labeling.labels import DistanceLabel, DistanceLabeling
 
 NodeId = Hashable
@@ -70,10 +70,9 @@ class DistanceLabelingResult:
 
 
 def _local_apsp_labels(
-    instance: WeightedDiGraph, vertices: FrozenSet[NodeId]
+    sub: WeightedDiGraph, vertices: FrozenSet[NodeId]
 ) -> Dict[NodeId, DistanceLabel]:
-    """Leaf case: all-pairs shortest paths inside the induced subgraph."""
-    sub = instance.subgraph(vertices)
+    """Leaf case: all-pairs shortest paths inside ``sub``, induced by ``vertices``."""
     dist_from: Dict[NodeId, Dict[NodeId, float]] = {
         u: dijkstra(sub, u) for u in vertices
     }
@@ -224,12 +223,7 @@ def build_distance_labeling(
         raise GraphError("distance labeling requires a connected communication graph")
 
     if cost_model is None:
-        cost_model = CostModel(
-            n=comm.num_nodes(),
-            diameter=diameter(comm, exact=comm.num_nodes() <= 600),
-            log_factor_exponent=config.cost_log_exponent,
-            constant=config.cost_constant,
-        )
+        cost_model = CostModel.for_graph(comm, config)
     if decomposition is None:
         decomposition = build_tree_decomposition(comm, config=config, cost_model=cost_model)
     td = decomposition.decomposition
@@ -252,8 +246,8 @@ def build_distance_labeling(
     for label in order:
         node = td.nodes[label]
         if node.is_leaf or not node.children:
-            labels_by_node[label] = _local_apsp_labels(instance, node.graph_vertices)
             sub = instance.subgraph(node.graph_vertices)
+            labels_by_node[label] = _local_apsp_labels(sub, node.graph_vertices)
             volume = sub.num_edges() + sub.num_nodes()
             depth = len(label)
             if volume > level_volume.get(depth, 0):

@@ -32,7 +32,6 @@ from repro.core.rounds import CostModel, RoundLedger
 from repro.decomposition.separator import BalancedSeparator
 from repro.errors import GraphError, NotBipartiteError
 from repro.graphs.graph import Graph
-from repro.graphs.properties import diameter
 from repro.matching.augmenting import (
     augment_along_path,
     find_augmenting_path,
@@ -110,12 +109,7 @@ def maximum_bipartite_matching(
         raise NotBipartiteError("maximum_bipartite_matching requires a bipartite graph")
 
     if cost_model is None and graph.num_nodes() > 1 and graph.is_connected():
-        cost_model = CostModel(
-            n=graph.num_nodes(),
-            diameter=diameter(graph, exact=graph.num_nodes() <= 600),
-            log_factor_exponent=config.cost_log_exponent,
-            constant=config.cost_constant,
-        )
+        cost_model = CostModel.for_graph(graph, config)
     rng = config.rng()
     separator_engine = BalancedSeparator(
         params=config.separator, rng=rng, cost_model=cost_model

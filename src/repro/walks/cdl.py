@@ -28,7 +28,6 @@ from repro.decomposition.tree_decomposition import (
 )
 from repro.errors import ConstraintError, LabelingError
 from repro.graphs.digraph import WeightedDiGraph
-from repro.graphs.properties import diameter
 from repro.labeling.construction import build_distance_labeling
 from repro.labeling.labels import DistanceLabeling
 from repro.walks.constraints import (
@@ -124,12 +123,7 @@ def build_constrained_labeling(
     config = config or FrameworkConfig()
     comm = instance.underlying_graph()
     if cost_model is None:
-        cost_model = CostModel(
-            n=comm.num_nodes(),
-            diameter=diameter(comm, exact=comm.num_nodes() <= 600),
-            log_factor_exponent=config.cost_log_exponent,
-            constant=config.cost_constant,
-        )
+        cost_model = CostModel.for_graph(comm, config)
     if decomposition is None:
         decomposition = build_tree_decomposition(comm, config=config, cost_model=cost_model)
 

@@ -1,13 +1,16 @@
 """Tests for the high-level LowTreewidthSolver facade."""
 
+import importlib
 import math
+import sys
 
 import pytest
 
 from repro import LowTreewidthSolver
 from repro.core.config import FrameworkConfig
 from repro.errors import GraphError
-from repro.girth.baselines import exact_girth_undirected
+from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
+from repro.girth.girth import directed_girth, is_symmetric
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
@@ -88,3 +91,75 @@ class TestPipelines:
         report = solver.round_report()
         assert set(report) == {"tree_decomposition", "distance_labeling"}
         assert all(v > 0 for v in report.values())
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made through any ``repro`` module binding it."""
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("repro") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestArtefactReuse:
+    """Every artefact is built once per solver; ``girth()`` reuses the cached ones."""
+
+    def test_pipeline_builds_decomposition_and_labeling_once(self, monkeypatch, weighted_instance):
+        assert not is_symmetric(weighted_instance)
+        decompositions = _count_calls(
+            monkeypatch, "repro.decomposition.tree_decomposition", "build_tree_decomposition"
+        )
+        labelings = _count_calls(
+            monkeypatch, "repro.labeling.construction", "build_distance_labeling"
+        )
+        solver = LowTreewidthSolver(weighted_instance, seed=3)
+        solver.distance_labeling()
+        solver.single_source_shortest_paths(weighted_instance.nodes()[0])
+        result = solver.girth()
+        assert result.method == "directed"
+        assert len(decompositions) == 1
+        assert len(labelings) == 1
+
+    def test_directed_girth_equals_standalone(self, weighted_instance):
+        solver = LowTreewidthSolver(weighted_instance, seed=3)
+        solver.distance_labeling()
+        got = solver.girth()
+        want = directed_girth(weighted_instance, config=FrameworkConfig(seed=3))
+        assert (got.girth, got.rounds) == (want.girth, want.rounds)
+        assert got.ledger.breakdown() == want.ledger.breakdown()
+        assert got.girth == exact_girth_directed(weighted_instance)
+
+    def test_symmetric_girth_reuses_decomposition(self, monkeypatch):
+        g = generators.with_random_weights(generators.cycle_with_chords(12, 3, seed=4), 1, 9, seed=5)
+        decompositions = _count_calls(
+            monkeypatch, "repro.decomposition.tree_decomposition", "build_tree_decomposition"
+        )
+        solver = LowTreewidthSolver.from_undirected(g, seed=6)
+        solver.tree_decomposition()
+        result = solver.girth()
+        assert result.method == "undirected"
+        assert len(decompositions) == 1
+        assert result.girth >= exact_girth_undirected(g) - 1e-9
+
+    def test_labeling_builds_one_subgraph_per_leaf(self, monkeypatch, weighted_instance):
+        original = WeightedDiGraph.subgraph
+        calls = []
+
+        def counted(self, nodes):
+            calls.append(nodes)
+            return original(self, nodes)
+
+        monkeypatch.setattr(WeightedDiGraph, "subgraph", counted)
+        solver = LowTreewidthSolver(weighted_instance, seed=3)
+        td = solver.tree_decomposition().decomposition
+        solver.distance_labeling()
+        leaves = [n for n in td.nodes.values() if n.is_leaf or not n.children]
+        assert len(leaves) > 1
+        assert len(calls) == len(leaves)

@@ -135,3 +135,86 @@ class TestDerivedGraphs:
         h.add_edge(2, 3)
         assert g.num_edges() == 1
         assert h.num_edges() == 2
+
+
+def _filtered_subgraph(g, nodes):
+    """Reference: the induced subgraph by a filter over every arc of ``g``."""
+    keep = set(nodes)
+    ref = WeightedDiGraph(keep)
+    for e in g.edges():
+        if e.tail in keep and e.head in keep:
+            ref.add_edge(e.tail, e.head, weight=e.weight, label=e.label, eid=e.eid)
+    return ref
+
+
+def _assert_same_subgraph(g, nodes):
+    sub, ref = g.subgraph(nodes), _filtered_subgraph(g, nodes)
+    assert set(sub.nodes()) == set(ref.nodes())
+    assert sub.num_edges() == ref.num_edges()
+    assert sub.edges() == ref.edges()
+    for u in ref.nodes():
+        assert sub.out_edges(u) == ref.out_edges(u)
+        assert sub.in_edges(u) == ref.in_edges(u)
+    # The next free edge id is the parent's, not one past the subgraph's largest.
+    u = nodes[0]
+    assert sub.copy().add_edge(u, u) == g.copy().add_edge(u, u)
+    return sub
+
+
+class TestSubgraph:
+    def test_parallel_arcs_and_self_loops(self):
+        g = WeightedDiGraph()
+        g.add_edge(1, 2, weight=4, label="a")
+        g.add_edge(2, 3)
+        g.add_edge(1, 2, weight=1, label="b")
+        g.add_edge(2, 2, weight=7)
+        g.add_edge(3, 1)
+        g.add_edge(2, 1)
+        g.add_edge(1, 2, weight=4, label="a")
+        g.add_edge(3, 3)
+        sub = _assert_same_subgraph(g, [1, 2])
+        assert sub.num_edges() == 5
+        assert [e.label for e in sub.out_edges(1)] == ["a", "b", "a"]
+
+    def test_out_of_order_explicit_edge_ids(self):
+        g = WeightedDiGraph()
+        g.add_edge(1, 2, eid=10)
+        g.add_edge(2, 3, eid=3)
+        g.add_edge(3, 1, eid=7)
+        g.add_edge(1, 3)
+        g.add_edge(2, 1, eid=0)
+        g.add_edge(3, 2, eid=5)
+        assert [e.eid for e in _assert_same_subgraph(g, [1, 2, 3]).edges()] == [10, 3, 7, 13, 0, 5]
+        assert [e.eid for e in _assert_same_subgraph(g, [1, 2]).edges()] == [10, 0]
+        _assert_same_subgraph(g, [3, 2])
+
+    def test_readded_edge_id_moves_to_the_end(self):
+        g = WeightedDiGraph()
+        for u, v in [(1, 2), (2, 3), (3, 1), (1, 3)]:
+            g.add_edge(u, v)
+        g.remove_edge(1)
+        g.add_edge(2, 3, weight=9, eid=1)
+        sub = _assert_same_subgraph(g, [1, 2, 3])
+        assert [e.eid for e in sub.edges()] == [0, 2, 3, 1]
+
+    def test_tuple_and_string_node_ids(self):
+        grid = WeightedDiGraph.from_undirected(generators.grid_graph(3, 4))
+        _assert_same_subgraph(grid, [(0, 0), (0, 1), (1, 1), (2, 3)])
+        words = WeightedDiGraph.from_edge_list(
+            [("a", "b", 2.0), ("b", "c"), ("c", "a"), ("a", "b", 5.0), ("c", "d")]
+        )
+        _assert_same_subgraph(words, ["a", "b", "c"])
+
+    def test_subgraph_of_subgraph(self):
+        g = generators.to_directed_instance(
+            generators.partial_k_tree(30, 3, seed=2), weight_range=(1, 9),
+            orientation="asymmetric", seed=3,
+        )
+        outer = _assert_same_subgraph(g, list(range(20)))
+        _assert_same_subgraph(outer, list(range(5, 15)))
+
+    def test_missing_node_raises(self):
+        g = WeightedDiGraph()
+        g.add_edge(1, 2)
+        with pytest.raises(GraphError):
+            g.subgraph([1, 99])

@@ -45,6 +45,17 @@ class TestValidityAcrossFamilies:
         # under the paper's worst-case 400(τ+1)²·log n.
         assert result.decomposition.width() <= 400 * (tau + 1) ** 2 * log_n
 
+    @pytest.mark.parametrize("name,factory", FAMILIES, ids=[f[0] for f in FAMILIES])
+    def test_child_graph_is_component_plus_adjacent_bag(self, name, factory):
+        graph = factory()
+        td = build_tree_decomposition(graph, config=FrameworkConfig(seed=1)).decomposition
+        for node in td.nodes.values():
+            for child in map(td.nodes.get, node.children):
+                comp = child.free_vertices
+                # Reference: scan each bag vertex's whole neighbourhood.
+                adjacent = {b for b in node.bag if any(nb in comp for nb in graph.neighbors(b))}
+                assert child.graph_vertices == comp | adjacent
+
     def test_depth_logarithmic(self):
         graph = generators.partial_k_tree(300, 3, seed=9)
         result = build_tree_decomposition(graph, config=FrameworkConfig(seed=1))
