@@ -32,8 +32,7 @@ in-process kernel microbench records raw decode throughput — scalar
 ``decode_distance`` vs the batched kernel on the same pairs — without a
 wall-clock assertion: with the PR's O(|smaller label|) scalar decoder
 the python kernel is roughly at parity per pair, and the batched win
-comes from serving-side amortization (and the numba twin where numba is
-installed).
+comes from serving-side amortization.
 
 The short smoke case runs unmarked (both the numpy and no-numpy CI jobs
 exercise it); the full load sweep is marked ``serving`` and deselected

@@ -118,6 +118,20 @@ class BellmanFordNode(NodeAlgorithm):
         return {neighbor: ("dist", self.dist + weight)}
 
 
+def _segmented_min_parent(vals, starts, senders, sentinel):
+    """Per-segment min of ``vals`` and, among the positions attaining it, the
+    smallest ``senders`` entry (``sentinel`` never wins — every segment is
+    non-empty)."""
+    import numpy as np
+
+    seg_min = np.minimum.reduceat(vals, starts)
+    counts = np.diff(np.r_[starts, vals.shape[0]])
+    at_min = vals == np.repeat(seg_min, counts)
+    sender_key = np.where(at_min, senders, sentinel)
+    seg_parent = np.minimum.reduceat(sender_key, starts)
+    return seg_min, seg_parent
+
+
 class BellmanFordKernel(RoundKernel):
     """Whole-round vectorized Bellman-Ford (``vectorized``/``sharded`` tiers).
 
@@ -251,11 +265,8 @@ class BellmanFordKernel(RoundKernel):
         # Parent choice replicates the scalar inbox scan: the first strict
         # improvement reaching the minimum wins, and delivery order is
         # ascending sender index — i.e. the minimum-index sender among the
-        # minimum-value messages.  The segmented min/argmin pass runs on the
-        # active _accel backend (plain numpy, or a fused numba loop).
-        from repro import _accel
-
-        seg_min, seg_parent = _accel.op("bf_segmented_min_parent")(
+        # minimum-value messages.
+        seg_min, seg_parent = _segmented_min_parent(
             vals, starts, inbox_senders, csr.num_nodes
         )
         improved = seg_min < dist[recv_l]
@@ -312,7 +323,6 @@ def distributed_bellman_ford(
     transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
 ) -> BellmanFordResult:
     """Run distributed Bellman-Ford SSSP from ``source`` on ``instance``.
 
@@ -329,8 +339,7 @@ def distributed_bellman_ford(
     schedule-invariant distances and parents — all with identical results).
     ``scheduler`` selects the async tier's event queue (``"bucketed"``
     calendar queue, the default, or the ``"heap"`` reference — identical
-    runs) and ``accel`` the compiled-kernel backend of the numpy tiers
-    (``"auto"``/``"python"``/``"numba"``, see :mod:`repro._accel`).
+    runs).
 
     ``fault_schedule`` (a :class:`~repro.congest.faults.FaultSchedule` or
     seeded :class:`~repro.congest.faults.FaultModel`) injects node/edge
@@ -373,7 +382,6 @@ def distributed_bellman_ford(
         transport=transport,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
-        accel=accel,
     )
     distances = {u: out[0] for u, out in result.outputs.items() if out is not None}
     parents = {u: out[1] for u, out in result.outputs.items() if out is not None}

@@ -204,37 +204,20 @@ rather than silently ignoring faults or falling back:
    ``FaultSchedule()`` with no events keeps the async tier on its
    fault-free fast path — bit-for-bit the run without the argument.
 
-**Compiled-op backends** (:mod:`repro._accel`): the three hottest inner
-expressions — the segmented min+parent reduction of the vectorized
-Bellman-Ford round, the reverse-arc delivery gather of
-:func:`run_vectorized`, and the packed boundary-hit scatter of the sharded
-exchange — are routed through a tiny op registry with two implementations:
-``accel="python"`` (the numpy expressions previously inlined at the call
-sites; always available) and ``accel="numba"`` (``@njit``-compiled twins;
-served only when numba is importable).  ``run(..., accel=...)`` accepts
-``"auto"`` (default: numba if importable, else silently python),
-``"python"``, or ``"numba"`` — an explicit ``"numba"`` request without
-numba installed falls back to python with exactly one
-:class:`EngineFallbackWarning` per process naming both the requested and
-the selected backend.  Both backends are bit-for-bit interchangeable
-(results, ledger, traces); selection is process-global and sticky until the
-next explicit request.
-
 **Per-tier option support** — which ``run()`` knobs each tier honours
 (``scheduler=`` with a non-async engine and ``fault_schedule=`` with a
-synchronous engine are rejected with :class:`SimulationError`; ``accel=``
-is accepted everywhere but only reaches compiled ops on the array tiers):
+synchronous engine are rejected with :class:`SimulationError`):
 
-   ============  =====================  ==================  ==============
-   tier          ``scheduler=``         ``accel=`` ops hit  ``transport=``
-   ============  =====================  ==================  ==============
-   legacy        rejected               none (dict loop)    n/a
-   fast          rejected               none (scalar loop)  n/a
-   vectorized    rejected               min+parent, gather  n/a
-   sharded       rejected               boundary scatter    shm / socket
-   async         bucketed (default)     none (event loop)   n/a
+   ============  =====================  ==============
+   tier          ``scheduler=``         ``transport=``
+   ============  =====================  ==============
+   legacy        rejected               n/a
+   fast          rejected               n/a
+   vectorized    rejected               n/a
+   sharded       rejected               shm / socket
+   async         bucketed (default)     n/a
                  / heap (reference)
-   ============  =====================  ==================  ==============
+   ============  =====================  ==============
 
 **When each tier wins** (crossover records in ``BENCH_engine.json``): the
 ``fast`` worklist tier is best for sparse rounds — on the deep-path
@@ -624,6 +607,17 @@ def run_fast(
     )
 
 
+def _deliver_order(rev, indices, pending_arcs):
+    """The pending reverse arcs sorted ascending, their senders, and
+    ``pending_arcs`` permuted into the same order."""
+    import numpy as np
+
+    slots = rev[pending_arcs]
+    order = np.argsort(slots)
+    arcs = slots[order]
+    return arcs, indices[arcs], pending_arcs[order]
+
+
 def run_vectorized(
     network,
     kernel,
@@ -713,10 +707,6 @@ def run_vectorized(
     halted_vec = state.get("halted")  # kernel-owned boolean vector (optional)
     halted_count = int(halted_vec.sum()) if halted_vec is not None else 0
 
-    from repro import _accel
-
-    deliver_order = _accel.op("deliver_order")  # numpy or numba backend
-
     empty_arcs = np.empty(0, dtype=np.int64)
     empty_values = {f: np.empty(0, dtype=d) for f, d in field_dtypes.items()}
 
@@ -736,7 +726,7 @@ def run_vectorized(
         if batch_edge_max > max_edge_round_words:
             max_edge_round_words = batch_edge_max
         if has_pending:
-            arcs, senders, perm = deliver_order(csr.rev, csr.indices, pending_arcs)
+            arcs, senders, perm = _deliver_order(csr.rev, csr.indices, pending_arcs)
             values = {f: pending_values[f][perm] for f in field_dtypes}
         else:
             arcs, senders, values = empty_arcs, empty_arcs, empty_values

@@ -269,7 +269,6 @@ class CongestNetwork:
         transport=None,
         fault_schedule=None,
         scheduler: Optional[str] = None,
-        accel: Optional[str] = None,
     ) -> SimulationResult:
         """Execute one protocol on every node and return the round statistics.
 
@@ -366,21 +365,9 @@ class CongestNetwork:
             ``"heap"`` (the reference binary heap).  Both produce identical
             runs — see :mod:`repro.congest.scheduler`.  Only meaningful with
             ``engine="async"``.
-        accel:
-            Compiled-kernel backend for the numpy tiers' inner loops
-            (:mod:`repro._accel`): ``"auto"`` (numba when importable, the
-            default), ``"numba"`` (required — falls back to ``"python"``
-            with a single
-            :class:`~repro.congest.engine.EngineFallbackWarning` when numba
-            is not installed) or ``"python"`` (the plain numpy reference
-            path).  Either backend is bit-for-bit identical.
         """
         self._refresh_view()
         chosen = engine if engine is not None else self.engine
-        if accel is not None:
-            from repro import _accel
-
-            _accel.select_backend(accel)
         if scheduler is not None and chosen != "async":
             raise SimulationError(
                 f"scheduler is only meaningful with engine='async' "

@@ -28,8 +28,7 @@ each helper also attaches the matching whole-round
 outputs, rounds and ledger.  ``convergecast_sum`` attaches its kernel only
 for the default summing combiner over plain numeric values; a custom
 ``combine`` falls back to the scalar tiers.  The helpers forward
-``scheduler=`` (async event queue: ``"bucketed"``/``"heap"``) and ``accel=``
-(numpy-tier compiled backend: ``"auto"``/``"python"``/``"numba"``) to
+``scheduler=`` (async event queue: ``"bucketed"``/``"heap"``) to
 :meth:`CongestNetwork.run`.
 """
 
@@ -119,7 +118,6 @@ def build_bfs_tree(
     transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, int], SimulationResult]:
     """Construct a BFS tree rooted at ``root``.
 
@@ -161,7 +159,6 @@ def build_bfs_tree(
         transport=transport,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
-        accel=accel,
     )
     parent: Dict[NodeId, Optional[NodeId]] = {}
     depth: Dict[NodeId, int] = {}
@@ -223,7 +220,6 @@ def broadcast(
     delay_model=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
     """Broadcast ``value`` from ``root``; returns ``(received_values, result)``.
 
@@ -248,7 +244,6 @@ def broadcast(
         delay_model=delay_model,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
-        accel=accel,
     )
     return dict(result.outputs), result
 
@@ -369,7 +364,6 @@ def flood_chunks(
     transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
     """Flood the ordered ``chunks`` from ``root``; O(D + len(chunks)) rounds.
 
@@ -414,7 +408,6 @@ def flood_chunks(
         transport=transport,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
-        accel=accel,
     )
     received = {u: out for u, out in result.outputs.items() if out is not None}
     return received, result
@@ -511,7 +504,6 @@ def convergecast_sum(
     transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
 ) -> Tuple[Any, SimulationResult]:
     """Aggregate ``values`` up the tree given as a child->parent map.
 
@@ -566,7 +558,7 @@ def convergecast_sum(
         factory, max_rounds=max_rounds, engine=engine, trace=trace,
         kernel=kernel, num_shards=num_shards, shard_pool=shard_pool,
         delay_model=delay_model, transport=transport,
-        fault_schedule=fault_schedule, scheduler=scheduler, accel=accel,
+        fault_schedule=fault_schedule, scheduler=scheduler,
     )
     return result.outputs[root], result
 
@@ -626,7 +618,6 @@ def elect_leader(
     transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
 ) -> Tuple[NodeId, SimulationResult]:
     """Elect the minimum-id node as leader; returns ``(leader, result)``.
 
@@ -660,7 +651,7 @@ def elect_leader(
         trace=trace, kernel=LeaderElectionKernel(),
         num_shards=num_shards, shard_pool=shard_pool,
         delay_model=delay_model, transport=transport,
-        fault_schedule=fault_schedule, scheduler=scheduler, accel=accel,
+        fault_schedule=fault_schedule, scheduler=scheduler,
     )
     leaders = set(map(str, result.outputs.values()))
     if len(leaders) != 1:

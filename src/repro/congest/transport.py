@@ -50,7 +50,6 @@ import struct
 import time
 from typing import Any, Dict, Optional
 
-from repro import _accel
 from repro.congest.engine import (
     _CMD_RUN,
     _CMD_STOP,
@@ -59,16 +58,6 @@ from repro.congest.engine import (
     _attach_arena,
     _sharded_specs,
 )
-
-
-def _accel_boundary_hits():
-    """The active backend's masked boundary scatter (see :mod:`repro._accel`).
-
-    Resolved per call site rather than at import: workers inherit the
-    module default (``"auto"``), and a parent-side ``accel=`` selection only
-    needs to rebind the dispatch table, not reload this module.
-    """
-    return _accel.op("boundary_hits")
 from repro.congest.kernels import PackedInbox
 from repro.errors import SimulationError
 
@@ -222,6 +211,16 @@ class Transport:
 # Worker-side common machinery
 # --------------------------------------------------------------------------- #
 
+def _boundary_hits(mask, src_idx, slots_tab, val_idx_tab, hitbuf):
+    """For every position t with ``mask[src_idx[t]]`` set, collect
+    ``slots_tab[t]`` / ``val_idx_tab[t]`` (in t order) and mark
+    ``hitbuf[slot] = True``."""
+    got = mask[src_idx]
+    slots = slots_tab[got]
+    hitbuf[slots] = True
+    return slots, val_idx_tab[got]
+
+
 class _WorkerSessionBase:
     """Shared worker-session state: exchange tables and the gather buffers.
 
@@ -273,10 +272,9 @@ class _WorkerSessionBase:
         hitbuf[:] = False
         exchange = self._exchange
         if prev is not None and exchange.int_src.shape[0]:
-            # The masked scatter runs on the active _accel backend (plain
-            # numpy, or a fused numba loop): collect the receiver-side slots
-            # fed by this shard's own sends and mark them hit.
-            slots, src = _accel_boundary_hits()(
+            # Collect the receiver-side slots fed by this shard's own sends
+            # and mark them hit.
+            slots, src = _boundary_hits(
                 prev.mask, exchange.int_src, exchange.int_slots,
                 exchange.int_src, hitbuf,
             )
@@ -399,9 +397,8 @@ class _ShmWorkerSession(_WorkerSessionBase):
     def gather(self, prev):
         bank = self._bank
         self._gather_interior(prev)
-        boundary_hits = _accel_boundary_hits()
         for p in self._exchange.peers:
-            slots, packed = boundary_hits(
+            slots, packed = _boundary_hits(
                 self._peer_mask[p.peer][bank], p.src_local, p.recv_slots,
                 p.src_packed, self._hitbuf,
             )

@@ -28,7 +28,7 @@ from .matrix import (
 )
 from .protocols import REGISTRY, ProtocolAdapter, register_protocol
 from .runner import RunSummary, execute_cell, run_matrix
-from .store import ResultStore, parquet_available
+from .store import ResultStore
 from .trajectory import (
     TrajectoryCorruptWarning,
     load_trajectory,
@@ -57,7 +57,6 @@ __all__ = [
     "load_trajectory",
     "make_matrix",
     "merge_trajectory_record",
-    "parquet_available",
     "register_protocol",
     "run_gates",
     "run_matrix",

@@ -2,7 +2,7 @@
 
 import sys
 
-from .cli import cli_entry
+from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(cli_entry())
+    sys.exit(main())

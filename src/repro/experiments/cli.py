@@ -13,15 +13,12 @@ Four subcommands over the matrix/store/gates machinery:
   violation.
 * ``export`` — fold store records into the ``BENCH_*.json``
   trajectories through the hardened merge-writer, and optionally write
-  a consolidated parquet/JSON-lines table.
+  a consolidated JSON-lines table.
 * ``list``   — show the available axis values and the store contents.
 
-The command surface is typer-based when :mod:`typer` is importable
-(PROBE's ``benchmark/runner.py`` idiom) and falls back to an argparse
-parser with the identical surface otherwise — the same dependency
-discipline as the numpy/numba tiers.  Both frontends call the same
-``cmd_*`` functions.  Invoke as ``python -m repro.experiments ...`` or
-via ``bin/repro-bench``.
+The argparse parser in :func:`main` dispatches to the ``cmd_*``
+functions.  Invoke as ``python -m repro.experiments ...`` or via
+``bin/repro-bench``.
 """
 
 from __future__ import annotations
@@ -44,18 +41,13 @@ from .store import ResultStore
 DEFAULT_STORE = ".bench-matrix"
 DEFAULT_SEEDS = (12345,)
 
-try:  # pragma: no cover - typer is optional and absent on the CI image
-    import typer
-except ImportError:
-    typer = None
-
 
 def _echo(line: str) -> None:
     print(line, flush=True)
 
 
 # --------------------------------------------------------------------------- #
-# command implementations (shared by both frontends)
+# command implementations
 # --------------------------------------------------------------------------- #
 def cmd_run(
     protocols: Sequence[str],
@@ -130,7 +122,6 @@ def cmd_export(
     engine_out: str,
     serving_out: str,
     consolidated: Optional[str] = None,
-    fmt: str = "auto",
 ) -> int:
     from .export import export_store
 
@@ -144,7 +135,7 @@ def cmd_export(
         f"{written['serving']} serving case(s) -> {serving_out}"
     )
     if consolidated is not None:
-        path = store.consolidate(consolidated, fmt=fmt)
+        path = store.consolidate(consolidated)
         _echo(f"consolidated {len(store)} record(s) -> {path}")
     return 0
 
@@ -175,7 +166,7 @@ def cmd_list(store_path: Optional[str]) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# argparse frontend (always available)
+# argparse frontend
 # --------------------------------------------------------------------------- #
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -244,10 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_p.add_argument("--serving-out", default="BENCH_serving.json")
     export_p.add_argument(
         "--consolidated", default=None,
-        help="also write a consolidated table to this path",
-    )
-    export_p.add_argument(
-        "--format", dest="fmt", choices=("auto", "parquet", "jsonl"), default="auto"
+        help="also write a consolidated JSON-lines table to this path",
     )
 
     list_p = sub.add_parser("list", help="show axis values and store contents")
@@ -286,89 +274,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine_out=args.engine_out,
             serving_out=args.serving_out,
             consolidated=args.consolidated,
-            fmt=args.fmt,
         )
     if args.command == "list":
         return cmd_list(store_path=args.store)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
-# --------------------------------------------------------------------------- #
-# typer frontend (used when typer is importable)
-# --------------------------------------------------------------------------- #
-if typer is not None:  # pragma: no cover - typer absent on the CI image
-    app = typer.Typer(help="Unified resumable experiment-matrix runner")
-
-    @app.command("run")
-    def _typer_run(
-        protocol: List[str] = typer.Option([], "--protocol", "-p"),
-        engine: List[str] = typer.Option([], "--engine", "-e"),
-        family: List[str] = typer.Option([], "--family", "-f"),
-        scale: str = typer.Option("smoke"),
-        seed: List[int] = typer.Option([], "--seed"),
-        store: str = typer.Option(DEFAULT_STORE),
-        rerun: bool = typer.Option(False, "--rerun"),
-        max_cells: Optional[int] = typer.Option(None, "--max-cells"),
-        keep_going: bool = typer.Option(False, "--keep-going"),
-        list_only: bool = typer.Option(False, "--list"),
-        quiet: bool = typer.Option(False, "--quiet"),
-    ) -> None:
-        raise typer.Exit(
-            cmd_run(
-                protocols=protocol, engines=engine, families=family,
-                scale=scale, seeds=seed, store_path=store, rerun=rerun,
-                max_cells=max_cells, keep_going=keep_going,
-                list_only=list_only, quiet=quiet,
-            )
-        )
-
-    @app.command("gate")
-    def _typer_gate(
-        engine_trajectory: str = typer.Option("BENCH_engine.json"),
-        serving_trajectory: str = typer.Option("BENCH_serving.json"),
-        skip_engine: bool = typer.Option(False, "--skip-engine"),
-        skip_serving: bool = typer.Option(False, "--skip-serving"),
-        store: Optional[str] = typer.Option(None),
-        tolerance: float = typer.Option(0.1),
-    ) -> None:
-        raise typer.Exit(
-            cmd_gate(
-                engine_trajectory=None if skip_engine else engine_trajectory,
-                serving_trajectory=None if skip_serving else serving_trajectory,
-                store_path=store,
-                tolerance=tolerance,
-            )
-        )
-
-    @app.command("export")
-    def _typer_export(
-        store: str = typer.Option(DEFAULT_STORE),
-        engine_out: str = typer.Option("BENCH_engine.json"),
-        serving_out: str = typer.Option("BENCH_serving.json"),
-        consolidated: Optional[str] = typer.Option(None),
-        fmt: str = typer.Option("auto", "--format"),
-    ) -> None:
-        raise typer.Exit(
-            cmd_export(
-                store_path=store, engine_out=engine_out,
-                serving_out=serving_out, consolidated=consolidated, fmt=fmt,
-            )
-        )
-
-    @app.command("list")
-    def _typer_list(store: Optional[str] = typer.Option(None)) -> None:
-        raise typer.Exit(cmd_list(store_path=store))
-
-    def cli_entry() -> int:  # pragma: no cover
-        app()
-        return 0
-
-else:
-    app = None
-
-    def cli_entry() -> int:
-        return main()
-
-
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(cli_entry())
+    sys.exit(main())

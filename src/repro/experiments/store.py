@@ -10,9 +10,8 @@ safe because a cell's record is a pure function of its spec plus
 machine-dependent timing.
 
 Consolidation (``repro-bench export`` / :meth:`ResultStore.consolidate`)
-mirrors the repo's optional-dependency discipline: a parquet table when
-``pyarrow`` is importable, and a pure JSON-lines file (one canonical
-record per line, sorted by cell hash) otherwise — same rows either way.
+writes one JSON-lines file: one canonical record per line, sorted by
+cell hash.
 """
 
 from __future__ import annotations
@@ -25,15 +24,6 @@ from .trajectory import write_json_atomic
 
 CELL_DIR = "cells"
 RECORD_SUFFIX = ".json"
-
-
-def parquet_available() -> bool:
-    try:  # pragma: no cover - exercised only where pyarrow is installed
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 class ResultStore:
@@ -90,39 +80,16 @@ class ResultStore:
         return len(self.keys())
 
     # ------------------------------------------------------------------ #
-    def consolidate(self, path: Optional[str] = None, fmt: str = "auto") -> str:
-        """Write every record to one file; returns the path written.
-
-        ``fmt="auto"`` picks parquet when pyarrow is importable and
-        JSON-lines otherwise; ``"parquet"``/``"jsonl"`` force a format
-        (parquet raises without pyarrow).
-        """
-        if fmt == "auto":
-            fmt = "parquet" if parquet_available() else "jsonl"
-        if fmt not in ("parquet", "jsonl"):
-            raise ValueError(f"unknown consolidation format {fmt!r}")
+    def consolidate(self, path: Optional[str] = None) -> str:
+        """Write every record to one JSON-lines file; returns the path."""
         if path is None:
-            path = os.path.join(self.root, "results." + fmt)
-        rows = [record for _, record in self.records()]
-        if fmt == "parquet":
-            if not parquet_available():
-                raise RuntimeError(
-                    "consolidate(fmt='parquet') requires pyarrow; "
-                    "use fmt='jsonl' on this host"
-                )
-            import pyarrow  # pragma: no cover - requires pyarrow
-            import pyarrow.parquet  # pragma: no cover
-
-            table = pyarrow.Table.from_pylist(rows)  # pragma: no cover
-            pyarrow.parquet.write_table(table, path)  # pragma: no cover
-        else:
-            lines = [
-                json.dumps(row, sort_keys=True, separators=(",", ":"))
-                for row in rows
-            ]
-            tmp_payload = "\n".join(lines)
-            # Publish atomically like every other store write.
-            _write_text_atomic(path, tmp_payload + ("\n" if lines else ""))
+            path = os.path.join(self.root, "results.jsonl")
+        lines = [
+            json.dumps(record, sort_keys=True, separators=(",", ":"))
+            for _, record in self.records()
+        ]
+        # Publish atomically like every other store write.
+        _write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
         return path
 
     # ------------------------------------------------------------------ #

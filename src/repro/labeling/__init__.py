@@ -16,8 +16,7 @@ the root path to u's canonical bag.
   the source's label (the reduction described in §1.2).
 * :mod:`~repro.labeling.packed` — :class:`PackedLabeling`, the CSR-packed
   serving form: flat sorted-hub arrays, a versioned memory-mappable file
-  format, and batched vectorized decoding (the ``label_query_batch`` accel
-  op).
+  format, and batched vectorized decoding.
 """
 
 from repro.labeling.labels import (

@@ -207,9 +207,10 @@ class DistanceLabeling:
         self._hub_members_from: Dict[NodeId, List[NodeId]] = {}
 
     def label(self, v: NodeId) -> DistanceLabel:
-        if v not in self._labels:
-            raise LabelingError(f"no label for vertex {v!r}")
-        return self._labels[v]
+        try:
+            return self._labels[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise LabelingError(f"no label for vertex {v!r}") from None
 
     def vertices(self) -> Iterable[NodeId]:
         return self._labels.keys()

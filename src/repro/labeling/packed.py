@@ -29,12 +29,7 @@ answers a whole batch with one vectorized kernel call: the u-side segments
 are flattened, given composite ``pair * stride + hub`` keys, and matched
 against the v-side segments with a single ``searchsorted`` (the v-side key
 array is globally sorted because segments are pair-major and hub-sorted),
-then a segmented ``minimum.reduceat`` folds the matched sums per pair.  The
-kernel lives in the :mod:`repro._accel` op registry as
-``label_query_batch`` with the usual twins — the numpy expression above
-(``accel="python"``) and an ``@njit`` per-pair merge loop
-(``accel="numba"``) — behind the established ``accel="auto"`` selection and
-one-shot :class:`~repro.congest.engine.EngineFallbackWarning` contract.
+then a segmented ``minimum.reduceat`` folds the matched sums per pair.
 Without numpy the same API serves a pure-python two-pointer fallback
 (``backend="pure"``), so the packed form works on every CI configuration.
 
@@ -76,7 +71,7 @@ import math
 import pickle
 import struct
 import sys
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.errors import LabelingError
 from repro.labeling.labels import DistanceLabel, DistanceLabeling
@@ -93,7 +88,7 @@ _HEADER = struct.Struct("<4sIQQQQ")
 _ALIGN = 64
 
 #: Batches at or below this size are served by the scalar two-pointer
-#: merge on the python backend: the vectorized kernel's per-call set-up
+#: merge on the numpy backend: the vectorized kernel's per-call set-up
 #: (~60 µs) only amortizes above this crossover (measured on the n=240
 #: partial 3-tree serving corpus).
 _SMALL_BATCH_CUTOVER = 4
@@ -123,6 +118,66 @@ def _resolve_backend(backend: str):
     if backend == "numpy" and np is None:
         raise LabelingError("backend='numpy' requires numpy to be importable")
     return np
+
+
+def _label_query_batch(offsets, hubs, to_hub, from_hub, u_idx, v_idx):
+    """Batched distance decode over the CSR-packed arrays (numpy only).
+
+    Pair i's answer is the min over hubs s common to segments ``u_idx[i]``
+    and ``v_idx[i]`` of ``to_hub[u entry of s] + from_hub[v entry of s]``
+    (``inf`` when the segments share no hub), with 0.0 forced for
+    ``u_idx[i] == v_idx[i]``.  Returns ``float64[len(u_idx)]``.
+    """
+    import numpy as np
+
+    num_pairs = u_idx.shape[0]
+    out = np.full(num_pairs, np.inf, dtype=np.float64)
+    if num_pairs == 0:
+        return out
+    u_start = offsets[u_idx]
+    u_cnt = offsets[u_idx + 1] - u_start
+    v_start = offsets[v_idx]
+    v_cnt = offsets[v_idx + 1] - v_start
+    total_u = int(u_cnt.sum())
+    total_v = int(v_cnt.sum())
+    if total_u and total_v:
+        # Flat CSR gather: position arrays into `hubs` for every entry
+        # of every queried segment, pair-major.
+        a_pair = np.repeat(np.arange(num_pairs, dtype=np.int64), u_cnt)
+        a_pos = (
+            np.arange(total_u, dtype=np.int64)
+            - np.repeat(np.cumsum(u_cnt) - u_cnt, u_cnt)
+            + np.repeat(u_start, u_cnt)
+        )
+        b_pos = (
+            np.arange(total_v, dtype=np.int64)
+            - np.repeat(np.cumsum(v_cnt) - v_cnt, v_cnt)
+            + np.repeat(v_start, v_cnt)
+        )
+        a_hub = hubs[a_pos]
+        b_hub = hubs[b_pos]
+        # Composite keys: pair-major + hub-sorted segments make the
+        # v-side key array globally sorted, so one searchsorted matches
+        # every u-side entry against its pair's v-segment.
+        stride = np.int64(max(int(a_hub.max()), int(b_hub.max())) + 1)
+        a_key = a_pair * stride + a_hub
+        b_key = np.repeat(
+            np.arange(num_pairs, dtype=np.int64), v_cnt
+        ) * stride + b_hub
+        loc = np.searchsorted(b_key, a_key)
+        loc_c = np.minimum(loc, total_v - 1)
+        hit = b_key[loc_c] == a_key
+        sums = to_hub[a_pos[hit]] + from_hub[b_pos[loc_c[hit]]]
+        if sums.shape[0]:
+            pairs_hit = a_pair[hit]
+            run_starts = np.flatnonzero(
+                np.r_[True, pairs_hit[1:] != pairs_hit[:-1]]
+            )
+            out[pairs_hit[run_starts]] = np.minimum.reduceat(
+                sums, run_starts
+            )
+    out[u_idx == v_idx] = 0.0
+    return out
 
 
 class PackedLabeling:
@@ -285,7 +340,10 @@ class PackedLabeling:
     # Queries
     # ------------------------------------------------------------------ #
     def _vertex_index(self, v: NodeId) -> int:
-        i = self.index.get(v)
+        try:
+            i = self.index.get(v)
+        except TypeError:  # an unhashable id names no vertex
+            i = None
         if i is None or i >= self.num_nodes:
             raise LabelingError(f"no label for vertex {v!r}")
         return i
@@ -316,35 +374,24 @@ class PackedLabeling:
                 b += 1
         return float(best)
 
-    def query(self, us: Sequence[NodeId], vs: Sequence[NodeId],
-              accel: Optional[str] = None):
+    def query(self, us: Sequence[NodeId], vs: Sequence[NodeId]):
         """Batched exact distances for the pairs ``zip(us, vs)``.
 
         One vectorized kernel call on the numpy backend (a ``float64``
         array comes back); a python merge loop on the pure backend (a list
-        of floats).  ``accel`` follows :meth:`CongestNetwork.run
-        <repro.congest.network.CongestNetwork.run>`: ``"auto"`` (default),
-        ``"python"``, or ``"numba"`` with the one-shot fallback warning
-        when numba is unavailable.
+        of floats).
         """
         if len(us) != len(vs):
             raise LabelingError(
                 f"query needs pairs: got {len(us)} sources, {len(vs)} targets"
             )
-        from repro import _accel
-
-        if accel is not None:
-            _accel.select_backend(accel)
         np = self._np
         if np is None:
             return [self.distance(u, v) for u, v in zip(us, vs)]
-        if (
-            len(us) <= _SMALL_BATCH_CUTOVER
-            and _accel.active_backend() != "numba"
-        ):
-            # Below the measured crossover the python kernel's fixed
-            # per-call overhead (~60 µs of array set-up) loses to a plain
-            # scalar merge per pair; the compiled twin has no such floor.
+        if len(us) <= _SMALL_BATCH_CUTOVER:
+            # Below the measured crossover the kernel's fixed per-call
+            # overhead (~60 µs of array set-up) loses to a plain scalar
+            # merge per pair.
             return np.asarray(
                 [self.distance(u, v) for u, v in zip(us, vs)],
                 dtype=np.float64,
@@ -355,23 +402,7 @@ class PackedLabeling:
         v_idx = np.fromiter(
             (self._vertex_index(v) for v in vs), dtype=np.int64, count=len(vs)
         )
-        return self.query_indices(u_idx, v_idx)
-
-    def query_indices(self, u_idx, v_idx):
-        """Batched distances for pre-resolved vertex indices (numpy only).
-
-        The hot entry point for servers that cache the id → index mapping:
-        no per-call dict lookups, straight into the active
-        ``label_query_batch`` op.
-        """
-        if self._np is None:
-            raise LabelingError(
-                "query_indices requires the numpy backend; use query()"
-            )
-        from repro import _accel
-
-        op = _accel.op("label_query_batch")
-        return op(
+        return _label_query_batch(
             self.offsets, self.hubs, self.to_hub, self.from_hub, u_idx, v_idx
         )
 

@@ -16,7 +16,8 @@ request                         ``("ok", ...)`` payload
 ==============================  ==============================================
 
 Application-level failures (unknown graph, unknown vertex, malformed
-request object) answer ``("err", message)`` and the connection stays up.
+request object, wrongly typed fields) answer ``("err", message)`` and the
+connection stays up.
 
 Micro-batching contract
 -----------------------
@@ -45,7 +46,7 @@ import os
 import pickle
 import selectors
 import socket as socket_mod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.congest.transport import (
     _LEN,
@@ -91,7 +92,6 @@ class QueryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        accel: Optional[str] = None,
         client_timeout: float = 5.0,
         decode: str = "packed",
     ) -> None:
@@ -102,7 +102,6 @@ class QueryServer:
         self.store = store
         self.max_frame_bytes = int(max_frame_bytes)
         self.client_timeout = float(client_timeout)
-        self._accel = accel
         #: ``"packed"`` serves through the vectorized packed kernel with
         #: per-tick micro-batching; ``"scalar"`` is the benchmark baseline —
         #: dict-form ``decode_distance`` one pair at a time, no batching.
@@ -239,6 +238,7 @@ class QueryServer:
                 pending.setdefault(name, []).append((conn, u, v))
             elif verb == "query" and len(request) == 4:
                 _, name, us, vs = request
+                self.store.path(name)
                 vals = self._decode_batch(name, us, vs)
                 self._counters["batched_queries"] += len(vals)
                 self._reply(conn, ("ok", vals))
@@ -259,6 +259,11 @@ class QueryServer:
 
     def _decode_batch(self, name: str, us, vs) -> List[float]:
         """One batch of distances in the active decode mode."""
+        for side in (us, vs):
+            if not isinstance(side, (list, tuple)):
+                raise LabelingError(
+                    f"query needs lists of vertices, got {type(side).__name__}"
+                )
         if len(us) != len(vs):
             raise LabelingError(
                 f"query needs pairs: got {len(us)} sources, {len(vs)} targets"
@@ -271,7 +276,7 @@ class QueryServer:
                 float(decode_distance(labeling.label(u), labeling.label(v)))
                 for u, v in zip(us, vs)
             ]
-        vals = self.store.get(name).query(us, vs, accel=self._accel)
+        vals = self.store.get(name).query(us, vs)
         return [float(x) for x in vals]
 
     def _flush_points(self, pending) -> None:
@@ -341,11 +346,11 @@ class QueryServer:
 # --------------------------------------------------------------------------- #
 # Multi-worker process serving
 # --------------------------------------------------------------------------- #
-def _worker_main(store_dir, conn, mmap, backend, accel, max_frame_bytes, decode):
+def _worker_main(store_dir, conn, mmap, backend, max_frame_bytes, decode):
     store = LabelStore(store_dir, mmap=mmap, backend=backend)
     try:
         server = QueryServer(
-            store, accel=accel, max_frame_bytes=max_frame_bytes, decode=decode
+            store, max_frame_bytes=max_frame_bytes, decode=decode
         )
     except TransportSetupError as exc:  # pragma: no cover - port 0 binds
         conn.send(("err", str(exc)))
@@ -374,7 +379,6 @@ class ServerPool:
         num_workers: int = 2,
         mmap: bool = True,
         backend: str = "auto",
-        accel: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         decode: str = "packed",
     ) -> None:
@@ -390,7 +394,7 @@ class ServerPool:
                     target=_worker_main,
                     args=(
                         os.fspath(store_dir), child_conn, mmap, backend,
-                        accel, max_frame_bytes, decode,
+                        max_frame_bytes, decode,
                     ),
                     daemon=True,
                 )

@@ -118,7 +118,7 @@ class LabelStore:
         return tuple(self._paths)
 
     def path(self, name: str) -> str:
-        if name not in self._paths:
+        if not isinstance(name, str) or name not in self._paths:
             raise LabelingError(
                 f"unknown graph {name!r}; store holds {sorted(self._paths)}"
             )
@@ -126,10 +126,11 @@ class LabelStore:
 
     def get(self, name: str) -> PackedLabeling:
         """The packed labeling for ``name`` (opened once, then cached)."""
+        path = self.path(name)  # rejects a non-str name before any lookup
         packed = self._cache.get(name)
         if packed is None:
             packed = PackedLabeling.load(
-                self.path(name), mmap=self.mmap, backend=self.backend
+                path, mmap=self.mmap, backend=self.backend
             )
             self._cache[name] = packed
         return packed
@@ -141,9 +142,10 @@ class LabelStore:
         (``QueryServer(decode="scalar")``) decodes from these labels with
         :func:`~repro.labeling.labels.decode_distance` one pair at a time.
         """
+        packed = self.get(name)
         labeling = self._unpacked.get(name)
         if labeling is None:
-            labeling = self.get(name).to_labeling()
+            labeling = packed.to_labeling()
             self._unpacked[name] = labeling
         return labeling
 

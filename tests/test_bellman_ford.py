@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from repro.congest.bellman_ford import distributed_bellman_ford
+from repro.congest.bellman_ford import (
+    _segmented_min_parent,
+    distributed_bellman_ford,
+)
 from repro.errors import GraphError
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
@@ -63,3 +66,17 @@ class TestRoundBehaviour:
                 (e.weight for e in inst.out_edges(parent) if e.head == v), default=math.inf
             )
             assert abs(result.distances[parent] + edge_w - result.distances[v]) < 1e-9
+
+
+class TestSegmentedMinParent:
+    def test_min_and_smallest_sender_per_segment(self):
+        np = pytest.importorskip("numpy")
+        vals = np.array([5.0, 2.0, 2.0, 7.0, 1.0, 3.0, 3.0])
+        starts = np.array([0, 3, 4])
+        senders = np.array([9, 4, 2, 8, 5, 3, 1])
+        seg_min, seg_parent = _segmented_min_parent(
+            vals, starts, senders, np.int64(10**6)
+        )
+        assert seg_min.tolist() == [2.0, 7.0, 1.0]
+        # Among positions attaining the min, the smallest sender wins.
+        assert seg_parent.tolist() == [2, 8, 5]

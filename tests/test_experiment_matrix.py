@@ -312,7 +312,7 @@ class TestResultStore:
         assert store.get("aaaa")["x"] == 1
         assert store.keys() == ["aaaa", "bbbb"]
 
-        out = store.consolidate(str(tmp_path / "all.jsonl"), fmt="jsonl")
+        out = store.consolidate(str(tmp_path / "all.jsonl"))
         lines = open(out).read().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["x"] == 1
@@ -588,3 +588,29 @@ class TestCLI:
             cwd=REPO_ROOT,
         )
         assert absent.returncode == 1
+
+    def test_bin_launcher_exports_and_consolidates_jsonl(
+        self, tmp_path, stub_protocol
+    ):
+        cells = make_matrix(
+            protocols=(stub_protocol,), engines=("fast", "vectorized"),
+            families=("path",), scale="smoke", seeds=(1,),
+        ).cells()
+        store = ResultStore(tmp_path / "s")
+        run_matrix(cells, store, timer=fake_timer())
+        table = tmp_path / "all.jsonl"
+        # bin/repro-bench puts src/ on sys.path itself: no PYTHONPATH.
+        proc = subprocess.run(
+            [sys.executable, os.path.join(REPO_ROOT, "bin", "repro-bench"),
+             "export", "--store", str(tmp_path / "s"),
+             "--engine-out", str(tmp_path / "engine.json"),
+             "--serving-out", str(tmp_path / "serving.json"),
+             "--consolidated", str(table)],
+            cwd=str(tmp_path), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "consolidated 2 record(s)" in proc.stdout
+        rows = [json.loads(line) for line in table.read_text().splitlines()]
+        assert rows == [store.get(key) for key in store.keys()]
+        engine = load_trajectory(str(tmp_path / "engine.json"))
+        assert f"matrix_{stub_protocol}_path_smoke" in engine

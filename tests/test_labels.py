@@ -75,6 +75,14 @@ class TestDistanceLabeling:
         with pytest.raises(LabelingError):
             labeling.label("w")
 
+    def test_unhashable_vertex_has_no_label(self):
+        labeling = self._labeling()
+        for bad in (["u"], {"u": 1}):
+            with pytest.raises(LabelingError, match="no label"):
+                labeling.label(bad)
+            with pytest.raises(LabelingError, match="no label"):
+                labeling.distance("u", bad)
+
     def test_size_statistics(self):
         labeling = self._labeling()
         assert labeling.max_entries() == 2

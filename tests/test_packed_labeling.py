@@ -28,6 +28,7 @@ from repro.labeling.packed import (
     FORMAT_VERSION,
     MAGIC,
     PackedLabeling,
+    _label_query_batch,
     numpy_or_none,
 )
 from test_engine_equivalence import FAMILIES, _pseudo_labeling
@@ -84,7 +85,7 @@ def _assert_oracle_exact(packed: PackedLabeling, labeling: DistanceLabeling, pai
     # above the small-batch cutover, so numpy genuinely hits the kernel.
     assert len(pairs) > _SMALL_BATCH_CUTOVER
     assert list(packed.query(us, vs)) == expected
-    # Small batch: the adaptive scalar path on the python backend.
+    # Small batch: the adaptive scalar path on the numpy backend.
     cut = _SMALL_BATCH_CUTOVER
     assert list(packed.query(us[:cut], vs[:cut])) == expected[:cut]
     # Scalar two-pointer merge.
@@ -290,6 +291,28 @@ class TestPersistence:
 
 
 # --------------------------------------------------------------------------- #
+# The batched kernel on hand-computed arrays
+# --------------------------------------------------------------------------- #
+class TestQueryKernel:
+    def test_label_query_batch(self):
+        np = pytest.importorskip("numpy")
+        # Three labels over hub table {0, 1, 2}:
+        #   vertex 0: hubs {0, 1}  to (1, 5)   from (2, 1)
+        #   vertex 1: hubs {1, 2}  to (3, inf) from (4, 7)
+        #   vertex 2: hubs {}      (empty label)
+        offsets = np.array([0, 2, 4, 4], dtype=np.int64)
+        hubs = np.array([0, 1, 1, 2], dtype=np.int64)
+        to_hub = np.array([1.0, 5.0, 3.0, INF], dtype=np.float64)
+        from_hub = np.array([2.0, 1.0, 4.0, 7.0], dtype=np.float64)
+        u_idx = np.array([0, 1, 0, 2, 1], dtype=np.int64)
+        v_idx = np.array([1, 0, 0, 1, 2], dtype=np.int64)
+        out = _label_query_batch(offsets, hubs, to_hub, from_hub, u_idx, v_idx)
+        # (0→1): only shared hub 1, 5 + 4 = 9.  (1→0): hub 1, 3 + 1 = 4.
+        # (0→0): identity 0.  (2→1): no shared hub → inf.  (1→2): empty → inf.
+        assert out.tolist() == [9.0, 4.0, 0.0, INF, INF]
+
+
+# --------------------------------------------------------------------------- #
 # API edges
 # --------------------------------------------------------------------------- #
 class TestApiEdges:
@@ -302,6 +325,11 @@ class TestApiEdges:
             packed.distance(v, "missing")
         with pytest.raises(LabelingError, match="no label"):
             packed.query([v] * 6, ["missing"] * 6)
+        # An unhashable id names no vertex either.
+        with pytest.raises(LabelingError, match="no label"):
+            packed.distance(v, [1])
+        with pytest.raises(LabelingError, match="no label"):
+            packed.query([v] * 6, [[1]] * 6)
 
     def test_mismatched_batch_lengths_raise(self, master_seed):
         graph = generators.path_graph(4)

@@ -105,6 +105,15 @@ class TestLabelStore:
         with pytest.raises(LabelingError, match="unknown graph"):
             store.get("nope")
 
+    def test_non_str_names_are_unknown_graphs(self, store):
+        for bad in (5, None, ("ktree",), {"x": 1}, ["ktree"]):
+            with pytest.raises(LabelingError, match="unknown graph"):
+                store.path(bad)
+            with pytest.raises(LabelingError, match="unknown graph"):
+                store.get(bad)
+            with pytest.raises(LabelingError, match="unknown graph"):
+                store.labeling(bad)
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(LabelingError, match="not found"):
             LabelStore(tmp_path / "absent")
@@ -375,26 +384,44 @@ class TestFaultPaths:
             fresh.close()
 
     def test_malformed_payloads_answer_err_and_survive(self, store):
-        with QueryServer(store) as server:
-            sock = _connected(server)
-            # Undecodable bytes.
-            _send_frame(sock, b"\x80\x05this is not a pickle")
-            server.tick(timeout=0.5)
-            status, message = _read_reply(sock)
-            assert status == "err" and "undecodable" in message
-            # Decodable but not a request tuple.
-            _send_request(sock, {"verb": "ping"})
-            server.tick(timeout=0.5)
-            status, message = _read_reply(sock)
-            assert status == "err" and "malformed" in message
-            # The connection is still healthy.
-            _send_request(sock, ("ping",))
-            server.tick(timeout=0.5)
-            assert _read_reply(sock) == ("ok", "pong")
-            counters = server.stats()["counters"]
-            assert counters["malformed_requests"] == 2
-            assert counters["dropped_clients"] == 0
-            sock.close()
+        u, v = list(store.get("ktree").vertices())[:2]
+        mistyped = (
+            ("query", "ktree", 5, 6),
+            ("point", "ktree", [1], [2]),
+            ("query", "ktree", [[1]], [[2]]),
+            ("point", {"x": 1}, u, v),
+            ("query", {"x": 1}, [u], [v]),
+        )
+        for decode in ("packed", "scalar"):
+            with QueryServer(store, decode=decode) as server:
+                sock = _connected(server)
+                # Undecodable bytes.
+                _send_frame(sock, b"\x80\x05this is not a pickle")
+                server.tick(timeout=0.5)
+                status, message = _read_reply(sock)
+                assert status == "err" and "undecodable" in message
+                # Decodable but not a request tuple.
+                _send_request(sock, {"verb": "ping"})
+                server.tick(timeout=0.5)
+                status, message = _read_reply(sock)
+                assert status == "err" and "malformed" in message
+                # The connection is still healthy.
+                _send_request(sock, ("ping",))
+                server.tick(timeout=0.5)
+                assert _read_reply(sock) == ("ok", "pong")
+                # Well-framed requests with wrongly typed fields answer
+                # "err", and the connection stays healthy after each.
+                for request in mistyped:
+                    _send_request(sock, request)
+                    server.tick(timeout=0.5)
+                    assert _read_reply(sock)[0] == "err", (decode, request)
+                    _send_request(sock, ("ping",))
+                    server.tick(timeout=0.5)
+                    assert _read_reply(sock) == ("ok", "pong")
+                counters = server.stats()["counters"]
+                assert counters["malformed_requests"] == 2
+                assert counters["dropped_clients"] == 0
+                sock.close()
 
 
 # --------------------------------------------------------------------------- #

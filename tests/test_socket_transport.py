@@ -41,6 +41,7 @@ from repro.congest.transport import (
     SharedMemoryTransport,
     SocketTransport,
     Transport,
+    _boundary_hits,
     resolve_transport,
 )
 from repro.errors import SimulationError
@@ -87,6 +88,22 @@ def _assert_same_run(ref, run):
     assert run.max_words_per_edge_round == ref.max_words_per_edge_round
     assert run.max_message_words == ref.max_message_words
     assert run.halted == ref.halted
+
+
+class TestBoundaryHits:
+    def test_masked_scatter_collects_slots_in_order(self):
+        np = pytest.importorskip("numpy")
+        mask = np.array([True, False, True, False])
+        src_idx = np.array([0, 1, 2, 3, 0])
+        slots_tab = np.array([4, 5, 6, 7, 8])
+        val_idx_tab = np.array([0, 1, 2, 3, 4])
+        hitbuf = np.zeros(10, dtype=bool)
+        slots, val_idx = _boundary_hits(
+            mask, src_idx, slots_tab, val_idx_tab, hitbuf
+        )
+        assert slots.tolist() == [4, 6, 8]
+        assert val_idx.tolist() == [0, 2, 4]
+        assert np.flatnonzero(hitbuf).tolist() == [4, 6, 8]
 
 
 class TestTransportResolution:

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.congest.engine import _deliver_order
 from repro.congest.message import PayloadSchema, payload_size_words
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll
@@ -72,6 +73,18 @@ class TestCsrArrays:
         graph = generators.grid_graph(4, 4)
         idx = graph.to_indexed()
         assert idx.to_arrays() is idx.to_arrays()
+
+
+class TestDeliverOrder:
+    def test_reverse_slots_sorted_with_senders_and_permutation(self):
+        np = pytest.importorskip("numpy")
+        rev = np.array([3, 2, 5, 0, 4, 1])
+        indices = np.array([10, 11, 12, 13, 14, 15])
+        pending = np.array([2, 0, 3])
+        arcs, senders, perm = _deliver_order(rev, indices, pending)
+        assert arcs.tolist() == [0, 3, 5]
+        assert senders.tolist() == [10, 13, 15]
+        assert perm.tolist() == [3, 0, 2]
 
 
 class TestGracefulFallback:
