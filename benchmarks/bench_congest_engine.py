@@ -16,11 +16,6 @@ tiers and checks that
   records (warm + cold timings, boundary words published, declared bytes,
   peak RSS) land in the trajectory file — and the 2-shard run is not slower
   than 0.5× fast even at the small CI smoke scale,
-* the two shard transports (shared-memory arena vs localhost TCP) are
-  bit-for-bit identical on the same dense case, with the socket flavour's
-  real bytes-on-the-wire recorded per peer alongside the wall times (no
-  speed bar between flavours — the socket path exists for wire measurement,
-  not throughput),
 * the async tier's bucketed calendar queue (the default) beats the
   reference heap queue's events/sec on both round shapes — ≥ 2× on the
   deep path, where per-event heap churn dominates — measured on the *same*
@@ -380,97 +375,6 @@ def test_engine_speedup_bellman_ford_sharded(report_sink, bench_scale, master_se
                 f"sharded[{shards}] tier not faster than fast at full scale "
                 f"({speedup:.2f}x)"
             )
-
-
-@pytest.mark.bench
-def test_engine_shard_transport_shootout(report_sink, bench_scale, master_seed):
-    """Shared-memory vs localhost-TCP boundary transport on the dense
-    sharded Bellman-Ford case.
-
-    Both transports run warm on a persistent :class:`ShardPool` at every
-    measured shard count and must be bit-for-bit identical to ``fast``
-    (results and full ledger).  The record tracks the trade the transport
-    choice makes: wall seconds per flavour, the packed boundary words both
-    publish, and the socket flavour's *real* bytes on the wire (per-peer
-    and control-plane) — the datapoint the transport abstraction exists to
-    expose.  No wall-clock bar is asserted between the flavours: the socket
-    transport pays genuine syscalls per boundary frame and exists for wire
-    measurement and as the multi-host stepping stone, not for speed.
-    """
-    n = SHARDED_SIZES[bench_scale]
-    graph = generators.complete_graph(n)
-    instance = generators.to_directed_instance(
-        graph, weight_range=(1, 10), orientation="asymmetric", seed=master_seed
-    )
-    source = 0
-    network = CongestNetwork(instance.underlying_graph())
-    local_inputs = {
-        u: [(e.head, e.weight) for e in instance.out_edges(u)] for u in instance.nodes()
-    }
-    limit = 4 * n + 16
-
-    def run(engine, transport=None, shard_pool=None):
-        kernel = (
-            BellmanFordKernel(source, local_inputs)
-            if engine in ("vectorized", "sharded")
-            else None
-        )
-        return network.run(
-            lambda u: BellmanFordNode(u, source),
-            max_rounds=limit,
-            local_inputs=local_inputs,
-            engine=engine,
-            kernel=kernel,
-            shard_pool=shard_pool,
-            transport=transport,
-        )
-
-    network.indexed.to_arrays()
-    fast, t_fast = _timed(lambda: run("fast"))
-    msgs = fast.messages_sent
-    tiers = {"fast": _tier(t_fast, msgs)}
-    extra = {
-        "n": n,
-        "rounds": fast.rounds,
-        "boundary_words_published": {},
-        "wire_bytes_total": {},
-        "wire_bytes_by_peer": {},
-        "wire_control_bytes": {},
-    }
-    lines = [
-        f"== engine shoot-out: shard transports on K_{n} (pooled, warm) ==",
-        f"fast              {t_fast * 1000:8.1f} ms",
-    ]
-    for shards in SHARD_COUNTS[bench_scale]:
-        for transport in ("shm", "socket"):
-            with ShardPool(num_shards=shards) as pool:
-                run("sharded", transport=transport, shard_pool=pool)  # cold
-                result, t_warm = _timed(
-                    lambda: run("sharded", transport=transport, shard_pool=pool)
-                )
-            assert result.engine == "sharded"
-            assert result.rounds == fast.rounds
-            assert result.outputs == fast.outputs
-            assert result.messages_sent == fast.messages_sent
-            assert result.words_sent == fast.words_sent
-            assert result.max_words_per_edge_round == fast.max_words_per_edge_round
-            stats = result.shard_stats
-            assert stats["transport"] == transport
-            key = f"sharded[{shards}]/{transport}"
-            tiers[key] = _tier(t_warm, msgs)
-            extra["boundary_words_published"][key] = stats[
-                "boundary_words_published"
-            ]
-            extra["wire_bytes_total"][key] = stats["wire_bytes_total"]
-            extra["wire_control_bytes"][key] = stats["wire_control_bytes"]
-            extra["wire_bytes_by_peer"][key] = stats["wire_bytes_by_peer"]
-            lines.append(
-                f"{key:17s} {t_warm * 1000:8.1f} ms "
-                f"({stats['boundary_words_published']} boundary words, "
-                f"{stats['wire_bytes_total']} wire bytes)"
-            )
-    _record_bench("bellman_ford_shard_transport", bench_scale, tiers, extra=extra)
-    report_sink.append("\n".join(lines))
 
 
 @pytest.mark.bench

@@ -10,10 +10,6 @@ harness (sub-directory conftests can only add fixtures, not options, because
 * ``--bench-scale`` — ``full`` (default) runs the benchmarks at paper scale;
   ``tiny`` is the CI smoke setting (small instances, shape assertions that
   need large n are skipped).
-* ``--shard-transport`` — boundary transport used by the sharded-tier
-  equivalence suite: ``shm`` (default, shared-memory arena) or ``socket``
-  (localhost TCP).  CI runs the sharded equivalence subset once per value to
-  certify both transports bit-for-bit.
 """
 
 from __future__ import annotations
@@ -42,12 +38,6 @@ def pytest_addoption(parser):
         default="full",
         help="benchmark instance sizes: 'full' (paper scale) or 'tiny' (CI smoke)",
     )
-    parser.addoption(
-        "--shard-transport",
-        choices=("shm", "socket"),
-        default="shm",
-        help="boundary transport for the sharded-tier equivalence tests",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -60,12 +50,6 @@ def master_seed(request) -> int:
 def bench_scale(request) -> str:
     """The ``--bench-scale`` value (``"tiny"`` or ``"full"``)."""
     return request.config.getoption("--bench-scale")
-
-
-@pytest.fixture(scope="session")
-def shard_transport(request) -> str:
-    """The ``--shard-transport`` value (``"shm"`` or ``"socket"``)."""
-    return request.config.getoption("--shard-transport")
 
 
 @pytest.fixture

@@ -16,10 +16,6 @@ This subpackage provides:
   ``vectorized`` whole-round kernels → multiprocess ``sharded`` workers),
   plus :class:`SimulationTrace` for round-by-round statistics.  The tiers
   are cross-certified by a randomized equivalence suite.
-* :mod:`~repro.congest.transport` — the sharded tier's pluggable boundary
-  exchange: :class:`SharedMemoryTransport` (one arena, pool barrier) and
-  :class:`SocketTransport` (localhost TCP, length-prefixed frames, per-peer
-  bytes-on-the-wire accounting), bit-for-bit interchangeable.
 * :mod:`~repro.congest.scheduler` — the fifth, ``async`` tier: a
   discrete-event scheduler with pluggable seeded :class:`DelayModel`\\ s
   (:class:`UnitDelay`, :class:`UniformDelay`, :class:`PerArcDelay`,
@@ -67,11 +63,6 @@ from repro.congest.kernels import (
     StateVector,
 )
 from repro.congest.network import CongestNetwork, SimulationResult
-from repro.congest.transport import (
-    SharedMemoryTransport,
-    SocketTransport,
-    Transport,
-)
 from repro.congest.faults import (
     Churn,
     FaultEvent,
@@ -125,9 +116,6 @@ __all__ = [
     "StateVector",
     "CongestNetwork",
     "SimulationResult",
-    "SharedMemoryTransport",
-    "SocketTransport",
-    "Transport",
     "primitives",
     "bellman_ford",
 ]

@@ -320,7 +320,6 @@ def distributed_bellman_ford(
     num_shards: Optional[int] = None,
     shard_pool=None,
     delay_model=None,
-    transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> BellmanFordResult:
@@ -332,9 +331,8 @@ def distributed_bellman_ford(
     the default; ``engine="vectorized"`` runs the whole-round
     :class:`BellmanFordKernel`, ``engine="sharded"`` distributes it over
     ``num_shards`` worker processes — reused across calls when a
-    :class:`~repro.congest.engine.ShardPool` is passed via ``shard_pool``,
-    with the boundary exchange carried by ``transport`` (``"shm"`` arena or
-    ``"socket"`` TCP) — and ``engine="async"`` executes the scalar protocol
+    :class:`~repro.congest.engine.ShardPool` is passed via ``shard_pool`` —
+    and ``engine="async"`` executes the scalar protocol
     on the event-driven scheduler under ``delay_model``, with
     schedule-invariant distances and parents — all with identical results).
     ``scheduler`` selects the async tier's event queue (``"bucketed"``
@@ -379,7 +377,6 @@ def distributed_bellman_ford(
         num_shards=num_shards,
         shard_pool=shard_pool,
         delay_model=delay_model,
-        transport=transport,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
     )

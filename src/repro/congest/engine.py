@@ -1,18 +1,15 @@
-"""Execution engines for the CONGEST simulator — five tiers × two shard
-transports.
+"""Execution engines for the CONGEST simulator — five tiers.
 
 This module holds the synchronous execution cores behind
 :meth:`CongestNetwork.run` (the asynchronous fifth tier lives in
-:mod:`repro.congest.scheduler`; the sharded tier's two boundary-exchange
-transports live in :mod:`repro.congest.transport`).  All five tiers execute
-identical protocol semantics and are equivalence-tested against each other
-on randomized graph families (``tests/test_engine_equivalence.py``,
-``tests/test_socket_transport.py`` and ``tests/test_async_scheduler.py``):
-identical round counts, outputs, message/word counts, per-edge-per-round
-bandwidth and round traces on every seeded instance — for the sharded tier
-at every shard count *under either transport*, and for the async tier under
-the unit-delay model (with protocol outputs additionally schedule-invariant
-under every seeded delay model).
+:mod:`repro.congest.scheduler`).  All five tiers execute identical protocol
+semantics and are equivalence-tested against each other on randomized
+graph families (``tests/test_engine_equivalence.py`` and
+``tests/test_async_scheduler.py``): identical round counts, outputs,
+message/word counts, per-edge-per-round bandwidth and round traces on every
+seeded instance — for the sharded tier at every shard count, and for the
+async tier under the unit-delay model (with protocol outputs additionally
+schedule-invariant under every seeded delay model).
 
 1. ``engine="legacy"`` — the dict-based reference loop kept verbatim in
    :mod:`repro.congest.network`.  One inbox rebuild per round, no indexing;
@@ -50,12 +47,8 @@ under every seeded delay model).
    ranges).  One worker process per shard executes the kernel over its
    ranges in lockstep rounds; workers come from a persistent
    :class:`ShardPool` (parked between runs, reused across
-   :meth:`CongestNetwork.run` calls) or an ephemeral per-run pool.  The
-   boundary exchange itself is pluggable
-   (``run(engine="sharded", transport=...)``): the default
-   **shared-memory transport** described below, or the **socket transport**
-   in which workers hold no shared memory at all and everything crosses
-   localhost TCP (see *Pluggable shard transports*).
+   :meth:`CongestNetwork.run` calls) or an ephemeral per-run pool, and
+   exchange boundary words through one shared-memory arena per run.
 
    **Memory model — state is owned by shards, not replicated.**  The
    ``multiprocessing.shared_memory`` arena of a run is laid out as one
@@ -93,35 +86,10 @@ under every seeded delay model).
    which makes ``RoundStats``/``SimulationTrace``/ledger merging
    bit-for-bit by construction rather than by reduction.
 
-   **Pluggable shard transports** (:mod:`repro.congest.transport`).  The
-   worker loop and the parent accounting speak only the ``Transport`` API,
-   so the exchange above has two interchangeable carriers:
-
-   * ``transport="shm"`` (default) — the arena/double-banked exchange
-     exactly as described: zero-copy, paced by the pool barrier.  Use it
-     whenever all shards share a host — it is strictly faster.
-   * ``transport="socket"`` — each worker keeps its state private and all
-     cross-process traffic moves over localhost TCP as length-prefixed
-     frames (``!I`` byte-count prefix): per worker one *control*
-     connection to the parent (a pickled ``hello``/``ports`` handshake,
-     then per round one pickled ``pub`` frame — sent-slot indices,
-     per-message words, halted count/census — and a 1-byte ``R``/``S``
-     verdict frame replacing the two barriers, plus a final ``fin`` frame
-     shipping the declared state rows for the merge), and per
-     :class:`PeerExchange` pair one raw peer connection carrying
-     ``packbits(mask[src_local])`` followed by the masked payload values —
-     O(boundary) bytes per round with no indices on the wire, because the
-     sender's ``ShardPlan.peer_links`` table is parallel to the receiver's
-     gather table.  Use it to measure boundary traffic as a *real* network
-     cost (``shard_stats`` then reports ``wire_bytes_by_peer`` /
-     ``wire_bytes_total``) or as the stepping stone to multi-host runs; a
-     listener that cannot bind degrades to shared memory with one
-     :class:`EngineFallbackWarning` naming both flavours.
-
    **ShardPool lifecycle**: ``ShardPool(num_shards=k)`` starts workers
    lazily on first use; between runs they park on their job pipe, and each
    run ships only a run header, split into a pickled-once common blob
-   (transport descriptor + graph snapshot) and a tiny per-shard suffix
+   (arena name and layout + graph snapshot) and a tiny per-shard suffix
    (shard index + that shard's ``slice_for_shard`` view of the kernel, so
    per-worker header ingest is O(payload / num_shards)) — the graph
    snapshot is cached worker-side until it changes.  A run at a different
@@ -208,16 +176,16 @@ rather than silently ignoring faults or falling back:
 (``scheduler=`` with a non-async engine and ``fault_schedule=`` with a
 synchronous engine are rejected with :class:`SimulationError`):
 
-   ============  =====================  ==============
-   tier          ``scheduler=``         ``transport=``
-   ============  =====================  ==============
-   legacy        rejected               n/a
-   fast          rejected               n/a
-   vectorized    rejected               n/a
-   sharded       rejected               shm / socket
-   async         bucketed (default)     n/a
+   ============  =====================
+   tier          ``scheduler=``
+   ============  =====================
+   legacy        rejected
+   fast          rejected
+   vectorized    rejected
+   sharded       rejected
+   async         bucketed (default)
                  / heap (reference)
-   ============  =====================  ==============
+   ============  =====================
 
 **When each tier wins** (crossover records in ``BENCH_engine.json``): the
 ``fast`` worklist tier is best for sparse rounds — on the deep-path
@@ -262,6 +230,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional
 
+from repro.congest.kernels import PackedInbox
 from repro.congest.message import Message, payload_size_words
 from repro.congest.node import NodeAlgorithm, NodeContext
 from repro.errors import BandwidthExceededError, ConvergenceError, SimulationError
@@ -637,7 +606,7 @@ def run_vectorized(
     """
     import numpy as np
 
-    from repro.congest.kernels import PackedInbox, invoke_init
+    from repro.congest.kernels import invoke_init
     from repro.congest.network import SimulationResult
     from repro.graphs.sharding import Shard
 
@@ -857,6 +826,265 @@ def _sharded_specs(plan, schema, state_schema, csr):
     return specs, state_bytes, exchange_bytes
 
 
+def _boundary_hits(mask, src_idx, slots_tab, val_idx_tab, hitbuf):
+    """For every position t with ``mask[src_idx[t]]`` set, collect
+    ``slots_tab[t]`` / ``val_idx_tab[t]`` (in t order) and mark
+    ``hitbuf[slot] = True``."""
+    got = mask[src_idx]
+    slots = slots_tab[got]
+    hitbuf[slots] = True
+    return slots, val_idx_tab[got]
+
+
+class _ShmWorkerSession:
+    """Worker side of one run's arena exchange (two barriers per round).
+
+    The banks alternate per publish (double buffering), which is what removes
+    a third barrier: a worker publishing round ``r+1`` writes the opposite
+    bank from the one its peers are still gathering round ``r`` from, so
+    publish and gather never race.
+    """
+
+    def __init__(self, shm_name, layout, plan, shard_index, kernel, barrier,
+                 timeout) -> None:
+        import numpy as np
+
+        self._np = np
+        self._csr = plan.csr
+        self._shard_index = s = shard_index
+        self._shard = plan.shard(s)
+        self._exchange = plan.exchange(s)
+        self._kernel = kernel
+        self._state_schema = kernel.state_schema(self._csr)
+        self._field_names = fns = [name for name, _ in kernel.schema.fields]
+        self._size_words = kernel.schema.size_words
+        self._alo = self._shard.arc_lo
+        self._gather_buf = {
+            f: np.empty(self._shard.num_arcs, dtype=np.dtype(d))
+            for f, d in kernel.schema.fields
+        }
+        self._hitbuf = np.zeros(self._shard.num_arcs, dtype=bool)
+        self._barrier = barrier
+        self._timeout = timeout
+        self._shm = _attach_arena(shm_name)
+        self._views = views = _arena_views(self._shm.buf, layout)
+        self._ctrl = views["ctrl"]
+        self._my_mask = [views[f"mask:{s}:{b}"] for b in (0, 1)]
+        self._my_words = [views[f"words:{s}:{b}"] for b in (0, 1)]
+        self._my_bval = [
+            {f: views[f"bvalue:{s}:{f}:{b}"] for f in fns} for b in (0, 1)
+        ]
+        self._peer_mask = {
+            p.peer: [views[f"mask:{p.peer}:{b}"] for b in (0, 1)]
+            for p in self._exchange.peers
+        }
+        self._peer_bval = {
+            p.peer: [
+                {f: views[f"bvalue:{p.peer}:{f}:{b}"] for f in fns}
+                for b in (0, 1)
+            ]
+            for p in self._exchange.peers
+        }
+        self._bout_local = plan.boundary_out(s) - self._alo
+        self._state_views: Dict[str, Any] = {}
+        self._bank = 0
+        self._published = False
+
+    def adopt_state(self, state) -> None:
+        # Copy this shard's rows into the arena segments and rebind so every
+        # subsequent kernel write lands in shared memory.
+        for vec in self._state_schema:
+            seg = self._views[f"state:{self._shard_index}:{vec.name}"]
+            local = state[vec.name]
+            if tuple(local.shape) != tuple(seg.shape):
+                raise SimulationError(
+                    f"kernel {type(self._kernel).__name__} allocated state "
+                    f"vector {vec.name!r} with shape {tuple(local.shape)}; "
+                    f"the shard-local contract requires {tuple(seg.shape)} "
+                    f"(shard {self._shard_index})"
+                )
+            seg[...] = local
+            state[vec.name] = seg
+            self._state_views[vec.name] = seg
+
+    def publish(self, sends) -> None:
+        if self._published:
+            self._bank ^= 1
+        else:
+            self._published = True
+        bank = self._bank
+        mask = self._my_mask[bank]
+        if sends is None:
+            mask[:] = False
+        else:
+            mask[:] = sends.mask
+            words = self._my_words[bank]
+            if sends.words is None:
+                words[:] = self._size_words
+            else:
+                words[:] = sends.words
+            if self._bout_local.shape[0]:
+                bvals = self._my_bval[bank]
+                for f in self._field_names:
+                    bvals[f][:] = sends.values[f][self._bout_local]
+        self._barrier.wait(self._timeout)
+
+    def wait_verdict(self) -> bool:
+        self._barrier.wait(self._timeout)
+        return self._ctrl[0] != _CMD_STOP
+
+    def gather(self, prev):
+        """This shard's inbox: interior slots from its own previous sends,
+        foreign slots from the peers' packed boundary arrays."""
+        np = self._np
+        hitbuf = self._hitbuf
+        hitbuf[:] = False
+        exchange = self._exchange
+        if prev is not None and exchange.int_src.shape[0]:
+            slots, src = _boundary_hits(
+                prev.mask, exchange.int_src, exchange.int_slots,
+                exchange.int_src, hitbuf,
+            )
+            for f in self._field_names:
+                self._gather_buf[f][slots] = prev.values[f][src]
+        bank = self._bank
+        for p in exchange.peers:
+            slots, packed = _boundary_hits(
+                self._peer_mask[p.peer][bank], p.src_local, p.recv_slots,
+                p.src_packed, hitbuf,
+            )
+            if not slots.shape[0]:
+                continue
+            bvals = self._peer_bval[p.peer][bank]
+            for f in self._field_names:
+                self._gather_buf[f][slots] = bvals[f][packed]
+        hit = np.flatnonzero(hitbuf)
+        arcs = self._alo + hit
+        inbox = PackedInbox(
+            arcs, {f: self._gather_buf[f][hit] for f in self._field_names}
+        )
+        return inbox, self._csr.indices[arcs]
+
+    def check_state(self, state) -> None:
+        # Declared vectors must be mutated in place: a rebind would silently
+        # detach this worker from the arena (the vectorized tier re-reads the
+        # dict, so the bug would not show there).
+        for vec in self._state_schema:
+            if state[vec.name] is not self._state_views[vec.name]:
+                raise SimulationError(
+                    f"kernel rebound declared state vector {vec.name!r} "
+                    "during round(); sharded kernels must write declared "
+                    "state in place"
+                )
+
+    def close(self) -> None:
+        self._views = None
+        self._ctrl = None
+        self._my_mask = self._my_words = self._my_bval = None
+        self._peer_mask = self._peer_bval = None
+        self._state_views = {}
+        try:
+            self._shm.close()
+        except BufferError:  # pragma: no cover - state views still referenced
+            pass
+
+
+class _ShmParentSession:
+    """Parent side of one run's arena exchange: owns the block, reads live views."""
+
+    def __init__(self, plan, schema, state_schema, csr, barrier,
+                 timeout) -> None:
+        import numpy as np
+        from multiprocessing import shared_memory
+
+        specs, state_bytes, exchange_bytes = _sharded_specs(
+            plan, schema, state_schema, csr
+        )
+        self.layout, total = _arena_layout(specs)
+        self._np = np
+        self._plan = plan
+        self._csr = csr
+        self._state_schema = state_schema
+        self._barrier = barrier
+        self._timeout = timeout
+        self._shm = shared_memory.SharedMemory(create=True, size=total)
+        self.shm_name = self._shm.name
+        self._k = k = plan.num_shards
+        self._views = views = _arena_views(self._shm.buf, self.layout)
+        self._ctrl = views["ctrl"]
+        self._mask = [[views[f"mask:{s}:{b}"] for b in (0, 1)] for s in range(k)]
+        self._words = [
+            [views[f"words:{s}:{b}"] for b in (0, 1)] for s in range(k)
+        ]
+        self._halted = (
+            [views[f"state:{s}:halted"] for s in range(k)]
+            if any(v.name == "halted" for v in state_schema)
+            else None
+        )
+        self._arc_lo = [int(x) for x in plan.arc_starts[:-1]]
+        self._bank = 0
+        self._started = False
+        self.state_bytes = [int(b) for b in state_bytes]
+        self.exchange_bytes = [int(b) for b in exchange_bytes]
+        self.arena_bytes = int(total)
+
+    def wait_published(self) -> None:
+        if self._started:
+            self._bank ^= 1
+        else:
+            self._started = True
+        self._barrier.wait(self._timeout)
+
+    def published(self):
+        """Yield ``(global arc ids, words)`` of each shard's published sends."""
+        np = self._np
+        bank = self._bank
+        for s in range(self._k):
+            idx = np.flatnonzero(self._mask[s][bank])
+            if idx.shape[0]:
+                yield self._arc_lo[s] + idx, self._words[s][bank][idx]
+
+    def halted_count(self) -> int:
+        if self._halted is None:
+            return 0
+        return sum(int(hv.sum()) for hv in self._halted)
+
+    def fill_halted(self, out) -> None:
+        self._np.concatenate(self._halted, out=out)
+
+    def send_verdict(self, stop: bool) -> None:
+        self._ctrl[0] = _CMD_STOP if stop else _CMD_RUN
+        self._barrier.wait(self._timeout)
+
+    def collect_states(self):
+        np = self._np
+        merged: Dict[str, Any] = {}
+        for vec in self._state_schema:
+            full = np.empty(vec.shape(self._csr), dtype=np.dtype(vec.dtype))
+            for s in range(self._k):
+                full[vec.row_slice(self._plan.shard(s))] = self._views[
+                    f"state:{s}:{vec.name}"
+                ]
+            merged[vec.name] = full
+        return merged
+
+    def close(self) -> None:
+        # Drop our arena views before closing; if an in-flight exception's
+        # traceback still pins one, unlink alone is enough (the mapping dies
+        # with the last reference, the name is gone now).
+        self._views = None
+        self._ctrl = None
+        self._mask = self._words = self._halted = None
+        try:
+            self._shm.close()
+        except BufferError:
+            pass
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - double cleanup
+            pass
+
+
 def _mp_context():
     """The multiprocessing context of the sharded tier.
 
@@ -900,11 +1128,9 @@ class ShardPool:
     used to be paid on *every* ``run(engine="sharded")`` call.  A pool
     amortizes it: workers are started once (lazily, on first use), park on
     their job pipe between runs, and each subsequent run only ships a run
-    header: a pickled-once common blob (transport descriptor + graph
+    header: a pickled-once common blob (arena name and layout + graph
     snapshot) plus a tiny per-shard kernel-slice suffix — the graph snapshot
-    itself is shipped once and cached worker-side until it changes.  Workers
-    are transport-agnostic: shared-memory and socket runs can alternate on
-    the same pool.
+    itself is shipped once and cached worker-side until it changes.
 
     Usage::
 
@@ -1057,7 +1283,7 @@ def _pool_worker(conn, barrier, errors):
     Between runs the worker blocks on ``conn.recv()`` — the parked state of
     the persistent pool.  A job is ``(common_bytes, suffix_bytes)``: the
     common blob is pickled *once* per run and shared by all workers (the
-    transport descriptor, the graph cache key, the graph snapshot — shipped
+    arena name and layout, the graph cache key, the graph snapshot — shipped
     as ``None`` when the worker already holds it from a previous job — the
     cut points and the timeout), while the tiny per-shard suffix carries
     only the shard index and that shard's slice of the kernel
@@ -1065,14 +1291,10 @@ def _pool_worker(conn, barrier, errors):
     the CSR arrays, their reverse-arc table, the :class:`ShardPlan` and its
     packed exchange tables — is rebuilt only when the graph or the cut
     points change.  Any failure aborts the shared barrier (waking the
-    parent and, on the shared-memory transport, the sibling workers) and
-    ends this worker; a torn-down transport connection ends the worker
-    silently — the parent already knows.  The pool restarts workers on the
-    next run.
+    parent and the sibling workers) and ends this worker; the pool restarts
+    workers on the next run.
     """
     import pickle
-
-    from repro.congest.transport import TransportBrokenError
 
     cache: Dict[Any, Any] = {}
     while True:
@@ -1085,8 +1307,8 @@ def _pool_worker(conn, barrier, errors):
         common, suffix = job
         shard_index = None
         try:
-            (descriptor, graph_key, indexed, node_starts, timeout,
-             want_census) = pickle.loads(common)
+            (shm_name, layout, graph_key, indexed, node_starts,
+             timeout) = pickle.loads(common)
             shard_index, kernel = pickle.loads(suffix)
             if indexed is not None:
                 cache.clear()
@@ -1099,14 +1321,10 @@ def _pool_worker(conn, barrier, errors):
                 plan = ShardPlan(entry["indexed"].to_arrays(), node_starts)
                 entry["plan"] = plan
             _shard_worker_run(
-                descriptor, plan, kernel, shard_index, barrier, timeout,
-                want_census,
+                shm_name, layout, plan, kernel, shard_index, barrier, timeout
             )
         except threading.BrokenBarrierError:
             break  # parent or a sibling failed; the pool will restart us
-        except TransportBrokenError:
-            break  # the parent (or a dead sibling) tore the wire down; it
-            # detects the failure through its own end — no barrier abort
         except BaseException:  # noqa: BLE001 - forward any failure to the parent
             import traceback
 
@@ -1125,37 +1343,29 @@ def _pool_worker(conn, barrier, errors):
         pass
 
 
-def _shard_worker_run(descriptor, plan, kernel, shard_index, barrier, timeout,
-                      want_census):
+def _shard_worker_run(shm_name, layout, plan, kernel, shard_index, barrier,
+                      timeout):
     """One shard's lockstep execution of a single run (inside a pool worker).
 
-    Round phases, whatever the transport:
+    Round phases:
 
     * **publish** — run ``kernel.round`` over the shard's local state rows
-      and hand the send mask/word slices plus the *packed boundary* payload
-      values to the transport session (arena bank write, or pub/peer
-      frames);
+      and write the send mask/word slices plus the *packed boundary*
+      payload values into this round's arena bank;
     * **verdict** — the parent accounts the published round and answers
-      RUN/STOP (control slot + barrier, or a 1-byte verdict frame);
+      RUN/STOP through the arena's control slot;
     * **gather** — read the shard's inbox through the plan's precomputed
       exchange tables: interior slots from the private kernel buffers,
-      foreign slots from the transport (peers' packed boundary arrays, or
-      one peer frame per connection).
-
-    The loop itself is transport-agnostic: ``descriptor`` is the picklable
-    worker-side factory shipped in the run header by the parent session
-    (see :mod:`repro.congest.transport`), and the session it connects
-    encapsulates arena banks or sockets entirely.
+      foreign slots from the peers' packed boundary arrays.
 
     State is **shard-local**: ``kernel.init(state, csr, shard)`` allocates
-    only this shard's rows, which the shared-memory session copies once
-    into the shard's arena segment and rebinds so every subsequent kernel
-    write lands in shared memory (the socket session keeps them private and
-    ships them once at STOP).  Peak declared-state memory per worker is
+    only this shard's rows, which are copied once into the shard's arena
+    segment and rebound so every subsequent kernel write lands in shared
+    memory.  Peak declared-state memory per worker is
     O((n + m) / num_shards + boundary), not O(n + m).
     """
-    session = descriptor.connect(
-        plan, shard_index, kernel, barrier, timeout, want_census
+    session = _ShmWorkerSession(
+        shm_name, layout, plan, shard_index, kernel, barrier, timeout
     )
     try:
         csr = plan.csr
@@ -1163,15 +1373,14 @@ def _shard_worker_run(descriptor, plan, kernel, shard_index, barrier, timeout,
         state: Dict[str, Any] = {}
         sends = kernel.init(state, csr, shard)
         session.adopt_state(state)
-        session.publish(sends, state)
+        session.publish(sends)
         prev = sends
         while session.wait_verdict():
             inbox, senders = session.gather(prev)
             sends = kernel.round(state, inbox, senders, csr, shard)
             session.check_state(state)
-            session.publish(sends, state)
+            session.publish(sends)
             prev = sends
-        session.finish(state)
     finally:
         session.close()
 
@@ -1186,7 +1395,6 @@ def run_sharded(
     plan=None,
     barrier_timeout: Optional[float] = None,
     pool: Optional[ShardPool] = None,
-    transport=None,
 ):
     """Execute a schema-declared kernel across shard worker processes.
 
@@ -1195,18 +1403,14 @@ def run_sharded(
     ``num_shards``; the default is an arc-balanced plan over
     :func:`default_num_shards` workers), and one worker per shard runs
     :func:`_shard_worker_run`'s publish → verdict → gather lockstep loop
-    over the boundary-exchange ``transport`` (``None``/``"shm"`` for the
-    default shared-memory arena, ``"socket"`` for localhost TCP, or a
-    :class:`~repro.congest.transport.Transport` instance — see that module
-    for the wire format and the when-to-use guidance).  Workers come from
-    ``pool`` (a :class:`ShardPool`, reused across runs — transports can be
-    mixed freely on one pool) or from an ephemeral pool created and closed
-    inside this call.  Jobs reach the parked workers over a pipe, so the
-    kernel must be picklable (a module-level class — the same requirement
-    spawn-based platforms always had).  The run header is split into a
-    pickled-once common blob shared by all workers (transport descriptor +
-    graph snapshot; only the snapshot is cached worker-side) and a tiny
-    per-shard suffix carrying that shard's
+    over one shared-memory arena per run.  Workers come from ``pool`` (a
+    :class:`ShardPool`, reused across runs) or from an ephemeral pool
+    created and closed inside this call.  Jobs reach the parked workers
+    over a pipe, so the kernel must be picklable (a module-level class —
+    the same requirement spawn-based platforms always had).  The run header
+    is split into a pickled-once common blob shared by all workers (arena
+    name and layout + graph snapshot; only the snapshot is cached
+    worker-side) and a tiny per-shard suffix carrying that shard's
     :meth:`~repro.congest.kernels.RoundKernel.slice_for_shard` view of the
     kernel — so keep constructor payloads small, slice them per shard, or
     trim parent-only attributes via ``__getstate__`` the way
@@ -1214,27 +1418,22 @@ def run_sharded(
 
     A ``num_shards`` request exceeding the node count (or below 1) is
     clamped with a single :class:`EngineFallbackWarning` — a plan can never
-    contain an empty shard.  A socket transport whose listener cannot bind
-    degrades to shared memory, also with a single warning.
+    contain an empty shard.
 
     The parent never touches kernel state: it performs the
     accounting/termination logic of :func:`run_vectorized` on the published
     batches between verdicts (identical expressions, so message/word/
     bandwidth totals, ``ConvergenceError``/``BandwidthExceededError``
     behaviour and the :class:`SimulationTrace` are bit-for-bit equal to the
-    single-process tiers *under either transport*), then merges outputs
-    from the collected state.  The returned result additionally carries
-    ``shard_stats`` (per-shard declared state bytes, arena bytes, boundary
-    words published, run-header bytes, and — on the socket transport —
-    per-peer bytes on the wire).
+    single-process tiers), then merges outputs from the collected state.
+    The returned result additionally carries ``shard_stats`` (per-shard
+    declared state bytes, arena bytes, boundary words published and
+    run-header bytes).
     """
     import warnings
 
     from repro.congest.kernels import supports_shard_init
-    from repro.congest.transport import resolve_transport
     from repro.graphs.sharding import ShardPlan
-
-    transport = resolve_transport(transport)
 
     csr = network.indexed.to_arrays()
     n = csr.num_nodes
@@ -1281,7 +1480,7 @@ def run_sharded(
     try:
         return _run_sharded_on_pool(
             network, kernel, plan, state_schema, csr, max_rounds,
-            stop_when_quiet, trace, barrier_timeout, pool, transport,
+            stop_when_quiet, trace, barrier_timeout, pool,
         )
     finally:
         if own_pool:
@@ -1289,22 +1488,15 @@ def run_sharded(
 
 
 def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
-                         stop_when_quiet, trace, barrier_timeout, pool,
-                         transport):
+                         stop_when_quiet, trace, barrier_timeout, pool):
     """The parent side of one sharded run, on an ensured :class:`ShardPool`."""
     import pickle
     import queue as queue_mod
-    import warnings
 
     import numpy as np
 
-    from repro.congest.kernels import PackedInbox, invoke_init
+    from repro.congest.kernels import invoke_init
     from repro.congest.network import SimulationResult
-    from repro.congest.transport import (
-        SharedMemoryTransport,
-        TransportBrokenError,
-        TransportSetupError,
-    )
     from repro.graphs.sharding import Shard
 
     n = csr.num_nodes
@@ -1313,40 +1505,18 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
     schema = kernel.schema
     k = plan.num_shards
     node_starts = [int(x) for x in plan.node_starts]
-    want_census = trace is not None
 
     pool.ensure(k)
     barrier = pool._barrier
     errors = pool._errors
 
-    # Create the transport session before marking the pool busy: a setup
-    # failure here (e.g. ENOSPC on /dev/shm, an unbindable socket listener)
-    # must leave the pool reusable.  A socket transport that cannot set its
-    # listener up degrades to shared memory with one EngineFallbackWarning —
-    # the run still executes engine='sharded', just on the in-host flavour.
-    try:
-        session = transport.create_parent(
-            plan, schema, state_schema, csr,
-            timeout=barrier_timeout, want_census=want_census, barrier=barrier,
-        )
-    except TransportSetupError as exc:
-        fallback = SharedMemoryTransport()
-        warnings.warn(
-            fallback_message(
-                f"sharded[{transport.name}]", f"sharded[{fallback.name}]",
-                str(exc),
-            ),
-            EngineFallbackWarning,
-            stacklevel=3,
-        )
-        transport = fallback
-        session = transport.create_parent(
-            plan, schema, state_schema, csr,
-            timeout=barrier_timeout, want_census=want_census, barrier=barrier,
-        )
+    # Create the arena before marking the pool busy: an allocation failure
+    # here (e.g. ENOSPC on /dev/shm) must leave the pool reusable.
+    session = _ShmParentSession(
+        plan, schema, state_schema, csr, barrier, barrier_timeout
+    )
     pool._busy = True
     aborted = False
-    batch = None
     try:
         # Dispatch the run header, split into the pickled-once common blob
         # and a tiny per-shard suffix (shard index + that shard's
@@ -1361,9 +1531,9 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         cached = pool._cached_graph
         send_graph = cached is None or cached[0] != graph_key
         common = pickle.dumps(
-            (session.descriptor(), graph_key,
+            (session.shm_name, session.layout, graph_key,
              network.indexed if send_graph else None,
-             node_starts, barrier_timeout, want_census),
+             node_starts, barrier_timeout),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         suffixes = [
@@ -1377,7 +1547,6 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
             conn.send((common, suffixes[s]))
         pool._cached_graph = (graph_key, network.indexed)
         pool.runs_dispatched += 1
-        session.begin()
 
         has_halted = any(v.name == "halted" for v in state_schema)
         # Reusable whole-graph halted buffer for the traced census (refilled
@@ -1400,8 +1569,8 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         boundary_words_published = 0
         boundary_messages_published = 0
 
-        def account(batch):
-            """Account one published batch (run_vectorized's expressions)."""
+        def account(parts):
+            """Account one published round (run_vectorized's expressions)."""
             nonlocal messages_sent, words_sent, max_message_words
             nonlocal pending_msgs, pending_words, pending_edge_max, has_pending
             nonlocal boundary_words_published, boundary_messages_published
@@ -1410,7 +1579,7 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
             pending_edge_max = 0
             parts_idx = []
             parts_w = []
-            for gidx, gw in batch.parts():
+            for gidx, gw in parts:
                 parts_idx.append(gidx)
                 parts_w.append(gw)
             has_pending = bool(parts_idx)
@@ -1447,10 +1616,9 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         parent_state: Dict[str, Any] = {}
         invoke_init(kernel, parent_state, csr, Shard(0, 0, 0, 0, 0))
 
-        batch = session.wait_published()  # workers published their init sends
-        sent = account(batch)
-        hc = batch.halted_count
-        halted_count = hc if hc is not None else 0
+        session.wait_published()  # workers published their init sends
+        sent = account(session.published())
+        halted_count = session.halted_count()
 
         rounds = 0
         converged = True
@@ -1467,8 +1635,8 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
                 max_edge_round_words = batch_edge_max
             if trace is not None:
                 # Same census as run_vectorized, on the pre-round halted
-                # state (workers are blocked on the verdict, so the batch is
-                # quiescent here).
+                # state (workers are blocked on the verdict, so the arena
+                # is quiescent here).
                 slots = np.sort(csr.rev[sent]) if sent is not None else sent
                 if slots is None:
                     active_nodes = 0 if kernel.event_driven else (
@@ -1479,17 +1647,16 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
                     if kernel.event_driven:
                         active_nodes = int(receivers.shape[0])
                     elif has_halted:
-                        batch.fill_halted(census_halted)
+                        session.fill_halted(census_halted)
                         active_nodes = (n - halted_count) + int(
                             census_halted[receivers].sum()
                         )
                     else:
                         active_nodes = n
             session.send_verdict(stop=False)  # workers gather+compute
-            batch = session.wait_published()  # new sends published
-            sent = account(batch)
-            hc = batch.halted_count
-            halted_count = hc if hc is not None else 0
+            session.wait_published()  # new sends published
+            sent = account(session.published())
+            halted_count = session.halted_count()
             if trace is not None:
                 trace.record(
                     RoundStats(
@@ -1504,9 +1671,8 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         else:
             converged = False
 
-        # Workers read STOP and park again (over sockets they first flush
-        # their final state frames, which collect_states drains — so the
-        # pool stays warm on either transport, also on ConvergenceError).
+        # Workers read STOP and park again, so the pool stays warm (also on
+        # ConvergenceError).
         session.send_verdict(stop=True)
         collected = session.collect_states()
         if not converged:
@@ -1516,23 +1682,6 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
 
         merged = dict(parent_state)
         merged.update(collected)
-        shard_stats = {
-            "num_shards": k,
-            "plan": plan.describe(),
-            "transport": transport.name,
-            "declared_state_bytes": list(session.state_bytes),
-            "exchange_bytes": list(session.exchange_bytes),
-            "arena_bytes": int(session.arena_bytes),
-            "boundary_messages_published": int(boundary_messages_published),
-            "boundary_words_published": int(boundary_words_published),
-            "run_header_bytes": {
-                "common": len(common),
-                "per_shard": [len(sfx) for sfx in suffixes],
-            },
-            "worker_pids": pool.worker_pids(),
-            "pool_run_index": pool.runs_dispatched,
-        }
-        shard_stats.update(session.wire_stats())
         return SimulationResult(
             rounds=rounds,
             outputs=kernel.outputs(merged, csr),
@@ -1543,17 +1692,30 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
             max_message_words=max_message_words,
             engine="sharded",
             trace=trace,
-            shard_stats=shard_stats,
+            shard_stats={
+                "num_shards": k,
+                "plan": plan.describe(),
+                "declared_state_bytes": list(session.state_bytes),
+                "exchange_bytes": list(session.exchange_bytes),
+                "arena_bytes": int(session.arena_bytes),
+                "boundary_messages_published": int(boundary_messages_published),
+                "boundary_words_published": int(boundary_words_published),
+                "run_header_bytes": {
+                    "common": len(common),
+                    "per_shard": [len(sfx) for sfx in suffixes],
+                },
+                "worker_pids": pool.worker_pids(),
+                "pool_run_index": pool.runs_dispatched,
+            },
         )
-    except (threading.BrokenBarrierError, TransportBrokenError) as exc:
+    except threading.BrokenBarrierError:
         aborted = True
         detail = "worker process failed or timed out"
         try:
             shard_index, tb = errors.get(timeout=2.0)
             detail = f"shard {shard_index} worker failed:\n{tb}"
         except (queue_mod.Empty, OSError, ValueError):
-            if isinstance(exc, TransportBrokenError):
-                detail = f"worker process failed or timed out ({exc})"
+            pass
         raise SimulationError(f"sharded execution aborted: {detail}") from None
     except ConvergenceError:
         # Raised after the clean STOP handshake: every worker already parked,
@@ -1567,11 +1729,12 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         raise
     finally:
         if aborted:
-            # Wake any worker still blocked on the transport (barrier abort
-            # or connection teardown), then drop the whole worker
-            # generation — the pool restarts lazily next run.
-            session.abort()
+            # Wake any worker still blocked on the barrier, then drop the
+            # whole worker generation — the pool restarts lazily next run.
+            try:
+                barrier.abort()
+            except Exception:
+                pass
             pool.discard()
         pool._busy = False
-        batch = None  # noqa: F841 - drop live batch views before close
         session.close()

@@ -114,16 +114,13 @@ class SimulationResult:
         if any, holding round-by-round statistics.
     shard_stats:
         For sharded runs only: the memory/exchange accounting of the run —
-        the ``transport`` that carried it (``"shm"``/``"socket"``),
         per-shard declared-state and exchange-segment bytes, total arena
-        bytes (0 on the socket transport), boundary messages/words
-        published, the split run-header sizes (``run_header_bytes`` with the
-        pickled-once ``common`` blob and the ``per_shard`` kernel-slice
-        suffixes), worker PIDs, and — on the socket transport — the bytes
-        that actually crossed the wire (``wire_bytes_by_peer`` keyed
-        ``"s->t"``, ``wire_control_bytes``, ``wire_bytes_total``).  ``None``
-        on the single-process tiers.  Excluded from tier equivalence — it
-        describes the execution substrate, not the protocol.
+        bytes, boundary messages/words published, the split run-header
+        sizes (``run_header_bytes`` with the pickled-once ``common`` blob
+        and the ``per_shard`` kernel-slice suffixes), and worker PIDs.
+        ``None`` on the single-process tiers.  Excluded from tier
+        equivalence — it describes the execution substrate, not the
+        protocol.
     virtual_time:
         For async runs only: the event-queue time at which the last node
         pulse executed.  Equals ``rounds`` under the unit-delay model;
@@ -266,7 +263,6 @@ class CongestNetwork:
         barrier_timeout: Optional[float] = None,
         shard_pool: Optional[ShardPool] = None,
         delay_model=None,
-        transport=None,
         fault_schedule=None,
         scheduler: Optional[str] = None,
     ) -> SimulationResult:
@@ -333,19 +329,6 @@ class CongestNetwork:
             schedule could not be snapshotted for reproduction) falls back
             to ``fast`` with a single
             :class:`~repro.congest.engine.EngineFallbackWarning`.
-        transport:
-            Boundary-exchange transport of the ``sharded`` tier:
-            ``None``/``"shm"`` (the default shared-memory arena),
-            ``"socket"`` (localhost TCP — workers hold no shared memory and
-            ``shard_stats`` reports per-peer bytes on the wire), or a
-            :class:`~repro.congest.transport.Transport` instance.  Only
-            meaningful with ``engine="sharded"``; results are bit-for-bit
-            identical under either transport.  If the sharded tier itself
-            falls back down the ladder the transport choice is moot (the
-            fallback warning already names the tier that ran); a socket
-            listener that cannot bind degrades to the shared-memory
-            transport with a single
-            :class:`~repro.congest.engine.EngineFallbackWarning`.
         fault_schedule:
             :class:`~repro.congest.faults.FaultSchedule` (explicit timed
             node/edge crash+recover transitions) or seeded
@@ -385,11 +368,6 @@ class CongestNetwork:
                 f"fault_schedule requires engine='async' (requested engine "
                 f"{chosen!r}): the lockstep synchronous tiers cannot honour "
                 "mid-round crash/recovery timing"
-            )
-        if transport is not None and chosen != "sharded":
-            raise SimulationError(
-                f"transport is only meaningful with engine='sharded' "
-                f"(requested engine {chosen!r})"
             )
         if chosen == "async":
             from repro.congest.scheduler import async_incompatibility, run_async
@@ -438,7 +416,6 @@ class CongestNetwork:
                     trace=trace,
                     barrier_timeout=barrier_timeout,
                     pool=shard_pool if shard_pool is not None else self.shard_pool,
-                    transport=transport,
                 )
             if kernel is None:
                 reason, chosen = "the protocol provides no RoundKernel", "fast"

@@ -115,7 +115,6 @@ def build_bfs_tree(
     num_shards: Optional[int] = None,
     shard_pool=None,
     delay_model=None,
-    transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, int], SimulationResult]:
@@ -156,7 +155,6 @@ def build_bfs_tree(
         num_shards=num_shards,
         shard_pool=shard_pool,
         delay_model=delay_model,
-        transport=transport,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
@@ -361,7 +359,6 @@ def flood_chunks(
     num_shards: Optional[int] = None,
     shard_pool=None,
     delay_model=None,
-    transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
@@ -405,7 +402,6 @@ def flood_chunks(
         num_shards=num_shards,
         shard_pool=shard_pool,
         delay_model=delay_model,
-        transport=transport,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
@@ -501,7 +497,6 @@ def convergecast_sum(
     num_shards: Optional[int] = None,
     shard_pool=None,
     delay_model=None,
-    transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Any, SimulationResult]:
@@ -557,8 +552,8 @@ def convergecast_sum(
     result = network.run(
         factory, max_rounds=max_rounds, engine=engine, trace=trace,
         kernel=kernel, num_shards=num_shards, shard_pool=shard_pool,
-        delay_model=delay_model, transport=transport,
-        fault_schedule=fault_schedule, scheduler=scheduler,
+        delay_model=delay_model, fault_schedule=fault_schedule,
+        scheduler=scheduler,
     )
     return result.outputs[root], result
 
@@ -615,7 +610,6 @@ def elect_leader(
     num_shards: Optional[int] = None,
     shard_pool=None,
     delay_model=None,
-    transport=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[NodeId, SimulationResult]:
@@ -650,8 +644,8 @@ def elect_leader(
         lambda u: LeaderElectionNode(u), max_rounds=max_rounds, engine=engine,
         trace=trace, kernel=LeaderElectionKernel(),
         num_shards=num_shards, shard_pool=shard_pool,
-        delay_model=delay_model, transport=transport,
-        fault_schedule=fault_schedule, scheduler=scheduler,
+        delay_model=delay_model, fault_schedule=fault_schedule,
+        scheduler=scheduler,
     )
     leaders = set(map(str, result.outputs.values()))
     if len(leaders) != 1:

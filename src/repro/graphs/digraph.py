@@ -100,11 +100,17 @@ class WeightedDiGraph:
 
         Parallel edges and self-loops are allowed (self-loops are ignored by
         the communication graph but may appear in intermediate constructions).
-        Negative weights are rejected — all of the paper's problems assume
-        non-negative costs.
+        Negative, NaN and non-numeric weights are rejected — all of the
+        paper's problems assume non-negative costs.
         """
-        if weight < 0:
-            raise GraphError(f"negative edge weight {weight!r} not supported")
+        try:
+            valid = weight >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise GraphError(
+                f"edge weight must be a non-negative number, got {weight!r}"
+            )
         self.add_node(tail)
         self.add_node(head)
         if eid is None:

@@ -176,7 +176,6 @@ class ShardPlan:
         "_boundary_out",
         "_interior_inbox",
         "_exchange",
-        "_peer_links",
     )
 
     def __init__(self, csr, node_starts) -> None:
@@ -207,7 +206,6 @@ class ShardPlan:
         self._boundary_out: Dict[int, object] = {}
         self._interior_inbox: Dict[int, object] = {}
         self._exchange: Dict[int, ShardExchange] = {}
-        self._peer_links: Dict[int, list] = {}
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -355,33 +353,6 @@ class ShardPlan:
                 )
             table = ShardExchange(s, int_slots, int_src, peers)
             self._exchange[s] = table
-        return table
-
-    def peer_links(self, s: int):
-        """Send-side peer tables of shard ``s`` (cached): ``[(peer, src_local)]``.
-
-        For every peer shard that receives boundary traffic from ``s``, the
-        positions — inside ``s``'s own arc range — of the source arcs that
-        peer's :meth:`exchange` gather reads, *in the peer's table order*.
-        This is the receiver's :class:`PeerExchange` seen from the sending
-        side: because the two tables are parallel, a network transport can
-        serialize exactly ``mask[src_local]`` plus the masked payload values
-        per round, and the receiver applies its ``recv_slots`` unchanged —
-        no per-round index translation crosses the wire.  ``rev`` being an
-        involution makes the peer relation symmetric, so the peers listed
-        here are exactly the peers of :meth:`exchange` for ``s``.
-        """
-        table = self._peer_links.get(s)
-        if table is None:
-            table = []
-            for t in range(self.num_shards):
-                if t == s:
-                    continue
-                for p in self.exchange(t).peers:
-                    if p.peer == s:
-                        table.append((t, p.src_local))
-                        break
-            self._peer_links[s] = table
         return table
 
     # ------------------------------------------------------------------ #

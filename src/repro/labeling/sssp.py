@@ -189,7 +189,6 @@ def measured_label_broadcast(
     num_shards: Optional[int] = None,
     shard_pool=None,
     delay_model=None,
-    transport=None,
     fault_schedule=None,
 ) -> SimulationResult:
     """Execute the pipelined la(s) broadcast on ``network`` and return the run.
@@ -235,7 +234,6 @@ def measured_label_broadcast(
         num_shards=num_shards,
         shard_pool=shard_pool,
         delay_model=delay_model,
-        transport=transport,
         fault_schedule=fault_schedule,
     )
 

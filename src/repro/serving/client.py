@@ -2,8 +2,8 @@
 
 One TCP connection, one pickled length-prefixed request frame per call,
 one reply frame back.  ``("err", message)`` replies raise
-:class:`QueryRejectedError`; transport failures surface as the transport
-layer's :class:`~repro.congest.transport.TransportBrokenError`.
+:class:`QueryRejectedError`; transport failures surface as
+:class:`~repro.serving.frames.TransportBrokenError`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pickle
 import socket as socket_mod
 from typing import List, Sequence, Tuple
 
-from repro.congest.transport import (
+from repro.serving.frames import (
     TransportBrokenError,
     _recv_frame,
     _send_frame,

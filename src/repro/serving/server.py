@@ -1,8 +1,8 @@
 """`QueryServer`: a long-running distance-query server over a `LabelStore`.
 
-The server speaks the transport layer's length-prefixed frame idiom
-(:mod:`repro.congest.transport`: a ``!I`` byte-length prefix followed by a
-pickled tuple) over localhost TCP.  Requests and responses are tuples:
+The server speaks length-prefixed frames (:mod:`repro.serving.frames`: a
+``!I`` byte-length prefix followed by a pickled tuple) over localhost TCP.
+Requests and responses are tuples:
 
 ==============================  ==============================================
 request                         ``("ok", ...)`` payload
@@ -31,13 +31,13 @@ kernel dispatch per graph per tick instead of one per query — the
 coalescing observable.  ``query`` (client-side batches) and the control
 verbs are answered inside the tick, before the flush.
 
-Fault containment mirrors the socket transport's tests: a listener that
-cannot bind raises :class:`~repro.congest.transport.TransportSetupError`
-from the constructor; a client that disconnects mid-frame (or stalls past
-``client_timeout``) is dropped and counted while the server keeps serving;
-a frame whose declared length exceeds ``max_frame_bytes`` drops that
-connection without reading the body; an undecodable or non-tuple payload
-gets an ``("err", ...)`` reply.
+Fault containment: a listener that cannot bind raises
+:class:`~repro.serving.frames.TransportSetupError` from the constructor; a
+client that disconnects mid-frame (or stalls past ``client_timeout``) is
+dropped and counted while the server keeps serving; a frame whose declared
+length exceeds ``max_frame_bytes`` drops that connection without reading
+the body; an undecodable or non-tuple payload gets an ``("err", ...)``
+reply.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ import selectors
 import socket as socket_mod
 from typing import Dict, List, Tuple
 
-from repro.congest.transport import (
+from repro.errors import LabelingError
+from repro.serving.frames import (
     _LEN,
     TransportBrokenError,
     TransportSetupError,
     _recv_exact,
     _send_frame,
 )
-from repro.errors import LabelingError
 from repro.serving.store import LabelStore
 
 #: Default cap on a single request/response frame (8 MiB ≈ 500k pairs).

@@ -2,11 +2,17 @@
 
 import importlib
 import math
+import random
 import sys
 
 import pytest
 
 from repro import LowTreewidthSolver
+from repro.baselines.reference import (
+    reference_girth_directed,
+    reference_girth_undirected,
+    reference_sssp,
+)
 from repro.core.config import FrameworkConfig
 from repro.errors import GraphError
 from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
@@ -163,3 +169,74 @@ class TestArtefactReuse:
         leaves = [n for n in td.nodes.values() if n.is_leaf or not n.children]
         assert len(leaves) > 1
         assert len(calls) == len(leaves)
+
+
+def _relabeled(graph, name):
+    relabeled = Graph(nodes=[name(u) for u in graph.nodes()])
+    for u, v in graph.edges():
+        relabeled.add_edge(name(u), name(v))
+    return relabeled
+
+
+def _adversarial_instance(family, seed, n=30):
+    base = generators.partial_k_tree(n, 2, seed=seed)
+
+    def weigh(graph, low=1, high=9, orientation="asymmetric"):
+        return generators.to_directed_instance(
+            graph, weight_range=(low, high), orientation=orientation, seed=seed
+        )
+
+    if family == "zero_weights":
+        return weigh(base, low=0, high=2)
+    if family == "parallel_arcs":
+        instance = weigh(base)
+        rng = random.Random(seed)
+        for e in list(instance.edges())[::3]:
+            instance.add_edge(e.tail, e.head, weight=rng.randint(1, 9))
+        return instance
+    if family == "weight_ties":
+        return weigh(base, low=1, high=2, orientation="both")
+    if family == "string_ids":
+        return weigh(_relabeled(base, lambda u: f"v{u}"), orientation="random")
+    if family == "tuple_ids":
+        return weigh(_relabeled(base, lambda u: (u % 3, u)))
+    if family == "mixed_ids":
+        return weigh(
+            _relabeled(base, lambda u: u if u % 2 else f"s{u}"), orientation="both"
+        )
+    assert family == "hub_fan"
+    fan = generators.star_graph(n)
+    for i in range(1, n - 1):
+        fan.add_edge(i, i + 1)
+    return weigh(fan, orientation="random")
+
+
+class TestAdversarialFamilies:
+    """Inputs off the generators' beaten path, checked against the oracles."""
+
+    @pytest.mark.parametrize(
+        "family",
+        ["zero_weights", "parallel_arcs", "weight_ties", "string_ids",
+         "tuple_ids", "mixed_ids", "hub_fan"],
+    )
+    def test_solver_matches_oracles(self, family, master_seed):
+        instance = _adversarial_instance(family, master_seed)
+        solver = LowTreewidthSolver(instance, seed=master_seed)
+        nodes = sorted(instance.nodes(), key=str)
+        for source in nodes[:3]:
+            want = reference_sssp(instance, source)
+            got = solver.single_source_shortest_paths(source).distances
+            for v in nodes:
+                assert got[v] == want.get(v, math.inf), (source, v)
+        rng = random.Random(master_seed)
+        for _ in range(15):
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            want = reference_sssp(instance, u).get(v, math.inf)
+            assert solver.pairwise_distance(u, v) == want, (u, v)
+        if is_symmetric(instance):
+            want_girth = reference_girth_undirected(
+                instance.underlying_weighted_graph()
+            )
+        else:
+            want_girth = reference_girth_directed(instance)
+        assert solver.girth().girth == want_girth

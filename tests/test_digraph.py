@@ -17,10 +17,12 @@ class TestEdges:
         assert g.num_edges() == 2
         assert g.max_multiplicity() == 2
 
-    def test_negative_weight_rejected(self):
+    @pytest.mark.parametrize("weight", [-1, float("nan"), "3", None])
+    def test_negative_weight_rejected(self, weight):
         g = WeightedDiGraph()
         with pytest.raises(GraphError):
-            g.add_edge(1, 2, weight=-1)
+            g.add_edge(1, 2, weight=weight)
+        assert g.num_edges() == 0
 
     def test_duplicate_edge_id_rejected(self):
         g = WeightedDiGraph()

@@ -396,15 +396,9 @@ class TestShardedEquivalence:
     "sharded"``), and for every shard count in ``SHARD_COUNTS`` is
     bit-for-bit identical to the fast/legacy/vectorized tiers — outputs,
     rounds, messages, words, ``max_words_per_edge_round``,
-    ``max_message_words`` and the full round trace.
+    ``max_message_words`` and the full round trace."""
 
-    Every method takes the session ``shard_transport`` fixture
-    (``--shard-transport shm|socket``), so CI certifies both boundary
-    transports against the same references bit-for-bit."""
-
-    def test_bellman_ford_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
-    ):
+    def test_bellman_ford_shard_count_invariance(self, family_graph, master_seed):
         """Every shard count matches the scalar/vectorized tiers bit-for-bit,
         and at every count a *second* run on the same persistent ShardPool
         (reused workers, shard-local init re-seeded from the run header) is
@@ -430,7 +424,7 @@ class TestShardedEquivalence:
                     trace = SimulationTrace()
                     run = distributed_bellman_ford(
                         instance, source, engine="sharded", shard_pool=pool,
-                        trace=trace, transport=shard_transport,
+                        trace=trace,
                     )
                     assert run.simulation.engine == "sharded", (shards, repeat)
                     _assert_identical(ref.simulation, run.simulation)
@@ -439,9 +433,7 @@ class TestShardedEquivalence:
                     assert trace.as_dicts() == ref_trace.as_dicts(), (shards, repeat)
                 assert pool.workers_started == min(shards, len(instance.nodes()))
 
-    def test_chunk_flood_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
-    ):
+    def test_chunk_flood_shard_count_invariance(self, family_graph, master_seed):
         rng = random.Random(master_seed + family_graph.num_edges())
         root = min(family_graph.nodes(), key=str)
         chunks = [("chunk", k, rng.randint(0, 99)) for k in range(rng.randint(1, 7))]
@@ -459,16 +451,13 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             received, run = flood_chunks(
                 net, root, chunks, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
             assert received == ref_received, shards
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
-    def test_bfs_tree_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
-    ):
+    def test_bfs_tree_shard_count_invariance(self, family_graph, master_seed):
         net = CongestNetwork(family_graph)
         root = min(family_graph.nodes(), key=str)
         ref_trace = SimulationTrace()
@@ -477,7 +466,6 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             p_run, d_run, run = build_bfs_tree(
                 net, root, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
@@ -485,9 +473,7 @@ class TestShardedEquivalence:
             assert d_run == d_ref, shards
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
-    def test_leader_election_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
-    ):
+    def test_leader_election_shard_count_invariance(self, family_graph, master_seed):
         if not family_graph.is_connected():
             pytest.skip("leader election requires a connected graph")
         net = CongestNetwork(family_graph)
@@ -497,16 +483,13 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             leader, run = elect_leader(
                 net, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
             assert leader == leader_ref, shards
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
-    def test_convergecast_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
-    ):
+    def test_convergecast_shard_count_invariance(self, family_graph, master_seed):
         rng = random.Random(master_seed + family_graph.num_edges())
         net = CongestNetwork(family_graph)
         root = min(family_graph.nodes(), key=str)
@@ -520,16 +503,14 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             total, run = convergecast_sum(
                 net, parent, values, engine="sharded", num_shards=shards,
-                trace=trace, transport=shard_transport,
+                trace=trace,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
             assert total == total_ref, shards
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
-    def test_label_broadcast_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
-    ):
+    def test_label_broadcast_shard_count_invariance(self, family_graph, master_seed):
         rng = random.Random(master_seed + family_graph.num_nodes())
         labeling = _pseudo_labeling(family_graph, rng)
         source = min(family_graph.nodes(), key=str)
@@ -542,7 +523,6 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             run = measured_label_broadcast(
                 net, labeling, source, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)

@@ -3,13 +3,15 @@
 Covers the :class:`LabelStore` corpus lifecycle (build → persist → reopen
 memory-mapped, residency accounting), the :class:`QueryServer` protocol
 round trips and the per-tick micro-batching contract (driven tick by tick
-so the coalescing is deterministic), the fault-containment paths
-mirroring ``test_socket_transport.py`` — an unbindable listener raises a
-clean :class:`~repro.congest.transport.TransportSetupError`, clients that
+so the coalescing is deterministic), the fault-containment paths — an
+unbindable listener raises a clean
+:class:`~repro.serving.frames.TransportSetupError`, clients that
 disconnect mid-frame or announce oversized frames are dropped and counted
 while the server keeps serving, malformed payloads answer ``("err", …)``
-without killing the connection — and the multi-process
-:class:`ServerPool` zero-copy contract.  Everything here must pass with
+without killing the connection — the frame helpers of
+:mod:`repro.serving.frames` and the client's
+:class:`~repro.serving.frames.TransportBrokenError` paths, and the
+multi-process :class:`ServerPool` zero-copy contract.  Everything here must pass with
 and without numpy (the pure-python packed fallback serves the same
 floats).
 """
@@ -24,12 +26,6 @@ import threading
 import pytest
 
 from repro.congest.kernels import vectorized_available
-from repro.congest.transport import (
-    _LEN,
-    TransportSetupError,
-    _recv_frame,
-    _send_frame,
-)
 from repro.errors import LabelingError
 from repro.graphs import generators
 from repro.labeling.labels import DistanceLabel, DistanceLabeling
@@ -41,6 +37,13 @@ from repro.serving import (
     QueryServer,
     ServerPool,
     seeded_corpus,
+)
+from repro.serving.frames import (
+    _LEN,
+    TransportBrokenError,
+    TransportSetupError,
+    _recv_frame,
+    _send_frame,
 )
 from repro.serving.store import STORE_SUFFIX
 
@@ -322,7 +325,7 @@ class TestMicroBatching:
 
 
 # --------------------------------------------------------------------------- #
-# Fault containment (mirrors test_socket_transport.py)
+# Fault containment
 # --------------------------------------------------------------------------- #
 class TestFaultPaths:
     def test_unbindable_listener_raises_transport_setup_error(self, store):
@@ -422,6 +425,58 @@ class TestFaultPaths:
                 assert counters["malformed_requests"] == 2
                 assert counters["dropped_clients"] == 0
                 sock.close()
+
+
+# --------------------------------------------------------------------------- #
+# Frame helpers and client failure paths
+# --------------------------------------------------------------------------- #
+def _scripted_server(reply):
+    """A one-connection listener that reads one request frame, then answers
+    ``reply`` as a frame (``None``: closes without replying)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                _recv_frame(conn)
+                if reply is not None:
+                    _send_frame(conn, pickle.dumps(reply))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+class TestFrames:
+    def test_send_to_closed_peer_raises_broken(self):
+        a, b = socket.socketpair()
+        b.close()
+        with a, pytest.raises(TransportBrokenError, match="while sending"):
+            _send_frame(a, b"x" * 64)
+
+    def test_recv_past_timeout_raises_broken(self):
+        a, b = socket.socketpair()
+        a.settimeout(0.05)
+        with a, b, pytest.raises(TransportBrokenError, match="timed out"):
+            _recv_frame(a)
+
+    def test_ping_when_server_closes_without_reply_raises_broken(self):
+        address, thread = _scripted_server(None)
+        with QueryClient(address, timeout=5.0) as client:
+            with pytest.raises(TransportBrokenError, match="closed mid-stream"):
+                client.ping()
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+    def test_ping_with_non_pair_reply_raises_broken(self):
+        address, thread = _scripted_server("pong")
+        with QueryClient(address, timeout=5.0) as client:
+            with pytest.raises(TransportBrokenError, match="malformed server reply"):
+                client.ping()
+        thread.join(5.0)
+        assert not thread.is_alive()
 
 
 # --------------------------------------------------------------------------- #

@@ -3,12 +3,14 @@
 The randomized four-tier equivalence harness lives in
 ``test_engine_equivalence.py``; this file covers the building blocks in
 isolation — :class:`ShardPlan` geometry (contiguous ranges, boundary
-classification, packed exchange tables), the :class:`StateSchema`
-shard-local allocation mode and per-shard arena segments, the persistent
-:class:`ShardPool` (reuse, resize, crash recovery, lifecycle), shared-memory
-hygiene under hard worker kills, the single-warning graceful fallback
-ladder (including the shard-aware-init requirement and num_shards
-clamping), custom shard plans, and worker failure propagation.
+classification, packed exchange tables), the worker's masked boundary
+scatter, the :class:`StateSchema` shard-local allocation mode and
+per-shard arena segments, the per-shard run-header slices
+(``RoundKernel.slice_for_shard``), the persistent :class:`ShardPool`
+(reuse, resize, crash recovery, lifecycle), shared-memory hygiene under
+hard worker kills, the single-warning graceful fallback ladder (including
+the shard-aware-init requirement and num_shards clamping), custom shard
+plans, and worker failure propagation.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ class SuicidalKernel(FloodingKernel):
 
             os.kill(os.getpid(), signal.SIGKILL)
         return super().round(state, inbox, inbox_senders, csr, shard)
+
+
+def _bf_instance(master_seed, n):
+    graph = generators.partial_k_tree(n, 3, seed=master_seed)
+    return generators.to_directed_instance(
+        graph, weight_range=(1, 9), orientation="asymmetric", seed=master_seed
+    )
 
 
 @needs_numpy
@@ -300,6 +309,24 @@ class TestShardViews:
         state = schema.allocate(full)
         assert state["a"].shape == (csr.num_nodes,)
         assert state["b"].shape == (csr.num_arcs, 2)
+
+
+class TestBoundaryHits:
+    def test_masked_scatter_collects_slots_in_order(self):
+        np = pytest.importorskip("numpy")
+        from repro.congest.engine import _boundary_hits
+
+        mask = np.array([True, False, True, False])
+        src_idx = np.array([0, 1, 2, 3, 0])
+        slots_tab = np.array([4, 5, 6, 7, 8])
+        val_idx_tab = np.array([0, 1, 2, 3, 4])
+        hitbuf = np.zeros(10, dtype=bool)
+        slots, val_idx = _boundary_hits(
+            mask, src_idx, slots_tab, val_idx_tab, hitbuf
+        )
+        assert slots.tolist() == [4, 6, 8]
+        assert val_idx.tolist() == [0, 2, 4]
+        assert np.flatnonzero(hitbuf).tolist() == [4, 6, 8]
 
 
 class TestGracefulFallbackWarnings:
@@ -587,13 +614,95 @@ class TestShardLocalArena:
 
 
 @needs_sharded
-class TestShardPool:
-    def _instance(self, master_seed, n=30):
-        graph = generators.partial_k_tree(n, 3, seed=master_seed)
-        return generators.to_directed_instance(
-            graph, weight_range=(1, 9), orientation="asymmetric", seed=master_seed
-        )
+class TestRunHeaderIngest:
+    """The O(m/num_shards) ingest fix: ``RoundKernel.slice_for_shard`` ships
+    each Bellman-Ford worker only its owned adjacency, so the per-shard
+    header suffix shrinks as ~1/num_shards instead of replicating the whole
+    edge payload to every worker."""
 
+    # Fixed pickle framing overhead per suffix (class path, tuple shells,
+    # shard index) that does not scale with the graph.
+    SLACK = 600
+
+    def _header(self, instance, source, shards):
+        from repro.congest.bellman_ford import distributed_bellman_ford
+
+        run = distributed_bellman_ford(
+            instance, source, engine="sharded", num_shards=shards
+        )
+        stats = run.simulation.shard_stats
+        assert stats["num_shards"] == shards
+        return run, stats["run_header_bytes"]
+
+    def test_per_shard_header_bytes_shrink(self, master_seed):
+        from repro.congest.bellman_ford import distributed_bellman_ford
+
+        instance = _bf_instance(master_seed, n=120)
+        source = min(instance.nodes(), key=str)
+        ref = distributed_bellman_ford(instance, source, engine="fast")
+        _, single = self._header(instance, source, 1)
+        whole = single["per_shard"][0]
+        assert len(single["per_shard"]) == 1
+        prev_max = whole + 1
+        for shards in (2, 4):
+            run, header = self._header(instance, source, shards)
+            per_shard = header["per_shard"]
+            assert len(per_shard) == shards
+            # The regression the fix exists for: each worker's suffix is a
+            # ~1/num_shards slice of the whole-kernel payload, not a copy.
+            assert max(per_shard) <= whole / shards + self.SLACK, (
+                shards, whole, per_shard,
+            )
+            assert max(per_shard) < prev_max
+            prev_max = max(per_shard)
+            # The common blob is pickled once, not per worker, and the
+            # sliced kernels still produce the exact fast-tier answer.
+            assert header["common"] > 0
+            assert run.distances == ref.distances
+
+    def test_slice_for_shard_defaults_to_identity(self, master_seed):
+        """Kernels that don't override the hook ship unchanged."""
+        from repro.congest.kernels import RoundKernel
+
+        csr = generators.grid_graph(5, 5).to_indexed().to_arrays()
+        plan = ShardPlan.balanced(csr, 3)
+        kernel = FloodingKernel(root=(0, 0), chunks=[("c", 1)])
+        for shard in plan:
+            assert kernel.slice_for_shard(shard, csr) is kernel
+        assert RoundKernel.slice_for_shard is not None
+
+    def test_bellman_ford_slice_owns_only_shard_nodes(self, master_seed):
+        from repro.congest.bellman_ford import BellmanFordKernel
+
+        instance = _bf_instance(master_seed, n=60)
+        comm = instance.underlying_graph()
+        csr = comm.to_indexed().to_arrays()
+        source = min(instance.nodes(), key=str)
+        local_inputs = {
+            u: [(e.head, e.weight) for e in instance.out_edges(u)]
+            for u in instance.nodes()
+        }
+        kernel = BellmanFordKernel(source, local_inputs)
+        plan = ShardPlan.balanced(csr, 4)
+        index_of = csr.index_of
+        seen = set()
+        for shard in plan:
+            sliced = kernel.slice_for_shard(shard, csr)
+            assert type(sliced) is BellmanFordKernel
+            assert sliced.source == source
+            for u in sliced.local_inputs:
+                assert shard.owns_node(index_of[u])
+                assert sliced.local_inputs[u] == local_inputs[u]
+                seen.add(u)
+        # The slices tile the original inputs (restricted to graph nodes).
+        assert seen == {u for u in local_inputs if u in index_of}
+        # A whole-graph shard keeps the original instance (no copy churn).
+        single = ShardPlan.single(csr)
+        assert kernel.slice_for_shard(single.shard(0), csr) is kernel
+
+
+@needs_sharded
+class TestShardPool:
     def test_pool_reuse_is_bit_for_bit(self, master_seed):
         """Two consecutive sharded runs on one pool reuse the same worker
         processes and match fresh-pool and single-process runs exactly
@@ -601,7 +710,7 @@ class TestShardPool:
         from repro.congest.bellman_ford import distributed_bellman_ford
         from repro.congest.engine import ShardPool, SimulationTrace
 
-        instance = self._instance(master_seed)
+        instance = _bf_instance(master_seed, n=30)
         source = min(instance.nodes(), key=str)
         ref_trace = SimulationTrace()
         ref = distributed_bellman_ford(instance, source, engine="fast", trace=ref_trace)
@@ -674,7 +783,7 @@ class TestShardPool:
         from repro.congest.bellman_ford import distributed_bellman_ford
         from repro.congest.engine import ShardPool
 
-        instance = self._instance(master_seed)
+        instance = _bf_instance(master_seed, n=30)
         source = min(instance.nodes(), key=str)
         with ShardPool() as pool:
             a = distributed_bellman_ford(
@@ -699,7 +808,7 @@ class TestShardPool:
         from repro.congest.bellman_ford import distributed_bellman_ford
         from repro.congest.engine import ShardPool
 
-        instance = self._instance(master_seed)
+        instance = _bf_instance(master_seed, n=30)
         source = min(instance.nodes(), key=str)
         network = CongestNetwork(generators.cycle_graph(12))
         with ShardPool(num_shards=2) as pool:
