@@ -9,6 +9,9 @@ tiers and checks that
 * the vectorized kernel tier beats the fast tier on *dense* rounds (the
   dense-graph Bellman-Ford case: ≥ 5× at full scale, and never slower even
   at the tiny CI smoke scale),
+* the vectorized ``FloodingKernel`` beats the fast tier on long pipelined
+  chunk floods (the grid-corner case, the round shape of the labeling's
+  measured BCT broadcasts: ≥ 5× at full scale, never slower at tiny scale),
 * the multiprocess sharded tier — run warm on a persistent ShardPool —
   beats the fast tier on dense rounds at every measured shard count ≥ 2 at
   full scale, with per-worker declared-state arena bytes asserted to be a
@@ -25,12 +28,13 @@ Every case appends a trajectory record (per-tier wall seconds, messages per
 second) to ``BENCH_engine.json`` (path overridable via the
 ``BENCH_ENGINE_JSON`` environment variable) so the speedups are tracked
 across PRs.  Wall-clock *assertions* are gated to ``--bench-scale full``
-except the dense case's "vectorized not slower than fast" and the sharded
-case's "not slower than 0.5× fast" smoke assertions, which CI runs at tiny
-scale.
+except the dense and chunk-flood cases' "vectorized not slower than fast"
+and the sharded case's "not slower than 0.5× fast" smoke assertions, which
+CI runs at tiny scale.
 """
 
 import os
+import random
 import time
 
 import pytest
@@ -42,7 +46,7 @@ from repro.congest.bellman_ford import (
 )
 from repro.congest.engine import ShardPool
 from repro.congest.network import CongestNetwork
-from repro.congest.primitives import broadcast, build_bfs_tree
+from repro.congest.primitives import broadcast, build_bfs_tree, flood_chunks
 from repro.graphs import generators
 from repro.graphs.sharding import ShardPlan
 
@@ -68,6 +72,9 @@ def _peak_rss_kb() -> dict:
 
 SIZES = {"full": 2000, "tiny": 120}
 DENSE_SIZES = {"full": 400, "tiny": 60}
+#: Chunk-flood grids as (rows, cols, chunks): D + C rounds of pipelined
+#: waves, with C well above D so the per-round cost in C dominates.
+FLOOD_SIZES = {"full": (10, 30, 1500), "tiny": (4, 20, 120)}
 #: Best-of-N repetitions for the async scheduler shoot-out (events/sec is a
 #: throughput ratio, so the record keeps the least-noisy run per queue).
 ASYNC_REPS = 5
@@ -236,6 +243,69 @@ def test_engine_speedup_bellman_ford_dense_vectorized(report_sink, bench_scale, 
     )
     assert speedup >= 1.0, (
         f"vectorized tier slower than fast on dense rounds ({speedup:.2f}x)"
+    )
+    if bench_scale == "full":
+        assert speedup >= 5.0, (
+            f"vectorized tier only {speedup:.2f}x faster than fast at full scale"
+        )
+
+
+@pytest.mark.bench
+def test_engine_speedup_chunk_flood_grid(report_sink, bench_scale, master_seed):
+    """Pipelined chunk flood from a grid corner: one wave per chunk over
+    D + C rounds, the round shape of the labeling's measured BCT broadcasts.
+
+    Times ``flood_chunks`` on both tiers and asserts identical results, the
+    vectorized tier ≥ 5× faster than fast at full scale and not slower even
+    at the tiny CI smoke scale.
+    """
+    rows, cols, num_chunks = FLOOD_SIZES[bench_scale]
+    rng = random.Random(master_seed)
+    chunks = [("chunk", k, rng.randint(0, 99)) for k in range(num_chunks)]
+    network = CongestNetwork(generators.grid_graph(rows, cols), words_per_message=8)
+    root = (0, 0)
+
+    def run(engine):
+        return flood_chunks(network, root, chunks, engine=engine)
+
+    # Warm one-time caches (numpy import, CSR arrays) outside the timings.
+    network.indexed.to_arrays()
+    flood_chunks(network, root, chunks[:4], engine="vectorized")
+
+    (vec_received, vec), t_vec = _timed(lambda: run("vectorized"))
+    (fast_received, fast), t_fast = _timed(lambda: run("fast"))
+
+    assert vec.engine == "vectorized"
+    assert fast.halted and vec.halted
+    assert vec_received == fast_received
+    assert fast.rounds == vec.rounds
+    assert fast.messages_sent == vec.messages_sent
+    assert fast.words_sent == vec.words_sent
+    assert fast.max_words_per_edge_round == vec.max_words_per_edge_round
+
+    msgs = fast.messages_sent
+    speedup = t_fast / max(t_vec, 1e-9)
+    _record_bench(
+        "chunk_flood_grid",
+        bench_scale,
+        {"fast": _tier(t_fast, msgs), "vectorized": _tier(t_vec, msgs)},
+        extra={
+            "rows": rows,
+            "cols": cols,
+            "chunks": num_chunks,
+            "rounds": fast.rounds,
+            "speedup_vectorized_vs_fast": round(speedup, 2),
+            "peak_rss_kb": _peak_rss_kb(),
+        },
+    )
+    report_sink.append(
+        f"== engine shoot-out: {num_chunks}-chunk flood on a {rows}x{cols} grid ==\n"
+        f"fast       {t_fast * 1000:8.1f} ms\n"
+        f"vectorized {t_vec * 1000:8.1f} ms\n"
+        f"speedup {speedup:.1f}x ({fast.rounds} rounds, {msgs} messages)"
+    )
+    assert speedup >= 1.0, (
+        f"vectorized tier slower than fast on the chunk flood ({speedup:.2f}x)"
     )
     if bench_scale == "full":
         assert speedup >= 5.0, (

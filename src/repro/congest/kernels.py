@@ -397,6 +397,24 @@ class RoundKernel:
         raise NotImplementedError
 
 
+def _count_dtype(limit: int) -> str:
+    """The narrowest signed int dtype string holding every value in ``0..limit``."""
+    for dtype, top in (("i1", 127), ("i2", 32767), ("i4", 2**31 - 1)):
+        if limit <= top:
+            return dtype
+    return "i8"
+
+
+def _run_starts(keys):
+    """Boolean mask of the first entry of every run of equal values in ``keys``."""
+    import numpy as np
+
+    flags = np.empty(keys.shape[0], dtype=bool)
+    flags[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=flags[1:])
+    return flags
+
+
 class FloodingKernel(RoundKernel):
     """Whole-round pipelined chunk flooding — the kernel of
     :class:`~repro.congest.primitives.ChunkFloodNode` / ``flood_chunks``.
@@ -405,17 +423,28 @@ class FloodingKernel(RoundKernel):
     finite table precomputed at ``init``, so a message is packed as one int64
     *chunk index* per arc slot and ``payload_size_words`` is an O(1) table
     lookup (``chunk_words``).  The scalar protocol's per-neighbour FIFO
-    queues become one ``(arc, chunk) -> enqueue sequence number`` matrix:
+    queues stay FIFO queues, one per arc slot: an ``(arc, C)`` matrix of
+    chunk indices with per-arc ``head``/``tail`` cursors.  A node appends to
+    an arc only when it learns a chunk, so an arc never holds more than
+    ``C`` entries and the cursors never wrap:
 
-    * *learning* chunk ``k`` at round ``r`` from sender ``s`` stamps the
-      sequence ``r * (C + n + 2) + C + s`` on every out-arc except the one
-      back to ``s`` — strictly increasing in ``(r, s)``, which is exactly the
-      scalar learn order (inbox scans run in ascending sender index), and the
-      root's round-0 chunks get sequences ``0..C-1`` below all of them;
-    * *draining* pops the minimum-sequence pending chunk per arc per round —
-      the FIFO ``popleft``;
-    * a node halts once it has seen a chunk, knows all ``C``, and has no
-      pending arc slot — the scalar ``_finish_if_complete`` after a drain.
+    * *learning* chunk ``k`` from sender ``s`` appends ``k`` at ``tail`` on
+      every out-arc except the one back to ``s``.  One arc's appends of a
+      round go in ascending sender index, the scalar learn order (inbox
+      scans run in ascending sender index); the root's round-0 chunks fill
+      ``0..C-1``;
+    * *draining* pops the entry at ``head`` of every arc with
+      ``head < tail`` — the FIFO ``popleft``;
+    * a node halts once its ``learned`` count is ``C`` and none of its
+      out-arcs has ``head < tail`` — the scalar ``_finish_if_complete``
+      after a drain.  With ``C = 0`` only the root halts, at init.
+
+    A round costs O(arcs + n + deliveries + appends) array work, independent
+    of ``C``.  The queue and cursors use the narrowest int dtype that holds
+    ``C``, so an arc's state is ``C + 2`` such entries.  (In a synchronous
+    flood node ``u`` learns chunk ``k`` exactly in round ``dist(root, u) +
+    k``, so only the root's arcs ever hold more than one entry; the queue
+    does not rely on that.)
 
     Duplicate deliveries of one chunk to one node in the same round resolve
     to the minimum-index sender (the first inbox hit), so the excluded
@@ -437,7 +466,6 @@ class FloodingKernel(RoundKernel):
         self.source_chunks = tuple(chunks)
         self.chunks: List[Any] = []
         self.chunk_words = None
-        self._sentinel = None
         self._wire_table: Optional[List[Any]] = None
 
     # -- subclass hooks -------------------------------------------------- #
@@ -462,11 +490,14 @@ class FloodingKernel(RoundKernel):
     # -- shared transport mechanics -------------------------------------- #
     def state_schema(self, csr) -> StateSchema:
         c = len(self._wire_chunks())
+        count = _count_dtype(c)
         return StateSchema(
             StateVector("halted", "node", "?"),
-            StateVector("seen", "node", "?"),
             StateVector("known", "node", "?", cols=c),
-            StateVector("pending", "arc", "i8", cols=c),
+            StateVector("learned", "node", count),
+            StateVector("queue", "arc", count, cols=c),
+            StateVector("head", "arc", count),
+            StateVector("tail", "arc", count),
         )
 
     def init(self, state: Dict[str, Any], csr, shard: Shard) -> Optional[PackedSends]:
@@ -480,16 +511,17 @@ class FloodingKernel(RoundKernel):
             self.chunks.append(chunk)
             chunk_words[chunk[0]] = payload_size_words(chunk)
         self.chunk_words = chunk_words
-        self._sentinel = np.iinfo(np.int64).max
 
         # Shard-local state: row 0 is shard.node_lo / shard.arc_lo.  (Not
         # allocated via state_schema(): subclasses may opt out of sharding
         # by returning None there while still running vectorized.)
+        count = _count_dtype(c)
         state["halted"] = np.zeros(shard.num_nodes, dtype=bool)
-        state["seen"] = np.zeros(shard.num_nodes, dtype=bool)
         state["known"] = np.zeros((shard.num_nodes, c), dtype=bool)
-        state["pending"] = np.full((shard.num_arcs, c), self._sentinel, dtype=np.int64)
-        state["round"] = 0
+        state["learned"] = np.zeros(shard.num_nodes, dtype=count)
+        state["queue"] = np.zeros((shard.num_arcs, c), dtype=count)
+        state["head"] = np.zeros(shard.num_arcs, dtype=count)
+        state["tail"] = np.zeros(shard.num_arcs, dtype=count)
         # Preallocated round buffers (worker-local, not schema-declared): the
         # chunk-index payload array, the send mask and the per-arc word
         # sizes, all reused every round.
@@ -499,89 +531,101 @@ class FloodingKernel(RoundKernel):
 
         src = csr.index_of.get(self.root)
         if src is not None and shard.owns_node(src):
-            state["seen"][src - shard.node_lo] = True
-            if c:
-                state["known"][src - shard.node_lo, :] = True
-                lo = int(csr.indptr[src]) - shard.arc_lo
-                hi = int(csr.indptr[src + 1]) - shard.arc_lo
-                state["pending"][lo:hi, :] = np.arange(c, dtype=np.int64)
-        sends = self._pop(state, csr, shard)
+            i = src - shard.node_lo
+            state["known"][i, :] = True
+            state["learned"][i] = c
+            state["halted"][i] = c == 0
+            lo = int(csr.indptr[src]) - shard.arc_lo
+            hi = int(csr.indptr[src + 1]) - shard.arc_lo
+            state["queue"][lo:hi, :] = np.arange(c)
+            state["tail"][lo:hi] = c
+        sends = self._pop(state)
         self._update_halts(state, csr, shard)
         return sends
 
-    def _pop(self, state, csr, shard: Shard) -> Optional[PackedSends]:
-        """Drain one chunk per owned arc: the minimum-sequence pending entry."""
+    def _pop(self, state) -> Optional[PackedSends]:
+        """Drain one chunk per owned arc: the entry at its queue's head."""
         import numpy as np
 
-        pending = state["pending"]
-        if pending.shape[1] == 0 or pending.shape[0] == 0:
-            return None
-        kmin = pending.argmin(axis=1)
-        rows = np.arange(pending.shape[0])
-        got = pending[rows, kmin] != self._sentinel
+        head = state["head"]
         mask = state["send_mask"]
-        mask[:] = got
-        if not got.any():
+        np.less(head, state["tail"], out=mask)
+        rows = np.flatnonzero(mask)
+        if rows.shape[0] == 0:
             return None
-        pending[rows[got], kmin[got]] = self._sentinel
-        buffers = state["send"]
-        buffers["chunk"][:] = kmin
-        np.take(self.chunk_words, kmin, out=state["send_words"])
-        return PackedSends(mask, buffers, words=state["send_words"])
+        ks = state["queue"][rows, head[rows]]
+        head[rows] += 1
+        state["send"]["chunk"][rows] = ks
+        state["send_words"][rows] = self.chunk_words[ks]
+        return PackedSends(mask, state["send"], words=state["send_words"])
+
+    @staticmethod
+    def _append(state, arcs, senders, chunks, n: int) -> None:
+        """Append ``chunks[i]``, learned from ``senders[i]``, to the queue of
+        local arc row ``arcs[i]``.
+
+        One arc's entries go in ascending sender index, at offsets ``0, 1,
+        ...`` from its ``tail``.  Each (arc, sender) pair occurs at most once:
+        a sender delivers one message per arc per round.
+        """
+        import numpy as np
+
+        order = np.argsort(arcs * n + senders)
+        arcs, chunks = arcs[order], chunks[order]
+        starts = np.flatnonzero(_run_starts(arcs))
+        sizes = np.diff(np.append(starts, arcs.shape[0]))
+        rank = np.arange(arcs.shape[0]) - np.repeat(starts, sizes)
+        tail = state["tail"]
+        state["queue"][arcs, tail[arcs] + rank] = chunks
+        tail[arcs[starts]] += sizes
 
     def _update_halts(self, state, csr, shard: Shard) -> None:
         import numpy as np
 
-        known = state["known"]
+        c = state["known"].shape[1]
+        if not c:
+            return
         halted = state["halted"]
-        complete = state["seen"] & ~halted
-        if known.shape[1]:
-            arc_pending = (state["pending"] != self._sentinel).any(axis=1)
-            node_pending = (
-                np.bincount(
-                    csr.arc_owner[shard.arc_slice] - shard.node_lo,
-                    weights=arc_pending,
-                    minlength=shard.num_nodes,
-                )
-                > 0
-            )
-            complete &= known.all(axis=1) & ~node_pending
-        halted[complete] = True
+        complete = ~halted & (state["learned"] == c)
+        if complete.any():
+            busy = np.less(state["head"], state["tail"])
+            complete[csr.arc_owner[shard.arc_slice][busy] - shard.node_lo] = False
+            halted[complete] = True
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
               inbox_senders, csr, shard: Shard) -> Optional[PackedSends]:
         import numpy as np
 
-        state["round"] += 1
         known = state["known"]
         c = known.shape[1]
         if c and len(inbox):
             ks = inbox["chunk"]
             recv = csr.arc_owner[inbox.arcs] - shard.node_lo  # local rows
-            cand = ~state["halted"][recv] & ~known[recv, ks]
-            if cand.any():
-                rc, kc, sc = recv[cand], ks[cand], inbox_senders[cand]
-                # First inbox hit per (receiver, chunk): minimum sender index.
-                keys = rc * c + kc
-                order = np.lexsort((sc, keys))
-                keys_sorted = keys[order]
-                win = order[np.r_[True, keys_sorted[1:] != keys_sorted[:-1]]]
-                rw, kw, sw = rc[win], kc[win], sc[win]
+            fresh = ~known[recv, ks]  # (a halted node knows every chunk)
+            if fresh.any():
+                n = csr.num_nodes
+                # One key per fresh delivery, sorted (receiver, chunk,
+                # sender): the first of each (receiver, chunk) run is the
+                # first inbox hit, the minimum-index sender.
+                key = (recv[fresh] * c + ks[fresh]) * n + inbox_senders[fresh]
+                key.sort()
+                key = key[_run_starts(key // n)]
+                rk, sw = np.divmod(key, n)
+                rw, kw = np.divmod(rk, c)
                 known[rw, kw] = True
-                state["seen"][rw] = True
-                # Enqueue on every out-arc of each learner except the one
+                state["learned"] += np.bincount(rw, minlength=shard.num_nodes)
+                # Append on every out-arc of each learner except the one
                 # pointing back at the teaching sender.
                 rg = rw + shard.node_lo  # global learner indices
-                deg = csr.indptr[rg + 1] - csr.indptr[rg]
-                arc_pos = ragged_slices(csr.indptr[rg], deg)
-                kk = np.repeat(kw, deg)
-                ss = np.repeat(sw, deg)
-                seqv = np.repeat(
-                    state["round"] * (c + csr.num_nodes + 2) + c + sw, deg
-                )
-                keep = csr.indices[arc_pos] != ss
-                state["pending"][arc_pos[keep] - shard.arc_lo, kk[keep]] = seqv[keep]
-        sends = self._pop(state, csr, shard)
+                lo = csr.indptr[rg]
+                deg = csr.indptr[rg + 1] - lo
+                arcs = ragged_slices(lo, deg)
+                sw = np.repeat(sw, deg)
+                keep = csr.indices[arcs] != sw
+                if keep.any():
+                    self._append(state, arcs[keep] - shard.arc_lo, sw[keep],
+                                 np.repeat(kw, deg)[keep], n)
+        sends = self._pop(state)
         self._update_halts(state, csr, shard)
         return sends
 

@@ -118,6 +118,12 @@ ENGINE_GATES = (
         floors={"full": 5.0, "smoke": 1.0, "small": 1.0},
     ),
     TierRatioGate(
+        case="chunk_flood_grid",
+        baseline="fast",
+        candidate="vectorized",
+        floors={"full": 5.0, "smoke": 1.0, "small": 1.0},
+    ),
+    TierRatioGate(
         case="bellman_ford_dense_sharded",
         baseline="fast",
         candidate="sharded[2]",

@@ -36,9 +36,10 @@ def diameter(graph: Graph, exact: bool = True, sample: int = 8) -> int:
     Parameters
     ----------
     exact:
-        If ``True`` (default) run a BFS from every node.  If ``False``, run a
-        2-sweep style estimate from ``sample`` BFS sources, which is a lower
-        bound on the diameter and within a factor 2 of it; useful for large
+        If ``True`` (default) run a BFS from every node, over integer
+        adjacency lists built once per call.  If ``False``, run a 2-sweep
+        style estimate from ``sample`` BFS sources, which is a lower bound
+        on the diameter and within a factor 2 of it; useful for large
         benchmark instances where the exact all-pairs sweep dominates runtime.
     sample:
         Number of BFS sweeps used when ``exact`` is ``False``.
@@ -54,7 +55,9 @@ def diameter(graph: Graph, exact: bool = True, sample: int = 8) -> int:
     if not graph.is_connected():
         raise GraphError("diameter is undefined for a disconnected graph")
     if exact:
-        return max(eccentricity(graph, u) for u in nodes)
+        index = {u: i for i, u in enumerate(nodes)}
+        adj = [[index[v] for v in graph.neighbors(u)] for u in nodes]
+        return max(_bfs_depth(adj, s) for s in range(len(nodes)))
     # 2-sweep style heuristic: repeatedly jump to the farthest node found.
     best = 0
     current = nodes[0]
@@ -66,6 +69,24 @@ def diameter(graph: Graph, exact: bool = True, sample: int = 8) -> int:
             break
         current = far_node
     return best
+
+
+def _bfs_depth(adj: List[List[int]], source: int) -> int:
+    """Eccentricity of ``source`` over integer adjacency lists (level-synchronous BFS)."""
+    seen = bytearray(len(adj))
+    seen[source] = 1
+    frontier = [source]
+    depth = -1
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    nxt.append(v)
+        frontier = nxt
+    return depth
 
 
 def radius(graph: Graph) -> int:

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
+from repro.congest import kernels
 from repro.congest.message import DEFAULT_WORDS_PER_MESSAGE, payload_size_words
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import flood_chunks
@@ -162,7 +163,16 @@ def _measured_bct_broadcast(
     vertex.  The per-message budget is sized to the largest chunk (hub ids of
     arbitrary node types can exceed the default CONGEST word budget; the
     model cost of a chunk is still O(1) words).
+
+    ``engine=None`` runs the array tier (the chunk flood's
+    :class:`~repro.congest.kernels.FloodingKernel`) when numpy is available
+    and the scalar ``fast`` tier otherwise; every tier measures the same
+    rounds.  Raises :class:`~repro.errors.LabelingError` when the flood does
+    not reach every vertex of the part, since its rounds would then not be
+    the cost of a complete broadcast.
     """
+    if engine is None:
+        engine = "vectorized" if kernels.vectorized_available() else "fast"
     sub = comm.subgraph(vertices)
     root = min(vertices, key=str)
     total = len(chunks)
@@ -171,7 +181,12 @@ def _measured_bct_broadcast(
         max((payload_size_words((k, total, c)) for k, c in enumerate(chunks)), default=1),
     )
     network = CongestNetwork(sub, words_per_message=budget)
-    _, sim = flood_chunks(network, root, chunks, engine=engine)
+    received, sim = flood_chunks(network, root, chunks, engine=engine)
+    if not sim.halted:
+        raise LabelingError(
+            f"measured BCT broadcast over a part of {len(vertices)} vertices "
+            f"left {len(vertices) - len(received)} of them unreached"
+        )
     return sim
 
 
@@ -207,7 +222,8 @@ def build_distance_labeling(
         Engine tier for the measured broadcasts (``"fast"``, ``"legacy"``,
         ``"vectorized"`` or ``"sharded"`` — the generic chunk flood runs as
         :class:`~repro.congest.kernels.FloodingKernel` on the kernel tiers,
-        with identical measured rounds).  Default is the network default.
+        with identical measured rounds).  Default: ``"vectorized"`` when
+        numpy is available, else ``"fast"``, with no fallback warning.
 
     Returns
     -------

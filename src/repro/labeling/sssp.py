@@ -12,7 +12,7 @@ Two round accountings are available:
   :class:`~repro.core.rounds.CostModel` (D + #label-words), as before;
 * *measured* — pass a :class:`~repro.congest.network.CongestNetwork` over the
   communication graph via ``network=`` and the label broadcast is actually
-  executed as a pipelined flooding protocol on the fast simulation engine
+  executed as a pipelined flooding protocol on that network's engine
   (:mod:`repro.congest.engine`), one hub entry per message, and the measured
   round count is used.  Each node's simulated output is the decoded distance
   dec(la(s), la(v)), which the cross-validation suite checks against the
@@ -125,9 +125,9 @@ class LabelBroadcastKernel(FloodingKernel):
     (``engine="vectorized"``/``"sharded"``).
 
     Bit-for-bit equivalent to :class:`LabelBroadcastNode`.  The transport —
-    chunk-index packing, O(1) ``chunk_words`` accounting, the ``(arc, chunk)
-    -> sequence number`` FIFO matrix and the shard-locality of every round
-    operation — is inherited from
+    chunk-index packing, O(1) ``chunk_words`` accounting, the per-arc FIFO
+    chunk queues with ``head``/``tail`` cursors and the shard-locality of
+    every round operation — is inherited from
     :class:`~repro.congest.kernels.FloodingKernel`; this subclass only
     supplies the wire chunks (one hub entry each) and the label-decoding
     outputs, mirroring how the scalar ``LabelBroadcastNode`` subclasses

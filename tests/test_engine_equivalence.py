@@ -43,6 +43,10 @@ from repro.labeling.sssp import measured_label_broadcast
 #: Shard counts every kernel protocol must be invariant under.
 SHARD_COUNTS = (1, 2, 4, 7)
 
+#: Dense families for long chunk floods: high-degree roots, and (diagonal
+#: grid, k-trees) nodes that get each chunk from several senders at once.
+DEEP_QUEUE_FAMILIES = ("complete_7", "grid_diag_5x5", "star_15", "k_tree_0", "k_tree_1")
+
 # --------------------------------------------------------------------------- #
 # ~30 seeded graph families: (name, builder(rng) -> Graph)
 # --------------------------------------------------------------------------- #
@@ -456,6 +460,62 @@ class TestShardedEquivalence:
             _assert_identical(ref, run)
             assert received == ref_received, shards
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
+
+    @pytest.mark.parametrize("num_chunks", [64, 300])
+    @pytest.mark.parametrize("family", DEEP_QUEUE_FAMILIES)
+    def test_chunk_flood_deep_queues(self, family, num_chunks, master_seed):
+        """Floods of 64 and 300 chunks are bit-for-bit identical on fast,
+        legacy, vectorized and sharded[2], traces included.  The root's
+        arcs queue every chunk at once, and 300 chunks need the kernel's
+        int16 queue.  Chunk sizes vary, so sending them in another order
+        changes the traced per-round words."""
+        rng = random.Random(master_seed + num_chunks)
+        graph = dict(FAMILIES)[family](master_seed + len(family))
+        root = min(graph.nodes(), key=str)
+        chunks = [("chunk", k) + (0,) * rng.randint(0, 4) for k in range(num_chunks)]
+        net = CongestNetwork(graph, words_per_message=16)
+        traces, received, runs = {}, {}, {}
+        for engine in ("fast", "legacy", "vectorized", "sharded"):
+            traces[engine] = SimulationTrace()
+            received[engine], runs[engine] = flood_chunks(
+                net, root, chunks, engine=engine, num_shards=2, trace=traces[engine],
+            )
+        assert runs["vectorized"].engine == "vectorized"
+        assert runs["sharded"].engine == "sharded"
+        assert runs["fast"].halted
+        _assert_identical(*runs.values())
+        for engine in ("legacy", "vectorized", "sharded"):
+            assert received[engine] == received["fast"], engine
+            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
+
+    def test_label_broadcast_deep_queues(self, master_seed):
+        """A source label of 81 entries floods bit-for-bit identically on
+        fast, legacy, vectorized and sharded[2], traces included."""
+        rng = random.Random(master_seed)
+        graph = generators.grid_graph(9, 9, diagonal=True)
+        nodes = graph.nodes()
+        labels = {}
+        for u in nodes:
+            lab = DistanceLabel(u)
+            for s in (nodes if u == nodes[0] else rng.sample(nodes, 6)):
+                lab.set_entry(s, float(rng.randint(0, 40)), float(rng.randint(0, 40)))
+            labels[u] = lab
+        labeling = DistanceLabeling(labels)
+        assert len(labeling.label(nodes[0]).to_dist) >= 64
+        net = CongestNetwork(graph, words_per_message=16)
+        traces, runs = {}, {}
+        for engine in ("fast", "legacy", "vectorized", "sharded"):
+            traces[engine] = SimulationTrace()
+            runs[engine] = measured_label_broadcast(
+                net, labeling, nodes[0], engine=engine, num_shards=2,
+                trace=traces[engine],
+            )
+        assert runs["vectorized"].engine == "vectorized"
+        assert runs["sharded"].engine == "sharded"
+        assert runs["fast"].halted
+        _assert_identical(*runs.values())
+        for engine in ("legacy", "vectorized", "sharded"):
+            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
 
     def test_bfs_tree_shard_count_invariance(self, family_graph, master_seed):
         net = CongestNetwork(family_graph)

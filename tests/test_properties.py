@@ -9,9 +9,26 @@ from repro.errors import GraphError
 from repro.graphs import generators, properties
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
+from test_engine_equivalence import FAMILIES
 
 
 class TestDiameter:
+    @pytest.mark.parametrize("family", [name for name, _ in FAMILIES] + ["single_node"])
+    def test_exact_equals_max_eccentricity(self, family, master_seed):
+        """The exact sweep over integer adjacency lists matches the
+        per-node BFS eccentricities, and refuses a disconnected graph."""
+        if family == "single_node":
+            g = Graph(nodes=["only"])
+        else:
+            g = dict(FAMILIES)[family](master_seed + len(family))
+        if not g.is_connected():
+            with pytest.raises(GraphError):
+                properties.diameter(g)
+            return
+        assert properties.diameter(g) == max(
+            properties.eccentricity(g, u) for u in g.nodes()
+        )
+
     def test_path_diameter(self):
         assert properties.diameter(generators.path_graph(10)) == 9
 

@@ -14,12 +14,14 @@ import math
 import pytest
 
 from repro.congest.engine import _deliver_order
+from repro.congest.kernels import FloodingKernel
 from repro.congest.message import PayloadSchema, payload_size_words
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll
 from repro.congest.primitives import flood_chunks
-from repro.errors import SimulationError
+from repro.errors import LabelingError, SimulationError
 from repro.graphs import generators
+from repro.labeling import construction
 from repro.labeling.construction import build_distance_labeling
 
 
@@ -118,6 +120,25 @@ class TestChunkFlood:
         d = 5 + 6 - 2
         assert sim.rounds <= d * 2 + len(chunks) + 2
 
+    def test_append_orders_each_arcs_entries_by_sender(self):
+        """Entries appended to one arc in one call land after its tail in
+        ascending sender index, whatever their order in the call."""
+        np = pytest.importorskip("numpy")
+        state = {
+            "queue": np.zeros((3, 4), dtype="i1"),
+            "tail": np.array([1, 0, 0], dtype="i1"),
+        }
+        FloodingKernel._append(
+            state,
+            arcs=np.array([2, 0, 0, 2]),
+            senders=np.array([5, 3, 1, 0]),
+            chunks=np.array([7, 8, 9, 6]),
+            n=6,
+        )
+        assert state["tail"].tolist() == [3, 0, 2]
+        assert state["queue"][0, 1:3].tolist() == [9, 8]
+        assert state["queue"][2, :2].tolist() == [6, 7]
+
     def test_single_node_root_halts_immediately(self):
         graph = generators.path_graph(1)
         net = CongestNetwork(graph)
@@ -169,3 +190,56 @@ class TestMeasuredBctBroadcast:
         }
         for engine in engines[1:]:
             assert by_engine[engine] == by_engine["fast"], engine
+
+    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    def test_unreached_part_raises(self, engine):
+        """A part the flood cannot cover (here {0, 1} and {4, 5} of a
+        6-path, disconnected once 2 and 3 are left out) must not be charged
+        as a complete broadcast."""
+        if engine == "vectorized":
+            pytest.importorskip("numpy")
+        with pytest.raises(LabelingError, match="4 vertices left 2 of them unreached"):
+            construction._measured_bct_broadcast(
+                generators.path_graph(6),
+                frozenset({0, 1, 4, 5}),
+                [("v", 0), ("v", 1), ("e", 0, 1, 1.0)],
+                engine=engine,
+            )
+
+    def test_default_engine_is_array_tier_without_fallback(self, rng, config, monkeypatch):
+        """``broadcast_engine=None`` floods on ``vectorized`` when numpy is
+        importable and on ``fast`` when it is not, warning in neither case,
+        and both measure the same rounds."""
+        import warnings
+
+        from repro.congest import kernels
+        from repro.congest.engine import EngineFallbackWarning
+
+        graph = generators.partial_k_tree(24, 2, seed=rng.randrange(1 << 30))
+        instance = generators.to_directed_instance(
+            graph, weight_range=(1, 9), orientation="both", seed=rng.randrange(1 << 30)
+        )
+        engines = []
+
+        def spy(*args, **kwargs):
+            received, sim = flood_chunks(*args, **kwargs)
+            engines.append(sim.engine)
+            return received, sim
+
+        def measure():
+            engines.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", EngineFallbackWarning)
+                result = build_distance_labeling(
+                    instance, config=config, measured_broadcast=True
+                )
+            return set(engines), result.measured_broadcast_rounds
+
+        monkeypatch.setattr(construction, "flood_chunks", spy)
+        with_numpy = measure() if kernels.vectorized_available() else None
+        monkeypatch.setattr(kernels, "vectorized_available", lambda: False)
+        without_numpy = measure()
+        assert without_numpy[0] == {"fast"}
+        assert without_numpy[1]
+        if with_numpy is not None:
+            assert with_numpy == ({"vectorized"}, without_numpy[1])
