@@ -12,13 +12,6 @@ tiers and checks that
 * the vectorized ``FloodingKernel`` beats the fast tier on long pipelined
   chunk floods (the grid-corner case, the round shape of the labeling's
   measured BCT broadcasts: ≥ 5× at full scale, never slower at tiny scale),
-* the multiprocess sharded tier — run warm on a persistent ShardPool —
-  beats the fast tier on dense rounds at every measured shard count ≥ 2 at
-  full scale, with per-worker declared-state arena bytes asserted to be a
-  ~1/num_shards share (the memory scale-out contract); per-shard-count
-  records (warm + cold timings, boundary words published, declared bytes,
-  peak RSS) land in the trajectory file — and the 2-shard run is not slower
-  than 0.5× fast even at the small CI smoke scale,
 * the async tier's bucketed calendar queue (the default) beats the
   reference heap queue's events/sec on both round shapes — ≥ 2× on the
   deep path, where per-event heap churn dominates — measured on the *same*
@@ -29,8 +22,8 @@ second) to ``BENCH_engine.json`` (path overridable via the
 ``BENCH_ENGINE_JSON`` environment variable) so the speedups are tracked
 across PRs.  Wall-clock *assertions* are gated to ``--bench-scale full``
 except the dense and chunk-flood cases' "vectorized not slower than fast"
-and the sharded case's "not slower than 0.5× fast" smoke assertions, which
-CI runs at tiny scale.
+smoke assertions and the async case's bucketed-vs-heap floors, which CI runs
+at tiny scale.
 """
 
 import os
@@ -44,19 +37,16 @@ from repro.congest.bellman_ford import (
     BellmanFordNode,
     distributed_bellman_ford,
 )
-from repro.congest.engine import ShardPool
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import broadcast, build_bfs_tree, flood_chunks
 from repro.graphs import generators
-from repro.graphs.sharding import ShardPlan
 
 
 def _peak_rss_kb() -> dict:
     """Monotone peak-RSS high-water marks (parent and reaped children), KiB.
 
     ``ru_maxrss`` never decreases, so per-tier snapshots record the running
-    peak *after* each tier, not an isolated per-tier footprint; the children
-    figure is the peak of any shard worker reaped so far.
+    peak *after* each tier, not an isolated per-tier footprint.
     """
     import sys
 
@@ -78,11 +68,6 @@ FLOOD_SIZES = {"full": (10, 30, 1500), "tiny": (4, 20, 120)}
 #: Best-of-N repetitions for the async scheduler shoot-out (events/sec is a
 #: throughput ratio, so the record keeps the least-noisy run per queue).
 ASYNC_REPS = 5
-#: Dense instance for the sharded shoot-out.  The smoke size is larger than
-#: the plain dense case because a sharded run pays a fixed worker/arena
-#: startup cost that a 60-node instance cannot amortize.
-SHARDED_SIZES = {"full": 400, "tiny": 120}
-SHARD_COUNTS = {"full": (1, 2, 4), "tiny": (2,)}
 #: Fault-injection instances (partial 3-tree meshes on the async tier) and
 #: the length of the incremental-labeling churn sweep.
 FAULT_SIZES = {"full": 200, "tiny": 40}
@@ -311,140 +296,6 @@ def test_engine_speedup_chunk_flood_grid(report_sink, bench_scale, master_seed):
         assert speedup >= 5.0, (
             f"vectorized tier only {speedup:.2f}x faster than fast at full scale"
         )
-
-
-@pytest.mark.bench
-def test_engine_speedup_bellman_ford_sharded(report_sink, bench_scale, master_seed):
-    """Dense-graph SSSP across shard worker processes.
-
-    Same round shape as the dense vectorized case, executed by
-    ``engine="sharded"`` at several shard counts, each on a persistent
-    :class:`ShardPool` the way a serving deployment would run it: the
-    headline ``sharded[k]`` timing is a warm pooled run (workers parked,
-    graph snapshot cached worker-side), with the cold first run recorded
-    alongside as ``sharded[k]_cold``.  Each count must be bit-for-bit
-    identical to ``fast``; at full scale every count ≥ 2 must beat the fast
-    tier on wall-clock, and at the CI smoke scale the 2-shard run must stay
-    within 2× of fast.  The per-shard record keeps the plan's boundary
-    fraction, the packed boundary words actually published, the per-worker
-    declared-state arena bytes (asserted to shrink ~1/num_shards — the
-    memory scale-out contract) and the peak-RSS high-water marks alongside
-    the timing, so the exchange-volume/speedup/memory trade-off is tracked
-    across PRs.
-    """
-    n = SHARDED_SIZES[bench_scale]
-    graph = generators.complete_graph(n)
-    instance = generators.to_directed_instance(
-        graph, weight_range=(1, 10), orientation="asymmetric", seed=master_seed
-    )
-    source = 0
-    network = CongestNetwork(instance.underlying_graph())
-    local_inputs = {
-        u: [(e.head, e.weight) for e in instance.out_edges(u)] for u in instance.nodes()
-    }
-    limit = 4 * n + 16
-
-    def run(engine, num_shards=None, shard_pool=None):
-        kernel = (
-            BellmanFordKernel(source, local_inputs)
-            if engine in ("vectorized", "sharded")
-            else None
-        )
-        return network.run(
-            lambda u: BellmanFordNode(u, source),
-            max_rounds=limit,
-            local_inputs=local_inputs,
-            engine=engine,
-            kernel=kernel,
-            num_shards=num_shards,
-            shard_pool=shard_pool,
-        )
-
-    # Warm one-time caches (numpy import, CSR arrays, fork machinery).
-    csr = network.indexed.to_arrays()
-    run("sharded", num_shards=2)
-
-    fast, t_fast = _timed(lambda: run("fast"))
-    msgs = fast.messages_sent
-    tiers = {"fast": _tier(t_fast, msgs)}
-    extra = {
-        "n": n,
-        "rounds": fast.rounds,
-        "boundary_fraction": {},
-        "speedup_vs_fast": {},
-        "boundary_words_published": {},
-        "declared_state_bytes": {},
-        "peak_rss_kb": {"after_fast": _peak_rss_kb()},
-    }
-    lines = [
-        f"== engine shoot-out: sharded Bellman-Ford on K_{n} (pooled) ==",
-        f"fast         {t_fast * 1000:8.1f} ms",
-    ]
-    times = {}
-    for shards in SHARD_COUNTS[bench_scale]:
-        with ShardPool(num_shards=shards) as pool:
-            cold, t_cold = _timed(lambda: run("sharded", shard_pool=pool))
-            sharded, t_sharded = _timed(lambda: run("sharded", shard_pool=pool))
-        for result in (cold, sharded):
-            assert result.engine == "sharded"
-            assert result.rounds == fast.rounds
-            assert result.outputs == fast.outputs
-            assert result.messages_sent == fast.messages_sent
-            assert result.words_sent == fast.words_sent
-            assert result.max_words_per_edge_round == fast.max_words_per_edge_round
-        stats = sharded.shard_stats
-        declared = stats["declared_state_bytes"]
-        total_declared = sum(declared)
-        if shards >= 2:
-            # The memory scale-out contract: per-worker declared state is a
-            # ~1/num_shards share of the whole-graph allocation (arc-balanced
-            # plans bound the worst segment by twice the ideal quota).
-            assert max(declared) <= 2 * total_declared / shards, (
-                f"shard segment {max(declared)}B exceeds 2x the 1/{shards} "
-                f"quota of {total_declared}B"
-            )
-        times[shards] = t_sharded
-        speedup = t_fast / max(t_sharded, 1e-9)
-        tiers[f"sharded[{shards}]"] = _tier(t_sharded, msgs)
-        tiers[f"sharded[{shards}]_cold"] = _tier(t_cold, msgs)
-        plan = ShardPlan.balanced(csr, shards)
-        extra["boundary_fraction"][str(shards)] = round(plan.boundary_fraction, 4)
-        extra["speedup_vs_fast"][str(shards)] = round(speedup, 2)
-        extra["boundary_words_published"][str(shards)] = stats[
-            "boundary_words_published"
-        ]
-        extra["declared_state_bytes"][str(shards)] = declared
-        extra["peak_rss_kb"][f"after_sharded_{shards}"] = _peak_rss_kb()
-        lines.append(
-            f"sharded[{shards}]   {t_sharded * 1000:8.1f} ms warm / "
-            f"{t_cold * 1000:8.1f} ms cold "
-            f"({speedup:.1f}x vs fast, boundary {plan.boundary_fraction:.0%}, "
-            f"max segment {max(declared)}B of {total_declared}B)"
-        )
-    _record_bench("bellman_ford_dense_sharded", bench_scale, tiers, extra=extra)
-    report_sink.append("\n".join(lines))
-
-    smoke_shards = min(s for s in times if s >= 2)
-    smoke_speed = t_fast / max(times[smoke_shards], 1e-9)
-    assert smoke_speed >= 0.5, (
-        f"sharded[{smoke_shards}] tier slower than 0.5x fast ({smoke_speed:.2f}x)"
-    )
-    if bench_scale == "full":
-        # The 2-shard beat is asserted unconditionally (the acceptance bar):
-        # its speedup comes from kernelized per-round compute, not from
-        # parallelism, so it holds even on a 1-core box.  Larger counts are
-        # asserted only up to the core count — beyond it the extra workers
-        # time-slice and the measurement is of the OS scheduler, not the
-        # tier.  All counts are still recorded above.
-        hostable = max(2, os.cpu_count() or 1)
-        for shards, t_sharded in times.items():
-            if shards < 2 or shards > hostable:
-                continue
-            speedup = t_fast / max(t_sharded, 1e-9)
-            assert speedup > 1.0, (
-                f"sharded[{shards}] tier not faster than fast at full scale "
-                f"({speedup:.2f}x)"
-            )
 
 
 @pytest.mark.bench
@@ -770,7 +621,7 @@ def matrix_cells(scale: str = "smoke", seed: int = 12345):
     cells = [
         CellSpec("bellman_ford", engine, family, scale, seed)
         for family in ("path", "dense")
-        for engine in ("legacy", "fast", "vectorized", "sharded", "async")
+        for engine in ("legacy", "fast", "vectorized", "async")
     ]
     cells += [
         CellSpec(protocol, engine, "grid", scale, seed)

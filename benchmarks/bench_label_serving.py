@@ -47,12 +47,12 @@ import time
 import pytest
 
 from _bench_trajectory import merge_trajectory_record
-from repro.congest.engine import _mp_context
 from repro.congest.kernels import vectorized_available
 from repro.labeling.construction import build_distance_labeling
 from repro.labeling.labels import decode_distance
 from repro.labeling.packed import PackedLabeling
 from repro.serving import LabelStore, QueryClient, ServerPool
+from repro.serving.server import _mp_context
 
 BENCH_JSON = os.environ.get("BENCH_SERVING_JSON", "BENCH_serving.json")
 

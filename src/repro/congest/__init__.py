@@ -13,22 +13,19 @@ This subpackage provides:
   which enforces the per-edge bandwidth budget and counts rounds.
 * :mod:`~repro.congest.engine` — the synchronous execution tiers behind
   ``CongestNetwork.run`` (legacy reference loop → indexed ``fast`` worklist →
-  ``vectorized`` whole-round kernels → multiprocess ``sharded`` workers),
-  plus :class:`SimulationTrace` for round-by-round statistics.  The tiers
-  are cross-certified by a randomized equivalence suite.
-* :mod:`~repro.congest.scheduler` — the fifth, ``async`` tier: a
+  ``vectorized`` whole-round kernels), plus :class:`SimulationTrace` for
+  round-by-round statistics.  The tiers are cross-certified by a randomized
+  equivalence suite.
+* :mod:`~repro.congest.scheduler` — the fourth, ``async`` tier: a
   discrete-event scheduler with pluggable seeded :class:`DelayModel`\\ s
   (:class:`UnitDelay`, :class:`UniformDelay`, :class:`PerArcDelay`,
   :class:`SlowLinkDelay`) and an α-synchronizer adapter, bit-for-bit equal
   to the synchronous tiers under unit delays and output-schedule-invariant
   under every seeded model.
 * :mod:`~repro.congest.kernels` — the :class:`RoundKernel` API of the
-  vectorized/sharded tiers: per-node state vectors declared via
-  :class:`StateSchema`, packed numpy payload arrays
-  (:class:`~repro.congest.message.PayloadSchema`) keyed by dense CSR arc
-  slot, rounds executed as segmented reductions over the slots of one
-  :class:`~repro.graphs.sharding.Shard` (the whole graph on the in-process
-  tiers).
+  vectorized tier: per-node and per-arc state vectors, packed numpy payload
+  arrays (:class:`~repro.congest.message.PayloadSchema`) keyed by dense CSR
+  arc slot, and rounds executed as segmented reductions.
 * :mod:`~repro.congest.faults` — seeded fault injection for the ``async``
   tier: :class:`FaultSchedule` (node/edge crash+recover transitions as
   first-class scheduler events), the :class:`MassFailure` / :class:`Churn` /
@@ -50,7 +47,6 @@ from repro.congest.node import NodeAlgorithm, NodeContext
 from repro.congest.engine import (
     EngineFallbackWarning,
     RoundStats,
-    ShardPool,
     SimulationTrace,
 )
 from repro.congest.kernels import (
@@ -59,8 +55,6 @@ from repro.congest.kernels import (
     PackedInbox,
     PackedSends,
     RoundKernel,
-    StateSchema,
-    StateVector,
 )
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.faults import (
@@ -105,15 +99,12 @@ __all__ = [
     "NodeContext",
     "EngineFallbackWarning",
     "RoundStats",
-    "ShardPool",
     "SimulationTrace",
     "BFSTreeKernel",
     "FloodingKernel",
     "PackedInbox",
     "PackedSends",
     "RoundKernel",
-    "StateSchema",
-    "StateVector",
     "CongestNetwork",
     "SimulationResult",
     "primitives",

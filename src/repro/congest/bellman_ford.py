@@ -18,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
-from repro.congest.kernels import (
-    PackedInbox,
-    PackedSends,
-    RoundKernel,
-    StateSchema,
-    StateVector,
-)
+from repro.congest.kernels import PackedInbox, PackedSends, RoundKernel
 from repro.congest.message import Message, PayloadSchema
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.node import NodeAlgorithm, NodeContext
@@ -133,7 +127,7 @@ def _segmented_min_parent(vals, starts, senders, sentinel):
 
 
 class BellmanFordKernel(RoundKernel):
-    """Whole-round vectorized Bellman-Ford (``vectorized``/``sharded`` tiers).
+    """Whole-round vectorized Bellman-Ford (the ``vectorized`` tier).
 
     Bit-for-bit equivalent to :class:`BellmanFordNode` on the scalar tiers:
 
@@ -147,14 +141,6 @@ class BellmanFordKernel(RoundKernel):
       exactly the scalar inbox scan (delivery order is ascending sender
       index, and only strict improvements update).  Improved nodes push
       ``dist + w`` on all their input out-arcs.
-
-    All state is declared via :meth:`state_schema` and allocated
-    *shard-locally* (``init(state, csr, shard)`` fills only the calling
-    shard's node/arc rows — a worker's declared state is O((n+m)/num_shards)
-    bytes), so the kernel runs unchanged (and bit-for-bit identically) on
-    the multiprocess sharded tier: a receiver's inbox segment, its
-    ``dist``/``parent`` rows and its outgoing arc slots all live in the
-    shard that owns the receiver.
     """
 
     schema = BELLMAN_FORD_SCHEMA
@@ -164,42 +150,19 @@ class BellmanFordKernel(RoundKernel):
         self.source = source
         self.local_inputs = local_inputs
 
-    def state_schema(self, csr) -> StateSchema:
-        return StateSchema(
-            StateVector("dist", "node", "f8"),
-            StateVector("parent", "node", "i8"),
-            StateVector("w_arc", "arc", "f8"),
-            StateVector("has_out", "arc", "?"),
-        )
-
-    def slice_for_shard(self, shard, csr) -> "BellmanFordKernel":
-        # ``local_inputs`` is O(m) but ``init`` reads only the rows of nodes
-        # the shard owns (it skips the rest), so ship each worker just its
-        # own slice — per-worker header ingest drops to O(m / num_shards).
-        if shard.num_nodes >= csr.num_nodes:
-            return self
-        index_of = csr.indexed.index_of
-        owned = {
-            u: edges
-            for u, edges in self.local_inputs.items()
-            if (i := index_of.get(u)) is not None and shard.owns_node(i)
-        }
-        return type(self)(self.source, owned)
-
-    def init(self, state: Dict[str, Any], csr, shard) -> Optional[PackedSends]:
+    def init(self, state: Dict[str, Any], csr) -> Optional[PackedSends]:
         import numpy as np
 
         idx = csr.indexed
-        # Arc-aligned weights of the directed input edges, for the shard's
-        # own arc slots only: w_arc[p - arc_lo] is the lightest parallel
-        # input edge from arc p's owner to its neighbour (inf when that
-        # owner has no input edge to that neighbour).
-        w_arc = np.full(shard.num_arcs, INF, dtype=np.float64)
-        has_out = np.zeros(shard.num_arcs, dtype=bool)
+        # Arc-aligned weights of the directed input edges: w_arc[p] is the
+        # lightest parallel input edge from arc p's owner to its neighbour
+        # (inf when that owner has no input edge to that neighbour).
+        w_arc = np.full(csr.num_arcs, INF, dtype=np.float64)
+        has_out = np.zeros(csr.num_arcs, dtype=bool)
         indptr = idx.indptr
         for u, edges in self.local_inputs.items():
             i = idx.index_of.get(u)
-            if i is None or not edges or not shard.owns_node(i):
+            if i is None or not edges:
                 continue
             lo, hi = indptr[i], indptr[i + 1]
             pos_of = {idx.neighbor_ids[i][p - lo]: p for p in range(lo, hi)}
@@ -209,57 +172,48 @@ class BellmanFordKernel(RoundKernel):
                 p = pos_of.get(head)
                 if p is None:
                     continue
-                q = p - shard.arc_lo
-                has_out[q] = True
-                if weight < w_arc[q]:
-                    w_arc[q] = weight
+                has_out[p] = True
+                if weight < w_arc[p]:
+                    w_arc[p] = weight
 
-        dist = np.full(shard.num_nodes, INF, dtype=np.float64)
-        parent = np.full(shard.num_nodes, -1, dtype=np.int64)
+        dist = np.full(csr.num_nodes, INF, dtype=np.float64)
+        parent = np.full(csr.num_nodes, -1, dtype=np.int64)
         state["dist"] = dist
         state["parent"] = parent
         state["w_arc"] = w_arc
         state["has_out"] = has_out
-        # Preallocated round buffers (worker-local, not schema-declared):
-        # every round's traffic is written into the same schema-typed
-        # arc-slot array, and the loop-invariant local-owner table (the
-        # state row of each owned arc's owner) is built once here.
-        state["send"] = self.schema.alloc(shard.num_arcs)
-        state["send_mask"] = np.zeros(shard.num_arcs, dtype=bool)
-        state["arc_owner_local"] = csr.arc_owner[shard.arc_slice] - shard.node_lo
+        # Preallocated round buffers: every round's traffic is written into
+        # the same schema-typed arc-slot array.
+        state["send"] = self.schema.alloc(csr.num_arcs)
+        state["send_mask"] = np.zeros(csr.num_arcs, dtype=bool)
 
         src = idx.index_of.get(self.source)
-        if src is None or not shard.owns_node(src):
+        if src is None:
             return None
-        dist[src - shard.node_lo] = 0.0
+        dist[src] = 0.0
         mask = state["send_mask"]
-        lo = int(indptr[src]) - shard.arc_lo
-        hi = int(indptr[src + 1]) - shard.arc_lo
+        lo, hi = int(indptr[src]), int(indptr[src + 1])
         mask[lo:hi] = has_out[lo:hi]
         if not mask.any():
             return None
-        return PackedSends(mask, self._fill_send(state, csr, shard))
+        return PackedSends(mask, self._fill_send(state, csr))
 
-    def _fill_send(self, state: Dict[str, Any], csr, shard) -> Dict[str, Any]:
-        """Write ``dist + w`` for the shard's arcs into the reusable buffer."""
+    def _fill_send(self, state: Dict[str, Any], csr) -> Dict[str, Any]:
+        """Write ``dist + w`` for every arc into the reusable buffer."""
         import numpy as np
 
         buffers = state["send"]
-        np.add(
-            state["dist"][state["arc_owner_local"]], state["w_arc"],
-            out=buffers["dist"],
-        )
+        np.add(state["dist"][csr.arc_owner], state["w_arc"], out=buffers["dist"])
         return buffers
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
-              inbox_senders, csr, shard) -> Optional[PackedSends]:
+              inbox_senders, csr) -> Optional[PackedSends]:
         import numpy as np
 
         if len(inbox) == 0:
             return None
         vals = inbox["dist"]
         starts, receivers = inbox.segment_starts(csr)
-        recv_l = receivers - shard.node_lo  # local state rows
         dist = state["dist"]
 
         # Parent choice replicates the scalar inbox scan: the first strict
@@ -269,22 +223,22 @@ class BellmanFordKernel(RoundKernel):
         seg_min, seg_parent = _segmented_min_parent(
             vals, starts, inbox_senders, csr.num_nodes
         )
-        improved = seg_min < dist[recv_l]
+        improved = seg_min < dist[receivers]
         if not improved.any():
             return None
 
-        upd = recv_l[improved]
+        upd = receivers[improved]
         dist[upd] = seg_min[improved]
         state["parent"][upd] = seg_parent[improved]
 
-        improved_nodes = np.zeros(shard.num_nodes, dtype=bool)
+        improved_nodes = np.zeros(csr.num_nodes, dtype=bool)
         improved_nodes[upd] = True
         mask = state["send_mask"]
-        m = improved_nodes[state["arc_owner_local"]] & state["has_out"]
+        m = improved_nodes[csr.arc_owner] & state["has_out"]
         mask[:] = m
         if not m.any():
             return None
-        return PackedSends(mask, self._fill_send(state, csr, shard))
+        return PackedSends(mask, self._fill_send(state, csr))
 
     def outputs(self, state: Dict[str, Any], csr) -> Dict[NodeId, Any]:
         node_ids = csr.node_ids
@@ -317,8 +271,6 @@ def distributed_bellman_ford(
     words_per_message: int = 8,
     engine: Optional[str] = None,
     trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
     delay_model=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
@@ -329,11 +281,8 @@ def distributed_bellman_ford(
     the measured number of communication rounds.  ``engine``/``trace`` are
     passed through to :meth:`CongestNetwork.run` (the fast indexed engine is
     the default; ``engine="vectorized"`` runs the whole-round
-    :class:`BellmanFordKernel`, ``engine="sharded"`` distributes it over
-    ``num_shards`` worker processes — reused across calls when a
-    :class:`~repro.congest.engine.ShardPool` is passed via ``shard_pool`` —
-    and ``engine="async"`` executes the scalar protocol
-    on the event-driven scheduler under ``delay_model``, with
+    :class:`BellmanFordKernel`, and ``engine="async"`` executes the scalar
+    protocol on the event-driven scheduler under ``delay_model``, with
     schedule-invariant distances and parents — all with identical results).
     ``scheduler`` selects the async tier's event queue (``"bucketed"``
     calendar queue, the default, or the ``"heap"`` reference — identical
@@ -374,8 +323,6 @@ def distributed_bellman_ford(
         engine=engine,
         trace=trace,
         kernel=BellmanFordKernel(source, local_inputs),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
         delay_model=delay_model,
         fault_schedule=fault_schedule,
         scheduler=scheduler,

@@ -1,68 +1,47 @@
-"""Whole-round protocol kernels for the vectorized and sharded CONGEST tiers.
+"""Whole-round protocol kernels for the vectorized CONGEST tier.
 
 The scalar engines (``legacy``, ``fast``) call one Python method per node per
-round.  The kernel tiers replace that inner loop entirely: a protocol is
+round.  The kernel tier replaces that inner loop entirely: a protocol is
 expressed as a :class:`RoundKernel` whose state is a dict of per-node/per-arc
 numpy vectors and whose ``round`` function transforms a whole round's
 delivered traffic — packed arrays keyed by dense CSR arc slot — with
 segmented reductions (min/sum over each node's inbox slice).  No Python loop
 runs over nodes or messages inside a round.
 
-Data flow of one round (driven by :func:`repro.congest.engine.run_vectorized`
-in-process, or by :func:`repro.congest.engine.run_sharded` across worker
-processes):
+Data flow of one round (driven by :func:`repro.congest.engine.run_vectorized`):
 
 1. the previous round's :class:`PackedSends` (an arc-slot send mask plus one
    value array per :class:`~repro.congest.message.PayloadSchema` field) is
    *delivered* by gathering through ``csr.rev`` — the message sent on arc
    ``p`` (``i -> j``) lands in receiver-side slot ``rev[p]``;
-2. the kernel's ``round(state, inbox, senders, csr, shard)`` is called with
-   the delivered slots grouped by receiver (ascending arc slot order, i.e.
-   CSR segment order) and returns the next :class:`PackedSends`;
+2. the kernel's ``round(state, inbox, senders, csr)`` is called with the
+   delivered slots grouped by receiver (ascending arc slot order, i.e. CSR
+   segment order) and returns the next :class:`PackedSends`;
 3. the engine accounts messages/words/per-edge bandwidth from the send mask
    with ``bincount`` over ``csr.arc_edge_ids`` — O(#messages) array work,
    with ``payload_size_words`` O(1) per message via the schema.
 
-The ``state`` dict / arc-slot boundary *is* the shard interface: a
-:class:`StateSchema` declares which state entries are per-node or per-arc
-vectors, and the allocation contract is **shard-local**: ``init(state, csr,
-shard)`` allocates row 0 of every declared vector (and of the private send
-buffers) at ``shard.node_lo``/``shard.arc_lo``, so a shard worker's declared
-state occupies O((n + m) / num_shards) memory, not O(n + m).  Kernels
-translate the global node/arc indices of the CSR snapshot to state rows by
-subtracting ``shard.node_lo``/``shard.arc_lo``; single-process tiers pass
-the degenerate whole-graph shard (both offsets 0), making the vectorized
-execution literally the one-shard special case of the sharded one — the
-translation is the identity there.  The sharded tier places each shard's
-rows in its own shared-memory arena segment and merges them back
-bit-for-bit.  A compatibility shim (:func:`invoke_init`) keeps kernels with
-the pre-shard ``init(state, csr)`` signature working on the single-process
-tiers; such kernels cannot run sharded and fall back to ``vectorized``.
+State vectors are indexed directly by the CSR snapshot's node indices and
+arc slots: a per-node vector has ``csr.num_nodes`` rows, a per-arc vector
+``csr.num_arcs``.
 
 Kernels must be *bit-for-bit* equivalent to the scalar protocol they
 accelerate: identical rounds, outputs, ``messages_sent``, ``words_sent``,
-``max_words_per_edge_round`` and ``max_message_words`` on every instance —
-and identical for every shard count (enforced by
-``tests/test_engine_equivalence.py`` across all four synchronous tiers; the
-fifth, ``async`` tier runs the *scalar* protocol on the event-driven
-scheduler — ``tests/test_async_scheduler.py`` — and matches the same
-ledger, so kernels and scheduler certify each other through it).
+``max_words_per_edge_round`` and ``max_message_words`` on every instance
+(enforced by ``tests/test_engine_equivalence.py`` across the three
+synchronous tiers; the fourth, ``async`` tier runs the *scalar* protocol on
+the event-driven scheduler — ``tests/test_async_scheduler.py`` — and matches
+the same ledger, so kernels and scheduler certify each other through it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.congest.message import PayloadSchema, payload_size_words
 from repro.errors import SimulationError
-from repro.graphs.sharding import Shard
 
 NodeId = Hashable
-
-#: Valid :class:`StateVector` domains and the CSR length attribute they map to.
-STATE_DOMAINS = ("node", "arc")
-
 
 def vectorized_available() -> bool:
     """Return ``True`` when numpy is importable (vectorized tier usable)."""
@@ -73,178 +52,20 @@ def vectorized_available() -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Declaration of one shared per-node or per-arc kernel state vector.
-
-    Attributes
-    ----------
-    name:
-        The key of the vector in the kernel's ``state`` dict.
-    domain:
-        ``"node"`` (length ``num_nodes``) or ``"arc"`` (length ``num_arcs``).
-        The domain determines the contiguous row range a shard owns.
-    dtype:
-        numpy dtype string (``"f8"``, ``"i8"``, ``"?"``, ...).
-    cols:
-        ``None`` for a 1-D vector; an integer makes the vector 2-D with shape
-        ``(length, cols)`` (e.g. a per-arc chunk queue).  ``cols=0`` is legal
-        and declares an empty matrix.
-    """
-
-    name: str
-    domain: str
-    dtype: str
-    cols: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.domain not in STATE_DOMAINS:
-            raise ValueError(
-                f"state vector {self.name!r} has domain {self.domain!r}; "
-                f"expected one of {STATE_DOMAINS}"
-            )
-
-    def length(self, csr) -> int:
-        return csr.num_nodes if self.domain == "node" else csr.num_arcs
-
-    def shape(self, csr) -> Tuple[int, ...]:
-        n = self.length(csr)
-        return (n,) if self.cols is None else (n, self.cols)
-
-    def row_slice(self, shard: Shard) -> slice:
-        """The global rows of this vector owned by ``shard``."""
-        return shard.node_slice if self.domain == "node" else shard.arc_slice
-
-    def local_length(self, shard: Shard) -> int:
-        """Number of rows a shard-local allocation of this vector holds."""
-        return shard.num_nodes if self.domain == "node" else shard.num_arcs
-
-    def local_shape(self, shard: Shard) -> Tuple[int, ...]:
-        n = self.local_length(shard)
-        return (n,) if self.cols is None else (n, self.cols)
-
-    def local_nbytes(self, shard: Shard) -> int:
-        """Bytes of a shard-local allocation (the arena segment size)."""
-        import numpy as np
-
-        size = 1
-        for dim in self.local_shape(shard):
-            size *= int(dim)
-        return size * np.dtype(self.dtype).itemsize
-
-    def allocate(self, shard: Shard):
-        """Allocate the shard-local rows of this vector (zero-initialized).
-
-        This is the shard-local allocation mode of the state contract: the
-        returned array covers only ``shard``'s node/arc row range (row 0 is
-        ``shard.node_lo``/``shard.arc_lo``); with the whole-graph shard it
-        is the familiar full-length vector.
-        """
-        import numpy as np
-
-        return np.zeros(self.local_shape(shard), dtype=self.dtype)
-
-
-class StateSchema:
-    """The declared shared state of a :class:`RoundKernel`.
-
-    Lists every ``state`` entry that is a per-node or per-arc vector carrying
-    round-to-round information.  The sharded engine allocates exactly these
-    vectors in shared memory, seeds each worker's row range from the worker's
-    own deterministic ``init``, and reads them back for ``outputs`` — so a
-    kernel's ``outputs`` (and its ``halted`` termination vector, if any) must
-    depend only on declared vectors and init-time instance attributes.
-    Undeclared ``state`` entries (send buffers, scalar counters) stay private
-    to each worker.
-    """
-
-    __slots__ = ("vectors",)
-
-    def __init__(self, *vectors: StateVector) -> None:
-        names = [v.name for v in vectors]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate state vector names in {names}")
-        self.vectors: Tuple[StateVector, ...] = tuple(vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(v.name for v in self.vectors)
-
-    def allocate(self, shard: Shard) -> Dict[str, Any]:
-        """Allocate every declared vector shard-locally (zero-initialized)."""
-        return {v.name: v.allocate(shard) for v in self.vectors}
-
-    def local_nbytes(self, shard: Shard) -> int:
-        """Total declared-state bytes of one shard's allocation."""
-        return sum(v.local_nbytes(shard) for v in self.vectors)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StateSchema({', '.join(f'{v.name}:{v.domain}' for v in self.vectors)})"
-
-
-def supports_shard_init(kernel) -> bool:
-    """Return ``True`` when ``kernel.init`` accepts the ``shard`` argument.
-
-    Kernels written before the shard-local state contract declare
-    ``init(self, state, csr)``; the compatibility shim (:func:`invoke_init`)
-    keeps them working on the single-process tiers, but they cannot run on
-    the sharded tier (their whole-graph allocations would not fit the
-    per-shard arena segments).
-    """
-    import inspect
-
-    try:
-        sig = inspect.signature(kernel.init)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return True
-    positional = [
-        p
-        for p in sig.parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(p.kind is p.VAR_POSITIONAL for p in sig.parameters.values()):
-        return True
-    return len(positional) >= 3
-
-
-def invoke_init(kernel, state: Dict[str, Any], csr, shard: Shard):
-    """Call ``kernel.init`` with the shard when supported (compat shim).
-
-    Single-process tiers call through here so kernels with the legacy
-    whole-graph ``init(state, csr)`` signature keep working unchanged (the
-    whole-graph shard makes the two specifications coincide).
-    """
-    if supports_shard_init(kernel):
-        return kernel.init(state, csr, shard)
-    return kernel.init(state, csr)
-
-
 class PackedSends:
     """One round's outgoing traffic as preallocated arc-slot arrays.
-
-    All arrays are **shard-local**: position 0 is the calling shard's
-    ``arc_lo`` and the length is ``shard.num_arcs``.  On the single-process
-    tiers (whole-graph shard) that is the familiar full arc-slot addressing.
 
     Attributes
     ----------
     mask:
-        Boolean array over the shard's arc slots: ``mask[p - arc_lo]`` means
-        the owner of arc ``p`` sends one message to the neighbour at ``p``
-        this round.
+        Boolean array over the arc slots: ``mask[p]`` means the owner of arc
+        ``p`` sends one message to the neighbour at ``p`` this round.
     values:
-        ``field name -> array`` (shard arc range length, schema dtype); only
+        ``field name -> array`` (``num_arcs`` long, schema dtype); only
         masked slots are meaningful.  Kernels hand back the same
         preallocated buffers (:meth:`PayloadSchema.alloc`) every round: the
         engine gathers the delivered slots before the next ``round`` call,
-        so in-place reuse is safe and no per-round allocation happens.  The
-        sharded engine publishes only the *boundary* subset of these values
-        (packed) into shared memory.
+        so in-place reuse is safe and no per-round allocation happens.
     words:
         Optional per-arc-slot word sizes for schemas whose payloads reference
         a finite set of precomputed objects of varying size (e.g. label
@@ -269,10 +90,6 @@ class PackedInbox:
     engine passes alongside (sender node indices, ``csr.indices[arcs]``).
     Mapping-style access (``inbox["dist"]``) returns the value array of one
     schema field.
-
-    Arc slots are always *global* ids, also in shard-local inboxes — a
-    sharded worker receives exactly :meth:`shard_view` of the global round's
-    inbox, so kernels never need to translate indices.
     """
 
     __slots__ = ("arcs", "values")
@@ -286,22 +103,6 @@ class PackedInbox:
 
     def __len__(self) -> int:
         return int(self.arcs.shape[0])
-
-    def shard_view(self, shard: Shard) -> "PackedInbox":
-        """Restrict to the slots owned by ``shard`` (ids stay global).
-
-        Because ``arcs`` is ascending and a shard's slots are contiguous,
-        the restriction is one ``searchsorted`` slice.  This is the sharded
-        delivery *contract* — a worker's inbox equals this view of the
-        global round's inbox (asserted in ``tests/test_sharding.py``); the
-        engine itself assembles each worker's inbox directly from the
-        shared arena through the plan's ``rev``-gather tables.
-        """
-        import numpy as np
-
-        lo = int(np.searchsorted(self.arcs, shard.arc_lo, side="left"))
-        hi = int(np.searchsorted(self.arcs, shard.arc_hi, side="left"))
-        return PackedInbox(self.arcs[lo:hi], {f: v[lo:hi] for f, v in self.values.items()})
 
     def segment_starts(self, csr) -> Tuple[Any, Any]:
         """Return ``(starts, receivers)`` for per-receiver reductions.
@@ -328,68 +129,28 @@ class RoundKernel:
     * ``event_driven`` — same contract as
       :attr:`~repro.congest.node.NodeAlgorithm.event_driven` (only used for
       trace statistics; the kernel itself is invoked every round);
-    * :meth:`init` — allocate the state vectors *shard-locally* (row 0 at
-      ``shard.node_lo``/``shard.arc_lo``, lengths ``shard.num_nodes``/
-      ``shard.num_arcs``; see :meth:`StateVector.allocate`) and return the
-      round-0 sends of the shard's arcs.  Init must be deterministic given
-      ``(csr, shard)``, and init-time instance attributes (chunk tables,
-      rank maps) must not depend on the shard, so every worker and the
-      parent agree on them.  The sharded parent seeds those attributes by
-      invoking init with a degenerate *empty* shard (``num_nodes ==
-      num_arcs == 0``), so init must tolerate zero-row allocations.  Legacy
-      kernels with the whole-graph ``init(state, csr)`` signature still run
-      on the single-process tiers through the :func:`invoke_init` shim;
+    * :meth:`init` — allocate the per-node (``csr.num_nodes`` rows) and
+      per-arc (``csr.num_arcs`` rows) state vectors and return the round-0
+      sends;
     * :meth:`round` — consume one round's inbox arrays, update state, return
-      the next sends.  Inbox arc slots and sender indices stay *global*; a
-      kernel translates them to its local state rows by subtracting
-      ``shard.node_lo``/``shard.arc_lo`` (the identity on single-process
-      tiers) and must only touch rows inside ``shard`` (inbox slots are
-      guaranteed to lie inside it);
+      the next sends;
     * :meth:`outputs` — per-node outputs after termination, keyed by original
-      node id (must equal the scalar protocol's outputs exactly, and must
-      depend only on schema-declared state plus init-time attributes);
-    * :meth:`state_schema` — optionally, the :class:`StateSchema` declaring
-      the shared per-node/per-arc vectors.  Kernels that return ``None``
-      (the default) still run on the in-process vectorized tier but cannot
-      be sharded.
+      node id (must equal the scalar protocol's outputs exactly).
 
     The engine reads ``state["halted"]`` (boolean per-node vector, optional —
-    absent means no node ever halts) for its termination condition; sharded
-    kernels must declare it in the schema.
+    absent means no node ever halts) for its termination condition.
     """
 
     schema: PayloadSchema
     event_driven = False
 
-    def state_schema(self, csr) -> Optional[StateSchema]:
-        """Declare the shared state vectors (``None`` → not shardable)."""
-        return None
-
-    def slice_for_shard(self, shard: Shard, csr) -> "RoundKernel":
-        """Return the kernel instance to ship to ``shard``'s worker.
-
-        The sharded tier pickles one kernel per worker into the run header.
-        The default ships ``self`` whole; kernels whose constructor payload
-        scales with the instance (Bellman-Ford's ``local_inputs`` is O(m))
-        override this to return a copy holding only the entries ``shard``
-        owns, so per-worker header ingest drops from O(payload) to
-        O(payload / num_shards).  The slice must be behaviour-preserving:
-        ``init(state, csr, shard)`` on the sliced kernel must produce
-        exactly the state and sends of the unsliced kernel for that shard
-        (the equivalence suite asserts bit-for-bit results, and a
-        regression test asserts the per-shard header-byte drop).  The
-        parent always keeps the unsliced kernel for :func:`invoke_init` and
-        :meth:`outputs`.
-        """
-        return self
-
-    def init(self, state: Dict[str, Any], csr, shard: Shard) -> Optional[PackedSends]:
-        """Fill ``state`` with shard-local vectors; return the round-0 sends."""
+    def init(self, state: Dict[str, Any], csr) -> Optional[PackedSends]:
+        """Fill ``state`` with the kernel's vectors; return the round-0 sends."""
         raise NotImplementedError
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
-              inbox_senders, csr, shard: Shard) -> Optional[PackedSends]:
-        """Execute one synchronous round as array operations over ``shard``."""
+              inbox_senders, csr) -> Optional[PackedSends]:
+        """Execute one synchronous round as array operations."""
         raise NotImplementedError
 
     def outputs(self, state: Dict[str, Any], csr) -> Dict[NodeId, Any]:
@@ -450,10 +211,8 @@ class FloodingKernel(RoundKernel):
     to the minimum-index sender (the first inbox hit), so the excluded
     back-arc matches the scalar run exactly.
 
-    Every operation is row-local in the (node, arc) ranges of a shard —
-    state is declared via :meth:`state_schema`, so the kernel runs unchanged
-    on the sharded tier.  Subclasses override :meth:`_chunk_table` (the wire
-    chunks, each starting with ``(k, total)``) and :meth:`outputs` — see
+    Subclasses override :meth:`_chunk_table` (the wire chunks, each starting
+    with ``(k, total)``) and :meth:`outputs` — see
     :class:`~repro.labeling.sssp.LabelBroadcastKernel`, mirroring how the
     scalar ``LabelBroadcastNode`` subclasses ``ChunkFloodNode``.
     """
@@ -466,19 +225,12 @@ class FloodingKernel(RoundKernel):
         self.source_chunks = tuple(chunks)
         self.chunks: List[Any] = []
         self.chunk_words = None
-        self._wire_table: Optional[List[Any]] = None
 
     # -- subclass hooks -------------------------------------------------- #
     def _chunk_table(self) -> List[Any]:
         """Return the root's wire chunks, each starting with ``(k, total)``."""
         total = len(self.source_chunks)
         return [(k, total, payload) for k, payload in enumerate(self.source_chunks)]
-
-    def _wire_chunks(self) -> List[Any]:
-        """The cached wire-chunk table (``state_schema`` and ``init`` share it)."""
-        if self._wire_table is None:
-            self._wire_table = self._chunk_table()
-        return self._wire_table
 
     def outputs(self, state: Dict[str, Any], csr) -> Dict[NodeId, Any]:
         halted = state["halted"]
@@ -488,22 +240,10 @@ class FloodingKernel(RoundKernel):
         }
 
     # -- shared transport mechanics -------------------------------------- #
-    def state_schema(self, csr) -> StateSchema:
-        c = len(self._wire_chunks())
-        count = _count_dtype(c)
-        return StateSchema(
-            StateVector("halted", "node", "?"),
-            StateVector("known", "node", "?", cols=c),
-            StateVector("learned", "node", count),
-            StateVector("queue", "arc", count, cols=c),
-            StateVector("head", "arc", count),
-            StateVector("tail", "arc", count),
-        )
-
-    def init(self, state: Dict[str, Any], csr, shard: Shard) -> Optional[PackedSends]:
+    def init(self, state: Dict[str, Any], csr) -> Optional[PackedSends]:
         import numpy as np
 
-        table = self._wire_chunks()
+        table = self._chunk_table()
         c = len(table)
         chunk_words = np.zeros(max(c, 1), dtype=np.int64)
         self.chunks = []
@@ -512,39 +252,34 @@ class FloodingKernel(RoundKernel):
             chunk_words[chunk[0]] = payload_size_words(chunk)
         self.chunk_words = chunk_words
 
-        # Shard-local state: row 0 is shard.node_lo / shard.arc_lo.  (Not
-        # allocated via state_schema(): subclasses may opt out of sharding
-        # by returning None there while still running vectorized.)
+        n, m = csr.num_nodes, csr.num_arcs
         count = _count_dtype(c)
-        state["halted"] = np.zeros(shard.num_nodes, dtype=bool)
-        state["known"] = np.zeros((shard.num_nodes, c), dtype=bool)
-        state["learned"] = np.zeros(shard.num_nodes, dtype=count)
-        state["queue"] = np.zeros((shard.num_arcs, c), dtype=count)
-        state["head"] = np.zeros(shard.num_arcs, dtype=count)
-        state["tail"] = np.zeros(shard.num_arcs, dtype=count)
-        # Preallocated round buffers (worker-local, not schema-declared): the
-        # chunk-index payload array, the send mask and the per-arc word
-        # sizes, all reused every round.
-        state["send"] = self.schema.alloc(shard.num_arcs)
-        state["send_mask"] = np.zeros(shard.num_arcs, dtype=bool)
-        state["send_words"] = np.zeros(shard.num_arcs, dtype=np.int64)
+        state["halted"] = np.zeros(n, dtype=bool)
+        state["known"] = np.zeros((n, c), dtype=bool)
+        state["learned"] = np.zeros(n, dtype=count)
+        state["queue"] = np.zeros((m, c), dtype=count)
+        state["head"] = np.zeros(m, dtype=count)
+        state["tail"] = np.zeros(m, dtype=count)
+        # Preallocated round buffers: the chunk-index payload array, the
+        # send mask and the per-arc word sizes, all reused every round.
+        state["send"] = self.schema.alloc(m)
+        state["send_mask"] = np.zeros(m, dtype=bool)
+        state["send_words"] = np.zeros(m, dtype=np.int64)
 
         src = csr.index_of.get(self.root)
-        if src is not None and shard.owns_node(src):
-            i = src - shard.node_lo
-            state["known"][i, :] = True
-            state["learned"][i] = c
-            state["halted"][i] = c == 0
-            lo = int(csr.indptr[src]) - shard.arc_lo
-            hi = int(csr.indptr[src + 1]) - shard.arc_lo
+        if src is not None:
+            state["known"][src, :] = True
+            state["learned"][src] = c
+            state["halted"][src] = c == 0
+            lo, hi = int(csr.indptr[src]), int(csr.indptr[src + 1])
             state["queue"][lo:hi, :] = np.arange(c)
             state["tail"][lo:hi] = c
         sends = self._pop(state)
-        self._update_halts(state, csr, shard)
+        self._update_halts(state, csr)
         return sends
 
     def _pop(self, state) -> Optional[PackedSends]:
-        """Drain one chunk per owned arc: the entry at its queue's head."""
+        """Drain one chunk per arc: the entry at its queue's head."""
         import numpy as np
 
         head = state["head"]
@@ -562,7 +297,7 @@ class FloodingKernel(RoundKernel):
     @staticmethod
     def _append(state, arcs, senders, chunks, n: int) -> None:
         """Append ``chunks[i]``, learned from ``senders[i]``, to the queue of
-        local arc row ``arcs[i]``.
+        arc ``arcs[i]``.
 
         One arc's entries go in ascending sender index, at offsets ``0, 1,
         ...`` from its ``tail``.  Each (arc, sender) pair occurs at most once:
@@ -579,7 +314,7 @@ class FloodingKernel(RoundKernel):
         state["queue"][arcs, tail[arcs] + rank] = chunks
         tail[arcs[starts]] += sizes
 
-    def _update_halts(self, state, csr, shard: Shard) -> None:
+    def _update_halts(self, state, csr) -> None:
         import numpy as np
 
         c = state["known"].shape[1]
@@ -589,18 +324,18 @@ class FloodingKernel(RoundKernel):
         complete = ~halted & (state["learned"] == c)
         if complete.any():
             busy = np.less(state["head"], state["tail"])
-            complete[csr.arc_owner[shard.arc_slice][busy] - shard.node_lo] = False
+            complete[csr.arc_owner[busy]] = False
             halted[complete] = True
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
-              inbox_senders, csr, shard: Shard) -> Optional[PackedSends]:
+              inbox_senders, csr) -> Optional[PackedSends]:
         import numpy as np
 
         known = state["known"]
         c = known.shape[1]
         if c and len(inbox):
             ks = inbox["chunk"]
-            recv = csr.arc_owner[inbox.arcs] - shard.node_lo  # local rows
+            recv = csr.arc_owner[inbox.arcs]
             fresh = ~known[recv, ks]  # (a halted node knows every chunk)
             if fresh.any():
                 n = csr.num_nodes
@@ -613,20 +348,19 @@ class FloodingKernel(RoundKernel):
                 rk, sw = np.divmod(key, n)
                 rw, kw = np.divmod(rk, c)
                 known[rw, kw] = True
-                state["learned"] += np.bincount(rw, minlength=shard.num_nodes)
+                state["learned"] += np.bincount(rw, minlength=n)
                 # Append on every out-arc of each learner except the one
                 # pointing back at the teaching sender.
-                rg = rw + shard.node_lo  # global learner indices
-                lo = csr.indptr[rg]
-                deg = csr.indptr[rg + 1] - lo
+                lo = csr.indptr[rw]
+                deg = csr.indptr[rw + 1] - lo
                 arcs = ragged_slices(lo, deg)
                 sw = np.repeat(sw, deg)
                 keep = csr.indices[arcs] != sw
                 if keep.any():
-                    self._append(state, arcs[keep] - shard.arc_lo, sw[keep],
+                    self._append(state, arcs[keep], sw[keep],
                                  np.repeat(kw, deg)[keep], n)
         sends = self._pop(state)
-        self._update_halts(state, csr, shard)
+        self._update_halts(state, csr)
         return sends
 
 
@@ -645,10 +379,8 @@ class BFSTreeKernel(RoundKernel):
     rank only breaks ties between equal-depth offers, exactly like the
     scalar scan.
 
-    All state is declared via :meth:`state_schema` and allocated
-    shard-locally, so the kernel runs on the ``vectorized`` and ``sharded``
-    tiers; like Bellman-Ford it is a dense-round flood (whole frontiers per
-    round), the round shape the kernel tiers exist for.
+    Like Bellman-Ford it is a dense-round flood (whole frontiers per round),
+    the round shape the kernel tier exists for.
     """
 
     schema = PayloadSchema(fields=(("depth", "i8"),), tag="bfs")
@@ -659,18 +391,10 @@ class BFSTreeKernel(RoundKernel):
         self._rank = None
         self._unrank = None
 
-    def state_schema(self, csr) -> StateSchema:
-        return StateSchema(
-            StateVector("depth", "node", "i8"),
-            StateVector("parent", "node", "i8"),
-            StateVector("halted", "node", "?"),
-        )
-
-    def init(self, state: Dict[str, Any], csr, shard: Shard) -> Optional[PackedSends]:
+    def init(self, state: Dict[str, Any], csr) -> Optional[PackedSends]:
         import numpy as np
 
-        # Sender tie-break ranks (init-time attribute: deterministic and
-        # shard-independent, every worker and the parent compute the same).
+        # Sender tie-break ranks.
         try:
             order = sorted(range(csr.num_nodes), key=lambda i: csr.node_ids[i])
         except TypeError as exc:
@@ -688,19 +412,19 @@ class BFSTreeKernel(RoundKernel):
         self._rank = rank
         self._unrank = unrank
 
-        state.update(self.state_schema(csr).allocate(shard))
-        state["depth"].fill(-1)
-        state["parent"].fill(-1)
-        state["send"] = self.schema.alloc(shard.num_arcs)
-        state["send_mask"] = np.zeros(shard.num_arcs, dtype=bool)
+        n, m = csr.num_nodes, csr.num_arcs
+        state["depth"] = np.full(n, -1, dtype=np.int64)
+        state["parent"] = np.full(n, -1, dtype=np.int64)
+        state["halted"] = np.zeros(n, dtype=bool)
+        state["send"] = self.schema.alloc(m)
+        state["send_mask"] = np.zeros(m, dtype=bool)
 
         src = csr.index_of.get(self.root)
-        if src is None or not shard.owns_node(src):
+        if src is None:
             return None
-        state["depth"][src - shard.node_lo] = 0
-        state["halted"][src - shard.node_lo] = True
-        lo = int(csr.indptr[src]) - shard.arc_lo
-        hi = int(csr.indptr[src + 1]) - shard.arc_lo
+        state["depth"][src] = 0
+        state["halted"][src] = True
+        lo, hi = int(csr.indptr[src]), int(csr.indptr[src + 1])
         if hi == lo:
             return None
         mask = state["send_mask"]
@@ -709,7 +433,7 @@ class BFSTreeKernel(RoundKernel):
         return PackedSends(mask, state["send"])
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
-              inbox_senders, csr, shard: Shard) -> Optional[PackedSends]:
+              inbox_senders, csr) -> Optional[PackedSends]:
         import numpy as np
 
         mask = state["send_mask"]
@@ -718,8 +442,7 @@ class BFSTreeKernel(RoundKernel):
             return None
         depth = state["depth"]
         starts, receivers = inbox.segment_starts(csr)
-        recv_l = receivers - shard.node_lo
-        fresh = depth[recv_l] < 0
+        fresh = depth[receivers] < 0
         if not fresh.any():
             return None
         # Minimum (depth, sender rank) offer per receiver, as one int64 key.
@@ -728,16 +451,15 @@ class BFSTreeKernel(RoundKernel):
         win = np.minimum.reduceat(key, starts)[fresh]
         new_depth = win // n + 1
         new_parent = self._unrank[win % n]
-        new_l = recv_l[fresh]
-        depth[new_l] = new_depth
-        state["parent"][new_l] = new_parent
-        state["halted"][new_l] = True
-
         new_nodes = receivers[fresh]
+        depth[new_nodes] = new_depth
+        state["parent"][new_nodes] = new_parent
+        state["halted"][new_nodes] = True
+
         deg = csr.indptr[new_nodes + 1] - csr.indptr[new_nodes]
-        arc_pos = ragged_slices(csr.indptr[new_nodes], deg) - shard.arc_lo
+        arc_pos = ragged_slices(csr.indptr[new_nodes], deg)
         state["send"]["depth"][arc_pos] = np.repeat(new_depth, deg)
-        keep = arc_pos[csr.indices[arc_pos + shard.arc_lo] != np.repeat(new_parent, deg)]
+        keep = arc_pos[csr.indices[arc_pos] != np.repeat(new_parent, deg)]
         if keep.shape[0] == 0:
             return None
         mask[keep] = True
@@ -786,13 +508,7 @@ class LeaderElectionKernel(RoundKernel):
     schema = PayloadSchema(fields=(("rank", "i8"),))
     event_driven = False
 
-    def state_schema(self, csr) -> StateSchema:
-        return StateSchema(
-            StateVector("best", "node", "i8"),
-            StateVector("halted", "node", "?"),
-        )
-
-    def init(self, state: Dict[str, Any], csr, shard: Shard) -> Optional[PackedSends]:
+    def init(self, state: Dict[str, Any], csr) -> Optional[PackedSends]:
         import numpy as np
 
         from repro.congest.primitives import LeaderElectionNode
@@ -814,14 +530,15 @@ class LeaderElectionKernel(RoundKernel):
             [payload_size_words(node_ids[i]) for i in order], dtype=np.int64
         )
 
-        state.update(self.state_schema(csr).allocate(shard))
-        state["best"][:] = rank[shard.node_slice]
-        state["send"] = self.schema.alloc(shard.num_arcs)
-        state["send_mask"] = np.zeros(shard.num_arcs, dtype=bool)
-        state["send_words"] = np.zeros(shard.num_arcs, dtype=np.int64)
-        if shard.num_arcs == 0:
+        m = csr.num_arcs
+        state["best"] = rank.copy()
+        state["halted"] = np.zeros(csr.num_nodes, dtype=bool)
+        state["send"] = self.schema.alloc(m)
+        state["send_mask"] = np.zeros(m, dtype=bool)
+        state["send_words"] = np.zeros(m, dtype=np.int64)
+        if m == 0:
             return None
-        own_rank = rank[csr.arc_owner[shard.arc_slice]]
+        own_rank = rank[csr.arc_owner]
         mask = state["send_mask"]
         mask[:] = True
         state["send"]["rank"][:] = own_rank
@@ -829,7 +546,7 @@ class LeaderElectionKernel(RoundKernel):
         return PackedSends(mask, state["send"], words=state["send_words"])
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
-              inbox_senders, csr, shard: Shard) -> Optional[PackedSends]:
+              inbox_senders, csr) -> Optional[PackedSends]:
         import numpy as np
 
         best = state["best"]
@@ -842,23 +559,21 @@ class LeaderElectionKernel(RoundKernel):
             halted[:] = True
             return None
         starts, receivers = inbox.segment_starts(csr)
-        recv_l = receivers - shard.node_lo
         seg_min = np.minimum.reduceat(inbox["rank"], starts)
-        improved = seg_min < best[recv_l]
-        upd_l = recv_l[improved]
-        best[upd_l] = seg_min[improved]
+        improved = seg_min < best[receivers]
+        imp_nodes = receivers[improved]
+        new_best = seg_min[improved]
+        best[imp_nodes] = new_best
         # Everyone without an improvement halts this round (mail or not);
         # improvers keep their halted status — a halted improver re-floods
         # below but stays halted, like the scalar.
-        keep = np.zeros(shard.num_nodes, dtype=bool)
-        keep[upd_l] = True
+        keep = np.zeros(csr.num_nodes, dtype=bool)
+        keep[imp_nodes] = True
         halted[~keep] = True
-        if upd_l.shape[0] == 0:
+        if imp_nodes.shape[0] == 0:
             return None
-        imp_nodes = receivers[improved]
-        new_best = seg_min[improved]
         deg = csr.indptr[imp_nodes + 1] - csr.indptr[imp_nodes]
-        arc_pos = ragged_slices(csr.indptr[imp_nodes], deg) - shard.arc_lo
+        arc_pos = ragged_slices(csr.indptr[imp_nodes], deg)
         if arc_pos.shape[0] == 0:
             return None
         rep = np.repeat(new_best, deg)
@@ -919,36 +634,27 @@ class ConvergecastKernel(RoundKernel):
         )
         self.schema = PayloadSchema(fields=(("value", self._dtype),))
 
-    def state_schema(self, csr) -> StateSchema:
-        return StateSchema(
-            StateVector("acc", "node", self._dtype),
-            StateVector("pending", "node", "i8"),
-            StateVector("in_tree", "node", "?"),
-            StateVector("halted", "node", "?"),
-        )
-
-    def init(self, state: Dict[str, Any], csr, shard: Shard) -> Optional[PackedSends]:
+    def init(self, state: Dict[str, Any], csr) -> Optional[PackedSends]:
         import numpy as np
 
-        state.update(self.state_schema(csr).allocate(shard))
-        acc = state["acc"]
-        pending = state["pending"]
-        in_tree = state["in_tree"]
-        halted = state["halted"]
-        halted[:] = True  # non-tree nodes are silent halted stubs
-        parent_arc = np.full(shard.num_nodes, -1, dtype=np.int64)
+        n, m = csr.num_nodes, csr.num_arcs
+        acc = state["acc"] = np.zeros(n, dtype=self._dtype)
+        pending = state["pending"] = np.zeros(n, dtype=np.int64)
+        in_tree = state["in_tree"] = np.zeros(n, dtype=bool)
+        # Non-tree nodes are silent halted stubs.
+        halted = state["halted"] = np.ones(n, dtype=bool)
+        parent_arc = np.full(n, -1, dtype=np.int64)
         index_of = csr.index_of
         indptr = csr.indptr
         indices = csr.indices
         for u, pv in self.parent.items():
             i = index_of.get(u)
-            if i is None or not shard.owns_node(i):
+            if i is None:
                 continue
-            il = i - shard.node_lo
-            in_tree[il] = True
-            halted[il] = False
-            acc[il] = self.values.get(u, 0)
-            pending[il] = self._children_count[u]
+            in_tree[i] = True
+            halted[i] = False
+            acc[i] = self.values.get(u, 0)
+            pending[i] = self._children_count[u]
             if pv is None:
                 continue
             pj = index_of.get(pv)
@@ -962,15 +668,15 @@ class ConvergecastKernel(RoundKernel):
                 raise SimulationError(
                     f"node {u!r} attempted to message non-neighbour {pv!r}"
                 )
-            parent_arc[il] = arc
-        state["parent_arc"] = parent_arc  # worker-private, global arc ids
-        state["send"] = self.schema.alloc(shard.num_arcs)
-        state["send_mask"] = np.zeros(shard.num_arcs, dtype=bool)
+            parent_arc[i] = arc
+        state["parent_arc"] = parent_arc
+        state["send"] = self.schema.alloc(m)
+        state["send_mask"] = np.zeros(m, dtype=bool)
         # Scalar payloads are bare numbers: one ledger word per report.
-        state["send_words"] = np.ones(shard.num_arcs, dtype=np.int64)
-        return self._complete(state, shard, np.flatnonzero(in_tree))
+        state["send_words"] = np.ones(m, dtype=np.int64)
+        return self._complete(state, np.flatnonzero(in_tree))
 
-    def _complete(self, state: Dict[str, Any], shard: Shard, candidates):
+    def _complete(self, state: Dict[str, Any], candidates):
         """Halt candidates with no outstanding children; report upward."""
         if candidates.shape[0] == 0:
             return None
@@ -982,32 +688,32 @@ class ConvergecastKernel(RoundKernel):
         halted[done] = True
         pa = state["parent_arc"][done]
         has_parent = pa >= 0
-        senders_l = done[has_parent]
-        if senders_l.shape[0] == 0:  # the root completed
+        senders = done[has_parent]
+        if senders.shape[0] == 0:  # the root completed
             return None
-        arcs_l = pa[has_parent] - shard.arc_lo
-        state["send"]["value"][arcs_l] = state["acc"][senders_l]
+        arcs = pa[has_parent]
+        state["send"]["value"][arcs] = state["acc"][senders]
         mask = state["send_mask"]
-        mask[arcs_l] = True
+        mask[arcs] = True
         return PackedSends(mask, state["send"], words=state["send_words"])
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
-              inbox_senders, csr, shard: Shard) -> Optional[PackedSends]:
+              inbox_senders, csr) -> Optional[PackedSends]:
         import numpy as np
 
         state["send_mask"][:] = False
         if len(inbox) == 0:
             return None
-        recv_l = csr.arc_owner[inbox.arcs] - shard.node_lo
+        recv = csr.arc_owner[inbox.arcs]
         # Fold in ascending (receiver, sender index) order: the scalar fast
         # tier's inbox arrives sorted by sender index, and ``np.add.at``
         # accumulates unbuffered in argument order, so the float sums
         # associate identically.
-        order = np.lexsort((inbox_senders, recv_l))
-        rl = recv_l[order]
+        order = np.lexsort((inbox_senders, recv))
+        rl = recv[order]
         np.add.at(state["acc"], rl, inbox["value"][order])
         np.subtract.at(state["pending"], rl, 1)
-        return self._complete(state, shard, np.unique(rl))
+        return self._complete(state, np.unique(rl))
 
     def outputs(self, state: Dict[str, Any], csr) -> Dict[NodeId, Any]:
         acc = state["acc"]

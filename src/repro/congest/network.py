@@ -3,11 +3,9 @@
 :class:`CongestNetwork` wraps an undirected communication graph and executes a
 :class:`~repro.congest.node.NodeAlgorithm` instance per node in lock-step
 synchronous rounds, enforcing the per-edge bandwidth budget of the model and
-counting rounds.  The goal is a faithful round/bandwidth accounting; the
-sharded tier additionally buys wall-clock parallel speed-up for large dense
-rounds.
+counting rounds.  The goal is a faithful round/bandwidth accounting.
 
-Five interchangeable execution tiers are provided (see
+Four interchangeable execution tiers are provided (see
 :mod:`repro.congest.engine` for the full architecture notes):
 
 * ``engine="fast"`` (default) — the indexed CSR scalar path: flat integer
@@ -16,20 +14,12 @@ Five interchangeable execution tiers are provided (see
 * ``engine="vectorized"`` — the whole-round array tier for protocols that
   also provide a :class:`~repro.congest.kernels.RoundKernel` (packed numpy
   payloads, segmented CSR reductions, no per-node Python calls).
-* ``engine="sharded"`` — the multiprocess tier for kernels that declare
-  their state via a :class:`~repro.congest.kernels.StateSchema`: the node
-  space is partitioned by a :class:`~repro.graphs.sharding.ShardPlan`, each
-  shard's state rows live in that shard's segment of a
-  ``multiprocessing.shared_memory`` arena, and one worker per shard runs
-  lockstep rounds exchanging only *packed* boundary payload slots
-  (``num_shards`` controls the worker count; a persistent
-  :class:`~repro.congest.engine.ShardPool` — attached to the network or
-  passed per run — reuses the workers across runs).
 * ``engine="async"`` — the event-driven asynchronous tier
   (:mod:`repro.congest.scheduler`): per-(arc, message) delivery times from a
   pluggable seeded :class:`~repro.congest.scheduler.DelayModel`, nodes driven
-  from a binary-heap event queue through an α-synchronizer adapter so every
-  round-based protocol runs unmodified.  Bit-for-bit equal to the
+  from an event queue (a bucketed calendar queue by default, the reference
+  binary heap with ``scheduler="heap"``) through an α-synchronizer adapter
+  so every round-based protocol runs unmodified.  Bit-for-bit equal to the
   synchronous tiers under the unit-delay model; output-identical (and
   ledger-identical) under every seeded model, with ``virtual_time`` and
   per-arc in-flight high-water marks reporting the asynchronous timing.
@@ -38,8 +28,8 @@ Five interchangeable execution tiers are provided (see
   produces identical rounds, outputs, and word counts on every instance.
 
 Requests for a tier the protocol/environment cannot satisfy (no kernel, no
-numpy, no state schema, a non-picklable delay model, a synchronous-only
-protocol) gracefully fall back down the ladder and emit a single
+numpy, a non-picklable delay model, a synchronous-only protocol) gracefully
+fall back down the ladder and emit a single
 :class:`~repro.congest.engine.EngineFallbackWarning` naming the requested
 tier, the selected tier and the reason; the returned result's ``engine``
 field reports the tier that actually ran.
@@ -59,16 +49,13 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 from repro.congest.engine import (
     EngineFallbackWarning,
     RoundStats,
-    ShardPool,
     SimulationTrace,
     fallback_message,
     run_fast,
-    run_sharded,
     run_vectorized,
-    sharded_available,
 )
 from repro.congest.faults import FaultVerdict
-from repro.congest.kernels import RoundKernel, supports_shard_init, vectorized_available
+from repro.congest.kernels import RoundKernel, vectorized_available
 from repro.congest.message import DEFAULT_WORDS_PER_MESSAGE, Message
 from repro.congest.node import NodeAlgorithm, NodeContext
 from repro.errors import BandwidthExceededError, ConvergenceError, GraphError, SimulationError
@@ -77,7 +64,12 @@ from repro.graphs.graph import Graph
 NodeId = Hashable
 
 #: Engines accepted by :meth:`CongestNetwork.run`.
-ENGINES = ("fast", "legacy", "vectorized", "sharded", "async")
+ENGINES = ("fast", "legacy", "vectorized", "async")
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 @dataclass
@@ -107,20 +99,11 @@ class SimulationResult:
         check applies to this quantity).
     engine:
         Which execution tier produced the result (``"fast"``/``"legacy"``/
-        ``"vectorized"``/``"sharded"``/``"async"``).  A request that fell
-        back reports the tier that actually ran.
+        ``"vectorized"``/``"async"``).  A request that fell back reports the
+        tier that actually ran.
     trace:
         The :class:`~repro.congest.engine.SimulationTrace` passed to ``run``,
         if any, holding round-by-round statistics.
-    shard_stats:
-        For sharded runs only: the memory/exchange accounting of the run —
-        per-shard declared-state and exchange-segment bytes, total arena
-        bytes, boundary messages/words published, the split run-header
-        sizes (``run_header_bytes`` with the pickled-once ``common`` blob
-        and the ``per_shard`` kernel-slice suffixes), and worker PIDs.
-        ``None`` on the single-process tiers.  Excluded from tier
-        equivalence — it describes the execution substrate, not the
-        protocol.
     virtual_time:
         For async runs only: the event-queue time at which the last node
         pulse executed.  Equals ``rounds`` under the unit-delay model;
@@ -130,8 +113,8 @@ class SimulationResult:
         delay model, events processed, ``virtual_time``, the maximum per-arc
         in-flight high-water mark and the ``congested_arcs`` that reached a
         high-water ≥ 2 — i.e. where messages pipelined across a slow link).
-        ``None`` on the synchronous tiers.  Like ``shard_stats``, excluded
-        from tier equivalence: it describes the schedule, not the protocol.
+        ``None`` on the synchronous tiers.  Excluded from tier equivalence:
+        it describes the schedule, not the protocol.
     fault_verdict:
         For async runs given a ``fault_schedule``: the
         :class:`~repro.congest.faults.FaultVerdict` accounting of the run —
@@ -151,7 +134,6 @@ class SimulationResult:
     max_message_words: int = 0
     engine: str = "fast"
     trace: Optional[SimulationTrace] = None
-    shard_stats: Optional[Dict[str, Any]] = None
     virtual_time: Optional[int] = None
     async_stats: Optional[Dict[str, Any]] = None
     fault_verdict: Optional[FaultVerdict] = None
@@ -167,7 +149,8 @@ class CongestNetwork:
         directed/weighted input instances pass ``instance.underlying_graph()``
         and supply the instance's incident edges via ``local_inputs``).
     words_per_message:
-        Bandwidth budget per message in O(log n)-bit words.  Because a node
+        Bandwidth budget per message in O(log n)-bit words, an ``int`` ≥ 1
+        (anything else raises :class:`SimulationError`).  Because a node
         sends at most one message per neighbour per round, this is equivalent
         to the CONGEST per-direction-per-round budget.
     strict_bandwidth:
@@ -177,14 +160,7 @@ class CongestNetwork:
         protocols).
     engine:
         Default execution engine for :meth:`run` (``"fast"``, ``"legacy"``,
-        ``"vectorized"``, ``"sharded"`` or ``"async"``).
-    shard_pool:
-        Optional :class:`~repro.congest.engine.ShardPool` the network's
-        sharded runs reuse (worker processes park between runs instead of
-        being re-spawned per call).  The network adopts the pool's
-        lifecycle: ``close()`` — or using the network as a context manager —
-        shuts it down.  Without a pool, every sharded run spins up and tears
-        down its own workers.
+        ``"vectorized"`` or ``"async"``).
     """
 
     def __init__(
@@ -193,17 +169,22 @@ class CongestNetwork:
         words_per_message: int = DEFAULT_WORDS_PER_MESSAGE,
         strict_bandwidth: bool = True,
         engine: str = "fast",
-        shard_pool: Optional[ShardPool] = None,
     ) -> None:
         if graph.num_nodes() == 0:
             raise GraphError("cannot simulate an empty network")
-        if engine not in ENGINES:
-            raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        _check_engine(engine)
+        if (
+            not isinstance(words_per_message, int)
+            or isinstance(words_per_message, bool)
+            or words_per_message < 1
+        ):
+            raise SimulationError(
+                f"words_per_message must be an int >= 1, got {words_per_message!r}"
+            )
         self.graph = graph
         self.words_per_message = words_per_message
         self.strict_bandwidth = strict_bandwidth
         self.engine = engine
-        self.shard_pool = shard_pool
         #: CSR snapshot of the communication graph (contiguous int node ids);
         #: refreshed automatically at ``run()`` if the graph was mutated.
         self.indexed = None
@@ -230,26 +211,6 @@ class CongestNetwork:
         self._out_maps = idx.neighbor_maps
 
     # ------------------------------------------------------------------ #
-    # ShardPool lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Shut down the attached :class:`ShardPool`, if any.
-
-        The network stays fully usable afterwards — subsequent sharded runs
-        simply fall back to per-run ephemeral worker pools.
-        """
-        if self.shard_pool is not None:
-            self.shard_pool.close()
-            self.shard_pool = None
-
-    def __enter__(self) -> "CongestNetwork":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    # ------------------------------------------------------------------ #
     def run(
         self,
         algorithm_factory: Callable[[NodeId], NodeAlgorithm],
@@ -259,9 +220,6 @@ class CongestNetwork:
         engine: Optional[str] = None,
         trace: Optional[SimulationTrace] = None,
         kernel: Optional[RoundKernel] = None,
-        num_shards: Optional[int] = None,
-        barrier_timeout: Optional[float] = None,
-        shard_pool: Optional[ShardPool] = None,
         delay_model=None,
         fault_schedule=None,
         scheduler: Optional[str] = None,
@@ -287,40 +245,20 @@ class CongestNetwork:
             is the index of the last round in which a message is sent.
         engine:
             Execution engine override (``"fast"``/``"legacy"``/
-            ``"vectorized"``/``"sharded"``/``"async"``); defaults to the
-            network's engine.  All tiers produce identical results (the
-            async tier bit-for-bit under unit delays, output-identical
-            under every seeded delay model).
+            ``"vectorized"``/``"async"``); defaults to the network's engine.
+            All tiers produce identical results (the async tier bit-for-bit
+            under unit delays, output-identical under every seeded delay
+            model).
         trace:
             Optional :class:`~repro.congest.engine.SimulationTrace` collecting
             round-by-round statistics.
         kernel:
             Whole-round :class:`~repro.congest.kernels.RoundKernel` for the
-            ``vectorized``/``sharded`` tiers.  When omitted, a
-            ``round_kernel`` attribute on ``algorithm_factory`` is used if
-            present; with no kernel (or no numpy, or — for ``sharded`` — no
-            :class:`~repro.congest.kernels.StateSchema`) the run gracefully
-            falls back down the tier ladder with a single
+            ``vectorized`` tier.  When omitted, a ``round_kernel`` attribute
+            on ``algorithm_factory`` is used if present; with no kernel (or
+            no numpy) the run gracefully falls back to ``fast`` with a single
             :class:`~repro.congest.engine.EngineFallbackWarning` — check
             ``SimulationResult.engine`` for the tier that actually ran.
-        num_shards:
-            Worker-process count for the ``sharded`` tier (default: the
-            attached/passed pool's size, else one per CPU, capped; see
-            :func:`~repro.congest.engine.default_num_shards`).  Requests
-            exceeding the node count are clamped with a single
-            :class:`~repro.congest.engine.EngineFallbackWarning`.  Results
-            are identical for every shard count.
-        barrier_timeout:
-            Per-phase synchronization timeout of the ``sharded`` tier in
-            seconds (default
-            :data:`~repro.congest.engine.DEFAULT_BARRIER_TIMEOUT`).  Bounds
-            one round phase, not the whole run; raise it for instances whose
-            individual rounds legitimately exceed it.
-        shard_pool:
-            :class:`~repro.congest.engine.ShardPool` to run the ``sharded``
-            tier on (overrides the network's attached pool for this call).
-            The pool's workers are reused across runs; ownership stays with
-            the caller.
         delay_model:
             :class:`~repro.congest.scheduler.DelayModel` assigning every
             (arc, message) envelope its delivery time on the ``async`` tier
@@ -351,6 +289,7 @@ class CongestNetwork:
         """
         self._refresh_view()
         chosen = engine if engine is not None else self.engine
+        _check_engine(chosen)
         if scheduler is not None and chosen != "async":
             raise SimulationError(
                 f"scheduler is only meaningful with engine='async' "
@@ -400,42 +339,6 @@ class CongestNetwork:
                 stacklevel=2,
             )
             chosen = "fast"
-        if chosen == "sharded":
-            if (
-                kernel is not None
-                and sharded_available()
-                and kernel.state_schema(self.indexed.to_arrays()) is not None
-                and supports_shard_init(kernel)
-            ):
-                return run_sharded(
-                    self,
-                    kernel,
-                    num_shards=num_shards,
-                    max_rounds=max_rounds,
-                    stop_when_quiet=stop_when_quiet,
-                    trace=trace,
-                    barrier_timeout=barrier_timeout,
-                    pool=shard_pool if shard_pool is not None else self.shard_pool,
-                )
-            if kernel is None:
-                reason, chosen = "the protocol provides no RoundKernel", "fast"
-            elif not sharded_available():
-                reason = "numpy/shared-memory support is unavailable"
-                chosen = "vectorized" if vectorized_available() else "fast"
-            elif kernel.state_schema(self.indexed.to_arrays()) is None:
-                reason = f"kernel {type(kernel).__name__} declares no StateSchema"
-                chosen = "vectorized"
-            else:
-                reason = (
-                    f"kernel {type(kernel).__name__}.init is not shard-aware "
-                    "(expected init(state, csr, shard))"
-                )
-                chosen = "vectorized"
-            warnings.warn(
-                fallback_message("sharded", chosen, reason),
-                EngineFallbackWarning,
-                stacklevel=2,
-            )
         if chosen == "vectorized":
             if kernel is not None and vectorized_available():
                 return run_vectorized(
@@ -467,15 +370,13 @@ class CongestNetwork:
                 stop_when_quiet=stop_when_quiet,
                 trace=trace,
             )
-        if chosen == "legacy":
-            return self._run_legacy(
-                algorithm_factory,
-                max_rounds=max_rounds,
-                local_inputs=local_inputs,
-                stop_when_quiet=stop_when_quiet,
-                trace=trace,
-            )
-        raise SimulationError(f"unknown engine {chosen!r}; expected one of {ENGINES}")
+        return self._run_legacy(
+            algorithm_factory,
+            max_rounds=max_rounds,
+            local_inputs=local_inputs,
+            stop_when_quiet=stop_when_quiet,
+            trace=trace,
+        )
 
     # ------------------------------------------------------------------ #
     def _run_legacy(

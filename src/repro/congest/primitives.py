@@ -18,18 +18,17 @@ result and the measured round count.  The higher layers of the library use
 these measurements to calibrate the primitive-level cost model (see
 :mod:`repro.core.rounds`).
 
-Every primitive runs on all five engine tiers.  The scalar per-node
+Every primitive runs on all four engine tiers.  The scalar per-node
 protocols below are the reference semantics (``legacy``/``fast``/``async``);
 each helper also attaches the matching whole-round
 :mod:`~repro.congest.kernels` kernel — :class:`BFSTreeKernel`,
 :class:`FloodingKernel`, :class:`LeaderElectionKernel`,
-:class:`ConvergecastKernel` — so ``engine="vectorized"`` and
-``engine="sharded"`` (any shard count) produce bit-for-bit identical
-outputs, rounds and ledger.  ``convergecast_sum`` attaches its kernel only
-for the default summing combiner over plain numeric values; a custom
-``combine`` falls back to the scalar tiers.  The helpers forward
-``scheduler=`` (async event queue: ``"bucketed"``/``"heap"``) to
-:meth:`CongestNetwork.run`.
+:class:`ConvergecastKernel` — so ``engine="vectorized"`` produces
+bit-for-bit identical outputs, rounds and ledger.  ``convergecast_sum``
+attaches its kernel only for the default summing combiner over plain
+numeric values; a custom ``combine`` falls back to the scalar tiers.  The
+helpers forward ``scheduler=`` (async event queue: ``"bucketed"``/
+``"heap"``) to :meth:`CongestNetwork.run`.
 """
 
 from __future__ import annotations
@@ -112,8 +111,6 @@ def build_bfs_tree(
     max_rounds: int = 100_000,
     engine: Optional[str] = None,
     trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
     delay_model=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
@@ -124,11 +121,10 @@ def build_bfs_tree(
     root have no entry in either mapping.  ``engine``/``trace`` are passed
     through to :meth:`CongestNetwork.run`.  With ``engine="vectorized"`` the
     construction runs as the whole-round
-    :class:`~repro.congest.kernels.BFSTreeKernel`, ``engine="sharded"``
-    distributes the same kernel over ``num_shards`` worker processes, and
-    ``engine="async"`` executes the scalar protocol on the event-driven
-    scheduler under ``delay_model`` — identical parents/depths and measured
-    traffic on every tier.  ``fault_schedule`` injects seeded node/edge
+    :class:`~repro.congest.kernels.BFSTreeKernel`, and ``engine="async"``
+    executes the scalar protocol on the event-driven scheduler under
+    ``delay_model`` — identical parents/depths and measured traffic on every
+    tier.  ``fault_schedule`` injects seeded node/edge
     crash+recover transitions on the async tier (implied when no engine is
     requested); the root must eventually recover, since a permanently dead
     root can never re-seed depth 0.
@@ -152,8 +148,6 @@ def build_bfs_tree(
         engine=engine,
         trace=trace,
         kernel=BFSTreeKernel(root),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
         delay_model=delay_model,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
@@ -356,8 +350,6 @@ def flood_chunks(
     max_rounds: int = 1_000_000,
     engine: Optional[str] = None,
     trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
     delay_model=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
@@ -370,10 +362,8 @@ def flood_chunks(
     ``words_per_message`` to the largest chunk.
 
     With ``engine="vectorized"`` the broadcast runs as the whole-round
-    :class:`~repro.congest.kernels.FloodingKernel`, and with
-    ``engine="sharded"`` the same kernel is distributed over ``num_shards``
-    worker processes — identical measured rounds and traffic on every tier,
-    so engine-measured BCT broadcasts (see
+    :class:`~repro.congest.kernels.FloodingKernel` — identical measured
+    rounds and traffic on every tier, so engine-measured BCT broadcasts (see
     :func:`~repro.labeling.construction.build_distance_labeling`) can use
     any of them.
     """
@@ -399,8 +389,6 @@ def flood_chunks(
         engine=engine,
         trace=trace,
         kernel=FloodingKernel(root, chunks),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
         delay_model=delay_model,
         fault_schedule=fault_schedule,
         scheduler=scheduler,
@@ -494,8 +482,6 @@ def convergecast_sum(
     max_rounds: int = 100_000,
     engine: Optional[str] = None,
     trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
     delay_model=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
@@ -505,9 +491,9 @@ def convergecast_sum(
     Returns ``(root_aggregate, simulation_result)``.  With the default
     summing ``combine`` over plain numeric values the helper attaches
     :class:`~repro.congest.kernels.ConvergecastKernel`, so
-    ``engine="vectorized"``/``"sharded"`` aggregate with whole-round
-    segmented sums — bit-for-bit the scalar result; a custom ``combine`` (or
-    exotic value types) runs on the scalar tiers only.  ``fault_schedule``
+    ``engine="vectorized"`` aggregates with whole-round segmented sums —
+    bit-for-bit the scalar result; a custom ``combine`` (or exotic value
+    types) runs on the scalar tiers only.  ``fault_schedule``
     injects seeded crash+recover transitions on the async tier (implied when
     no engine is requested); the tree root must eventually recover, since
     the aggregate is read off it.
@@ -551,8 +537,7 @@ def convergecast_sum(
         kernel = ConvergecastKernel(parent, values)
     result = network.run(
         factory, max_rounds=max_rounds, engine=engine, trace=trace,
-        kernel=kernel, num_shards=num_shards, shard_pool=shard_pool,
-        delay_model=delay_model, fault_schedule=fault_schedule,
+        kernel=kernel, delay_model=delay_model, fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
     return result.outputs[root], result
@@ -607,8 +592,6 @@ def elect_leader(
     max_rounds: int = 100_000,
     engine: Optional[str] = None,
     trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
     delay_model=None,
     fault_schedule=None,
     scheduler: Optional[str] = None,
@@ -618,12 +601,11 @@ def elect_leader(
     Raises :class:`GraphError` if the network is disconnected (nodes would
     disagree on the leader).  The helper attaches
     :class:`~repro.congest.kernels.LeaderElectionKernel`, so
-    ``engine="vectorized"``/``"sharded"`` flood precomputed id ranks with
-    whole-round segmented minima — bit-for-bit the scalar election on any
-    shard count.  ``fault_schedule`` injects seeded crash+recover
-    transitions on the async tier (implied when no engine is requested);
-    every node must eventually recover, since the min-id flood only
-    converges once every node can report the leader.
+    ``engine="vectorized"`` floods precomputed id ranks with whole-round
+    segmented minima — bit-for-bit the scalar election.  ``fault_schedule``
+    injects seeded crash+recover transitions on the async tier (implied
+    when no engine is requested); every node must eventually recover, since
+    the min-id flood only converges once every node can report the leader.
     """
     if not network.graph.is_connected():
         raise GraphError("leader election requires a connected network")
@@ -643,7 +625,6 @@ def elect_leader(
     result = network.run(
         lambda u: LeaderElectionNode(u), max_rounds=max_rounds, engine=engine,
         trace=trace, kernel=LeaderElectionKernel(),
-        num_shards=num_shards, shard_pool=shard_pool,
         delay_model=delay_model, fault_schedule=fault_schedule,
         scheduler=scheduler,
     )

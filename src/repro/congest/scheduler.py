@@ -1,6 +1,6 @@
 """Event-driven asynchronous execution tier for the CONGEST simulator.
 
-This module implements ``engine="async"`` — the fifth execution tier of
+This module implements ``engine="async"`` — the fourth execution tier of
 :meth:`CongestNetwork.run`.  Instead of the lockstep round loop of the
 synchronous tiers, a discrete-event scheduler drives the network from an
 event queue: every (arc, message) pair is assigned an integer *delivery
@@ -62,7 +62,7 @@ pure function of the protocol and the graph — **schedule-invariant** by
 construction.  Under the :class:`UnitDelay` model every envelope takes one
 time unit, node pulses coincide with global rounds, and the whole run —
 results, message/word/bandwidth ledger, round trace — is bit-for-bit
-identical to the four synchronous tiers (asserted across the randomized
+identical to the three synchronous tiers (asserted across the randomized
 equivalence families in ``tests/test_async_scheduler.py``).  Under any other
 seeded model, protocol *outputs* are identical while the *timing* changes:
 ``SimulationResult.virtual_time`` reports the event-queue time of the last

@@ -124,12 +124,6 @@ ENGINE_GATES = (
         floors={"full": 5.0, "smoke": 1.0, "small": 1.0},
     ),
     TierRatioGate(
-        case="bellman_ford_dense_sharded",
-        baseline="fast",
-        candidate="sharded[2]",
-        floors={"full": 1.0, "smoke": 0.5, "small": 0.5},
-    ),
-    TierRatioGate(
         case="bellman_ford_deep_path",
         baseline="legacy",
         candidate="fast",

@@ -46,7 +46,7 @@ FAMILIES = tuple(sorted(FAMILY_SIZES))
 #: CONGEST engine tiers (the ``engine=`` axis of the simulator).  The
 #: serving protocol reinterprets this axis as the decode backend
 #: (``scalar`` | ``packed``); structural protocols pin it to ``"-"``.
-ENGINES = ("legacy", "fast", "vectorized", "sharded", "async")
+ENGINES = ("legacy", "fast", "vectorized", "async")
 STRUCTURAL_ENGINE = "-"
 
 

@@ -108,8 +108,6 @@ def _engine_kwargs(cell: CellSpec) -> dict:
         from repro.congest.scheduler import UnitDelay
 
         kwargs["delay_model"] = UnitDelay()
-    if cell.engine == "sharded":
-        kwargs["num_shards"] = 2
     return kwargs
 
 
@@ -199,10 +197,8 @@ def run_broadcast_cell(cell: CellSpec) -> dict:
     graph = build_family_graph(cell.family, cell.scale, cell.seed)
     network = CongestNetwork(graph)
     root = _root(graph)
-    kwargs = _engine_kwargs(cell)
-    kwargs.pop("num_shards", None)  # broadcast has no sharded kernel knob
     (received, sim), fallbacks = _run_quiet(
-        lambda: broadcast(network, root, cell.seed, **kwargs)
+        lambda: broadcast(network, root, cell.seed, **_engine_kwargs(cell))
     )
     record = _sim_fields(cell, sim)
     record.update(

@@ -10,10 +10,6 @@ This subpackage provides the graph-theoretic foundation of the library:
 * :mod:`~repro.graphs.generators` — synthetic low-treewidth graph families
   (k-trees, partial k-trees, grids, series-parallel, cycles with chords,
   bipartite families) used as workloads for experiments.
-* :mod:`~repro.graphs.sharding` — :class:`ShardPlan`, the contiguous
-  node-range partition of a CSR snapshot that the sharded simulation tier
-  places across worker processes (per-shard arc-slot ranges, boundary-arc
-  classification, rev-gather delivery tables).
 * :mod:`~repro.graphs.treewidth` — treewidth upper/lower bound heuristics
   (min-degree, min-fill) and exact computation for small graphs.
 * :mod:`~repro.graphs.properties` — diameter, eccentricities, connectivity
@@ -23,7 +19,6 @@ This subpackage provides the graph-theoretic foundation of the library:
 from repro.graphs.graph import Graph
 from repro.graphs.digraph import WeightedDiGraph, Edge
 from repro.graphs.indexed import IndexedGraph
-from repro.graphs.sharding import Shard, ShardPlan
 from repro.graphs import generators, treewidth, properties, convert
 
 __all__ = [
@@ -31,8 +26,6 @@ __all__ = [
     "WeightedDiGraph",
     "Edge",
     "IndexedGraph",
-    "Shard",
-    "ShardPlan",
     "generators",
     "treewidth",
     "properties",

@@ -286,9 +286,8 @@ class WeightedDiGraph:
         shared by every caller until this digraph is mutated — treat it as
         read-only.  Sharing matters operationally: repeated simulator helper
         calls (e.g. ``distributed_bellman_ford`` on one instance) then reuse
-        one CSR snapshot, which is what lets a persistent
-        :class:`~repro.congest.engine.ShardPool`'s workers keep their cached
-        graph instead of re-receiving it every run.
+        one CSR snapshot and its cached numpy mirror instead of rebuilding
+        them every run.
         """
         if self._ug_cache is not None and self._ug_version == self._version:
             return self._ug_cache

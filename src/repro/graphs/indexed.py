@@ -186,19 +186,6 @@ class IndexedGraph:
             self._csr_arrays = arrays
         return arrays
 
-    # Pickle support (shard workers receive the snapshot): ship only the
-    # frozen structure, not the lazily built lookup/numpy caches — each
-    # process rebuilds them deterministically on first use.
-    def __getstate__(self):
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_neighbor_maps"] = None
-        state["_csr_arrays"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def original(self, i: int) -> NodeId:
         """Return the original node id of index ``i``."""
         return self.node_ids[i]
@@ -221,11 +208,8 @@ class CsrArrays:
     from node ``i`` to its neighbour ``j`` occupies the arc position ``p`` in
     ``i``'s CSR slice with ``indices[p] == j``, and is delivered into the
     receiver-side slot ``rev[p]`` (the reverse arc, ``j``'s slice position
-    pointing back at ``i``).  This arc-slot addressing is the boundary the
-    multiprocess sharded engine tier cuts along: a
-    :class:`~repro.graphs.sharding.ShardPlan` gives each shard a contiguous
-    node range plus the arc slots of its nodes, and cross-shard rounds
-    exchange only the ``rev``-gathered boundary slots.
+    pointing back at ``i``).  Kernels index their per-arc state and send
+    buffers by these positions and their per-node state by node index.
 
     Attributes
     ----------

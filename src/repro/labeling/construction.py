@@ -220,10 +220,11 @@ def build_distance_labeling(
         modeled.
     broadcast_engine:
         Engine tier for the measured broadcasts (``"fast"``, ``"legacy"``,
-        ``"vectorized"`` or ``"sharded"`` — the generic chunk flood runs as
-        :class:`~repro.congest.kernels.FloodingKernel` on the kernel tiers,
-        with identical measured rounds).  Default: ``"vectorized"`` when
-        numpy is available, else ``"fast"``, with no fallback warning.
+        ``"vectorized"`` or ``"async"`` — the generic chunk flood runs as
+        :class:`~repro.congest.kernels.FloodingKernel` on ``vectorized``,
+        with identical measured rounds on every tier).  Default:
+        ``"vectorized"`` when numpy is available, else ``"fast"``, with no
+        fallback warning.
 
     Returns
     -------

@@ -325,7 +325,8 @@ class PackedLabeling:
         return 8 * (n + 1) + 8 * e + 8 * e + 8 * e
 
     def stats(self) -> Dict[str, object]:
-        """Size/residency accounting in the ``shard_stats`` spirit."""
+        """Size/residency accounting: array bytes, and how many are mapped
+        from the store file rather than copied onto the heap."""
         return {
             "num_nodes": self.num_nodes,
             "table_len": len(self.ids),

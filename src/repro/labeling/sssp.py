@@ -121,13 +121,11 @@ class LabelBroadcastNode(ChunkFloodNode):
 
 
 class LabelBroadcastKernel(FloodingKernel):
-    """Whole-round vectorized pipelined la(s) flooding
-    (``engine="vectorized"``/``"sharded"``).
+    """Whole-round vectorized pipelined la(s) flooding (``engine="vectorized"``).
 
     Bit-for-bit equivalent to :class:`LabelBroadcastNode`.  The transport —
-    chunk-index packing, O(1) ``chunk_words`` accounting, the per-arc FIFO
-    chunk queues with ``head``/``tail`` cursors and the shard-locality of
-    every round operation — is inherited from
+    chunk-index packing, O(1) ``chunk_words`` accounting and the per-arc FIFO
+    chunk queues with ``head``/``tail`` cursors — is inherited from
     :class:`~repro.congest.kernels.FloodingKernel`; this subclass only
     supplies the wire chunks (one hub entry each) and the label-decoding
     outputs, mirroring how the scalar ``LabelBroadcastNode`` subclasses
@@ -144,14 +142,6 @@ class LabelBroadcastKernel(FloodingKernel):
         self.source = source
         self.source_label = source_label
         self.labeling = labeling
-
-    def __getstate__(self):
-        # The full labeling is read only by ``outputs``, which runs in the
-        # sharded parent on its own instance — don't ship it to every worker
-        # in each run header (the transport needs only the source label).
-        state = self.__dict__.copy()
-        state["labeling"] = None
-        return state
 
     def _chunk_table(self) -> List[Any]:
         entries = list(self.source_label.to_dist.items())
@@ -186,8 +176,6 @@ def measured_label_broadcast(
     max_rounds: int = 1_000_000,
     engine: Optional[str] = None,
     trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
     delay_model=None,
     fault_schedule=None,
 ) -> SimulationResult:
@@ -199,12 +187,11 @@ def measured_label_broadcast(
     ``words_per_message`` accordingly for exotic node-id types.
 
     With ``engine="vectorized"`` the broadcast runs as the whole-round
-    :class:`LabelBroadcastKernel`; ``engine="sharded"`` distributes the same
-    kernel over ``num_shards`` worker processes (identical measured rounds
-    and traffic either way).  ``engine="async"`` runs the scalar pipelined
-    flood on the event-driven scheduler under ``delay_model`` — the decoded
-    distances are schedule-invariant, and the measured rounds/traffic equal
-    the synchronous tiers.
+    :class:`LabelBroadcastKernel` (identical measured rounds and traffic).
+    ``engine="async"`` runs the scalar pipelined flood on the event-driven
+    scheduler under ``delay_model`` — the decoded distances are
+    schedule-invariant, and the measured rounds/traffic equal the
+    synchronous tiers.
 
     A ``fault_schedule`` (see :mod:`repro.congest.faults`) implies the async
     tier; the broadcast self-stabilizes through crashes and recoveries via
@@ -231,8 +218,6 @@ def measured_label_broadcast(
         engine=engine,
         trace=trace,
         kernel=LabelBroadcastKernel(source, src_label, labeling),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
         delay_model=delay_model,
         fault_schedule=fault_schedule,
     )

@@ -364,6 +364,22 @@ def _worker_main(store_dir, conn, mmap, backend, max_frame_bytes, decode):
         server.close()
 
 
+def _mp_context():
+    """The multiprocessing context of the server worker processes.
+
+    Prefer fork on Linux: workers inherit the parent's imports for free.
+    Elsewhere keep the platform default (macOS documents fork as unsafe —
+    Accelerate/Objective-C state does not survive it); the spawn path works
+    too, it just re-imports.
+    """
+    import multiprocessing as mp
+    import sys
+
+    if sys.platform == "linux" and "fork" in mp.get_all_start_methods():
+        return mp.get_context("fork")
+    return mp.get_context()
+
+
 class ServerPool:
     """N worker processes, each a :class:`QueryServer` over the same store.
 
@@ -382,8 +398,6 @@ class ServerPool:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         decode: str = "packed",
     ) -> None:
-        from repro.congest.engine import _mp_context
-
         ctx = _mp_context()
         self.processes = []
         self.addresses: List[Tuple[str, int]] = []

@@ -8,8 +8,7 @@ zero-copy contract follows directly: every server worker process that opens
 the same store directory maps the same files, so the kernel shares one set
 of physical pages across all workers no matter how many processes serve —
 ``stats()`` accounts ``mapped_bytes`` per graph and asserts-ably reports
-``copied_label_bytes == 0`` for the mapped configuration (the
-``shard_stats`` accounting discipline, applied to labels).
+``copied_label_bytes == 0`` for the mapped configuration.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The async tier's defining invariant (``src/repro/congest/scheduler.py``):
 
 * under :class:`UnitDelay` the whole run — results, message/word/bandwidth
-  ledger, round traces — is **bit-for-bit identical** to the four
-  synchronous tiers (legacy, fast, vectorized, sharded), asserted here on
+  ledger, round traces — is **bit-for-bit identical** to the three
+  synchronous tiers (legacy, fast, vectorized), asserted here on
   the same ~30 seeded graph families as ``test_engine_equivalence.py``;
 * under *any* seeded delay model, protocol outputs (distances, parents,
   labels, leaders) and the full message ledger are **schedule-invariant**,
@@ -29,12 +29,7 @@ import pytest
 from test_engine_equivalence import FAMILIES, _assert_identical, _pseudo_labeling
 
 from repro.congest.bellman_ford import distributed_bellman_ford
-from repro.congest.engine import (
-    EngineFallbackWarning,
-    ShardPool,
-    SimulationTrace,
-    sharded_available,
-)
+from repro.congest.engine import EngineFallbackWarning, SimulationTrace
 from repro.congest.kernels import vectorized_available
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll, NodeAlgorithm
@@ -75,11 +70,6 @@ SMALL_SWEEP = (
     "series_parallel_0",
     "glued_0",
 )
-
-needs_sharded = pytest.mark.skipif(
-    not sharded_available(), reason="numpy/shared-memory unavailable"
-)
-
 
 def _deterministic_stats(simulation):
     """``async_stats`` minus its single wall-clock entry (``events_per_sec``
@@ -127,16 +117,6 @@ def sweep_graph(request, master_seed):
     return builder(master_seed + len(request.param))
 
 
-@pytest.fixture(scope="module")
-def shard_pool():
-    """One persistent 2-shard pool for the whole module's sharded runs."""
-    if not sharded_available():
-        yield None
-        return
-    with ShardPool(num_shards=2) as pool:
-        yield pool
-
-
 def _bf_instance(graph, master_seed):
     return generators.to_directed_instance(
         graph, weight_range=(1, 9), orientation="asymmetric", seed=master_seed
@@ -144,13 +124,13 @@ def _bf_instance(graph, master_seed):
 
 
 # --------------------------------------------------------------------------- #
-# Unit-delay: bit-for-bit against all four synchronous tiers
+# Unit-delay: bit-for-bit against all three synchronous tiers
 # --------------------------------------------------------------------------- #
 class TestUnitDelayEquivalence:
-    """``engine="async"`` + :class:`UnitDelay` ≡ legacy ≡ fast ≡ vectorized ≡
-    sharded: results, ledger and round traces, on every equivalence family."""
+    """``engine="async"`` + :class:`UnitDelay` ≡ legacy ≡ fast ≡ vectorized:
+    results, ledger and round traces, on every equivalence family."""
 
-    def test_bellman_ford_five_tiers(self, family_graph, master_seed, shard_pool):
+    def test_bellman_ford_four_tiers(self, family_graph, master_seed):
         instance = _bf_instance(family_graph, master_seed)
         source = min(family_graph.nodes(), key=str)
         engines = ["fast", "legacy"]
@@ -165,11 +145,6 @@ class TestUnitDelayEquivalence:
             instance, source, engine="async", delay_model=UnitDelay(),
             trace=traces["async"],
         )
-        if shard_pool is not None:
-            runs["sharded"] = distributed_bellman_ford(
-                instance, source, engine="sharded", shard_pool=shard_pool
-            )
-            assert runs["sharded"].simulation.engine == "sharded"
         asy = runs["async"]
         assert asy.simulation.engine == "async"
         _assert_identical(*(r.simulation for r in runs.values()))
@@ -744,7 +719,7 @@ class TestAsyncErrorSemantics:
 class TestAsyncFallbackLadder:
     """``engine="async"`` degrades to ``fast`` with exactly one
     :class:`EngineFallbackWarning` naming *both* the requested and the
-    selected tier — mirroring the sharded→vectorized→fast ladder tests."""
+    selected tier — mirroring the vectorized→fast ladder tests."""
 
     def _run(self, graph=None, **kwargs):
         net = CongestNetwork(graph if graph is not None else generators.cycle_graph(9))
@@ -823,32 +798,3 @@ class TestFallbackMessageContract:
         message = str(fallbacks[0].message)
         assert "engine='vectorized'" in message
         assert "engine='fast'" in message
-
-    def test_sharded_fallback_names_both_tiers(self):
-        net = CongestNetwork(generators.cycle_graph(9))
-        result, fallbacks = self._fallbacks(net, engine="sharded", num_shards=2)
-        assert result.engine == "fast"
-        assert len(fallbacks) == 1
-        message = str(fallbacks[0].message)
-        assert "engine='sharded'" in message
-        assert "engine='fast'" in message
-
-    @needs_sharded
-    def test_num_shards_clamp_names_requested_and_selected_tier(self):
-        """The clamp path stays on the sharded tier; its warning must say so
-        explicitly instead of only describing the clamp."""
-        from repro.congest.primitives import flood_chunks as fc
-
-        net = CongestNetwork(generators.cycle_graph(9))
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            _, result = fc(
-                net, 0, [("c", 1)], engine="sharded", num_shards=50
-            )
-        fallbacks = [w for w in rec if issubclass(w.category, EngineFallbackWarning)]
-        assert result.engine == "sharded"
-        assert len(fallbacks) == 1
-        message = str(fallbacks[0].message)
-        assert "engine='sharded'" in message
-        assert "still running engine='sharded'" in message
-        assert "clamped" in message

@@ -68,6 +68,13 @@ class TestNetwork:
         with pytest.raises(GraphError):
             CongestNetwork(Graph())
 
+    @pytest.mark.parametrize("budget", ["8", None, 0, -1, 2.5, True])
+    def test_words_per_message_must_be_positive_int(self, budget):
+        """A budget that is not an int >= 1 is refused at construction,
+        before a protocol's first message could be blamed as oversized."""
+        with pytest.raises(SimulationError, match="words_per_message"):
+            CongestNetwork(generators.cycle_graph(6), words_per_message=budget)
+
     def test_silent_protocol_zero_rounds(self):
         net = CongestNetwork(generators.path_graph(5))
         result = net.run(lambda u: _Silent())
@@ -179,6 +186,28 @@ class TestEngineSelection:
             net.run(lambda u: _Silent(), engine="warp")
         with pytest.raises(SimulationError):
             CongestNetwork(generators.path_graph(3), engine="warp")
+
+    def test_removed_sharded_tier_is_refused(self):
+        """``sharded`` is not an engine: a request for it raises instead of
+        running or falling back to another tier, and its keywords are
+        rejected."""
+        from repro.congest.bellman_ford import distributed_bellman_ford
+        from repro.congest.network import ENGINES
+
+        assert ENGINES == ("fast", "legacy", "vectorized", "async")
+        graph = generators.path_graph(3)
+        with pytest.raises(SimulationError) as exc:
+            CongestNetwork(graph, engine="sharded")
+        assert str(ENGINES) in str(exc.value)
+        net = CongestNetwork(graph)
+        with pytest.raises(SimulationError) as exc:
+            net.run(lambda u: _Silent(), engine="sharded")
+        assert str(ENGINES) in str(exc.value)
+        with pytest.raises(TypeError):
+            net.run(lambda u: _Silent(), shard_pool=None)
+        instance = generators.to_directed_instance(graph, seed=1)
+        with pytest.raises(TypeError):
+            distributed_bellman_ford(instance, 0, num_shards=2)
 
     def test_result_records_engine(self):
         net = CongestNetwork(generators.path_graph(3))

@@ -1,31 +1,30 @@
-"""Randomized equivalence harness across all four execution tiers.
+"""Randomized equivalence harness across the synchronous execution tiers.
 
 Runs real protocols (flooding, BFS tree, broadcast, convergecast, leader
 election, Bellman-Ford, pipelined chunk flood / label broadcast) on ~30
-seeded random graph families and asserts the four execution tiers of
-:class:`CongestNetwork` (``legacy`` ≡ ``fast`` ≡ ``vectorized`` ≡
-``sharded``) produce *identical* ``rounds``, ``outputs``, ``messages_sent``,
-``words_sent``, ``max_words_per_edge_round``, ``max_message_words`` and
-round traces — i.e. full bandwidth-accounting parity.  Protocols with a
-:class:`~repro.congest.kernels.RoundKernel` (Bellman-Ford, BFS tree, chunk
-flood, label broadcast) genuinely execute on the vectorized and sharded
-tiers (asserted via the result's ``engine`` field) — the sharded tier at
-every shard count in ``{1, 2, 4, 7}``, including repeat runs on a
-persistent :class:`~repro.congest.engine.ShardPool` (worker reuse +
-shard-local init) — while the rest exercise the graceful fallback.  All
-instances derive from the session ``--seed``, so any failure is
-reproducible from the command line.
+seeded random graph families and asserts the synchronous execution tiers of
+:class:`CongestNetwork` (``legacy`` ≡ ``fast`` ≡ ``vectorized``) produce
+*identical* ``rounds``, ``outputs``, ``messages_sent``, ``words_sent``,
+``max_words_per_edge_round``, ``max_message_words`` and round traces — i.e.
+full bandwidth-accounting parity.  Protocols with a
+:class:`~repro.congest.kernels.RoundKernel` (Bellman-Ford, BFS tree, leader
+election, convergecast, chunk flood, label broadcast) genuinely execute on
+the vectorized tier (asserted via the result's ``engine`` field), while the
+rest exercise the graceful fallback.  All instances derive from the session
+``--seed``, so any failure is reproducible from the command line.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.congest.bellman_ford import distributed_bellman_ford
-from repro.congest.engine import SimulationTrace, sharded_available
+from repro.congest.engine import SimulationTrace
 from repro.congest.kernels import vectorized_available
+from repro.congest.message import payload_size_words
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll
 from repro.congest.primitives import (
@@ -37,11 +36,9 @@ from repro.congest.primitives import (
 )
 from repro.errors import BandwidthExceededError
 from repro.graphs import generators
+from repro.graphs.properties import dijkstra
 from repro.labeling.labels import DistanceLabel, DistanceLabeling
 from repro.labeling.sssp import measured_label_broadcast
-
-#: Shard counts every kernel protocol must be invariant under.
-SHARD_COUNTS = (1, 2, 4, 7)
 
 #: Dense families for long chunk floods: high-degree roots, and (diagonal
 #: grid, k-trees) nodes that get each chunk from several senders at once.
@@ -153,6 +150,52 @@ def _pseudo_labeling(graph, rng) -> DistanceLabeling:
                 lab.set_entry(s, float(rng.randint(0, 40)), float(rng.randint(0, 40)))
         labels[u] = lab
     return DistanceLabeling(labels)
+
+
+def _kernel_protocol_runs(net, seed, engine, root=None):
+    """Run every protocol that has a RoundKernel on ``net`` with ``engine``.
+
+    Inputs are drawn from ``seed`` and the network's current graph, rooted
+    at ``root`` (default: the smallest id).  Returns ``{protocol: (answer,
+    result, trace rows)}``.
+    """
+    graph = net.graph
+    rng = random.Random(seed + graph.num_nodes())
+    if root is None:
+        root = min(graph.nodes(), key=str)
+    chunks = [("chunk", k, rng.randint(0, 99)) for k in range(rng.randint(1, 7))]
+    labeling = _pseudo_labeling(graph, rng)
+    parent = graph.spanning_tree(root)
+    values = {u: rng.randint(-50, 50) for u in parent}
+    calls = {
+        "bfs_tree": lambda t: build_bfs_tree(net, root, engine=engine, trace=t),
+        "chunk_flood": lambda t: flood_chunks(net, root, chunks, engine=engine, trace=t),
+        "convergecast": lambda t: convergecast_sum(
+            net, parent, values, engine=engine, trace=t
+        ),
+        "label_broadcast": lambda t: (
+            measured_label_broadcast(net, labeling, root, engine=engine, trace=t),
+        ),
+    }
+    if graph.is_connected():
+        calls["leader"] = lambda t: elect_leader(net, engine=engine, trace=t)
+    runs = {}
+    for name, call in calls.items():
+        trace = SimulationTrace()
+        *answer, result = call(trace)
+        runs[name] = (answer, result, trace.as_dicts())
+    return runs
+
+
+def _assert_same_runs(ref, other):
+    """Two :func:`_kernel_protocol_runs` outputs agree protocol by protocol:
+    answers, full result accounting and round traces."""
+    assert ref.keys() == other.keys()
+    for name, (answer, result, rows) in ref.items():
+        other_answer, other_result, other_rows = other[name]
+        _assert_identical(result, other_result)
+        assert answer == other_answer, name
+        assert rows == other_rows, name
 
 
 @pytest.fixture(params=[name for name, _ in FAMILIES])
@@ -342,6 +385,78 @@ class TestVectorizedKernelEquivalence:
             assert traces["fast"].as_dicts() == traces["legacy"].as_dicts()
             assert traces["fast"].as_dicts() == traces["vectorized"].as_dicts()
 
+    def test_chunk_flood_three_tiers(self, family_graph, master_seed):
+        """A short chunk flood is bit-for-bit identical on fast, legacy and
+        vectorized on every family, received chunks and traces included."""
+        rng = random.Random(master_seed + family_graph.num_edges())
+        root = min(family_graph.nodes(), key=str)
+        chunks = [("chunk", k, rng.randint(0, 99)) for k in range(rng.randint(1, 7))]
+        net = CongestNetwork(family_graph, words_per_message=8)
+        traces, received, runs = {}, {}, {}
+        for engine in ("fast", "legacy", "vectorized"):
+            traces[engine] = SimulationTrace()
+            received[engine], runs[engine] = flood_chunks(
+                net, root, chunks, engine=engine, trace=traces[engine]
+            )
+        assert runs["vectorized"].engine == "vectorized"
+        _assert_identical(*runs.values())
+        assert received["fast"] == received["legacy"] == received["vectorized"]
+        assert traces["fast"].as_dicts() == traces["legacy"].as_dicts()
+        assert traces["fast"].as_dicts() == traces["vectorized"].as_dicts()
+
+    @pytest.mark.parametrize("num_chunks", [64, 300])
+    @pytest.mark.parametrize("family", DEEP_QUEUE_FAMILIES)
+    def test_chunk_flood_deep_queues(self, family, num_chunks, master_seed):
+        """Floods of 64 and 300 chunks are bit-for-bit identical on fast,
+        legacy and vectorized, traces included.  The root's arcs queue every
+        chunk at once, and 300 chunks need the kernel's int16 queue.  Chunk
+        sizes vary, so sending them in another order changes the traced
+        per-round words."""
+        rng = random.Random(master_seed + num_chunks)
+        graph = dict(FAMILIES)[family](master_seed + len(family))
+        root = min(graph.nodes(), key=str)
+        chunks = [("chunk", k) + (0,) * rng.randint(0, 4) for k in range(num_chunks)]
+        net = CongestNetwork(graph, words_per_message=16)
+        traces, received, runs = {}, {}, {}
+        for engine in ("fast", "legacy", "vectorized"):
+            traces[engine] = SimulationTrace()
+            received[engine], runs[engine] = flood_chunks(
+                net, root, chunks, engine=engine, trace=traces[engine],
+            )
+        assert runs["vectorized"].engine == "vectorized"
+        assert runs["fast"].halted
+        _assert_identical(*runs.values())
+        for engine in ("legacy", "vectorized"):
+            assert received[engine] == received["fast"], engine
+            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
+
+    def test_label_broadcast_deep_queues(self, master_seed):
+        """A source label of 81 entries floods bit-for-bit identically on
+        fast, legacy and vectorized, traces included."""
+        rng = random.Random(master_seed)
+        graph = generators.grid_graph(9, 9, diagonal=True)
+        nodes = graph.nodes()
+        labels = {}
+        for u in nodes:
+            lab = DistanceLabel(u)
+            for s in (nodes if u == nodes[0] else rng.sample(nodes, 6)):
+                lab.set_entry(s, float(rng.randint(0, 40)), float(rng.randint(0, 40)))
+            labels[u] = lab
+        labeling = DistanceLabeling(labels)
+        assert len(labeling.label(nodes[0]).to_dist) >= 64
+        net = CongestNetwork(graph, words_per_message=16)
+        traces, runs = {}, {}
+        for engine in ("fast", "legacy", "vectorized"):
+            traces[engine] = SimulationTrace()
+            runs[engine] = measured_label_broadcast(
+                net, labeling, nodes[0], engine=engine, trace=traces[engine],
+            )
+        assert runs["vectorized"].engine == "vectorized"
+        assert runs["fast"].halted
+        _assert_identical(*runs.values())
+        for engine in ("legacy", "vectorized"):
+            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
+
     def test_strict_bandwidth_error_on_packed_payloads(self, family_graph, master_seed):
         """A packed 3-word Bellman-Ford message must trip a 2-word budget on
         every tier (and not trip it when strict accounting is off)."""
@@ -354,13 +469,11 @@ class TestVectorizedKernelEquivalence:
         source = min(
             (u for u in family_graph.nodes() if family_graph.neighbors(u)), key=str
         )
-        engines = ["fast", "legacy", "vectorized"]
-        if sharded_available():
-            engines.append("sharded")
+        engines = ("fast", "legacy", "vectorized")
         for engine in engines:
             with pytest.raises(BandwidthExceededError):
                 distributed_bellman_ford(
-                    instance, source, engine=engine, words_per_message=2, num_shards=2
+                    instance, source, engine=engine, words_per_message=2
                 )
         # With strict accounting off the oversized messages are delivered on
         # every tier and only show up in the statistics.
@@ -376,7 +489,7 @@ class TestVectorizedKernelEquivalence:
         for engine in engines:
             kernel = (
                 BellmanFordKernel(source, local_inputs)
-                if engine in ("vectorized", "sharded")
+                if engine == "vectorized"
                 else None
             )
             lenient[engine] = net.run(
@@ -385,205 +498,189 @@ class TestVectorizedKernelEquivalence:
                 local_inputs=local_inputs,
                 engine=engine,
                 kernel=kernel,
-                num_shards=2,
             )
         assert lenient["vectorized"].engine == "vectorized"
-        if "sharded" in lenient:
-            assert lenient["sharded"].engine == "sharded"
         _assert_identical(*lenient.values())
         assert lenient["fast"].max_message_words == 3 > net.words_per_message
 
 
-@pytest.mark.skipif(not sharded_available(), reason="numpy/shared-memory unavailable")
-class TestShardedEquivalence:
-    """The multiprocess sharded tier: genuinely runs (``engine ==
-    "sharded"``), and for every shard count in ``SHARD_COUNTS`` is
-    bit-for-bit identical to the fast/legacy/vectorized tiers — outputs,
-    rounds, messages, words, ``max_words_per_edge_round``,
-    ``max_message_words`` and the full round trace."""
+@pytest.mark.skipif(not vectorized_available(), reason="numpy unavailable")
+class TestInstanceVariants:
+    """Inputs the tests above never draw: tied and one-way Bellman-Ford
+    instances, roots other than the smallest id, oversized chunks and
+    empty or partial broadcasts.  Every tier must still agree bit-for-bit,
+    traces included."""
 
-    def test_bellman_ford_shard_count_invariance(self, family_graph, master_seed):
-        """Every shard count matches the scalar/vectorized tiers bit-for-bit,
-        and at every count a *second* run on the same persistent ShardPool
-        (reused workers, shard-local init re-seeded from the run header) is
-        equally identical."""
-        from repro.congest.engine import ShardPool
-
+    @pytest.mark.parametrize(
+        "orientation, weights",
+        [("both", (1, 1)), ("random", (1, 9))],
+        ids=["unit_ties", "one_way"],
+    )
+    def test_bellman_ford_four_tiers(self, family_graph, master_seed, orientation, weights):
+        """Unit weights make many shortest paths tie, so every tier must
+        break parent ties alike; one-way arcs leave nodes unreachable
+        (``inf``, no parent).  fast, legacy, vectorized and async agree,
+        and the distances are Dijkstra's."""
         instance = generators.to_directed_instance(
-            family_graph,
-            weight_range=(1, 9),
-            orientation="asymmetric",
-            seed=master_seed,
+            family_graph, weight_range=weights, orientation=orientation, seed=master_seed
         )
         source = min(family_graph.nodes(), key=str)
-        ref_trace = SimulationTrace()
-        ref = distributed_bellman_ford(
-            instance, source, engine="fast", trace=ref_trace
-        )
-        vec = distributed_bellman_ford(instance, source, engine="vectorized")
-        _assert_identical(ref.simulation, vec.simulation)
-        for shards in SHARD_COUNTS:
-            with ShardPool(num_shards=shards) as pool:
-                for repeat in range(2):
-                    trace = SimulationTrace()
-                    run = distributed_bellman_ford(
-                        instance, source, engine="sharded", shard_pool=pool,
-                        trace=trace,
-                    )
-                    assert run.simulation.engine == "sharded", (shards, repeat)
-                    _assert_identical(ref.simulation, run.simulation)
-                    assert run.distances == ref.distances, (shards, repeat)
-                    assert run.parents == ref.parents, (shards, repeat)
-                    assert trace.as_dicts() == ref_trace.as_dicts(), (shards, repeat)
-                assert pool.workers_started == min(shards, len(instance.nodes()))
+        engines = ("fast", "legacy", "vectorized", "async")
+        traces = {e: SimulationTrace() for e in engines}
+        runs = {
+            e: distributed_bellman_ford(instance, source, engine=e, trace=traces[e])
+            for e in engines
+        }
+        assert runs["vectorized"].simulation.engine == "vectorized"
+        assert runs["async"].simulation.engine == "async"
+        _assert_identical(*(r.simulation for r in runs.values()))
+        reference = dijkstra(instance, source)
+        expected = {u: reference.get(u, math.inf) for u in instance.nodes()}
+        for engine, run in runs.items():
+            assert run.distances == expected, engine
+            assert run.parents == runs["fast"].parents, engine
+            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
 
-    def test_chunk_flood_shard_count_invariance(self, family_graph, master_seed):
+    def test_protocols_from_random_root(self, family_graph, master_seed):
+        """BFS tree, chunk flood, convergecast and label broadcast from a
+        seeded random root match on fast, legacy and vectorized."""
+        rng = random.Random(master_seed + 7 * family_graph.num_nodes())
+        root = rng.choice(sorted(family_graph.nodes(), key=str))
+        net = CongestNetwork(family_graph, words_per_message=16)
+        runs = {
+            e: _kernel_protocol_runs(net, master_seed, e, root=root)
+            for e in ("fast", "legacy", "vectorized")
+        }
+        for _, result, _ in runs["vectorized"].values():
+            assert result.engine == "vectorized"
+        _assert_same_runs(runs["fast"], runs["legacy"])
+        _assert_same_runs(runs["fast"], runs["vectorized"])
+        _, depth = runs["fast"]["bfs_tree"][0]
+        assert depth == family_graph.bfs_layers(root)
+
+    def test_oversized_chunk_strict_and_lenient(self, family_graph, master_seed):
+        """One chunk wider than the budget trips strict bandwidth on every
+        tier; with strict accounting off it is delivered, and every tier
+        reports it as the same ``max_message_words``."""
         rng = random.Random(master_seed + family_graph.num_edges())
-        root = min(family_graph.nodes(), key=str)
-        chunks = [("chunk", k, rng.randint(0, 99)) for k in range(rng.randint(1, 7))]
-        net = CongestNetwork(family_graph, words_per_message=8)
-        ref_trace = SimulationTrace()
-        ref_received, ref = flood_chunks(
-            net, root, chunks, engine="fast", trace=ref_trace
+        root = min(
+            (u for u in family_graph.nodes() if family_graph.neighbors(u)), key=str
         )
-        legacy_received, legacy = flood_chunks(net, root, chunks, engine="legacy")
-        vec_received, vec = flood_chunks(net, root, chunks, engine="vectorized")
-        assert vec.engine == "vectorized"
-        _assert_identical(ref, legacy, vec)
-        assert ref_received == legacy_received == vec_received
-        for shards in SHARD_COUNTS:
-            trace = SimulationTrace()
-            received, run = flood_chunks(
-                net, root, chunks, engine="sharded", num_shards=shards, trace=trace,
-            )
-            assert run.engine == "sharded", shards
-            _assert_identical(ref, run)
-            assert received == ref_received, shards
-            assert trace.as_dicts() == ref_trace.as_dicts(), shards
-
-    @pytest.mark.parametrize("num_chunks", [64, 300])
-    @pytest.mark.parametrize("family", DEEP_QUEUE_FAMILIES)
-    def test_chunk_flood_deep_queues(self, family, num_chunks, master_seed):
-        """Floods of 64 and 300 chunks are bit-for-bit identical on fast,
-        legacy, vectorized and sharded[2], traces included.  The root's
-        arcs queue every chunk at once, and 300 chunks need the kernel's
-        int16 queue.  Chunk sizes vary, so sending them in another order
-        changes the traced per-round words."""
-        rng = random.Random(master_seed + num_chunks)
-        graph = dict(FAMILIES)[family](master_seed + len(family))
-        root = min(graph.nodes(), key=str)
-        chunks = [("chunk", k) + (0,) * rng.randint(0, 4) for k in range(num_chunks)]
-        net = CongestNetwork(graph, words_per_message=16)
+        num_chunks = rng.randint(1, 7)
+        wide = rng.randrange(num_chunks)
+        chunks = [
+            ("chunk", k) + (0,) * (6 if k == wide else rng.randint(0, 2))
+            for k in range(num_chunks)
+        ]
+        budget = 8
+        wide_words = payload_size_words((wide, num_chunks, chunks[wide]))
+        assert wide_words > budget
+        engines = ("fast", "legacy", "vectorized", "async")
+        strict = CongestNetwork(family_graph, words_per_message=budget)
+        for engine in engines:
+            with pytest.raises(BandwidthExceededError):
+                flood_chunks(strict, root, chunks, engine=engine)
+        lenient = CongestNetwork(
+            family_graph, words_per_message=budget, strict_bandwidth=False
+        )
         traces, received, runs = {}, {}, {}
-        for engine in ("fast", "legacy", "vectorized", "sharded"):
+        for engine in engines:
             traces[engine] = SimulationTrace()
             received[engine], runs[engine] = flood_chunks(
-                net, root, chunks, engine=engine, num_shards=2, trace=traces[engine],
+                lenient, root, chunks, engine=engine, trace=traces[engine]
             )
         assert runs["vectorized"].engine == "vectorized"
-        assert runs["sharded"].engine == "sharded"
-        assert runs["fast"].halted
         _assert_identical(*runs.values())
-        for engine in ("legacy", "vectorized", "sharded"):
+        assert runs["fast"].max_message_words == wide_words
+        for engine in engines:
             assert received[engine] == received["fast"], engine
             assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
 
-    def test_label_broadcast_deep_queues(self, master_seed):
-        """A source label of 81 entries floods bit-for-bit identically on
-        fast, legacy, vectorized and sharded[2], traces included."""
-        rng = random.Random(master_seed)
-        graph = generators.grid_graph(9, 9, diagonal=True)
-        nodes = graph.nodes()
-        labels = {}
-        for u in nodes:
-            lab = DistanceLabel(u)
-            for s in (nodes if u == nodes[0] else rng.sample(nodes, 6)):
-                lab.set_entry(s, float(rng.randint(0, 40)), float(rng.randint(0, 40)))
-            labels[u] = lab
-        labeling = DistanceLabeling(labels)
-        assert len(labeling.label(nodes[0]).to_dist) >= 64
-        net = CongestNetwork(graph, words_per_message=16)
-        traces, runs = {}, {}
-        for engine in ("fast", "legacy", "vectorized", "sharded"):
-            traces[engine] = SimulationTrace()
-            runs[engine] = measured_label_broadcast(
-                net, labeling, nodes[0], engine=engine, num_shards=2,
-                trace=traces[engine],
-            )
-        assert runs["vectorized"].engine == "vectorized"
-        assert runs["sharded"].engine == "sharded"
-        assert runs["fast"].halted
-        _assert_identical(*runs.values())
-        for engine in ("legacy", "vectorized", "sharded"):
-            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
-
-    def test_bfs_tree_shard_count_invariance(self, family_graph, master_seed):
-        net = CongestNetwork(family_graph)
-        root = min(family_graph.nodes(), key=str)
-        ref_trace = SimulationTrace()
-        p_ref, d_ref, ref = build_bfs_tree(net, root, engine="fast", trace=ref_trace)
-        for shards in SHARD_COUNTS:
-            trace = SimulationTrace()
-            p_run, d_run, run = build_bfs_tree(
-                net, root, engine="sharded", num_shards=shards, trace=trace,
-            )
-            assert run.engine == "sharded", shards
-            _assert_identical(ref, run)
-            assert p_run == p_ref, shards
-            assert d_run == d_ref, shards
-            assert trace.as_dicts() == ref_trace.as_dicts(), shards
-
-    def test_leader_election_shard_count_invariance(self, family_graph, master_seed):
-        if not family_graph.is_connected():
-            pytest.skip("leader election requires a connected graph")
-        net = CongestNetwork(family_graph)
-        ref_trace = SimulationTrace()
-        leader_ref, ref = elect_leader(net, engine="fast", trace=ref_trace)
-        for shards in SHARD_COUNTS:
-            trace = SimulationTrace()
-            leader, run = elect_leader(
-                net, engine="sharded", num_shards=shards, trace=trace,
-            )
-            assert run.engine == "sharded", shards
-            _assert_identical(ref, run)
-            assert leader == leader_ref, shards
-            assert trace.as_dicts() == ref_trace.as_dicts(), shards
-
-    def test_convergecast_shard_count_invariance(self, family_graph, master_seed):
-        rng = random.Random(master_seed + family_graph.num_edges())
-        net = CongestNetwork(family_graph)
-        root = min(family_graph.nodes(), key=str)
-        parent = family_graph.spanning_tree(root)
-        values = {u: rng.choice([rng.randint(-9, 9), rng.uniform(-2.0, 2.0)]) for u in parent}
-        ref_trace = SimulationTrace()
-        total_ref, ref = convergecast_sum(
-            net, parent, values, engine="fast", trace=ref_trace
-        )
-        for shards in SHARD_COUNTS:
-            trace = SimulationTrace()
-            total, run = convergecast_sum(
-                net, parent, values, engine="sharded", num_shards=shards,
-                trace=trace,
-            )
-            assert run.engine == "sharded", shards
-            _assert_identical(ref, run)
-            assert total == total_ref, shards
-            assert trace.as_dicts() == ref_trace.as_dicts(), shards
-
-    def test_label_broadcast_shard_count_invariance(self, family_graph, master_seed):
+    def test_empty_and_partial_broadcasts(self, family_graph, master_seed):
+        """A flood of zero chunks (only the root finishes), a label
+        broadcast from a source with an empty label, and one over a
+        labeling that leaves nodes unlabelled (they decode ``inf``) agree
+        on every tier."""
         rng = random.Random(master_seed + family_graph.num_nodes())
-        labeling = _pseudo_labeling(family_graph, rng)
-        source = min(family_graph.nodes(), key=str)
-        net = CongestNetwork(family_graph, words_per_message=16)
-        ref_trace = SimulationTrace()
-        ref = measured_label_broadcast(
-            net, labeling, source, engine="fast", trace=ref_trace
+        root = min(family_graph.nodes(), key=str)
+        full = _pseudo_labeling(family_graph, rng)
+        labels = {u: full.label(u) for u in family_graph.nodes()}
+        empty_source = DistanceLabeling({**labels, root: DistanceLabel(root)})
+        partial = DistanceLabeling(
+            {u: lab for u, lab in labels.items() if u == root or rng.random() < 0.6}
         )
-        for shards in SHARD_COUNTS:
-            trace = SimulationTrace()
-            run = measured_label_broadcast(
-                net, labeling, source, engine="sharded", num_shards=shards, trace=trace,
-            )
-            assert run.engine == "sharded", shards
-            _assert_identical(ref, run)
-            assert trace.as_dicts() == ref_trace.as_dicts(), shards
+        net = CongestNetwork(family_graph, words_per_message=16)
+        calls = {
+            "no_chunks": lambda e, t: flood_chunks(net, root, [], engine=e, trace=t),
+            "empty_source_label": lambda e, t: (
+                measured_label_broadcast(net, empty_source, root, engine=e, trace=t),
+            ),
+            "partial_labeling": lambda e, t: (
+                measured_label_broadcast(net, partial, root, engine=e, trace=t),
+            ),
+        }
+        engines = ("fast", "legacy", "vectorized", "async")
+        for name, call in calls.items():
+            traces, runs = {}, {}
+            for engine in engines:
+                traces[engine] = SimulationTrace()
+                runs[engine] = call(engine, traces[engine])
+            assert runs["vectorized"][-1].engine == "vectorized", name
+            _assert_identical(*(r[-1] for r in runs.values()))
+            for engine in engines:
+                assert runs[engine][:-1] == runs["fast"][:-1], (name, engine)
+                assert traces[engine].as_dicts() == traces["fast"].as_dicts(), (
+                    name,
+                    engine,
+                )
+        assert runs["fast"][-1].outputs[root] == 0.0
+        for u, out in runs["fast"][-1].outputs.items():
+            if u not in partial:
+                assert out == math.inf, u
+        received, _ = calls["no_chunks"]("fast", None)
+        assert received == {root: ()}
+
+
+@pytest.mark.skipif(not vectorized_available(), reason="numpy unavailable")
+class TestNetworkReuse:
+    """One :class:`CongestNetwork` serves many runs, as the labeling
+    pipeline's measured broadcasts do.  Each run must depend only on the
+    current graph and the protocol's inputs, never on what ran before."""
+
+    def test_interleaved_protocols_repeat_bit_for_bit(self, family_graph, master_seed):
+        """Every kernel protocol, run twice in turn on one network, repeats
+        bit-for-bit, and matches a fresh network and the fast tier."""
+        net = CongestNetwork(family_graph, words_per_message=16)
+        first = _kernel_protocol_runs(net, master_seed, "vectorized")
+        fast = _kernel_protocol_runs(net, master_seed, "fast")
+        second = _kernel_protocol_runs(net, master_seed, "vectorized")
+        for _, result, _ in (*first.values(), *second.values()):
+            assert result.engine == "vectorized"
+        _assert_same_runs(first, second)
+        _assert_same_runs(first, fast)
+        fresh = CongestNetwork(family_graph, words_per_message=16)
+        _assert_same_runs(first, _kernel_protocol_runs(fresh, master_seed, "vectorized"))
+
+    def test_graph_mutation_refreshes_every_tier(self, family_graph, master_seed):
+        """Edges added after a run are seen by the next run on every tier:
+        results equal a fresh network's over the grown graph, and BFS depths
+        equal its hop distances."""
+        graph = family_graph.copy()
+        net = CongestNetwork(graph, words_per_message=16)
+        before = _kernel_protocol_runs(net, master_seed, "vectorized")
+        root = min(graph.nodes(), key=str)
+        depths = graph.bfs_layers(root)
+        far = max(depths, key=lambda u: (depths[u], str(u)))
+        # The BFS kernel's tie-break needs mutually comparable ids.
+        top = max(graph.nodes())
+        graph.add_edge(far, top + 1 if isinstance(top, int) else top + ("pendant",))
+        if far != root and far not in graph.neighbors(root):
+            graph.add_edge(root, far)
+        assert min(graph.nodes(), key=str) == root
+        for engine in ("vectorized", "fast", "legacy"):
+            runs = _kernel_protocol_runs(net, master_seed, engine)
+            fresh = CongestNetwork(graph, words_per_message=16)
+            _assert_same_runs(runs, _kernel_protocol_runs(fresh, master_seed, engine))
+            _, depth = runs["bfs_tree"][0]
+            assert depth == graph.bfs_layers(root), engine
+            assert depth != before["bfs_tree"][0][1], engine

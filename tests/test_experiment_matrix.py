@@ -325,7 +325,7 @@ class TestResultStore:
 # gates
 # --------------------------------------------------------------------------- #
 #: A healthy engine-trajectory record satisfying the full-scale ratio gates
-#: (vectorized 10x and sharded[2] 2x over fast on the dense case).  Used
+#: (vectorized 10x over fast on the dense case).  Used
 #: instead of the real BENCH_engine.json, which is generated by the bench
 #: suite and absent in a fresh checkout.
 GOOD_ENGINE_RECORD = {
@@ -334,13 +334,6 @@ GOOD_ENGINE_RECORD = {
         "tiers": {
             "fast": {"seconds": 10.0},
             "vectorized": {"seconds": 1.0},
-        },
-    },
-    "bellman_ford_dense_sharded": {
-        "scale": "full",
-        "tiers": {
-            "fast": {"seconds": 10.0},
-            "sharded[2]": {"seconds": 5.0},
         },
     },
 }

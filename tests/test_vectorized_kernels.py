@@ -10,10 +10,11 @@ the engine-measured BCT broadcast of the labeling construction.
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
-from repro.congest.engine import _deliver_order
+from repro.congest.engine import EngineFallbackWarning, _deliver_order
 from repro.congest.kernels import FloodingKernel
 from repro.congest.message import PayloadSchema, payload_size_words
 from repro.congest.network import CongestNetwork
@@ -90,12 +91,48 @@ class TestDeliverOrder:
 
 
 class TestGracefulFallback:
+    """Engine-tier fallbacks emit exactly one EngineFallbackWarning naming
+    the reason."""
+
+    def _run(self, engine):
+        net = CongestNetwork(generators.cycle_graph(9))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            result = net.run(lambda u: BroadcastAll(value=u), engine=engine)
+        return result, [w for w in rec if issubclass(w.category, EngineFallbackWarning)]
+
     def test_vectorized_without_kernel_runs_fast(self, master_seed):
         graph = generators.cycle_graph(9)
         net = CongestNetwork(graph, engine="vectorized")
         result = net.run(lambda u: BroadcastAll(value=u))
         assert result.engine == "fast"
         assert result.halted
+
+    def test_vectorized_without_kernel_warns_exactly_once(self):
+        result, fallbacks = self._run("vectorized")
+        assert result.engine == "fast"
+        assert len(fallbacks) == 1
+        assert "no RoundKernel" in str(fallbacks[0].message)
+        assert "engine='fast'" in str(fallbacks[0].message)
+
+    def test_fast_and_legacy_do_not_warn(self):
+        for engine in ("fast", "legacy"):
+            result, fallbacks = self._run(engine)
+            assert result.engine == engine
+            assert fallbacks == []
+
+    def test_network_default_engine_attaches_protocol_kernels(self):
+        """A network whose *default* engine is the kernel tier must get the
+        protocol kernel from the helper functions — no explicit ``engine=``
+        argument, no spurious fallback warning."""
+        pytest.importorskip("numpy")
+        net = CongestNetwork(generators.grid_graph(4, 4), engine="vectorized")
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            _, result = flood_chunks(net, (0, 0), [("c", 1), ("c", 2)])
+        fallbacks = [w for w in rec if issubclass(w.category, EngineFallbackWarning)]
+        assert result.engine == "vectorized"
+        assert fallbacks == []
 
     def test_unknown_engine_rejected(self):
         graph = generators.cycle_graph(5)
@@ -170,7 +207,6 @@ class TestMeasuredBctBroadcast:
                 assert measured.labeling.distance(u, v) == modeled.labeling.distance(u, v)
 
     def test_measured_engines_agree(self, rng, config):
-        from repro.congest.engine import sharded_available
         from repro.congest.kernels import vectorized_available
 
         graph = generators.partial_k_tree(18, 2, seed=rng.randrange(1 << 30))
@@ -180,8 +216,6 @@ class TestMeasuredBctBroadcast:
         engines = ["fast", "legacy"]
         if vectorized_available():
             engines.append("vectorized")  # runs the FloodingKernel per level
-        if sharded_available():
-            engines.append("sharded")  # same kernel across worker processes
         by_engine = {
             engine: build_distance_labeling(
                 instance, config=config, measured_broadcast=True, broadcast_engine=engine
