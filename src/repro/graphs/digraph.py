@@ -74,6 +74,11 @@ class WeightedDiGraph:
         self._version = 0
         self._ug_cache: Optional[Graph] = None
         self._ug_version = -1
+        # Hub incidence lists grouped by the other endpoint (see ``subgraph``),
+        # valid while ``_version == _index_version``.
+        self._out_by_head: Dict[NodeId, Dict[NodeId, List[int]]] = {}
+        self._in_by_tail: Dict[NodeId, Dict[NodeId, List[int]]] = {}
+        self._index_version = 0
         if nodes is not None:
             for u in nodes:
                 self.add_node(u)
@@ -246,12 +251,18 @@ class WeightedDiGraph:
     def subgraph(self, nodes: Iterable[NodeId]) -> "WeightedDiGraph":
         """Return the subgraph induced by ``nodes`` (edge ids preserved).
 
-        Reads only the kept nodes' own incidence lists: O(vol + k log k) for
-        kept-node degree sum ``vol`` and ``k`` kept edges, instead of a scan
-        of all m edges.  Per-node edge order, ``edges()`` order, edge ids and
-        the next free edge id are the parent's.  A parent whose edge ids were
-        not added in ascending order still pays O(m), to recover its
-        ``edges()`` order.
+        Reads only the kept nodes' own incidence lists, and of a hub — a kept
+        node whose out-list (in-list) is longer than the kept set — only its
+        edges to (from) kept nodes, from an index of its list grouped by head
+        (tail).  A hub's index is built on its first such call and kept until
+        the next mutation of this graph.  After that the cost is
+        O(Σ_u min(deg u, k) + e log e) for ``k`` kept nodes and ``e`` kept
+        edges, instead of a scan of all m edges.  Per-node edge order,
+        ``edges()`` order, edge ids and the next free edge id are the
+        parent's.  The grouped path sorts the gathered edge ids, which is the
+        parent's per-node order only while edge ids were added in ascending
+        order; a parent where they were not reads every kept node's whole
+        lists, and pays O(m) to recover its ``edges()`` order.
         """
         keep = set(nodes)
         missing = keep - self._nodes
@@ -262,10 +273,20 @@ class WeightedDiGraph:
         g = WeightedDiGraph(keep)
         edges = self._edges
         out, inn = self._out, self._in
+        ascending = self._ascending_eids
+        k = len(keep)
         for u in keep:
-            g._out[u] = [eid for eid in out[u] if edges[eid].head in keep]
-            g._in[u] = [eid for eid in inn[u] if edges[eid].tail in keep]
-        if self._ascending_eids:
+            if ascending and len(out[u]) > k:
+                by_head = self._grouped_incidence(u, True)
+                g._out[u] = sorted(eid for v in keep if v in by_head for eid in by_head[v])
+            else:
+                g._out[u] = [eid for eid in out[u] if edges[eid].head in keep]
+            if ascending and len(inn[u]) > k:
+                by_tail = self._grouped_incidence(u, False)
+                g._in[u] = sorted(eid for v in keep if v in by_tail for eid in by_tail[v])
+            else:
+                g._in[u] = [eid for eid in inn[u] if edges[eid].tail in keep]
+        if ascending:
             kept = sorted(eid for eids in g._out.values() for eid in eids)
             g._edges = {eid: edges[eid] for eid in kept}
         else:
@@ -275,6 +296,24 @@ class WeightedDiGraph:
             g._ascending_eids = False
         g._next_eid = self._next_eid
         return g
+
+    def _grouped_incidence(self, u: NodeId, outgoing: bool) -> Dict[NodeId, List[int]]:
+        """``u``'s out-list grouped by head (in-list by tail), each group in list order."""
+        if self._index_version != self._version:
+            self._out_by_head, self._in_by_tail = {}, {}
+            self._index_version = self._version
+        index = self._out_by_head if outgoing else self._in_by_tail
+        groups = index.get(u)
+        if groups is None:
+            groups = index[u] = {}
+            edges = self._edges
+            if outgoing:
+                for eid in self._out[u]:
+                    groups.setdefault(edges[eid].head, []).append(eid)
+            else:
+                for eid in self._in[u]:
+                    groups.setdefault(edges[eid].tail, []).append(eid)
+        return groups
 
     def underlying_graph(self) -> Graph:
         """Return the communication network ⟦G⟧ (paper §2.1).

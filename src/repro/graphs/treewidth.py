@@ -10,9 +10,11 @@ decomposition.  This module provides:
   heuristics giving *upper bounds* on the treewidth (these are the same
   heuristics exposed by networkx; our implementation keeps the library
   self-contained and returns the full elimination order).
+* ``reduced_min_fill_order`` — min-fill with the simplicial and almost
+  simplicial reduction rules applied first.
 * ``decomposition_from_elimination_order`` — the standard construction of a
   tree decomposition from an elimination order.
-* ``treewidth_upper_bound`` — min over both heuristics.
+* ``treewidth_upper_bound`` — min over the three orders.
 * ``treewidth_lower_bound`` — the degeneracy (MMD) lower bound.
 * ``treewidth_exact_small`` — exact treewidth by trying all widths with a
   simple recursive QuickBB-flavoured search, intended only for graphs with at
@@ -64,6 +66,26 @@ def min_fill_order(graph: Graph) -> List[NodeId]:
     bounded-degree/low-treewidth graphs.  The produced order is identical to
     the naive recompute-everything greedy.
     """
+    return _greedy_fill_order(graph, reduce=False)
+
+
+def reduced_min_fill_order(graph: Graph) -> List[NodeId]:
+    """Return a min-fill order that applies the safe reduction rules first.
+
+    At every step a simplicial vertex (fill-in 0) is eliminated if there is
+    one, raising the running lower bound ``low`` to its degree; otherwise an
+    almost simplicial vertex (its neighbourhood is a clique once one
+    neighbour is left out) of degree ≤ ``low`` is eliminated; otherwise the
+    min-fill choice is taken.  ``low`` starts at the degeneracy.  Both rules
+    are the treewidth-preserving pre-processing rules of Bodlaender & Koster;
+    plain min-fill can miss them when an almost simplicial vertex has more
+    fill-in than some other vertex, and then overshoots the treewidth of
+    some partial k-trees by one.
+    """
+    return _greedy_fill_order(graph, reduce=True)
+
+
+def _greedy_fill_order(graph: Graph, reduce: bool) -> List[NodeId]:
     adj = _copy_adj(graph)
     strs = {u: str(u) for u in adj}
     order: List[NodeId] = []
@@ -80,10 +102,44 @@ def min_fill_order(graph: Graph) -> List[NodeId]:
             present += len(nbrs & adj[a])
         return k * (k - 1) // 2 - present // 2
 
+    def update_almost(u: NodeId) -> None:
+        # ``almost`` holds the reducible vertices: degree ≤ low, not
+        # simplicial, and every missing pair inside N(u) shares one endpoint
+        # w, i.e. w alone accounts for all fill[u] of them.  Vertices above
+        # ``low`` wait in ``high`` until ``low`` reaches their degree.
+        nbrs = adj[u]
+        f = fill[u]
+        almost.discard(u)
+        high.discard(u)
+        if len(nbrs) > low:
+            high.add(u)
+        elif 0 < f < len(nbrs) and any(len(nbrs - adj[w]) - 1 == f for w in nbrs):
+            almost.add(u)
+
+    def key(x: NodeId) -> Tuple[int, int, str]:
+        return fill[x], len(adj[x]), strs[x]
+
     fill: Dict[NodeId, int] = {u: fill_in(u) for u in adj}
+    almost: Set[NodeId] = set()
+    high: Set[NodeId] = set()
+    low = 0
+    if reduce:
+        low = degeneracy(graph)
+        for x in adj:
+            update_almost(x)
 
     while adj:
-        u = min(adj, key=lambda x: (fill[x], len(adj[x]), strs[x]))
+        u = min(adj, key=key)
+        if reduce:
+            if fill[u] == 0:
+                if len(adj[u]) > low:
+                    low = len(adj[u])
+                    for x in [x for x in high if len(adj[x]) <= low]:
+                        update_almost(x)
+            else:
+                u = min(almost, key=key, default=u)
+            almost.discard(u)
+            high.discard(u)
         order.append(u)
         nbrs = adj.pop(u)
         del fill[u]
@@ -92,9 +148,10 @@ def min_fill_order(graph: Graph) -> List[NodeId]:
         for a, b in itertools.combinations(nbrs, 2):
             adj[a].add(b)
             adj[b].add(a)
-        # fill_in can only have changed for the eliminated vertex's
-        # neighbours (their neighbourhood changed) and the neighbours of
-        # those (a fill edge may have closed one of their missing pairs).
+        # fill_in (and with it almost simpliciality) can only have changed
+        # for the eliminated vertex's neighbours (their neighbourhood
+        # changed) and the neighbours of those (a fill edge may have closed
+        # one of their missing pairs).
         affected: Set[NodeId] = set()
         for a in nbrs:
             affected.add(a)
@@ -102,6 +159,9 @@ def min_fill_order(graph: Graph) -> List[NodeId]:
         affected &= adj.keys()
         for x in affected:
             fill[x] = fill_in(x)
+        if reduce:
+            for x in affected:
+                update_almost(x)
     return order
 
 
@@ -166,12 +226,13 @@ def decomposition_from_elimination_order(
 # Bounds
 # --------------------------------------------------------------------------- #
 def treewidth_upper_bound(graph: Graph) -> int:
-    """Best heuristic upper bound (min over min-degree and min-fill orders)."""
+    """Best heuristic upper bound (min over the three elimination orders)."""
     if graph.num_nodes() == 0:
         return 0
-    w1 = width_of_elimination_order(graph, min_degree_order(graph))
-    w2 = width_of_elimination_order(graph, min_fill_order(graph))
-    return min(w1, w2)
+    return min(
+        width_of_elimination_order(graph, order(graph))
+        for order in (min_degree_order, min_fill_order, reduced_min_fill_order)
+    )
 
 
 def degeneracy(graph: Graph) -> int:

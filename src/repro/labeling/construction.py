@@ -13,7 +13,12 @@ all-pairs shortest paths locally.  For an internal node x:
    Õ(τD + τ⁵) per level);
 4. every node upgrades its distance set from child-graph distances to
    G_x-distances using the Lemma 4 decomposition through the bag, and learns
-   its distances to/from all of B_x.
+   its distances to/from all of B_x.  Only the entries that can change are
+   recomputed: a deep entry d(u, v) is re-minimised over the boundary
+   vertices s2 whose own entry improved, d_x(u, s2) < d_{G_{x·i}}(u, s2),
+   because any other s2 offers d_{G_{x·i}}(u, s2) + d_{G_{x·i}}(s2, v), which
+   the triangle inequality inside the child graph bounds below by the stored
+   d_{G_{x·i}}(u, v) (and likewise for from-distances).
 
 At the root the labels store exact full-graph distances to B↑(u), which is
 what the decoder of Lemma 2 requires.
@@ -22,8 +27,9 @@ what the decoder of Lemma 2 requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from operator import add
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.congest import kernels
 from repro.congest.message import DEFAULT_WORDS_PER_MESSAGE, payload_size_words
@@ -77,23 +83,19 @@ def _local_apsp_labels(
     dist_from: Dict[NodeId, Dict[NodeId, float]] = {
         u: dijkstra(sub, u) for u in vertices
     }
-    labels: Dict[NodeId, DistanceLabel] = {}
-    for u in vertices:
-        lab = DistanceLabel(u)
-        for s in vertices:
-            lab.set_entry(
-                s,
-                dist_from[u].get(s, INF),
-                dist_from[s].get(u, INF),
-            )
-        labels[u] = lab
-    return labels
+    return {
+        u: DistanceLabel(
+            u,
+            {s: dist_from[u].get(s, INF) for s in vertices},
+            {s: dist_from[s].get(u, INF) for s in vertices},
+        )
+        for u in vertices
+    }
 
 
 def _build_auxiliary_graph(
     instance: WeightedDiGraph,
     bag: FrozenSet[NodeId],
-    gx_vertices: FrozenSet[NodeId],
     child_info: List[Tuple[FrozenSet[NodeId], Dict[NodeId, DistanceLabel]]],
 ) -> WeightedDiGraph:
     """Construct the directed auxiliary graph H_x on the bag B_x (paper §4.2)."""
@@ -107,13 +109,11 @@ def _build_auxiliary_graph(
         if key not in best or w < best[key]:
             best[key] = w
 
-    # Direct input edges of G_x between bag vertices.
+    # Direct input edges of G_x between bag vertices (B_x ⊆ V(G_x)).
+    direct = instance.subgraph(bag)
     for u in bag:
-        if not instance.has_node(u):
-            continue
-        for e in instance.out_edges(u):
-            if e.head in bag and e.head in gx_vertices and e.tail in gx_vertices:
-                offer(e.tail, e.head, e.weight)
+        for e in direct.out_edges(u):
+            offer(e.tail, e.head, e.weight)
 
     # Distances through the child graphs.
     for child_vertices, child_labels in child_info:
@@ -279,8 +279,7 @@ def build_distance_labeling(
             child_info.append((child_node.graph_vertices, labels_by_node[child]))
 
         bag = node.bag
-        gx_vertices = node.graph_vertices
-        aux = _build_auxiliary_graph(instance, bag, gx_vertices, child_info)
+        aux = _build_auxiliary_graph(instance, bag, child_info)
         # All-pairs shortest paths on H_x = distances of G_x restricted to B_x
         # (Lemma 3).
         apsp_to: Dict[NodeId, Dict[NodeId, float]] = {u: dijkstra(aux, u) for u in bag}
@@ -296,70 +295,83 @@ def build_distance_labeling(
         # Bag vertices: their subtree hub set is exactly B_x (their canonical
         # node is at this depth or above), with exact G_x distances from H_x.
         for u in bag:
-            lab = DistanceLabel(u)
             du = apsp_to[u]
-            for s in bag:
-                lab.set_entry(s, du.get(s, INF), apsp_to[s].get(u, INF))
-            new_labels[u] = lab
+            new_labels[u] = DistanceLabel(
+                u,
+                {s: du.get(s, INF) for s in bag},
+                {s: apsp_to[s].get(u, INF) for s in bag},
+            )
 
         # Non-bag vertices: upgrade the child label (Lemma 4) and extend it
         # with distances to/from all of B_x.
         for child_vertices, child_labels in child_info:
             boundary = [v for v in bag if v in child_vertices]
+            # The bag APSP's boundary columns, gathered once per child:
+            # d_x(s2, s) and d_x(s, s2) for s2 over the boundary, per s ∈ B_x.
+            to_cols = [(s, [apsp_to[s2].get(s, INF) for s2 in boundary]) for s in bag]
+            from_cols = [(s, [apsp_to[s].get(s2, INF) for s2 in boundary]) for s in bag]
             for u in child_vertices:
                 if u in bag:
                     continue
-                old = child_labels[u]
-                lab = DistanceLabel(u)
-                # New hub entries: every s ∈ B_x, reached through the boundary.
-                to_boundary = [(s2, old.to_dist.get(s2, INF)) for s2 in boundary]
-                from_boundary = [(s2, old.from_dist.get(s2, INF)) for s2 in boundary]
-                for s in bag:
-                    best_to = INF
-                    best_from = INF
-                    for s2, d_u_s2 in to_boundary:
-                        if d_u_s2 == INF:
-                            continue
-                        d_s2_s = apsp_to[s2].get(s, INF)
-                        if d_s2_s == INF:
-                            continue
-                        cand = d_u_s2 + d_s2_s
-                        if cand < best_to:
-                            best_to = cand
-                    ds = apsp_to[s]
-                    for s2, d_s2_u in from_boundary:
-                        if d_s2_u == INF:
-                            continue
-                        d_s_s2 = ds.get(s2, INF)
-                        if d_s_s2 == INF:
-                            continue
-                        cand = d_s_s2 + d_s2_u
-                        if cand < best_from:
-                            best_from = cand
-                    lab.set_entry(s, best_to, best_from)
+                old_to = child_labels[u].to_dist
+                old_from = child_labels[u].from_dist
+                # New hub entries: every s ∈ B_x, reached through the boundary
+                # (a missing child entry is ∞, and ∞ + x = ∞ never wins).  The
+                # outer min(INF, …) stores an unreachable entry as the shared
+                # INF object, not as a fresh float per entry.
+                to_row = [old_to.get(s2, INF) for s2 in boundary]
+                from_row = [old_from.get(s2, INF) for s2 in boundary]
+                if boundary:
+                    to_dist = {s: min(INF, min(map(add, to_row, col))) for s, col in to_cols}
+                    from_dist = {
+                        s: min(INF, min(map(add, col, from_row))) for s, col in from_cols
+                    }
+                else:  # G_{x·i} does not touch B_x
+                    to_dist = dict.fromkeys(bag, INF)
+                    from_dist = dict.fromkeys(bag, INF)
                 # Upgraded deep entries: hubs of the child label not in B_x.
-                for v in old.to_dist:
-                    if v in bag:
-                        continue
-                    v_label = child_labels.get(v)
-                    best_to = old.to_dist.get(v, INF)
-                    best_from = old.from_dist.get(v, INF)
-                    if v_label is not None:
-                        for s2 in boundary:
-                            d_u_s2 = lab.to_dist.get(s2, INF)
-                            d_s2_v = v_label.from_dist.get(s2, INF)
-                            if d_u_s2 != INF and d_s2_v != INF:
-                                cand = d_u_s2 + d_s2_v
+                # Child labels hold exact G_{x·i} distances, so a boundary
+                # vertex s2 whose entry did not improve offers
+                # d_c(u, s2) + d_c(s2, v) ≥ d_c(u, v) by the triangle
+                # inequality inside G_{x·i} (mirrored for from-distances):
+                # only the improved entries can lower a deep entry, and with
+                # none the child's deep entries carry over unchanged.  (With
+                # fractional weights a skipped candidate can differ from the
+                # kept entry only by float rounding.)
+                improved_to = [
+                    (s2, to_dist[s2]) for s2, d in zip(boundary, to_row) if to_dist[s2] < d
+                ]
+                improved_from = [
+                    (s2, from_dist[s2])
+                    for s2, d in zip(boundary, from_row)
+                    if from_dist[s2] < d
+                ]
+                if improved_to or improved_from:
+                    for v, best_to in old_to.items():
+                        if v in bag:
+                            continue
+                        best_from = old_from.get(v, INF)
+                        v_label = child_labels.get(v)
+                        if v_label is not None:
+                            v_from = v_label.from_dist
+                            for s2, d_u_s2 in improved_to:
+                                cand = d_u_s2 + v_from.get(s2, INF)
                                 if cand < best_to:
                                     best_to = cand
-                            d_v_s2 = v_label.to_dist.get(s2, INF)
-                            d_s2_u = lab.from_dist.get(s2, INF)
-                            if d_v_s2 != INF and d_s2_u != INF:
-                                cand = d_v_s2 + d_s2_u
+                            v_to = v_label.to_dist
+                            for s2, d_s2_u in improved_from:
+                                cand = v_to.get(s2, INF) + d_s2_u
                                 if cand < best_from:
                                     best_from = cand
-                    lab.set_entry(v, best_to, best_from)
-                new_labels[u] = lab
+                        to_dist[v] = best_to
+                        from_dist[v] = best_from
+                else:
+                    for v, d in old_to.items():
+                        if v not in bag:
+                            to_dist[v] = d
+                            from_dist[v] = old_from.get(v, INF)
+                new_labels[u] = DistanceLabel(u, to_dist, from_dist)
+            del to_cols, from_cols
 
         labels_by_node[label] = new_labels
         # Children labelings are no longer needed.

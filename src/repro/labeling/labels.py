@@ -310,11 +310,19 @@ class DistanceLabeling:
             )
         if tail == head:
             raise LabelingError("self-loop updates do not affect distances")
-        if not self._instance.has_node(tail) or not self._instance.has_node(head):
+        try:
+            known = self._instance.has_node(tail) and self._instance.has_node(head)
+        except TypeError:  # an unhashable id
+            known = False
+        if not known:
             raise LabelingError(
                 f"arc ({tail!r}, {head!r}) endpoints are not vertices of the instance"
             )
-        if weight != INF and (not weight >= 0):
+        try:
+            valid = weight == INF or weight >= 0
+        except TypeError:  # a non-numeric weight, as WeightedDiGraph.add_edge rejects
+            valid = False
+        if not valid:
             raise LabelingError(f"edge weight must be non-negative or inf, got {weight!r}")
 
         parallel = [e for e in self._instance.out_edges(tail) if e.head == head]

@@ -154,12 +154,16 @@ class TestArtefactReuse:
         assert len(decompositions) == 1
         assert result.girth >= exact_girth_undirected(g) - 1e-9
 
-    def test_labeling_builds_one_subgraph_per_leaf(self, monkeypatch, weighted_instance):
+    def test_labeling_builds_one_subgraph_per_decomposition_node(
+        self, monkeypatch, weighted_instance
+    ):
+        # A leaf induces G_x for its local APSP, an internal node induces B_x
+        # for H_x's direct edges; nothing else re-reads the instance.
         original = WeightedDiGraph.subgraph
         calls = []
 
         def counted(self, nodes):
-            calls.append(nodes)
+            calls.append(frozenset(nodes))
             return original(self, nodes)
 
         monkeypatch.setattr(WeightedDiGraph, "subgraph", counted)
@@ -167,8 +171,10 @@ class TestArtefactReuse:
         td = solver.tree_decomposition().decomposition
         solver.distance_labeling()
         leaves = [n for n in td.nodes.values() if n.is_leaf or not n.children]
-        assert len(leaves) > 1
-        assert len(calls) == len(leaves)
+        internal = [n for n in td.nodes.values() if n.children and not n.is_leaf]
+        assert len(leaves) > 1 and internal
+        expected = [n.graph_vertices for n in leaves] + [n.bag for n in internal]
+        assert sorted(calls, key=sorted) == sorted(expected, key=sorted)
 
 
 def _relabeled(graph, name):

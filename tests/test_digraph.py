@@ -1,5 +1,7 @@
 """Unit tests for the weighted directed multigraph structure."""
 
+import random
+
 import pytest
 
 from repro.errors import GraphError
@@ -220,3 +222,78 @@ class TestSubgraph:
         g.add_edge(1, 2)
         with pytest.raises(GraphError):
             g.subgraph([1, 99])
+
+
+class _CountingEdges(dict):
+    """An edge table that counts its ``[]`` reads."""
+
+    reads = 0
+
+    def __getitem__(self, eid):
+        self.reads += 1
+        return super().__getitem__(eid)
+
+
+class TestSubgraphHubIndex:
+    """A hub's incidence lists are read through an index grouped by endpoint."""
+
+    def test_second_call_reads_only_kept_edges_of_a_hub(self):
+        g = WeightedDiGraph()
+        for i in range(10_000):
+            g.add_edge("hub", i, weight=i % 7)
+            g.add_edge(i, "hub", weight=i % 5)
+        g.add_edge(0, 1)
+        first = _assert_same_subgraph(g, ["hub", 0, 1])
+        g._edges = counted = _CountingEdges(g._edges)
+        second = g.subgraph(["hub", 0, 1])
+        assert counted.reads <= 50
+        assert second.edges() == first.edges()
+        for u in ("hub", 0, 1):
+            assert second.out_edges(u) == first.out_edges(u)
+            assert second.in_edges(u) == first.in_edges(u)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_multigraphs_with_a_hub(self, seed):
+        rng = random.Random(seed)
+        g = WeightedDiGraph(range(40))
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.3:
+                tail, head = 0, rng.randrange(40)
+            elif roll < 0.6:
+                tail, head = rng.randrange(40), 0
+            else:
+                tail, head = rng.randrange(40), rng.randrange(40)
+            g.add_edge(tail, head, weight=rng.randint(0, 9), label=rng.choice("ab"))
+        for eid in rng.sample(sorted(e.eid for e in g.edges()), 60):
+            g.remove_edge(eid)
+        for _ in range(12):
+            nodes = [0] + rng.sample(range(1, 40), rng.randint(0, 12))
+            _assert_same_subgraph(g, nodes)
+            _assert_same_subgraph(g, nodes[1:] or [0])
+        # The hub's lists are longer than every kept set, so they were indexed.
+        assert 0 in g._out_by_head and 0 in g._in_by_tail
+
+    def test_mutation_at_the_hub_invalidates_the_index(self):
+        g = WeightedDiGraph()
+        for i in range(1, 30):
+            g.add_edge(0, i)
+            g.add_edge(i, 0)
+        assert _assert_same_subgraph(g, [0, 1, 2]).num_edges() == 4
+        g.add_edge(0, 2, weight=5.0)
+        g.add_edge(2, 0, weight=3.0)
+        assert _assert_same_subgraph(g, [0, 1, 2]).num_edges() == 6
+        g.remove_edge(0)
+        assert _assert_same_subgraph(g, [0, 1, 2]).num_edges() == 5
+        g.add_edge(0, 1, weight=2.0, eid=0)
+        _assert_same_subgraph(g, [0, 1, 2])
+
+    def test_hub_with_out_of_order_edge_ids(self):
+        g = WeightedDiGraph()
+        for i in range(1, 30):
+            g.add_edge(0, i, eid=100 - i)
+            g.add_edge(i, 0, eid=200 + (i * 7) % 29)
+        g.add_edge(0, 3, eid=5)
+        last = g.add_edge(0, 2)
+        sub = _assert_same_subgraph(g, [0, 2, 3])
+        assert [e.eid for e in sub.out_edges(0)] == [98, 97, 5, last]

@@ -1,9 +1,12 @@
 """Tests for the distance-labeling construction (Theorem 2): exactness is the headline claim."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from test_api import _adversarial_instance
 
 from repro.core.config import FrameworkConfig
 from repro.decomposition.tree_decomposition import build_tree_decomposition
@@ -12,6 +15,8 @@ from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.properties import dijkstra
 from repro.labeling.construction import build_distance_labeling
+from repro.walks.constraints import ColoredWalkConstraint
+from repro.walks.product import build_product_graph, lift_tree_decomposition
 
 
 def _assert_exact(instance, labeling, sources=None, tol=1e-9):
@@ -64,6 +69,61 @@ class TestExactness:
             inst.add_edge(e.tail, e.head, weight=e.weight + 10)
         result = build_distance_labeling(inst, config=config)
         _assert_exact(inst, result.labeling)
+
+
+def _assert_entries_exact(instance, decomposition, labeling):
+    """Every stored entry is exact: d(u, s) and d(s, u) for each hub s ∈ B↑(u)."""
+    from_hub = {}
+    for u in instance.nodes():
+        lab = labeling.label(u)
+        hubs = decomposition.upward_bag_union(u)
+        assert set(lab.to_dist) == set(lab.from_dist) == hubs, u
+        to_u = dijkstra(instance, u)
+        for s in hubs:
+            if s not in from_hub:
+                from_hub[s] = dijkstra(instance, s)
+            assert lab.to_dist[s] == to_u.get(s, math.inf), (u, s)
+            assert lab.from_dist[s] == from_hub[s].get(u, math.inf), (s, u)
+
+
+class TestStoredEntries:
+    """Each stored entry, not only each decoded distance, equals Dijkstra."""
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("zero_weights", 60), ("parallel_arcs", 60), ("weight_ties", 60),
+         ("string_ids", 60), ("tuple_ids", 60), ("mixed_ids", 60), ("hub_fan", 200)],
+    )
+    def test_adversarial_families(self, family, n, master_seed):
+        instance = _adversarial_instance(family, master_seed, n=n)
+        result = build_distance_labeling(instance, config=FrameworkConfig(seed=master_seed))
+        _assert_entries_exact(instance, result.decomposition, result.labeling)
+
+    @pytest.mark.parametrize("orientation", ["asymmetric", "random"])
+    def test_grid_and_partial_3_tree(self, orientation, master_seed):
+        ktree = generators.partial_k_tree(60, 3, seed=master_seed)
+        for graph in (generators.grid_graph(5, 60), ktree):
+            instance = generators.to_directed_instance(
+                graph, weight_range=(0, 9), orientation=orientation, seed=master_seed
+            )
+            result = build_distance_labeling(instance, config=FrameworkConfig(seed=master_seed))
+            _assert_entries_exact(instance, result.decomposition, result.labeling)
+
+    def test_product_graph_labeling(self, master_seed):
+        base = generators.to_directed_instance(
+            generators.partial_k_tree(24, 2, seed=master_seed), weight_range=(0, 6),
+            orientation="asymmetric", seed=master_seed,
+        )
+        rng = random.Random(master_seed)
+        for e in base.edges():
+            base.set_label(e.eid, rng.choice("rb"))
+        constraint = ColoredWalkConstraint(["r", "b"])
+        config = FrameworkConfig(seed=master_seed)
+        decomposition = build_tree_decomposition(base.underlying_graph(), config=config)
+        product = build_product_graph(base, constraint)
+        lifted = lift_tree_decomposition(decomposition, constraint)
+        result = build_distance_labeling(product.graph, decomposition=lifted, config=config)
+        _assert_entries_exact(product.graph, lifted.decomposition, result.labeling)
 
 
 class TestLabelSizeAndRounds:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -376,6 +377,32 @@ class TestIncrementalLabeling:
                 break
         with pytest.raises(LabelingError, match="grow the topology"):
             labeling.apply_edge_update(*non_edge, 2.0)
+
+    @pytest.mark.parametrize(
+        "bad_tail, weight",
+        [(False, "3"), (False, None), (False, [1]), (True, 2.0)],
+        ids=["str_weight", "none_weight", "list_weight", "unhashable_endpoint"],
+    )
+    def test_malformed_update_raises_labeling_error(self, bad_tail, weight):
+        instance = _instance(_mesh(43, n=12), 44)
+        labeling = build_distance_labeling(instance).labeling
+        labeling.attach_instance(instance)
+        arc = next(e for e in instance.edges() if e.tail != e.head)
+
+        def entries():
+            return {
+                u: (dict(labeling.label(u).to_dist), dict(labeling.label(u).from_dist))
+                for u in labeling.vertices()
+            }
+
+        before = entries()
+        with pytest.raises(LabelingError):
+            labeling.apply_edge_update([1] if bad_tail else arc.tail, arc.head, weight)
+        assert entries() == before
+        # Weights that add_edge accepts are still accepted.
+        labeling.apply_edge_update(arc.tail, arc.head, 3)
+        labeling.apply_edge_update(arc.tail, arc.head, Fraction(5, 2))
+        assert labeling.distance(arc.tail, arc.head) <= 2.5
 
     def test_update_stats_accounting(self):
         instance = _instance(_mesh(41, n=14), 42)

@@ -14,7 +14,7 @@ from repro.graphs import treewidth as tw
 class TestEliminationOrders:
     def test_orders_are_permutations(self, small_partial_k_tree):
         g = small_partial_k_tree
-        for order in (tw.min_degree_order(g), tw.min_fill_order(g)):
+        for order in (tw.min_degree_order(g), tw.min_fill_order(g), tw.reduced_min_fill_order(g)):
             assert sorted(map(str, order)) == sorted(map(str, g.nodes()))
 
     def test_width_of_order_on_tree_is_one(self):
@@ -64,6 +64,19 @@ class TestBounds:
         from repro.graphs.graph import Graph
 
         assert tw.treewidth_upper_bound(Graph()) == 0
+
+    # Every (n, k, seed) of test_partial_k_tree_properties' domain on which
+    # min-degree and min-fill both overshoot k by one.
+    @pytest.mark.parametrize(
+        "n,k,seed",
+        [(12, 4, 22), (22, 4, 276), (30, 4, 267), (32, 4, 188), (35, 4, 26), (36, 4, 448),
+         (37, 4, 215), (38, 4, 215), (38, 4, 279), (38, 4, 304), (39, 4, 198), (40, 4, 34)],
+    )
+    def test_reduction_rules_reach_k_on_partial_k_trees(self, n, k, seed):
+        g = generators.partial_k_tree(n, k, seed=seed)
+        assert tw.width_of_elimination_order(g, tw.min_fill_order(g)) == k + 1
+        assert tw.width_of_elimination_order(g, tw.reduced_min_fill_order(g)) == k
+        assert tw.treewidth_upper_bound(g) == k
 
 
 class TestExactSmall:
