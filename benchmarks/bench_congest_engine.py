@@ -27,6 +27,7 @@ at tiny scale.
 """
 
 import os
+import platform
 import random
 import time
 
@@ -39,6 +40,7 @@ from repro.congest.bellman_ford import (
 )
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import broadcast, build_bfs_tree, flood_chunks
+from repro.experiments.trajectory import merge_trajectory_record
 from repro.graphs import generators
 
 
@@ -82,10 +84,24 @@ def _timed(fn):
     return result, time.perf_counter() - t0
 
 
+def _host() -> dict:
+    """The machine a record was measured on: wall seconds depend on it."""
+    try:
+        import numpy
+    except ImportError:
+        numpy_version = None
+    else:
+        numpy_version = numpy.__version__
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
 def _record_bench(case: str, scale: str, tiers: dict, extra: dict = None) -> None:
     """Merge one case's per-tier timings into the BENCH_engine.json record."""
-    from _bench_trajectory import merge_trajectory_record
-
+    extra = dict(extra or {}, host=_host())
     merge_trajectory_record(BENCH_JSON, case, scale, tiers, extra)
 
 
@@ -605,27 +621,3 @@ def test_engine_speedup_bfs_broadcast_grid(benchmark, report_sink, bench_scale, 
     )
     if bench_scale == "full":
         assert speedup >= 1.2, f"fast engine only {speedup:.2f}x faster than legacy"
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: this module's shoot-out as runner cells.
-
-    The same engine-tier comparisons — Bellman-Ford on the deep path and
-    the dense clique across every tier, BFS+broadcast on the grid — as
-    resumable ``repro-bench`` cells (``repro-bench run -p bellman_ford
-    -e fast -e vectorized ...`` reproduces any record here one cell at a
-    time).
-    """
-    from repro.experiments.matrix import CellSpec
-
-    cells = [
-        CellSpec("bellman_ford", engine, family, scale, seed)
-        for family in ("path", "dense")
-        for engine in ("legacy", "fast", "vectorized", "async")
-    ]
-    cells += [
-        CellSpec(protocol, engine, "grid", scale, seed)
-        for protocol in ("bfs_tree", "broadcast")
-        for engine in ("legacy", "fast")
-    ]
-    return cells

@@ -20,10 +20,3 @@ def test_e9_crossover_advantage_improves_with_n(benchmark, report_sink):
     # And the trend over the sweep is non-collapsing: the largest instance
     # should show at least as good a ratio as the median.
     assert advantages[-1] >= 0.5 * sorted(advantages)[len(advantages) // 2]
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E9 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("crossover", "-", "ktree", scale, seed)]

@@ -36,10 +36,3 @@ def test_e3_label_size_polylog_in_n(benchmark, report_sink):
     # Quadrupling n must grow the label size far slower than n (Õ(τ² log n)).
     assert growth_ratio(ns, labels) < 0.75
     assert all(row["errors"] == 0 for row in table)
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E3 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("labeling_build", "-", "ktree", scale, seed)]

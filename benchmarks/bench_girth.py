@@ -53,10 +53,3 @@ def test_e7_girth_vs_diameter_separation(benchmark, report_sink):
     our_growth = large["rounds"] / max(1, small["rounds"])
     diam_growth = diameter_lower_bound_rounds(120) / diameter_lower_bound_rounds(60)
     assert our_growth < 4 * diam_growth
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E7 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("girth", "-", "chords", scale, seed)]

@@ -46,8 +46,8 @@ import time
 
 import pytest
 
-from _bench_trajectory import merge_trajectory_record
 from repro.congest.kernels import vectorized_available
+from repro.experiments.trajectory import merge_trajectory_record
 from repro.labeling.construction import build_distance_labeling
 from repro.labeling.labels import decode_distance
 from repro.labeling.packed import PackedLabeling
@@ -331,19 +331,3 @@ def test_serving_load_sweep(bench_scale, master_seed, tmp_path):
             f"serving ({tiers['packed_batched']['qps']} vs "
             f"{tiers['scalar_point']['qps']} QPS)"
         )
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: the serving decode backends as runner cells.
-
-    ``repro-bench run -p serving_query -e scalar -e packed -f ktree``
-    reproduces the kernel-microbench half of this module (scalar
-    ``decode_distance`` vs the packed batch kernel on identical pairs);
-    the open-loop multi-process load sweep stays bench-only.
-    """
-    from repro.experiments.matrix import CellSpec
-
-    return [
-        CellSpec("serving_query", engine, "ktree", scale, seed)
-        for engine in ("scalar", "packed")
-    ]

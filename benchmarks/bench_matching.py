@@ -37,10 +37,3 @@ def test_e6_matching_scaling_vs_smax_baseline(benchmark, report_sink):
     smax_growth = rows[-1]["optimal"] / rows[0]["optimal"]
     round_growth = rows[-1]["rounds"] / max(1, rows[0]["rounds"])
     assert round_growth < 2 * smax_growth
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E6 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("matching", "-", "bipartite", scale, seed)]

@@ -19,10 +19,3 @@ def test_e8_primitive_costs_track_diameter(benchmark, report_sink):
         # (it charges Õ(τD)) and grows with the width.
         assert row["pa_rounds_model"] >= row["broadcast_rounds_measured"]
         assert row["mvc16_rounds_model"] >= row["bct16_rounds_model"]
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E8 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("partwise", "-", "ktree", scale, seed)]

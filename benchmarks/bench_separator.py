@@ -33,10 +33,3 @@ def test_e1_separator_rounds_scale_with_diameter(benchmark, report_sink):
     rows = list(table)
     # Rounds grow with n only through the diameter term (Õ(τ²D + τ³)).
     assert rows[-1]["rounds"] <= 25 * max(1, rows[0]["rounds"])
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E1 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("separator", "-", "ktree", scale, seed)]

@@ -51,10 +51,3 @@ def test_e4_sssp_scaling_against_baselines(benchmark, report_sink, bench_scale, 
     ratio_last = last["sssp_rounds"] / max(1, last["general_exact_sssp"])
     ratio_first = first["sssp_rounds"] / max(1, first["general_exact_sssp"])
     assert ratio_last <= ratio_first * 1.5
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E4 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("sssp_scaling", "-", "ktree", scale, seed)]

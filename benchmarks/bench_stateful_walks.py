@@ -24,10 +24,3 @@ def test_e5_cdl_overhead_grows_with_state_count(benchmark, report_sink):
         assert row["product_nodes"] == row["states"] * 36
     # Every CDL construction is more expensive than the unconstrained labeling.
     assert all(row["rounds"] >= row["base_rounds"] for row in table)
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E5 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("stateful_walks", "-", "ktree", scale, seed)]

@@ -34,10 +34,3 @@ def test_e2_width_grows_with_treewidth_not_n(benchmark, report_sink):
     assert all(w < n / 2 for w, n in zip(widths, ns))
     # Larger τ should not produce smaller decompositions than τ=2 by a wide margin.
     assert widths[-1] >= widths[0]
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: E2 as a ``repro-bench`` cell."""
-    from repro.experiments.matrix import CellSpec
-
-    return [CellSpec("tree_decomposition", "-", "ktree", scale, seed)]

@@ -8,29 +8,7 @@ itself, not a real network, and are therefore secondary.
 
 from __future__ import annotations
 
-import os
-import sys
-
-_HERE = os.path.dirname(os.path.abspath(__file__))
-_SRC = os.path.join(os.path.dirname(_HERE), "src")
-for _path in (_SRC, _HERE):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
 import pytest
-
-from _bench_trajectory import merge_trajectory_record
-
-#: Trajectory files written by the benchmark modules, each overridable via
-#: its environment variable (the CI jobs `cat` these after the run).
-TRAJECTORIES = {
-    "engine": os.environ.get("BENCH_ENGINE_JSON", "BENCH_engine.json"),
-    "serving": os.environ.get("BENCH_SERVING_JSON", "BENCH_serving.json"),
-}
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "bench: benchmark harness tests")
 
 
 @pytest.fixture(scope="session")
@@ -40,9 +18,3 @@ def report_sink():
     yield tables
     if tables:
         print("\n\n" + "\n\n".join(tables))
-
-
-@pytest.fixture(scope="session")
-def trajectory_recorder():
-    """The shared ``BENCH_*.json`` merge-writer (see `_bench_trajectory`)."""
-    return merge_trajectory_record

@@ -144,10 +144,9 @@ there); ``BENCH_engine.json`` records both schedulers as tier pairs
 (``async_*_bucketed`` / ``async_*_heap``) at the same ``n`` as the
 synchronous tiers, and CI's bench smoke asserts the bucketed queue keeps
 its ≥ 2× deep-path lead.  To re-measure any of these crossovers yourself,
-sweep the tiers through the resumable experiment-matrix runner
-(``bin/repro-bench run -p bellman_ford -e fast -e vectorized -f dense``);
-``docs/experiments.md`` has the matrix spec, the resume semantics, the
-gate tolerances and a one-command recipe per ``BENCH_engine.json`` case.
+run ``benchmarks/bench_congest_engine.py`` with ``--bench-scale full``;
+``docs/experiments.md`` gives the pytest command, the floor and the gate
+for each ``BENCH_engine.json`` case.
 
 All tiers account bandwidth *per edge per round*: message words are
 accumulated into a dense ``edge id -> words`` array per delivery batch, so

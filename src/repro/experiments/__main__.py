@@ -1,4 +1,4 @@
-"""``python -m repro.experiments`` — the ``repro-bench`` entry point."""
+"""``python -m repro.experiments gate`` — check the committed trajectories."""
 
 import sys
 

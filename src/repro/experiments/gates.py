@@ -1,43 +1,33 @@
 """Regression gates over the committed ``BENCH_*.json`` trajectories.
 
-The trajectory files accumulate *measured* per-tier records across PRs;
-absolute wall seconds are machine-dependent, so the gates check the
-dimensionless claims the benches themselves assert — tier-vs-tier
-speedup ratios within one case — plus structural health (tiers present,
-timings positive).  A tier record that has been slowed past tolerance
-(relative to the tier it is claimed to beat) fails the gate; a record
-merely re-measured on a slower machine does not, because both tiers of
-a ratio move together.
+The trajectory files hold *measured* per-tier records; absolute wall
+seconds are machine-dependent, so the gates check the dimensionless
+claims the benches themselves assert — tier-vs-tier speedup ratios
+within one case — plus structural health (tiers present, timings
+positive and finite).  A tier record that has been slowed past
+tolerance (relative to the tier it is claimed to beat) fails the gate;
+a record merely re-measured on a slower machine does not, because both
+tiers of a ratio move together.
 
-Each gate carries per-scale floors: the bench suite records ``tiny``
-(CI smoke) and ``full`` (paper-scale) entries, and the matrix runner
-records ``smoke``/``small``/``full`` cells; ``tiny`` and ``smoke`` are
-aliases.  A missing case is skipped (trajectories grow over time); a
-missing *tier inside a present case* is a violation.  ``tolerance``
-relaxes every floor multiplicatively: a floor ``f`` passes at
-``ratio >= f * (1 - tolerance)``.
-
-``check_store`` applies the same idea to fresh matrix records: cells
-that differ only in the engine axis are paired against the ``fast``
-baseline and gated by per-scale engine floors.
+Each gate carries per-scale floors keyed by the bench suite's
+``--bench-scale`` (``full`` or ``tiny``).  A missing case is skipped
+(trajectories grow over time); a missing *tier inside a present case*
+is a violation.  :data:`TOLERANCE` relaxes every floor
+multiplicatively: a floor ``f`` passes at ``ratio >= f * (1 - TOLERANCE)``.
+A NaN or infinite value is always a violation: it compares false
+against every floor, so it would otherwise pass.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .store import ResultStore
-
-#: Scale aliases: the bench suite's ``--bench-scale tiny`` records and the
-#: matrix runner's ``smoke`` cells carry the same floors.
-_SCALE_ALIASES = {"tiny": "smoke"}
-
-
-def _canon_scale(scale: str) -> str:
-    return _SCALE_ALIASES.get(scale, scale)
+#: Multiplicative slack on every floor.
+TOLERANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -47,10 +37,10 @@ class TierRatioGate:
     case: str
     baseline: str
     candidate: str
-    floors: Dict[str, float]  # canonical scale -> min speedup ratio
+    floors: Dict[str, float]  # scale -> min speedup ratio
 
-    def check(self, entry: dict, tolerance: float) -> Optional[str]:
-        scale = _canon_scale(str(entry.get("scale", "")))
+    def check(self, entry: dict) -> Optional[str]:
+        scale = str(entry.get("scale", ""))
         floor = self.floors.get(scale)
         tiers = entry.get("tiers", {})
         base = tiers.get(self.baseline)
@@ -63,13 +53,15 @@ class TierRatioGate:
         try:
             ratio = float(base["seconds"]) / float(cand["seconds"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            ratio = math.nan
+        if not math.isfinite(ratio):
             return f"{self.case}: unusable seconds for {self.baseline}/{self.candidate}"
-        bar = floor * (1.0 - tolerance)
+        bar = floor * (1.0 - TOLERANCE)
         if ratio < bar:
             return (
                 f"{self.case}: {self.candidate} only {ratio:.2f}x over "
                 f"{self.baseline} at scale {scale!r} (floor {floor} with "
-                f"tolerance {tolerance} -> {bar:.2f})"
+                f"tolerance {TOLERANCE} -> {bar:.2f})"
             )
         return None
 
@@ -82,8 +74,8 @@ class ExtraMinGate:
     path: Tuple[str, ...]
     floors: Dict[str, float]
 
-    def check(self, entry: dict, tolerance: float) -> Optional[str]:
-        scale = _canon_scale(str(entry.get("scale", "")))
+    def check(self, entry: dict) -> Optional[str]:
+        scale = str(entry.get("scale", ""))
         floor = self.floors.get(scale)
         if floor is None:
             return None
@@ -97,12 +89,14 @@ class ExtraMinGate:
         try:
             measured = float(value)
         except (TypeError, ValueError):
-            return f"{self.case}: {'.'.join(self.path)} is not a number"
-        bar = floor * (1.0 - tolerance)
+            measured = math.nan
+        if not math.isfinite(measured):
+            return f"{self.case}: {'.'.join(self.path)} is not a finite number ({value!r})"
+        bar = floor * (1.0 - TOLERANCE)
         if measured < bar:
             return (
                 f"{self.case}: {'.'.join(self.path)} = {measured:.2f} below "
-                f"floor {floor} (tolerance {tolerance} -> {bar:.2f}) "
+                f"floor {floor} (tolerance {TOLERANCE} -> {bar:.2f}) "
                 f"at scale {scale!r}"
             )
         return None
@@ -115,13 +109,13 @@ ENGINE_GATES = (
         case="bellman_ford_dense",
         baseline="fast",
         candidate="vectorized",
-        floors={"full": 5.0, "smoke": 1.0, "small": 1.0},
+        floors={"full": 5.0, "tiny": 1.0},
     ),
     TierRatioGate(
         case="chunk_flood_grid",
         baseline="fast",
         candidate="vectorized",
-        floors={"full": 5.0, "smoke": 1.0, "small": 1.0},
+        floors={"full": 5.0, "tiny": 1.0},
     ),
     TierRatioGate(
         case="bellman_ford_deep_path",
@@ -138,12 +132,12 @@ ENGINE_GATES = (
     ExtraMinGate(
         case="bellman_ford_async",
         path=("bucketed_vs_heap", "deep_path"),
-        floors={"full": 2.0, "smoke": 2.0, "small": 2.0},
+        floors={"full": 2.0, "tiny": 2.0},
     ),
     ExtraMinGate(
         case="bellman_ford_async",
         path=("bucketed_vs_heap", "dense"),
-        floors={"full": 1.0, "smoke": 1.0, "small": 1.0},
+        floors={"full": 1.0, "tiny": 1.0},
     ),
 )
 
@@ -189,7 +183,7 @@ class GateReport:
 
 
 def _structural_violations(name: str, record: dict) -> List[str]:
-    """Every trajectory entry must be shaped sanely with positive timings."""
+    """Every trajectory entry must be shaped sanely with positive, finite timings."""
     out = []
     for case, entry in sorted(record.items()):
         if not isinstance(entry, dict) or not isinstance(entry.get("tiers"), dict):
@@ -207,15 +201,15 @@ def _structural_violations(name: str, record: dict) -> List[str]:
                         value = float(fields_[metric])
                     except (TypeError, ValueError):
                         value = -1.0
-                    if value <= 0:
+                    if not math.isfinite(value) or value <= 0:
                         out.append(
-                            f"{name}:{case}:{tier}: non-positive {metric} "
-                            f"({fields_[metric]!r})"
+                            f"{name}:{case}:{tier}: {metric} is not a positive "
+                            f"finite number ({fields_[metric]!r})"
                         )
     return out
 
 
-def check_trajectory(path: str, kind: str, tolerance: float = 0.1) -> GateReport:
+def check_trajectory(path: str, kind: str) -> GateReport:
     """Gate one committed trajectory file (``kind`` = ``engine``/``serving``)."""
     report = GateReport()
     if kind not in GATES_BY_TRAJECTORY:
@@ -240,101 +234,14 @@ def check_trajectory(path: str, kind: str, tolerance: float = 0.1) -> GateReport
             report.notes.append(f"{kind}:{gate.case}: not recorded yet (skipped)")
             continue
         report.checks += 1
-        violation = gate.check(entry, tolerance)
+        violation = gate.check(entry)
         if violation:
             report.violations.append(f"{kind}:{violation}")
     return report
 
 
-#: Fresh-store engine floors: speedup of ``engine`` over the paired ``fast``
-#: cell, per (protocol, family, canonical scale).  Deliberately looser than
-#: the bench bars, and with NO floors at smoke scale: smoke instances are so
-#: small that the array tier's fixed per-round overhead legitimately loses
-#: to ``fast`` by an unbounded machine-dependent factor, so smoke cells are
-#: gated on correctness (digest agreement, structure) only.
-STORE_ENGINE_FLOORS = {
-    ("bellman_ford", "dense", "full"): {"vectorized": 5.0},
-    ("bellman_ford", "dense", "small"): {"vectorized": 0.8},
-}
-
-
-def check_store(store: ResultStore, tolerance: float = 0.1) -> GateReport:
-    """Gate fresh matrix records: engine speedups vs the paired fast cell."""
-    report = GateReport()
-    by_group: Dict[tuple, Dict[str, dict]] = {}
-    for _, record in store.records():
-        spec = record.get("spec", {})
-        group = (
-            spec.get("protocol"),
-            spec.get("family"),
-            _canon_scale(str(spec.get("scale", ""))),
-            spec.get("seed"),
-        )
-        by_group.setdefault(group, {})[spec.get("engine")] = record
-    for (protocol, family, scale, seed), engines in sorted(by_group.items()):
-        fast = engines.get("fast")
-        if fast is None:
-            continue
-        digests = {
-            engine: rec.get("result", {}).get("output_digest")
-            for engine, rec in engines.items()
-        }
-        # Engine tiers must agree on the protocol output: a digest split
-        # means the tiers diverged, which no timing can excuse.
-        distinct = {d for d in digests.values() if d is not None}
-        if len(distinct) > 1:
-            report.violations.append(
-                f"store:{protocol}/{family}@{scale} seed={seed}: engine tiers "
-                f"disagree on output_digest ({digests})"
-            )
-        report.checks += 1
-        floors = STORE_ENGINE_FLOORS.get((protocol, family, scale), {})
-        for engine, floor in sorted(floors.items()):
-            rec = engines.get(engine)
-            if rec is None:
-                continue
-            report.checks += 1
-            try:
-                ratio = float(fast["timing"]["seconds"]) / float(
-                    rec["timing"]["seconds"]
-                )
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                report.violations.append(
-                    f"store:{protocol}/{family}@{scale} seed={seed}: "
-                    f"unusable timing for engine {engine!r}"
-                )
-                continue
-            # A fallen-back tier timed the tier it fell back to; exempt it.
-            if rec.get("result", {}).get("engine_selected") != engine:
-                report.notes.append(
-                    f"store:{protocol}/{family}@{scale} seed={seed}: engine "
-                    f"{engine!r} fell back to "
-                    f"{rec.get('result', {}).get('engine_selected')!r}; "
-                    f"speedup floor skipped"
-                )
-                continue
-            bar = floor * (1.0 - tolerance)
-            if ratio < bar:
-                report.violations.append(
-                    f"store:{protocol}/{family}@{scale} seed={seed}: engine "
-                    f"{engine!r} only {ratio:.2f}x over fast "
-                    f"(floor {floor} -> {bar:.2f})"
-                )
-    return report
-
-
-def run_gates(
-    engine_path: Optional[str] = None,
-    serving_path: Optional[str] = None,
-    store: Optional[ResultStore] = None,
-    tolerance: float = 0.1,
-) -> GateReport:
-    """Gate any combination of trajectory files and a fresh cell store."""
-    report = GateReport()
-    if engine_path is not None:
-        report.merge(check_trajectory(engine_path, "engine", tolerance))
-    if serving_path is not None:
-        report.merge(check_trajectory(serving_path, "serving", tolerance))
-    if store is not None:
-        report.merge(check_store(store, tolerance))
+def run_gates(engine_path: str, serving_path: str) -> GateReport:
+    """Gate the engine and serving trajectory files."""
+    report = check_trajectory(engine_path, "engine")
+    report.merge(check_trajectory(serving_path, "serving"))
     return report

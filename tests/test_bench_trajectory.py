@@ -214,16 +214,3 @@ class TestConcurrentMerge:
         assert set(record) == expected
         for w in range(workers):
             assert record[f"w{w}_case{cases - 1}"]["worker"] == w
-
-
-class TestBenchmarksShim:
-    def test_bench_modules_import_the_hardened_writer(self):
-        benchmarks_dir = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "benchmarks",
-        )
-        if benchmarks_dir not in sys.path:
-            sys.path.insert(0, benchmarks_dir)
-        import _bench_trajectory
-
-        assert _bench_trajectory.merge_trajectory_record is merge_trajectory_record

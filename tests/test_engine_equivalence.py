@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.congest.bellman_ford import distributed_bellman_ford
-from repro.congest.engine import SimulationTrace
+from repro.congest.engine import EngineFallbackWarning, SimulationTrace
 from repro.congest.kernels import vectorized_available
 from repro.congest.message import payload_size_words
 from repro.congest.network import CongestNetwork
@@ -236,8 +236,15 @@ class TestEngineEquivalence:
         root = min(family_graph.nodes(), key=str)
         vals_fast, fast = broadcast(net, root, ("payload", 1), engine="fast")
         vals_leg, legacy = broadcast(net, root, ("payload", 1), engine="legacy")
-        _assert_identical(fast, legacy)
-        assert vals_fast == vals_leg
+        with pytest.warns(EngineFallbackWarning) as rec:
+            vals_vec, vec = broadcast(
+                net, root, ("payload", 1), engine="vectorized"
+            )
+        # FloodBroadcastNode has no kernel, so the request runs on fast.
+        assert vec.engine == "fast"
+        assert sum(issubclass(w.category, EngineFallbackWarning) for w in rec) == 1
+        _assert_identical(fast, legacy, vec)
+        assert vals_fast == vals_leg == vals_vec
 
         parent = family_graph.spanning_tree(root)
         values = {u: 1 for u in parent}
