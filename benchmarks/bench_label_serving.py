@@ -10,8 +10,7 @@ three ways a corpus can be served and records them as the
   point query with dict-form ``decode_distance``
   (``QueryServer(decode="scalar")``), one request frame per query.
 * ``packed_point`` — the same point traffic against the packed server,
-  where the per-tick micro-batcher coalesces concurrent points into one
-  vectorized kernel call.
+  which answers each point with one ``PackedLabeling.distance`` merge.
 * ``packed_batched`` — client-side batches (one frame, one
   ``label_query_batch`` kernel call per request) against the packed
   server.

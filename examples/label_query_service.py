@@ -7,8 +7,7 @@ and persisted as packed ``.rplb`` files (``LabelStore.build``), two worker
 processes memory-map the same store (``ServerPool`` — zero label copies),
 and clients compare the three ways to ask for distances:
 
-* point queries, one request frame per pair (the server micro-batches
-  concurrent points per tick);
+* point queries, one request frame and one packed merge per pair;
 * client-side batches, one frame and one vectorized kernel call per
   request;
 * the local packed decode, as the ground truth the served answers must

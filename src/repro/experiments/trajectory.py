@@ -10,9 +10,10 @@ across every PR, so three failure modes matter and are each closed
 here:
 
 * **Torn writes.**  The merged record is serialized to a temporary file
-  in the same directory, flushed and fsynced, then moved over the
-  target with :func:`os.replace` — readers (and a crash mid-dump) see
-  either the old file or the new file, never a truncated one.
+  in the same directory, flushed and fsynced, given the target's
+  permission bits, then moved over the target with :func:`os.replace` —
+  readers (and a crash mid-dump) see either the old file or the new
+  file, never a truncated one.
 * **Corrupt trajectories.**  An unparsable file is *never* silently
   reset to ``{}`` (which would destroy the whole cross-PR trajectory on
   the next write).  It is moved aside to ``<name>.corrupt-<n>`` and a
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 import warnings
 from typing import Optional
@@ -110,6 +112,24 @@ def load_trajectory(json_path: str) -> dict:
     return record
 
 
+def _replacement_mode(json_path: str) -> int:
+    """The permission bits the replaced file should keep.
+
+    ``mkstemp`` creates its file owner-only (0600); the target's own mode,
+    or for a new file ``0o666`` under the process umask, is what a plain
+    ``open(path, "w")`` would have left.
+    """
+    try:
+        return stat.S_IMODE(os.stat(json_path).st_mode)
+    except FileNotFoundError:
+        # Reading the umask means setting it for an instant; the bench
+        # processes that write trajectories create no files from other
+        # threads meanwhile.
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_json_atomic(json_path: str, record) -> None:
     """Serialize ``record`` and atomically replace ``json_path`` with it."""
     directory = os.path.dirname(os.path.abspath(json_path))
@@ -122,6 +142,7 @@ def write_json_atomic(json_path: str, record) -> None:
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
+        os.chmod(tmp_path, _replacement_mode(json_path))
         os.replace(tmp_path, json_path)
     except BaseException:
         # A failed or interrupted dump leaves the target untouched; drop

@@ -87,12 +87,6 @@ _HEADER = struct.Struct("<4sIQQQQ")
 #: naturally aligned for their 8-byte dtypes.
 _ALIGN = 64
 
-#: Batches at or below this size are served by the scalar two-pointer
-#: merge on the numpy backend: the vectorized kernel's per-call set-up
-#: (~60 µs) only amortizes above this crossover (measured on the n=240
-#: partial 3-tree serving corpus).
-_SMALL_BATCH_CUTOVER = 4
-
 _BACKENDS = ("auto", "numpy", "pure")
 
 
@@ -389,14 +383,6 @@ class PackedLabeling:
         np = self._np
         if np is None:
             return [self.distance(u, v) for u, v in zip(us, vs)]
-        if len(us) <= _SMALL_BATCH_CUTOVER:
-            # Below the measured crossover the kernel's fixed per-call
-            # overhead (~60 µs of array set-up) loses to a plain scalar
-            # merge per pair.
-            return np.asarray(
-                [self.distance(u, v) for u, v in zip(us, vs)],
-                dtype=np.float64,
-            )
         u_idx = np.fromiter(
             (self._vertex_index(u) for u in us), dtype=np.int64, count=len(us)
         )

@@ -7,13 +7,14 @@ from precomputed labels — at traffic scale:
   corpus of :class:`~repro.labeling.packed.PackedLabeling` files
   (zero-copy across server processes);
 * :class:`~repro.serving.server.QueryServer` serves point and batched
-  queries over localhost TCP with per-tick micro-batching;
+  queries over localhost TCP, answering each request in the tick that
+  reads it;
 * :class:`~repro.serving.server.ServerPool` runs N worker processes over
   one store; :class:`~repro.serving.client.QueryClient` talks to any of
   them.
 
-See ``docs/serving.md`` for the file format, the micro-batching contract,
-and the when-to-use table.
+See ``docs/serving.md`` for the file format, the serve loop and the
+when-to-use table.
 """
 
 from repro.serving.client import QueryClient, QueryRejectedError

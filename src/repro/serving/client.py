@@ -52,7 +52,7 @@ class QueryClient:
         return self._call(("graphs",))
 
     def point(self, name: str, u, v) -> float:
-        """One distance; coalesced server-side with concurrent points."""
+        """One distance: one request frame, one decode on the server."""
         return self._call(("point", name, u, v))
 
     def query(self, name: str, us: Sequence, vs: Sequence) -> List[float]:

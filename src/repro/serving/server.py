@@ -10,7 +10,7 @@ request                         ``("ok", ...)`` payload
 ``("ping",)``                   ``"pong"``
 ``("graphs",)``                 list of corpus names
 ``("point", name, u, v)``       ``float`` distance
-``("query", name, us, vs)``     list of floats (one batched kernel call)
+``("query", name, us, vs)``     list of floats (one batched decode call)
 ``("stats",)``                  counters + store residency + RSS
 ``("shutdown",)``               ``"bye"``; the serve loop then exits
 ==============================  ==============================================
@@ -19,17 +19,16 @@ Application-level failures (unknown graph, unknown vertex, malformed
 request object, wrongly typed fields) answer ``("err", message)`` and the
 connection stays up.
 
-Micro-batching contract
------------------------
+Serve loop
+----------
 The serve loop is a tick loop.  Each tick reads **at most one frame from
-every readable client**, then flushes: all ``point`` requests that arrived
-in the tick are coalesced *per graph* into **one** vectorized
-``label_query_batch`` kernel call, and every client still gets its own
-individual reply frame.  Concurrent point traffic therefore costs one
-kernel dispatch per graph per tick instead of one per query — the
-``batch_calls`` / ``max_batch`` counters in ``stats()`` make the
-coalescing observable.  ``query`` (client-side batches) and the control
-verbs are answered inside the tick, before the flush.
+every readable client** and answers it before reading the next, so every
+request is answered in the tick that reads it.  Each request kind has one
+decode path per ``decode`` mode: a ``point`` is one
+:meth:`~repro.labeling.packed.PackedLabeling.distance` merge (``"packed"``)
+or one :func:`~repro.labeling.labels.decode_distance` (``"scalar"``); a
+``query`` is one :meth:`~repro.labeling.packed.PackedLabeling.query` kernel
+call (``"packed"``) or a ``decode_distance`` loop (``"scalar"``).
 
 Fault containment: a listener that cannot bind raises
 :class:`~repro.serving.frames.TransportSetupError` from the constructor; a
@@ -49,6 +48,7 @@ import socket as socket_mod
 from typing import Dict, List, Tuple
 
 from repro.errors import LabelingError
+from repro.labeling.labels import decode_distance
 from repro.serving.frames import (
     _LEN,
     TransportBrokenError,
@@ -82,8 +82,7 @@ class QueryServer:
     The constructor binds and listens (``port=0`` picks a free port;
     ``self.address`` is the bound ``(host, port)``).  Drive it either with
     :meth:`serve_forever` (a thread/process loop) or tick by tick with
-    :meth:`tick` — the unit tests drive ticks directly to make the
-    micro-batch flush deterministic.
+    :meth:`tick` — the unit tests drive ticks directly.
     """
 
     def __init__(
@@ -102,9 +101,9 @@ class QueryServer:
         self.store = store
         self.max_frame_bytes = int(max_frame_bytes)
         self.client_timeout = float(client_timeout)
-        #: ``"packed"`` serves through the vectorized packed kernel with
-        #: per-tick micro-batching; ``"scalar"`` is the benchmark baseline —
-        #: dict-form ``decode_distance`` one pair at a time, no batching.
+        #: ``"packed"`` decodes from the packed arrays; ``"scalar"`` is the
+        #: benchmark baseline — dict-form ``decode_distance`` one pair at a
+        #: time, batches included.
         self.decode = decode
         listener = socket_mod.socket(socket_mod.AF_INET, socket_mod.SOCK_STREAM)
         try:
@@ -178,14 +177,11 @@ class QueryServer:
     def tick(self, timeout: float = 0.05) -> int:
         """One serve tick; returns the number of requests processed.
 
-        Accepts ready clients, reads at most one frame per readable
-        client, answers control/batched verbs inline, then flushes all
-        pending point queries with one kernel call per graph.
+        Accepts ready clients, then reads and answers at most one frame
+        per readable client.
         """
         self._counters["ticks"] += 1
         events = self._selector.select(timeout)
-        # graph name -> ([(conn, u, v)], ...) collected this tick
-        pending: Dict[str, List[Tuple[object, object, object]]] = {}
         served = 0
         for key, _mask in events:
             if key.fileobj is self._listener:
@@ -203,8 +199,7 @@ class QueryServer:
                 continue
             served += 1
             self._counters["requests"] += 1
-            self._dispatch(conn, payload, pending)
-        self._flush_points(pending)
+            self._dispatch(conn, payload)
         return served
 
     def _accept(self) -> None:
@@ -219,7 +214,7 @@ class QueryServer:
             self._selector.register(conn, selectors.EVENT_READ)
             self._counters["accepted_clients"] += 1
 
-    def _dispatch(self, conn, payload: bytes, pending) -> None:
+    def _dispatch(self, conn, payload: bytes) -> None:
         try:
             request = pickle.loads(payload)
         except Exception as exc:
@@ -234,8 +229,12 @@ class QueryServer:
         try:
             if verb == "point" and len(request) == 4:
                 _, name, u, v = request
-                self.store.path(name)  # unknown graph answers now, not at flush
-                pending.setdefault(name, []).append((conn, u, v))
+                val = self._decode_point(name, u, v)
+                self._counters["point_queries"] += 1
+                # One decode call per point (perfbench reads both keys).
+                self._counters["batch_calls"] += 1
+                self._counters["max_batch"] = 1
+                self._reply(conn, ("ok", val))
             elif verb == "query" and len(request) == 4:
                 _, name, us, vs = request
                 self.store.path(name)
@@ -257,6 +256,13 @@ class QueryServer:
         except LabelingError as exc:
             self._reply(conn, ("err", str(exc)))
 
+    def _decode_point(self, name: str, u, v) -> float:
+        """One distance in the active decode mode."""
+        if self.decode == "scalar":
+            labeling = self.store.labeling(name)
+            return float(decode_distance(labeling.label(u), labeling.label(v)))
+        return self.store.get(name).distance(u, v)
+
     def _decode_batch(self, name: str, us, vs) -> List[float]:
         """One batch of distances in the active decode mode."""
         for side in (us, vs):
@@ -269,40 +275,9 @@ class QueryServer:
                 f"query needs pairs: got {len(us)} sources, {len(vs)} targets"
             )
         if self.decode == "scalar":
-            from repro.labeling.labels import decode_distance
-
-            labeling = self.store.labeling(name)
-            return [
-                float(decode_distance(labeling.label(u), labeling.label(v)))
-                for u, v in zip(us, vs)
-            ]
+            return [self._decode_point(name, u, v) for u, v in zip(us, vs)]
         vals = self.store.get(name).query(us, vs)
         return [float(x) for x in vals]
-
-    def _flush_points(self, pending) -> None:
-        for name, items in pending.items():
-            us = [u for _conn, u, _v in items]
-            vs = [v for _conn, _u, v in items]
-            try:
-                vals = self._decode_batch(name, us, vs)
-            except LabelingError:
-                # e.g. an unknown vertex poisons the batch: answer each
-                # pair individually so good queries still succeed.
-                for conn, u, v in items:
-                    try:
-                        val = self.store.get(name).distance(u, v)
-                    except LabelingError as exc:
-                        self._reply(conn, ("err", str(exc)))
-                    else:
-                        self._counters["point_queries"] += 1
-                        self._reply(conn, ("ok", float(val)))
-                continue
-            self._counters["point_queries"] += len(items)
-            self._counters["batch_calls"] += 1
-            if len(items) > self._counters["max_batch"]:
-                self._counters["max_batch"] = len(items)
-            for (conn, _u, _v), val in zip(items, vals):
-                self._reply(conn, ("ok", float(val)))
 
     def serve_forever(self, stop=None, tick_timeout: float = 0.05) -> None:
         """Tick until a ``shutdown`` request arrives or ``stop`` is set."""
@@ -346,12 +321,9 @@ class QueryServer:
 # --------------------------------------------------------------------------- #
 # Multi-worker process serving
 # --------------------------------------------------------------------------- #
-def _worker_main(store_dir, conn, mmap, backend, max_frame_bytes, decode):
-    store = LabelStore(store_dir, mmap=mmap, backend=backend)
+def _worker_main(store, conn, decode):
     try:
-        server = QueryServer(
-            store, max_frame_bytes=max_frame_bytes, decode=decode
-        )
+        server = QueryServer(store, decode=decode)
     except TransportSetupError as exc:  # pragma: no cover - port 0 binds
         conn.send(("err", str(exc)))
         conn.close()
@@ -383,21 +355,18 @@ def _mp_context():
 class ServerPool:
     """N worker processes, each a :class:`QueryServer` over the same store.
 
-    Every worker opens (and memory-maps) the same store directory — the
-    zero-copy sharing the bench asserts via each worker's
+    The store directory is opened once here, so a missing directory raises
+    :class:`~repro.errors.LabelingError` before any worker starts; a worker
+    that exits before reporting its address raises
+    :class:`~repro.serving.frames.TransportSetupError` with its exit code.
+    Every worker memory-maps the same store files — the zero-copy sharing
+    the bench asserts via each worker's
     ``stats()["store"]["copied_label_bytes"] == 0``.  ``close()`` sends
     each worker a ``shutdown`` request and joins it.
     """
 
-    def __init__(
-        self,
-        store_dir,
-        num_workers: int = 2,
-        mmap: bool = True,
-        backend: str = "auto",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        decode: str = "packed",
-    ) -> None:
+    def __init__(self, store_dir, num_workers: int = 2, decode: str = "packed") -> None:
+        store = LabelStore(store_dir)
         ctx = _mp_context()
         self.processes = []
         self.addresses: List[Tuple[str, int]] = []
@@ -406,19 +375,24 @@ class ServerPool:
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        os.fspath(store_dir), child_conn, mmap, backend,
-                        max_frame_bytes, decode,
-                    ),
+                    args=(store, child_conn, decode),
                     daemon=True,
                 )
                 proc.start()
+                self.processes.append(proc)
                 child_conn.close()
-                status, value = parent_conn.recv()
-                parent_conn.close()
+                try:
+                    status, value = parent_conn.recv()
+                except EOFError:
+                    proc.join(timeout=5.0)
+                    raise TransportSetupError(
+                        f"server worker exited with code {proc.exitcode} "
+                        "before reporting its address"
+                    ) from None
+                finally:
+                    parent_conn.close()
                 if status != "ok":
                     raise TransportSetupError(value)
-                self.processes.append(proc)
                 self.addresses.append(tuple(value))
         except BaseException:
             self.close()

@@ -72,14 +72,13 @@ class LabelStore:
     """Open (and lazily memory-map) a directory of packed labelings.
 
     ``mmap=True`` (default, numpy) opens every labeling as read-only
-    ``np.memmap`` views; ``mmap=False`` or ``backend="pure"`` reads heap
-    copies — the configuration the no-numpy CI job serves with.
+    ``np.memmap`` views; ``mmap=False``, or a host without numpy (the
+    configuration the no-numpy CI job serves with), reads heap copies.
     """
 
-    def __init__(self, directory, mmap: bool = True, backend: str = "auto") -> None:
+    def __init__(self, directory, mmap: bool = True) -> None:
         self.directory = os.fspath(directory)
         self.mmap = bool(mmap)
-        self.backend = backend
         if not os.path.isdir(self.directory):
             raise LabelingError(f"label store directory {self.directory!r} not found")
         self._paths: Dict[str, str] = {}
@@ -93,10 +92,7 @@ class LabelStore:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(
-        cls, corpus: Mapping[str, object], directory,
-        mmap: bool = True, backend: str = "auto",
-    ) -> "LabelStore":
+    def build(cls, corpus: Mapping[str, object], directory) -> "LabelStore":
         """Precompute + persist a corpus, then open the resulting store.
 
         ``corpus`` maps filesystem-safe names to graphs or labelings (see
@@ -109,7 +105,7 @@ class LabelStore:
             _check_name(name)
             packed = _pack_corpus_value(name, value)
             packed.save(os.path.join(directory, name + STORE_SUFFIX))
-        return cls(directory, mmap=mmap, backend=backend)
+        return cls(directory)
 
     # ------------------------------------------------------------------ #
     def graphs(self) -> Tuple[str, ...]:
@@ -128,9 +124,7 @@ class LabelStore:
         path = self.path(name)  # rejects a non-str name before any lookup
         packed = self._cache.get(name)
         if packed is None:
-            packed = PackedLabeling.load(
-                path, mmap=self.mmap, backend=self.backend
-            )
+            packed = PackedLabeling.load(path, mmap=self.mmap)
             self._cache[name] = packed
         return packed
 

@@ -1,6 +1,6 @@
 """Regression tests for the hardened ``BENCH_*.json`` merge-writer.
 
-The three bugs this suite pins down (each was real in the pre-fix
+The four bugs this suite pins down (each was real in the pre-fix
 writer):
 
 * a crash mid-``json.dump`` truncated the trajectory file (the write
@@ -12,13 +12,17 @@ writer):
   up aside (``.corrupt-<n>``) with a warning naming the backup;
 * concurrent merges raced the read-modify-write and lost each other's
   cases — now the merge holds an ``fcntl`` lock (no-op degrade on
-  platforms without fcntl).
+  platforms without fcntl);
+* every merge left the trajectory owner-only (``mkstemp`` creates 0600
+  files) — now the replaced file keeps the target's mode, and a new file
+  gets ``0o666`` under the umask.
 """
 
 import json
 import multiprocessing
 import os
 import signal
+import stat
 import subprocess
 import sys
 import textwrap
@@ -68,6 +72,23 @@ class TestMergeBasics:
             text = fh.read()
         assert text.endswith("\n")
         assert text.index('"aa"') < text.index('"zz"')
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    @pytest.mark.parametrize(
+        "existing_mode", [None, 0o644, 0o640], ids=["new", "0644", "0640"]
+    )
+    def test_merge_keeps_the_target_mode(self, tmp_path, existing_mode):
+        path = str(tmp_path / "BENCH_x.json")
+        if existing_mode is not None:
+            merge_trajectory_record(path, "old_case", "full", {})
+            os.chmod(path, existing_mode)
+        old_umask = os.umask(0o022)
+        try:
+            merge_trajectory_record(path, "case", "tiny", {})
+        finally:
+            os.umask(old_umask)
+        want = 0o644 if existing_mode is None else existing_mode
+        assert stat.S_IMODE(os.stat(path).st_mode) == want
 
     def test_lock_degrades_to_noop_without_fcntl(self, tmp_path, monkeypatch):
         monkeypatch.setattr(trajectory, "fcntl", None)

@@ -24,7 +24,6 @@ from repro.graphs import generators
 from repro.labeling.construction import build_distance_labeling
 from repro.labeling.labels import DistanceLabel, DistanceLabeling, decode_distance
 from repro.labeling.packed import (
-    _SMALL_BATCH_CUTOVER,
     FORMAT_VERSION,
     MAGIC,
     PackedLabeling,
@@ -81,13 +80,11 @@ def _assert_oracle_exact(packed: PackedLabeling, labeling: DistanceLabeling, pai
     ]
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
-    # Batched (kernel on numpy, merge loop on pure) — the whole batch is
-    # above the small-batch cutover, so numpy genuinely hits the kernel.
-    assert len(pairs) > _SMALL_BATCH_CUTOVER
+    # Batched (kernel on numpy, merge loop on pure), at every batch size:
+    # the whole batch, and 1- and 4-pair batches.
     assert list(packed.query(us, vs)) == expected
-    # Small batch: the adaptive scalar path on the numpy backend.
-    cut = _SMALL_BATCH_CUTOVER
-    assert list(packed.query(us[:cut], vs[:cut])) == expected[:cut]
+    for size in (1, 4):
+        assert list(packed.query(us[:size], vs[:size])) == expected[:size]
     # Scalar two-pointer merge.
     for (u, v), want in list(zip(pairs, expected))[:40]:
         assert packed.distance(u, v) == want

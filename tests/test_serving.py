@@ -2,22 +2,24 @@
 
 Covers the :class:`LabelStore` corpus lifecycle (build → persist → reopen
 memory-mapped, residency accounting), the :class:`QueryServer` protocol
-round trips and the per-tick micro-batching contract (driven tick by tick
-so the coalescing is deterministic), the fault-containment paths — an
-unbindable listener raises a clean
+round trips and its point path (driven tick by tick: every point is
+answered in the tick that reads it, by one decode call), the
+fault-containment paths — an unbindable listener raises a clean
 :class:`~repro.serving.frames.TransportSetupError`, clients that
 disconnect mid-frame or announce oversized frames are dropped and counted
 while the server keeps serving, malformed payloads answer ``("err", …)``
 without killing the connection — the frame helpers of
 :mod:`repro.serving.frames` and the client's
 :class:`~repro.serving.frames.TransportBrokenError` paths, and the
-multi-process :class:`ServerPool` zero-copy contract.  Everything here must pass with
-and without numpy (the pure-python packed fallback serves the same
-floats).
+multi-process :class:`ServerPool` zero-copy contract and its start-up
+errors.  Everything here must pass with and without numpy (the
+pure-python packed fallback serves the same floats).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import random
 import socket
@@ -38,6 +40,7 @@ from repro.serving import (
     ServerPool,
     seeded_corpus,
 )
+from repro.serving import server as server_mod
 from repro.serving.frames import (
     _LEN,
     TransportBrokenError,
@@ -45,6 +48,7 @@ from repro.serving.frames import (
     _recv_frame,
     _send_frame,
 )
+from repro.serving.server import _mp_context
 from repro.serving.store import STORE_SUFFIX
 
 N = 14  # corpus graph size: small enough that every test is tier-1 fast
@@ -243,8 +247,8 @@ class TestQueryServerProtocol:
         assert counters["dropped_clients"] == 0
 
     def test_mixed_good_and_bad_points_in_one_tick(self, running, store):
-        """An unknown vertex poisons the coalesced batch; the flush falls
-        back to per-pair answers so the good queries still succeed."""
+        """A point naming an unknown vertex gets its own ``err`` reply and
+        a concurrent good point on the same graph is still answered."""
         vertices = list(store.get("ktree").vertices())
         u, v = vertices[0], vertices[-1]
         want = store.get("ktree").distance(u, v)
@@ -286,42 +290,61 @@ class TestQueryServerProtocol:
 
 
 # --------------------------------------------------------------------------- #
-# Micro-batching (driven tick by tick, so the flush is deterministic)
+# The point path (driven tick by tick)
 # --------------------------------------------------------------------------- #
-class TestMicroBatching:
-    def test_concurrent_points_coalesce_into_one_kernel_call(self, store):
+#: The counter keys the repo benchmark reads from ``stats()`` (perfbench/run.py).
+PERFBENCH_COUNTERS = {
+    "requests", "point_queries", "batch_calls", "max_batch", "ticks",
+    "dropped_clients",
+}
+
+
+class TestPointPath:
+    @pytest.mark.parametrize("decode", ["packed", "scalar"])
+    def test_each_point_is_one_decode_call_in_its_tick(
+        self, store, decode, monkeypatch
+    ):
         packed = store.get("ktree")
         vertices = list(packed.vertices())
         pairs = [(vertices[i], vertices[-1 - i]) for i in range(4)]
-        with QueryServer(store) as server:
+        expected = [packed.distance(u, v) for u, v in pairs]
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(
+            PackedLabeling, "distance", spy("distance", PackedLabeling.distance)
+        )
+        monkeypatch.setattr(
+            PackedLabeling, "query", spy("query", PackedLabeling.query)
+        )
+        monkeypatch.setattr(
+            server_mod, "decode_distance",
+            spy("decode_distance", server_mod.decode_distance),
+        )
+        with QueryServer(store, decode=decode) as server:
             socks = _connected(server, count=4)
             before = server.stats()["counters"]
+            calls.clear()
             for sock, (u, v) in zip(socks, pairs):
                 _send_request(sock, ("point", "ktree", u, v))
-            server.tick(timeout=0.5)
+            assert server.tick(timeout=0.5) == 4  # all four read in one tick
             after = server.stats()["counters"]
-            # All four points arrived in the tick → exactly one batch call.
-            assert after["batch_calls"] - before["batch_calls"] == 1
-            assert after["max_batch"] == 4
-            assert after["point_queries"] - before["point_queries"] == 4
-            for sock, (u, v) in zip(socks, pairs):
-                assert _read_reply(sock) == ("ok", packed.distance(u, v))
+            for sock, want in zip(socks, expected):
+                assert _read_reply(sock) == ("ok", want)
             for sock in socks:
                 sock.close()
-
-    def test_sequential_points_batch_alone(self, store):
-        packed = store.get("ktree")
-        u, v = list(packed.vertices())[:2]
-        with QueryServer(store) as server:
-            sock = _connected(server)
-            for _ in range(3):
-                _send_request(sock, ("point", "ktree", u, v))
-                server.tick(timeout=0.2)
-                assert _read_reply(sock) == ("ok", packed.distance(u, v))
-            counters = server.stats()["counters"]
-            assert counters["batch_calls"] == 3
-            assert counters["max_batch"] == 1
-            sock.close()
+        # One decode call per point, on the mode's one point path.
+        one_path = "distance" if decode == "packed" else "decode_distance"
+        assert calls == [one_path] * 4
+        assert after["point_queries"] - before["point_queries"] == 4
+        assert after["batch_calls"] - before["batch_calls"] == 4
+        assert after["max_batch"] == 1
+        assert PERFBENCH_COUNTERS <= set(after)
 
 
 # --------------------------------------------------------------------------- #
@@ -512,3 +535,23 @@ class TestServerPool:
         pool.close()
         pool.close()
         assert pool.addresses == [] and pool.processes == []
+
+    def test_missing_store_raises_labeling_error_before_any_worker(
+        self, tmp_path
+    ):
+        missing = tmp_path / "absent"
+        before = len(multiprocessing.active_children())
+        with pytest.raises(LabelingError, match="absent.*not found"):
+            ServerPool(missing, num_workers=1)
+        assert len(multiprocessing.active_children()) == before
+
+    @pytest.mark.skipif(
+        _mp_context().get_start_method() != "fork",
+        reason="a monkeypatched worker entry reaches only forked workers",
+    )
+    def test_worker_exiting_before_it_reports_raises_setup_error(
+        self, store, monkeypatch
+    ):
+        monkeypatch.setattr(server_mod, "_worker_main", lambda *args: os._exit(3))
+        with pytest.raises(TransportSetupError, match="exited with code 3"):
+            ServerPool(store.directory, num_workers=2)
