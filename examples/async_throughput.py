@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Async-tier throughput: the bucketed calendar queue vs the reference heap.
 
-The event-driven fifth tier simulates one envelope per arc per pulse, so its
-wall-clock cost is dominated by the event queue.  This demo runs the same
-Bellman-Ford instances under both queues (``scheduler="heap"`` and the
-default ``scheduler="bucketed"``), verifies the runs are bit-for-bit
-identical, and compares the ``events_per_sec`` figure each run reports in
-``SimulationResult.async_stats``.  The deep path graph is the bucketed
-queue's best case — long runs of silent-node pulse markers fuse into single
-ranged tick events — while the dense complete graph is payload-bound and
-gains less.
+The event-driven tier (the fourth, ``engine="async"``) simulates one
+envelope per arc per pulse, so its wall-clock cost is dominated by the event
+queue.  This demo runs the same Bellman-Ford instances under both queues
+(``scheduler="heap"`` and the default ``scheduler="bucketed"``), verifies
+the runs are bit-for-bit identical, and compares the ``events_per_sec``
+figure each run reports in ``SimulationResult.async_stats``.  The demo runs
+under unit delay, the one schedule where markers fuse: a silent node's whole
+run of pulse markers plus its self-tick is one range-tick event, and every
+other envelope is one event per arc.  The deep path graph is the bucketed
+queue's best case — most nodes are silent in most pulses — while the dense
+complete graph is payload-bound and gains less.
 
 Run:  python examples/async_throughput.py
 """

@@ -336,8 +336,6 @@ def run_partwise_experiment(ns: Sequence[int], k: int = 3, seed: int = 0) -> Res
     """E8 — Lemma 9 / Theorem 6: primitive round costs vs measured BFS/broadcast rounds."""
     from repro.congest.network import CongestNetwork
     from repro.congest.primitives import broadcast, build_bfs_tree
-    from repro.shortcuts.operations import SubgraphOperations
-    from repro.shortcuts.partition import SubgraphCollection
 
     table = ResultTable(
         "E8: primitive costs (Lemma 9, Corollaries 2-3)",
@@ -352,8 +350,6 @@ def run_partwise_experiment(ns: Sequence[int], k: int = 3, seed: int = 0) -> Res
         _, _, bfs_result = build_bfs_tree(network, root)
         _, bc_result = broadcast(network, root, 42)
         cm = CostModel(n=n, diameter=d)
-        collection = SubgraphCollection(graph, [graph.nodes()])
-        ops = SubgraphOperations(collection, width=tau, cost_model=cm)
         table.add(
             n=n,
             D=d,
@@ -364,7 +360,6 @@ def run_partwise_experiment(ns: Sequence[int], k: int = 3, seed: int = 0) -> Res
             bct16_rounds_model=cm.broadcast_multi(tau, 16),
             mvc16_rounds_model=cm.min_vertex_cut_multi(tau, 16, tau + 1),
         )
-        _ = ops
     return table
 
 

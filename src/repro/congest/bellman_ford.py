@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
+from repro.congest.faults import resolve_fault_run
 from repro.congest.kernels import PackedInbox, PackedSends, RoundKernel
 from repro.congest.message import Message, PayloadSchema
 from repro.congest.network import CongestNetwork, SimulationResult
@@ -306,15 +307,11 @@ def distributed_bellman_ford(
         u: [(e.head, e.weight) for e in instance.out_edges(u)] for u in instance.nodes()
     }
     limit = max_rounds if max_rounds is not None else 4 * instance.num_nodes() + 16
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(fault_schedule, network.indexed)
-        fault_schedule.ensure_eventual_recovery([source], protocol="Bellman-Ford SSSP")
-        if max_rounds is None:
-            limit = 4 * instance.num_nodes() + 2 * fault_schedule.horizon + 32
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, [source], "Bellman-Ford SSSP"
+    )
+    if fault_schedule is not None and max_rounds is None:
+        limit = 4 * instance.num_nodes() + 2 * fault_schedule.horizon + 32
     result = network.run(
         lambda u: BellmanFordNode(u, source),
         max_rounds=limit,

@@ -51,15 +51,17 @@ model).
 
    **Two interchangeable event queues** (``run(engine="async",
    scheduler=...)``): the default ``scheduler="bucketed"`` is a calendar
-   queue — events land in per-timestamp buckets, a whole pulse's batch is
-   released with one dict pop instead of ``m`` sift-down heap operations,
-   and the silent-node pulse range of each delivery batch is fused into a
-   single ranged tick event rather than one heap entry per silent node.
-   ``scheduler="heap"`` keeps the original binary-heap queue as the
+   queue — events land in per-timestamp buckets, and a whole instant's
+   batch is released with one dict pop instead of one heap pop per event.
+   Its buckets hold three event kinds: envelope, range-tick and fault.
+   Markers fuse only for a silent node under unit delay: its whole run of
+   empty pulse markers plus its self-tick is one range-tick event.  Every
+   other envelope is one event per arc, emitted by the per-arc loop the
+   heap shares.  ``scheduler="heap"`` keeps the binary-heap queue as the
    reference implementation.  The two are bit-for-bit interchangeable —
    results, ledger, round/event traces, ``virtual_time``, deterministic
-   ``async_stats`` entries and fault semantics — cross-checked per delivery
-   batch by the ``ScheduleFuzzer`` sweep and the fault-injection suite; the
+   ``async_stats`` entries and fault semantics — cross-checked event for
+   event by the ``ScheduleFuzzer`` sweep and the fault-injection suite; the
    bucketed queue simply gets there faster (see *When each tier wins*).
 
    **Accounting contract**: only protocol messages are charged, so the
@@ -137,10 +139,11 @@ picture: on complete-graph Bellman-Ford (K_400, ~288k messages in 3 rounds)
 the ``FloodingKernel`` takes 0.56 s against 7.7 s (14×).  ``legacy`` exists
 only as the reference the other tiers are certified against (``fast`` is
 4.4× faster on the 40×40 BFS+broadcast grid).  On the async tier the
-bucketed calendar queue clears 3.2× the heap's events/s on the deep-path
-case (0.36M → 1.17M events/s, where silent-node pulse ranges fuse into
-single ticks) and 1.3× on the dense case (payload deliveries dominate
-there); ``BENCH_engine.json`` records both schedulers as tier pairs
+bucketed calendar queue clears 3.3× the heap's events/s on the deep-path
+case (0.40M → 1.34M events/s in a later re-run of that case, where a
+silent node's markers and self-tick fuse into one range-tick) and 1.5× on
+the dense case (payload deliveries dominate there); ``BENCH_engine.json``
+records both schedulers as tier pairs
 (``async_*_bucketed`` / ``async_*_heap``) at the same ``n`` as the
 synchronous tiers, and CI's bench smoke asserts the bucketed queue keeps
 its ≥ 2× deep-path lead.  To re-measure any of these crossovers yourself,

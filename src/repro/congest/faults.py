@@ -66,10 +66,11 @@ _M64 = (1 << 64) - 1
 
 
 def _mix(*parts: int) -> int:
-    """The scheduler's SplitMix64-style stateless hash (order-sensitive).
+    """A SplitMix64-style integer hash, order-sensitive and seed-stable.
 
-    Generators use it so every victim/time is a pure function of
-    ``(seed, ...)`` — independent of draw order, like delay models.
+    Fault generators and the scheduler's delay models use it instead of
+    :class:`random.Random` state, so every victim, fault time and delay is
+    a pure function of ``(seed, ...)`` — independent of draw order.
     """
     x = 0x9E3779B97F4A7C15
     for v in parts:
@@ -495,3 +496,21 @@ def resolve_fault_schedule(fault_schedule, indexed) -> FaultSchedule:
         "fault_schedule must be a FaultSchedule or FaultModel instance, got "
         f"{type(fault_schedule)!r}"
     )
+
+
+def resolve_fault_run(network, fault_schedule, engine: Optional[str],
+                      critical: Iterable[NodeId], protocol: str):
+    """Prepare a protocol entry point's fault schedule; ``(engine, schedule)``.
+
+    ``None`` passes through as ``(engine, None)``.  Otherwise the schedule
+    (or model) is materialised against the network's current snapshot, an
+    unset ``engine`` becomes ``"async"`` (the one tier that injects
+    faults), and the ``critical`` nodes must eventually recover (see
+    :meth:`FaultSchedule.ensure_eventual_recovery`; ``protocol`` names the
+    caller in its error).
+    """
+    if fault_schedule is None:
+        return engine, None
+    schedule = resolve_fault_schedule(fault_schedule, network.graph.to_indexed())
+    schedule.ensure_eventual_recovery(critical, protocol=protocol)
+    return ("async" if engine is None else engine), schedule

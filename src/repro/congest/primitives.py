@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.congest.faults import resolve_fault_run
 from repro.congest.message import Message
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.node import NodeAlgorithm, NodeContext
@@ -133,15 +134,9 @@ def build_bfs_tree(
         raise GraphError(f"root {root!r} not in network")
     from repro.congest.kernels import BFSTreeKernel
 
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="BFS tree construction")
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, [root], "BFS tree construction"
+    )
     result = network.run(
         lambda u: BFSTreeNode(u, root),
         max_rounds=max_rounds,
@@ -219,15 +214,9 @@ def broadcast(
     tier (implied when no engine is requested); the root must eventually
     recover.
     """
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="flood broadcast")
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, [root], "flood broadcast"
+    )
     result = network.run(
         lambda u: FloodBroadcastNode(u, root, value),
         max_rounds=max_rounds,
@@ -371,15 +360,9 @@ def flood_chunks(
         raise GraphError(f"root {root!r} not in network")
     from repro.congest.kernels import FloodingKernel
 
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="chunk flooding")
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, [root], "chunk flooding"
+    )
     # Always attach the kernel (construction is cheap); the dispatcher in
     # CongestNetwork.run uses it only when a kernel tier actually runs, so
     # the protocol follows the network's default engine too.
@@ -507,15 +490,9 @@ def convergecast_sum(
             children[p].append(u)
     if root is None:
         raise GraphError("tree has no root")
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="convergecast")
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, [root], "convergecast"
+    )
 
     def factory(u: NodeId) -> NodeAlgorithm:
         if u in parent:
@@ -609,17 +586,9 @@ def elect_leader(
     """
     if not network.graph.is_connected():
         raise GraphError("leader election requires a connected network")
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery(
-            network.graph.nodes(), protocol="leader election"
-        )
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, network.graph.nodes(), "leader election"
+    )
     from repro.congest.kernels import LeaderElectionKernel
 
     result = network.run(

@@ -15,26 +15,31 @@ protocol whenever the messages they are waiting for have arrived.
     and the loop pops whole buckets instead of individual heap entries.
     Because delays are ``>= 1``, every push targets a strictly future
     instant, so a draining bucket never grows and append order within a
-    bucket equals the heap's sequence order.  Events are compact per-kind
-    tuples, and a quiet node's run of same-delay empty pulse markers — the
-    dominant traffic of a converging protocol — collapses into a single
-    range event covering its consecutive CSR arc positions.  This is the
+    bucket equals the heap's sequence order.  A bucket holds three event
+    kinds: envelope, range-tick and fault.  The one fused event is the
+    silent pulse under unit delay — the dominant traffic of a converging
+    protocol: a node with nothing to send emits its whole run of empty
+    pulse markers plus its self-tick as a single range-tick over its
+    consecutive CSR arc positions.  Every other envelope (payloads, the
+    markers of a node that also sends, anything under a non-unit delay)
+    goes through the per-arc loop shared with the heap, one event per arc,
+    and every other self-tick is a range-tick over no arcs.  This is the
     fast path: it removes the per-envelope ``heappush``/``heappop`` pair
     (an O(log queue) tuple comparison each) from the hot loop.
 
 ``"heap"``
-    The reference implementation: one binary-heap entry per envelope,
-    ordered by ``(time, seq)``.  Kept verbatim as the semantic oracle; the
-    schedule-fuzz sweep cross-checks the two queues event-for-event.
+    The reference implementation: one binary-heap entry per envelope and
+    per self-tick, ordered by ``(time, seq)``, with its own push and drain.
+    The schedule-fuzz sweep and the fault suite cross-check the two queues
+    event for event.
 
 Both queues process the same events in the same order, so results, message
-ledger, round trace, ``virtual_time``, fault semantics (``_EV_FAULT`` fires
-before any same-instant envelope) and the deterministic ``async_stats``
-fields are bit-for-bit identical — asserted across the equivalence families
-in ``tests/test_async_scheduler.py``.  The only permitted divergence is the
-interleaving of ``EventRecord`` entries *within* one virtual-time instant
-(range events deliver their markers back-to-back), which no accounting
-observes, and the wall-clock ``events_per_sec`` figure.
+ledger, round trace, recorded :class:`EventRecord` streams,
+``virtual_time``, fault semantics (``_EV_FAULT`` fires before any
+same-instant envelope) and the deterministic ``async_stats`` fields are
+bit-for-bit identical — asserted across the equivalence families in
+``tests/test_async_scheduler.py``.  The only divergence is the wall-clock
+``events_per_sec`` figure.
 
 **The α-synchronizer adapter.**  The protocols of this repository are written
 against synchronous rounds (one :meth:`NodeAlgorithm.on_round` call per
@@ -130,7 +135,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.congest.engine import RoundStats, SimulationTrace
-from repro.congest.faults import FaultVerdict, resolve_fault_schedule
+from repro.congest.faults import FaultVerdict, _mix, resolve_fault_schedule
 from repro.congest.message import Message, payload_size_words
 from repro.congest.node import NodeAlgorithm, NodeContext
 from repro.errors import (
@@ -142,36 +147,40 @@ from repro.errors import (
 
 NodeId = Hashable
 
-_M64 = (1 << 64) - 1
-
-#: Event kinds on the scheduler heap.
-_EV_ENVELOPE = 0  # an envelope (empty or payload-carrying) reaches its arc head
-_EV_TICK = 1  # a node's per-pulse self-clock fires
+#: Event kinds.  The heap queue uses envelope, tick and fault; the bucketed
+#: queue uses envelope, range-tick and fault.
+_EV_ENVELOPE = 0  # an envelope reaches its arc head: a protocol payload, or
+#                   the _no_payload sentinel for an empty pulse marker
+_EV_TICK = 1  # heap queue only: a node's per-pulse self-clock fires
 _EV_FAULT = 2  # a scheduled fault transition fires (see repro.congest.faults)
-_EV_RANGE = 3  # bucketed queue only: a run of empty pulse markers on the
-#               consecutive arc positions [lo, hi) of one sender's CSR slice
-_EV_RANGE_TICK = 4  # bucketed queue only: a silent unit-delay execute in one
-#               event — the node's whole marker run fused with its self-tick
-#               (always adjacent in the bucket, so fusing preserves order)
+_EV_RANGE_TICK = 3  # bucketed queue only, (kind, lo, hi, p, i): pulse-p
+#                     markers on sender i's consecutive arcs [lo, hi), then
+#                     i's self-tick.  A silent node under unit delay covers
+#                     its whole arc slice; any other self-tick has lo == hi.
 
 #: Event-queue implementations accepted by ``run_async(..., scheduler=...)``.
 SCHEDULERS = ("heap", "bucketed")
 
 
-def _mix(*parts: int) -> int:
-    """A SplitMix64-style integer hash, order-sensitive and seed-stable.
+class _Calendar(dict):
+    """The bucketed queue: per-instant event buckets keyed by delivery time.
 
-    Delay models use this instead of :class:`random.Random` state so a delay
-    is a *pure function* of (seed, arc, pulse): the schedule is independent
-    of event processing order and of how many delays were drawn before.
+    ``times`` is a min-heap of the instants that have a bucket.  Indexing
+    an instant without a bucket creates it and enters its time in
+    ``times`` — the only way a bucket is made, so a time enters ``times``
+    exactly once.
     """
-    x = 0x9E3779B97F4A7C15
-    for v in parts:
-        x = (x ^ (v & _M64)) * 0xBF58476D1CE4E5B9 & _M64
-        x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 29
-    return x
+
+    __slots__ = ("times",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.times: List[int] = []
+
+    def __missing__(self, t: int) -> List[Tuple]:
+        heappush(self.times, t)
+        self[t] = bucket = []
+        return bucket
 
 
 # --------------------------------------------------------------------------- #
@@ -544,14 +553,11 @@ def run_async(
     heap: List[Tuple] = []
     seq = 0
     todo = deque()  # pending (node, pulse, time) executions
-    # Calendar queue (scheduler="bucketed"): per-instant event buckets plus a
-    # small heap of the distinct bucket times.  A time enters ``times`` once,
-    # when its bucket is created; every push targets a strictly future
-    # instant (delays are >= 1), so a draining bucket never grows and append
-    # order within a bucket is exactly the heap's (time, seq) order.
-    buckets: Dict[int, List[Tuple]] = {}
-    times: List[int] = []
-    buckets_get = buckets.get
+    # Calendar queue (scheduler="bucketed").  Every push targets a strictly
+    # future instant (delays are >= 1), so a draining bucket never grows and
+    # append order within a bucket is exactly the heap's (time, seq) order.
+    buckets = _Calendar()
+    times = buckets.times
 
     # -- fault-injection state (inert when no schedule is given) ---------- #
     bound_faults: List = []
@@ -585,12 +591,7 @@ def run_async(
         # trigger) — faults take effect at the *start* of their time.
         if use_buckets:
             for k, bev in enumerate(bound_faults):
-                t = bev.time
-                b = buckets_get(t)
-                if b is None:
-                    buckets[t] = b = []
-                    heappush(times, t)
-                b.append((_EV_FAULT, k))
+                buckets[bev.time].append((_EV_FAULT, k))
         else:
             fault_tail = (0, _no_payload, 0, 0)  # hoisted sentinel packing
             for k, bev in enumerate(bound_faults):
@@ -657,6 +658,62 @@ def run_async(
                 f"arc {pos}; delays must be integers >= 1"
             )
         return d
+
+    def _drop(now: int, node: int, p: int, peer: int, words: int) -> None:
+        """Count a lost protocol payload and record its ``drop`` event.
+
+        ``node`` is the endpoint where the loss shows: the sender when the
+        payload dies at send, the receiver when it was voided in flight.
+        """
+        nonlocal payloads_dropped
+        payloads_dropped += 1
+        if record_events:
+            trace.record_event(
+                EventRecord(now, "drop", node_ids[node], p, peer=node_ids[peer],
+                            words=words)
+            )
+
+    def _deliver(pos: int, j: int, p: int, payload: Any, size: int,
+                 sent_at: int, now: int) -> None:
+        """A payload on arc ``pos`` reaches ``j``: buffer it for pulse p+1."""
+        s = arc_sender[pos]
+        if faults_on and (
+            arc_eid[pos] in edge_down
+            or edge_last_down.get(arc_eid[pos], -1) > sent_at
+            or not node_up_[j]
+            or node_last_down[j] > sent_at
+            or node_last_down[s] > sent_at
+        ):
+            # Voided mid-flight: the link or either endpoint crashed after
+            # the send (strictly — a transition at time t precedes every
+            # send at time t) or is still down now.  The envelope degrades
+            # to an empty pulse marker.
+            _drop(now, j, p, s, size)
+            return
+        inbuf[j].setdefault(p, []).append((s, payload, size, sent_at, now))
+        if record_events:
+            trace.record_event(
+                EventRecord(now, "deliver", node_ids[j], p, peer=node_ids[s],
+                            words=size)
+            )
+
+    def _inbox(i: int, entries: List[Tuple]) -> List[Message]:
+        """Buffered round mail of node ``i``, in ascending sender index."""
+        entries.sort(key=lambda e: e[0])
+        return [
+            Message(node_ids[s], node_ids[i], payload, sent_time=st, delivery_time=at)
+            for s, payload, _w, st, at in entries
+        ]
+
+    def _recover(algo: NodeAlgorithm, ctx: NodeContext, notices) -> Dict[NodeId, Any]:
+        """Run the pending link-recovery notices in neighbour-index order;
+        returns the merged re-announcements."""
+        out: Dict[NodeId, Any] = {}
+        for jn in sorted(notices):
+            ret = algo.on_link_recovery(ctx, node_ids[jn])
+            if ret:
+                out.update(ret)
+        return out
 
     def _seal_batch(r: int) -> None:
         """Fix round ``r``'s per-edge words once all its sends are known."""
@@ -730,7 +787,6 @@ def run_async(
 
     def _execute(i: int, p: int, now: int) -> None:
         nonlocal messages_sent, words_sent, max_message_words, virtual_time, seq
-        nonlocal payloads_dropped
         algo = algos[i]
         if now > virtual_time:
             virtual_time = now
@@ -771,11 +827,7 @@ def run_async(
             notices = link_notices[i]
             if notices:
                 link_notices[i] = set()
-                recovery_out: Dict[NodeId, Any] = {}
-                for jn in sorted(notices):
-                    ret = algo.on_link_recovery(ctx, node_ids[jn])
-                    if ret:
-                        recovery_out.update(ret)
+                recovery_out = _recover(algo, ctx, notices)
                 if recovery_out:
                     if outbox:
                         recovery_out.update(outbox)  # init's sends win
@@ -786,13 +838,7 @@ def run_async(
             # it (neighbours' recovery re-announcements arrive this way).
             entries = inbuf[i].pop(p - 1, None)
             if entries:
-                entries.sort(key=lambda e: e[0])  # ascending sender index
-                msgs = [
-                    Message(node_ids[s], node_ids[i], payload,
-                            sent_time=st, delivery_time=at)
-                    for s, payload, _w, st, at in entries
-                ]
-                round_out = algo.on_round(ctx, msgs)
+                round_out = algo.on_round(ctx, _inbox(i, entries))
                 if round_out:
                     if outbox:
                         outbox = dict(outbox)
@@ -813,23 +859,9 @@ def run_async(
                 was_halted = algo.halted
                 ctx = ctxs[i]
                 ctx.round_number = p
-                recovery_out = None
-                if notices:
-                    recovery_out = {}
-                    for jn in sorted(notices):
-                        ret = algo.on_link_recovery(ctx, node_ids[jn])
-                        if ret:
-                            recovery_out.update(ret)
+                recovery_out = _recover(algo, ctx, notices) if notices else None
                 if entries is not None or not (algo.halted or event_flags[i]):
-                    if entries:
-                        entries.sort(key=lambda e: e[0])  # ascending sender index
-                        msgs = [
-                            Message(node_ids[s], node_ids[i], payload,
-                                    sent_time=st, delivery_time=at)
-                            for s, payload, _w, st, at in entries
-                        ]
-                    else:
-                        msgs = []
+                    msgs = _inbox(i, entries) if entries else []
                     if record_events:
                         trace.record_event(EventRecord(now, "execute", node_ids[i], p))
                     outbox = algo.on_round(ctx, msgs)
@@ -892,170 +924,55 @@ def run_async(
         # -- envelopes: one per incident arc, payload or pulse marker ----- #
         lo = indptr[i]
         hi = indptr[i + 1]
-        if use_buckets:
-            # Calendar-queue emission: compact per-kind tuples, appended in
-            # seq order.  A run of consecutive equal-delay empty markers —
-            # the whole arc slice, for a node with nothing to say — becomes
-            # one _EV_RANGE event instead of ``deg`` queue entries.  Under
-            # unit delay everything this execute emits (markers, payloads,
-            # the self-tick) lands in the one now+1 bucket, fetched once.
-            if unit:
-                t = now + 1
-                b = buckets_get(t)
-                if b is None:
-                    buckets[t] = b = []
-                    heappush(times, t)
-                if not payload_by_arc:
-                    b.append((_EV_RANGE_TICK, lo, hi, p, i))
-                else:
-                    for pos in range(lo, hi):
-                        entry = payload_by_arc.get(pos)
-                        if faults_on and entry is not None and (
-                            arc_eid[pos] in edge_down or not node_up_[indices[pos]]
-                        ):
-                            # Dead at send: charged to the ledger above, the
-                            # payload lost — the envelope degrades to a
-                            # pulse marker.
-                            payloads_dropped += 1
-                            if record_events:
-                                trace.record_event(
-                                    EventRecord(now, "drop", node_ids[i], p,
-                                                peer=node_ids[indices[pos]],
-                                                words=entry[1])
-                                )
-                            entry = None
-                        if entry is None:
-                            b.append((_EV_RANGE, pos, pos + 1, p))
-                        else:
-                            payload, size = entry
-                            outstanding = arc_outstanding.setdefault(pos, [])
-                            while outstanding and outstanding[0] <= now:
-                                heappop(outstanding)
-                            heappush(outstanding, t)
-                            depth = len(outstanding)
-                            if depth > arc_high_water.get(pos, 0):
-                                arc_high_water[pos] = depth
-                            if record_events:
-                                trace.record_event(
-                                    EventRecord(now, "send", node_ids[i], p,
-                                                peer=node_ids[indices[pos]],
-                                                words=size)
-                                )
-                            b.append((_EV_ENVELOPE, pos, p, payload, size, now))
-                    b.append((_EV_TICK, i, p))
-            else:
-                if not payload_by_arc:
-                    if lo < hi:
-                        run_lo = lo
-                        run_d = 0
-                        for pos in range(lo, hi):
-                            d = _delay(pos, p)
-                            if d != run_d:
-                                if run_d:
-                                    t = now + run_d
-                                    b = buckets_get(t)
-                                    if b is None:
-                                        buckets[t] = b = []
-                                        heappush(times, t)
-                                    b.append((_EV_RANGE, run_lo, pos, p))
-                                run_lo = pos
-                                run_d = d
-                        t = now + run_d
-                        b = buckets_get(t)
-                        if b is None:
-                            buckets[t] = b = []
-                            heappush(times, t)
-                        b.append((_EV_RANGE, run_lo, hi, p))
-                else:
-                    for pos in range(lo, hi):
-                        d = _delay(pos, p)
-                        entry = payload_by_arc.get(pos)
-                        if faults_on and entry is not None and (
-                            arc_eid[pos] in edge_down or not node_up_[indices[pos]]
-                        ):
-                            # Dead at send: charged to the ledger above, the
-                            # payload lost — the envelope degrades to a
-                            # pulse marker.
-                            payloads_dropped += 1
-                            if record_events:
-                                trace.record_event(
-                                    EventRecord(now, "drop", node_ids[i], p,
-                                                peer=node_ids[indices[pos]],
-                                                words=entry[1])
-                                )
-                            entry = None
-                        t = now + d
-                        b = buckets_get(t)
-                        if b is None:
-                            buckets[t] = b = []
-                            heappush(times, t)
-                        if entry is None:
-                            b.append((_EV_RANGE, pos, pos + 1, p))
-                        else:
-                            payload, size = entry
-                            outstanding = arc_outstanding.setdefault(pos, [])
-                            while outstanding and outstanding[0] <= now:
-                                heappop(outstanding)
-                            heappush(outstanding, t)
-                            depth = len(outstanding)
-                            if depth > arc_high_water.get(pos, 0):
-                                arc_high_water[pos] = depth
-                            if record_events:
-                                trace.record_event(
-                                    EventRecord(now, "send", node_ids[i], p,
-                                                peer=node_ids[indices[pos]],
-                                                words=size)
-                                )
-                            b.append((_EV_ENVELOPE, pos, p, payload, size, now))
-                t = now + 1
-                b = buckets_get(t)
-                if b is None:
-                    buckets[t] = b = []
-                    heappush(times, t)
-                b.append((_EV_TICK, i, p))
+        if use_buckets and unit and not payload_by_arc:
+            # The one fused emission: a silent node under unit delay sends
+            # only markers, all due at now+1 next to its self-tick, so the
+            # whole run plus the tick is one range-tick event.
+            buckets[now + 1].append((_EV_RANGE_TICK, lo, hi, p, i))
         else:
             for pos in range(lo, hi):
-                d = 1 if unit else _delay(pos, p)
+                t = now + 1 if unit else now + _delay(pos, p)
                 entry = payload_by_arc.get(pos)
-                if faults_on and entry is not None and (
-                    arc_eid[pos] in edge_down or not node_up_[indices[pos]]
-                ):
-                    # Dead at send: the link or the receiver is down right
-                    # now.  The message was charged to the ledger above (the
-                    # node paid for the send) but the payload is lost — the
-                    # envelope goes out as an empty pulse marker.
-                    payloads_dropped += 1
-                    if record_events:
-                        trace.record_event(
-                            EventRecord(now, "drop", node_ids[i], p,
-                                        peer=node_ids[indices[pos]], words=entry[1])
-                        )
-                    entry = None
                 if entry is None:
-                    seq += 1
-                    heappush(
-                        heap, (now + d, seq, _EV_ENVELOPE, pos, p, _no_payload, 0, now)
-                    )
+                    payload = _no_payload
+                    size = 0
                 else:
                     payload, size = entry
-                    outstanding = arc_outstanding.setdefault(pos, [])
-                    while outstanding and outstanding[0] <= now:
-                        heappop(outstanding)
-                    heappush(outstanding, now + d)
-                    depth = len(outstanding)
-                    if depth > arc_high_water.get(pos, 0):
-                        arc_high_water[pos] = depth
-                    if record_events:
-                        trace.record_event(
-                            EventRecord(now, "send", node_ids[i], p,
-                                        peer=node_ids[indices[pos]], words=size)
-                        )
+                    j = indices[pos]
+                    if faults_on and (
+                        arc_eid[pos] in edge_down or not node_up_[j]
+                    ):
+                        # Dead at send: the link or the receiver is down
+                        # right now.  The message was charged to the ledger
+                        # above (the node paid for the send) but the payload
+                        # is lost — the envelope goes out as a pulse marker.
+                        _drop(now, i, p, j, size)
+                        payload = _no_payload
+                        size = 0
+                    else:
+                        outstanding = arc_outstanding.setdefault(pos, [])
+                        while outstanding and outstanding[0] <= now:
+                            heappop(outstanding)
+                        heappush(outstanding, t)
+                        if len(outstanding) > arc_high_water.get(pos, 0):
+                            arc_high_water[pos] = len(outstanding)
+                        if record_events:
+                            trace.record_event(
+                                EventRecord(now, "send", node_ids[i], p,
+                                            peer=node_ids[j], words=size)
+                            )
+                if use_buckets:
+                    buckets[t].append((_EV_ENVELOPE, pos, p, payload, size, now))
+                else:
                     seq += 1
                     heappush(
-                        heap, (now + d, seq, _EV_ENVELOPE, pos, p, payload, size, now)
+                        heap, (t, seq, _EV_ENVELOPE, pos, p, payload, size, now)
                     )
-            seq += 1
-            heappush(heap, (now + 1, seq, _EV_TICK, i, p, _no_payload, 0, now))
+            if use_buckets:
+                buckets[now + 1].append((_EV_RANGE_TICK, hi, hi, p, i))
+            else:
+                seq += 1
+                heappush(heap, (now + 1, seq, _EV_TICK, i, p, _no_payload, 0, now))
 
         c = completed_in_pulse.get(p, 0) + 1
         completed_in_pulse[p] = c
@@ -1099,6 +1016,7 @@ def run_async(
         indices_l = indices
         heard_l = heard
         deg_l = deg
+        no_payload = _no_payload
         inbuf_l = inbuf
         arc_sender_l = arc_sender
         bucket: List[Tuple] = []
@@ -1123,19 +1041,18 @@ def run_async(
                 bpos += 1
                 kind = ev[0]
                 if kind == _EV_RANGE_TICK:
-                    # A silent unit-delay execute: the sender's whole marker
-                    # run plus its self-tick, fused.  The two tuples were
-                    # always adjacent in the bucket, and the executions a
-                    # mid-run todo drain could interleave are all pulse
-                    # >= p+1 at this instant — they cannot touch heard[.][p],
-                    # release[p] or the stop flag — so fusing is
-                    # order-equivalent and merely skips one queue entry.
-                    rlo = ev[1]
-                    rhi = ev[2]
+                    # (kind, lo, hi, p, i): sender i's pulse-p markers on the
+                    # arcs [lo, hi), then its self-tick.  In the heap these
+                    # are adjacent entries, and the executions a mid-run
+                    # todo drain could interleave are all pulse >= p+1 at
+                    # this instant — they cannot touch heard[.][p],
+                    # release[p] or the stop flag — so delivering the run in
+                    # one go is order-equivalent.
                     p = ev[3]
-                    events_processed += rhi - rlo + 1
-                    for pos in range(rlo, rhi):
-                        j = indices_l[pos]
+                    events_processed += ev[2] - ev[1] + 1
+                    targets = indices_l[ev[1]:ev[2]]
+                    targets.append(ev[4])
+                    for j in targets:
                         h = heard_l[j]
                         cnt = h.get(p, 0) + 1
                         if cnt <= deg_l[j]:
@@ -1146,75 +1063,19 @@ def run_async(
                                 todo_append((j, p + 1, now))
                             else:
                                 held_sd(p + 1, []).append(j)
-                    j = ev[4]
-                    h = heard_l[j]
-                    cnt = h.get(p, 0) + 1
-                    if cnt <= deg_l[j]:
-                        h[p] = cnt
-                    else:
-                        h.pop(p, None)
-                        if release_get(p):
-                            todo_append((j, p + 1, now))
-                        else:
-                            held_sd(p + 1, []).append(j)
-                    if todo:
-                        break
-                elif kind == _EV_RANGE:
-                    # A sender's run of empty pulse markers on consecutive
-                    # arcs: pure synchronizer traffic, no records to emit,
-                    # so the whole run is counted and delivered in one go.
-                    rlo = ev[1]
-                    rhi = ev[2]
-                    p = ev[3]
-                    events_processed += rhi - rlo
-                    for pos in range(rlo, rhi):
-                        j = indices_l[pos]
-                        h = heard_l[j]
-                        cnt = h.get(p, 0) + 1
-                        if cnt <= deg_l[j]:
-                            h[p] = cnt
-                        else:
-                            h.pop(p, None)
-                            if release_get(p):
-                                todo_append((j, p + 1, now))
-                            else:
-                                held_sd(p + 1, []).append(j)
-                    if todo:
-                        break
-                elif kind == _EV_ENVELOPE:
-                    # Payload-carrying envelope: (kind, pos, p, payload,
-                    # size, sent_at).
+                elif kind == _EV_ENVELOPE:  # (kind, pos, p, payload, size, sent_at)
                     events_processed += 1
                     pos = ev[1]
                     p = ev[2]
-                    payload = ev[3]
                     j = indices_l[pos]
-                    if faults_on and (
-                        arc_eid[pos] in edge_down
-                        or edge_last_down.get(arc_eid[pos], -1) > ev[5]
-                        or not node_up_[j]
-                        or node_last_down[j] > ev[5]
-                        or node_last_down[arc_sender_l[pos]] > ev[5]
-                    ):
-                        # Voided mid-flight: the link or either endpoint
-                        # crashed after the send or is still down now.  The
-                        # envelope degrades to an empty pulse marker.
-                        payloads_dropped += 1
-                        if record_events:
-                            trace.record_event(
-                                EventRecord(now, "drop", node_ids[j], p,
-                                            peer=node_ids[arc_sender_l[pos]],
-                                            words=ev[4])
-                            )
-                    else:
-                        inbuf_l[j].setdefault(p, []).append(
-                            (arc_sender_l[pos], payload, ev[4], ev[5], now)
-                        )
-                        if record_events:
-                            trace.record_event(
-                                EventRecord(now, "deliver", node_ids[j], p,
-                                            peer=node_ids[arc_sender_l[pos]],
-                                            words=ev[4])
+                    if ev[3] is not no_payload:
+                        if faults_on or record_events:
+                            _deliver(pos, j, p, ev[3], ev[4], ev[5], now)
+                        else:
+                            # _deliver without faults or records, inlined:
+                            # deliveries dominate payload-bound runs.
+                            inbuf_l[j].setdefault(p, []).append(
+                                (arc_sender_l[pos], ev[3], ev[4], ev[5], now)
                             )
                     h = heard_l[j]
                     cnt = h.get(p, 0) + 1
@@ -1226,27 +1087,11 @@ def run_async(
                             todo_append((j, p + 1, now))
                         else:
                             held_sd(p + 1, []).append(j)
-                    if todo:
-                        break
-                elif kind == _EV_TICK:  # node's pulse self-clock: (kind, i, p)
-                    events_processed += 1
-                    j = ev[1]
-                    p = ev[2]
-                    h = heard_l[j]
-                    cnt = h.get(p, 0) + 1
-                    if cnt <= deg_l[j]:
-                        h[p] = cnt
-                    else:
-                        h.pop(p, None)
-                        if release_get(p):
-                            todo_append((j, p + 1, now))
-                        else:
-                            held_sd(p + 1, []).append(j)
-                    if todo:
-                        break
                 else:  # _EV_FAULT: (kind, index into the bound fault list)
                     events_processed += 1
                     _apply_fault(bound_faults[ev[1]], now)
+                if todo:
+                    break
     else:
         while True:
             while todo:
@@ -1259,34 +1104,7 @@ def run_async(
             if kind == _EV_ENVELOPE:
                 j = indices[a]
                 if payload is not _no_payload:
-                    if faults_on and (
-                        arc_eid[a] in edge_down
-                        or edge_last_down.get(arc_eid[a], -1) > sent_at
-                        or not node_up_[j]
-                        or node_last_down[j] > sent_at
-                        or node_last_down[arc_sender[a]] > sent_at
-                    ):
-                        # Voided mid-flight: the link or either endpoint
-                        # crashed after the send (strictly — a transition at
-                        # time t precedes every send at time t) or is still
-                        # down now.  The envelope degrades to an empty pulse
-                        # marker.
-                        payloads_dropped += 1
-                        if record_events:
-                            trace.record_event(
-                                EventRecord(now, "drop", node_ids[j], p,
-                                            peer=node_ids[arc_sender[a]], words=size)
-                            )
-                        payload = _no_payload
-                if payload is not _no_payload:
-                    inbuf[j].setdefault(p, []).append(
-                        (arc_sender[a], payload, size, sent_at, now)
-                    )
-                    if record_events:
-                        trace.record_event(
-                            EventRecord(now, "deliver", node_ids[j], p,
-                                        peer=node_ids[arc_sender[a]], words=size)
-                        )
+                    _deliver(a, j, p, payload, size, sent_at, now)
                 _heard(j, p, now)
             elif kind == _EV_TICK:  # node a's pulse-p self-clock
                 _heard(a, p, now)

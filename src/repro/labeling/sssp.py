@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.congest.faults import resolve_fault_schedule
+from repro.congest.faults import resolve_fault_run
 from repro.congest.kernels import FloodingKernel
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.primitives import ChunkFloodNode
@@ -200,12 +200,9 @@ def measured_label_broadcast(
     if source not in labeling:
         raise LabelingError(f"source {source!r} has no label")
     src_label = labeling.label(source)
-    if fault_schedule is not None:
-        if engine is None:
-            engine = "async"
-        schedule = resolve_fault_schedule(fault_schedule, network.indexed)
-        schedule.ensure_eventual_recovery([source], protocol="label broadcast")
-        fault_schedule = schedule
+    engine, fault_schedule = resolve_fault_run(
+        network, fault_schedule, engine, [source], "label broadcast"
+    )
 
     def factory(u: NodeId) -> LabelBroadcastNode:
         own = labeling.label(u) if u in labeling else None

@@ -46,7 +46,7 @@ from repro.congest.faults import (
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll
 from repro.congest.primitives import broadcast, build_bfs_tree, elect_leader
-from repro.congest.scheduler import UniformDelay
+from repro.congest.scheduler import UniformDelay, UnitDelay
 from repro.errors import FaultInjectionError, LabelingError, SimulationError
 from repro.graphs import generators
 from repro.graphs.graph import Graph
@@ -164,38 +164,49 @@ class TestDeterminism:
     def test_identical_inputs_reproduce_bit_for_bit(self, master_seed):
         instance = _instance(_mesh(7), 8)
         src = min(instance.nodes())
-        model = Churn(cycles=4, period=5, outage=3, start=3, seed=master_seed)
-        delay = UniformDelay(1, 3, seed=master_seed)
+        inputs = (
+            # Node churn under non-unit delays.
+            (Churn(cycles=4, period=5, outage=3, start=3, seed=master_seed),
+             UniformDelay(1, 3, seed=master_seed), False),
+            # Link flaps from time 1 under unit delay: Bellman-Ford's first
+            # floods lose payloads on down links, at send and in flight.
+            (LinkFlap(fraction=0.3, cycles=2, period=4, outage=2, start=1,
+                      seed=master_seed),
+             UnitDelay(), True),
+        )
+        fault_kinds = ("node_down", "node_up", "edge_down", "edge_up", "drop")
+        for model, delay, must_drop in inputs:
 
-        def run(scheduler="bucketed"):
-            trace = SimulationTrace(record_events=True)
-            bf = distributed_bellman_ford(
-                instance, src, fault_schedule=model, delay_model=delay,
-                trace=trace, scheduler=scheduler,
-            )
-            return bf, trace
+            def run(scheduler="bucketed"):
+                trace = SimulationTrace(record_events=True)
+                bf = distributed_bellman_ford(
+                    instance, src, fault_schedule=model, delay_model=delay,
+                    trace=trace, scheduler=scheduler,
+                )
+                return bf, trace
 
-        a, trace_a = run()
-        b, trace_b = run()
-        assert a.distances == b.distances
-        assert a.parents == b.parents
-        _assert_identical(a.simulation, b.simulation)
-        assert a.simulation.fault_verdict == b.simulation.fault_verdict
-        fault_events_a = [e for e in trace_a.events
-                          if e.kind in ("node_down", "node_up",
-                                        "edge_down", "edge_up", "drop")]
-        fault_events_b = [e for e in trace_b.events
-                          if e.kind in ("node_down", "node_up",
-                                        "edge_down", "edge_up", "drop")]
-        assert fault_events_a == fault_events_b
-        assert fault_events_a  # churn actually fired
-        # The reference heap queue replays the exact same faulty execution —
-        # _EV_FAULT ordering against deliveries/ticks is scheduler-invariant.
-        c, trace_c = run(scheduler="heap")
-        assert c.distances == a.distances
-        _assert_identical(a.simulation, c.simulation)
-        assert c.simulation.fault_verdict == a.simulation.fault_verdict
-        assert trace_c.events == trace_a.events
+            a, trace_a = run()
+            b, trace_b = run()
+            assert a.distances == b.distances
+            assert a.parents == b.parents
+            _assert_identical(a.simulation, b.simulation)
+            assert a.simulation.fault_verdict == b.simulation.fault_verdict
+            fault_events_a = [e for e in trace_a.events if e.kind in fault_kinds]
+            fault_events_b = [e for e in trace_b.events if e.kind in fault_kinds]
+            assert fault_events_a == fault_events_b
+            assert fault_events_a, model  # the faults actually fired
+            # The reference heap queue replays the exact same faulty
+            # execution — _EV_FAULT ordering against deliveries/ticks is
+            # scheduler-invariant — down to every send, delivery and drop.
+            c, trace_c = run(scheduler="heap")
+            assert c.distances == a.distances
+            _assert_identical(a.simulation, c.simulation)
+            assert c.simulation.fault_verdict == a.simulation.fault_verdict
+            assert trace_c.events == trace_a.events
+            drops = [e for e in trace_a.events if e.kind == "drop"]
+            assert len(drops) == a.simulation.fault_verdict.payloads_dropped
+            if must_drop:
+                assert drops, model
 
     def test_verdict_reports_the_injection(self):
         net = CongestNetwork(_mesh(11))
