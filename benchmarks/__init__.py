@@ -1,1 +1,1 @@
-"""Benchmark harness: one module per experiment E1–E9 (see DESIGN.md §3)."""
+"""Benchmark harness: one module per experiment E1–E9 (see docs/experiments.md)."""

@@ -29,6 +29,7 @@ at tiny scale.
 import os
 import platform
 import random
+import statistics
 import time
 
 import pytest
@@ -67,13 +68,10 @@ DENSE_SIZES = {"full": 400, "tiny": 60}
 #: Chunk-flood grids as (rows, cols, chunks): D + C rounds of pipelined
 #: waves, with C well above D so the per-round cost in C dominates.
 FLOOD_SIZES = {"full": (10, 30, 1500), "tiny": (4, 20, 120)}
-#: Best-of-N repetitions for the async scheduler shoot-out (events/sec is a
-#: throughput ratio, so the record keeps the least-noisy run per queue).
+#: Interleaved heap/bucketed run pairs for the async scheduler shoot-out.
 ASYNC_REPS = 5
-#: Fault-injection instances (partial 3-tree meshes on the async tier) and
-#: the length of the incremental-labeling churn sweep.
+#: Fault-injection instances (partial 3-tree meshes on the async tier).
 FAULT_SIZES = {"full": 200, "tiny": 40}
-FAULT_UPDATES = {"full": 32, "tiny": 8}
 
 BENCH_JSON = os.environ.get("BENCH_ENGINE_JSON", "BENCH_engine.json")
 
@@ -337,9 +335,13 @@ def test_engine_async_unit_delay(report_sink, bench_scale, master_seed):
       bounded by shared protocol work per event, so only the ≥ 1× bar
       applies there).
 
-    Each queue's record keeps the best of ``ASYNC_REPS`` runs (events/sec
-    from ``async_stats``, the in-loop measurement) so the ratio is not an
-    artifact of one noisy run.
+    The queues run as ``ASYNC_REPS`` interleaved pairs, alternating which
+    queue goes first, and ``bucketed_vs_heap`` is the median of the
+    per-pair events/sec ratios (events/sec from ``async_stats``, the
+    in-loop measurement).  The host's speed changes in spells: both runs
+    of a pair share one, while a best-of-N block per queue, run back to
+    back, can catch a fast spell the other block misses.  Each queue's
+    record keeps its median events/sec and median seconds.
     """
     from repro.congest.scheduler import UnitDelay
 
@@ -369,10 +371,10 @@ def test_engine_async_unit_delay(report_sink, bench_scale, master_seed):
         tiers[f"fast_{case}"] = _tier(t_fast, msgs)
         extra["n"][case] = graph.num_nodes()
         extra["rounds"][case] = fast.rounds
-        best_eps = {}
-        for scheduler in ("heap", "bucketed"):
-            best = None
-            for _ in range(ASYNC_REPS):
+        runs = {"heap": [], "bucketed": []}
+        for rep in range(ASYNC_REPS):
+            order = ("heap", "bucketed") if rep % 2 == 0 else ("bucketed", "heap")
+            for scheduler in order:
                 asy, t_async = _timed(
                     lambda: distributed_bellman_ford(
                         instance, 0, engine="async", delay_model=UnitDelay(),
@@ -391,21 +393,25 @@ def test_engine_async_unit_delay(report_sink, bench_scale, master_seed):
                     == fast.simulation.max_words_per_edge_round
                 )
                 assert sim.virtual_time == asy.rounds
-                eps = sim.async_stats["events_per_sec"]
-                if best is None or eps > best[0]:
-                    best = (eps, t_async, sim)
-            eps, t_async, sim = best
-            events = sim.async_stats["events_processed"]
-            # Both queues process the same schedule: same event count.
-            assert extra["events"].setdefault(case, events) == events
-            best_eps[scheduler] = eps
+                events = sim.async_stats["events_processed"]
+                # Both queues process the same schedule: same event count.
+                assert extra["events"].setdefault(case, events) == events
+                runs[scheduler].append(
+                    (sim.async_stats["events_per_sec"], t_async)
+                )
+        for scheduler, reps in runs.items():
+            eps = statistics.median(e for e, _ in reps)
+            t_async = statistics.median(t for _, t in reps)
             tiers[f"async_{case}_{scheduler}"] = _tier(t_async, msgs)
             extra["events_per_sec"][f"{case}_{scheduler}"] = round(eps, 1)
             lines.append(
                 f"{case:10s} async/{scheduler:8s} {t_async * 1000:8.1f} ms "
                 f"({events} events, {eps:,.0f} events/s, {fast.rounds} rounds)"
             )
-        ratio = best_eps["bucketed"] / max(best_eps["heap"], 1e-9)
+        ratio = statistics.median(
+            b / max(h, 1e-9)
+            for (h, _), (b, _) in zip(runs["heap"], runs["bucketed"])
+        )
         extra["bucketed_vs_heap"][case] = round(ratio, 2)
         lines.append(
             f"{case:10s} fast {t_fast * 1000:8.1f} ms | "
@@ -426,32 +432,20 @@ def test_engine_async_unit_delay(report_sink, bench_scale, master_seed):
 
 @pytest.mark.bench
 def test_engine_fault_churn_bellman_ford(report_sink, bench_scale, master_seed):
-    """Bellman-Ford under seeded faults + incremental label maintenance.
+    """Bellman-Ford reconvergence under seeded faults.
 
-    Two halves of the robustness story, both recorded as the
-    ``bellman_ford_churn`` trajectory entry:
-
-    * **Reconvergence cost.**  SSSP on a partial 3-tree mesh under a
-      ``MassFailure(0.3)`` node outage and a steady :class:`Churn` rotation,
-      against the fault-free async baseline.  Every scenario is transient,
-      so the final distances must equal the fault-free Dijkstra oracle
-      (asserted); the record keeps the scheduler's events/sec under faults,
-      the verdict's rounds-to-reconverge and the payloads actually dropped,
-      so fault-path overhead in the event loop shows up across PRs.
-    * **Incremental vs full rebuild.**  A seeded weight-churn sweep applied
-      to a built :class:`DistanceLabeling` via ``apply_edge_update`` —
-      timed per update and checked against a from-scratch
-      ``build_distance_labeling`` on the post-churn instance on sampled
-      pairwise queries — with the wall-time ratio recorded (the incremental
-      path exists precisely because the rebuild is orders of magnitude
-      more work per update).
+    SSSP on a partial 3-tree mesh under a ``MassFailure(0.3)`` node outage
+    and a steady :class:`Churn` rotation, against the fault-free async
+    baseline, recorded as the ``bellman_ford_churn`` trajectory entry.
+    Every scenario is transient, so the final distances must equal the
+    fault-free Dijkstra oracle (asserted); the record keeps the scheduler's
+    events/sec under faults, the verdict's rounds-to-reconverge and the
+    payloads actually dropped, so fault-path overhead in the event loop
+    shows up across PRs.  No wall-clock floor is asserted.
     """
-    import random
-
     from repro.congest.faults import Churn, MassFailure
     from repro.congest.scheduler import UnitDelay
     from repro.graphs.properties import dijkstra
-    from repro.labeling.construction import build_distance_labeling
 
     n = FAULT_SIZES[bench_scale]
     graph = generators.partial_k_tree(n, 3, seed=master_seed)
@@ -520,66 +514,8 @@ def test_engine_fault_churn_bellman_ford(report_sink, bench_scale, master_seed):
             f"reconverged in {verdict.rounds_to_reconverge} rounds)"
         )
 
-    # -- incremental label maintenance vs full rebuild under weight churn --
-    labeling, t_build = _timed(
-        lambda: build_distance_labeling(instance).labeling
-    )
-    labeling.attach_instance(instance)
-    churned = instance.copy()
-    rng = random.Random(master_seed * 9176 + 11)
-    edges = sorted(
-        {(e.tail, e.head) for u in instance.nodes() for e in instance.out_edges(u)}
-    )
-    updates = [
-        (tail, head, float(rng.randint(1, 9)))
-        for tail, head in rng.sample(edges, FAULT_UPDATES[bench_scale])
-    ]
-    t_incremental = 0.0
-    hubs_recomputed = 0
-    for tail, head, weight in updates:
-        stats, t_step = _timed(
-            lambda: labeling.apply_edge_update(tail, head, weight)
-        )
-        t_incremental += t_step
-        hubs_recomputed += stats.from_hubs_recomputed + stats.to_hubs_recomputed
-        for e in list(churned.out_edges(tail)):
-            if e.head == head:
-                churned.remove_edge(e.eid)
-        churned.add_edge(tail, head, weight=weight)
-    rebuilt, t_rebuild = _timed(
-        lambda: build_distance_labeling(churned).labeling
-    )
-    nodes = list(instance.nodes())
-    for _ in range(64):
-        u, v = rng.choice(nodes), rng.choice(nodes)
-        assert labeling.distance(u, v) == rebuilt.distance(u, v)
-
-    count = len(updates)
-    per_update = t_incremental / count
-    extra["labeling"] = {
-        "updates": count,
-        "build_seconds": round(t_build, 6),
-        "incremental_seconds_total": round(t_incremental, 6),
-        "incremental_ms_per_update": round(per_update * 1000, 3),
-        "rebuild_seconds": round(t_rebuild, 6),
-        "rebuild_vs_incremental_update": round(t_rebuild / max(per_update, 1e-9), 1),
-        "hubs_recomputed": hubs_recomputed,
-    }
-    lines.append(
-        f"labels: {count} weight updates in {t_incremental * 1000:.1f} ms "
-        f"({per_update * 1000:.2f} ms/update, {hubs_recomputed} hub recomputes) "
-        f"vs full rebuild {t_rebuild * 1000:.1f} ms "
-        f"({t_rebuild / max(per_update, 1e-9):.0f}x one update)"
-    )
     _record_bench("bellman_ford_churn", bench_scale, tiers, extra=extra)
     report_sink.append("\n".join(lines))
-    # The incremental path must beat a from-scratch rebuild per update even
-    # at smoke scale — a 1x ratio would mean the affectedness filters are
-    # recomputing every hub.
-    assert per_update < t_rebuild, (
-        f"apply_edge_update ({per_update:.4f}s) not faster than a full "
-        f"rebuild ({t_rebuild:.4f}s)"
-    )
 
 
 @pytest.mark.bench

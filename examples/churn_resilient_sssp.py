@@ -5,9 +5,7 @@ A sensor mesh keeps shortest-path routes to a gateway while nodes reboot
 and links flap.  The demo runs distributed Bellman-Ford on the async tier
 under three seeded fault scenarios — steady churn, a mass failure taking
 out 30% of the links at once, and a flapping link — and checks that the
-protocol reconverges to the exact post-fault distances every time.  It then
-shows the complementary *data-structure* side: a distance labeling absorbing
-the same weight churn incrementally instead of rebuilding from scratch.
+protocol reconverges to the exact post-fault distances every time.
 
 Run:  python examples/churn_resilient_sssp.py
 """
@@ -22,7 +20,6 @@ from repro.congest.bellman_ford import distributed_bellman_ford
 from repro.congest.faults import Churn, FaultEvent, FaultSchedule, LinkFlap, MassFailure
 from repro.graphs import generators
 from repro.graphs.properties import dijkstra
-from repro.labeling.construction import build_distance_labeling
 
 INF = math.inf
 
@@ -74,22 +71,7 @@ def main() -> None:
     )
     print("gateway reboot (down rounds 6-9):")
     print(f"  {verdict.faults_injected} faults, reconverged in "
-          f"{verdict.rounds_to_reconverge} rounds, {wrong} mismatches\n")
-
-    # The labeling side of the same story: absorb weight churn incrementally.
-    labeling = build_distance_labeling(instance).labeling
-    labeling.attach_instance(instance)
-    arcs = [e for e in instance.edges() if e.tail != e.head]
-    updates = [(arcs[k].tail, arcs[k].head, float(1 + (k * 7) % 9))
-               for k in range(0, len(arcs), max(1, len(arcs) // 8))]
-    rewritten = hubs = 0
-    for tail, head, w in updates:
-        stats = labeling.apply_edge_update(tail, head, w)
-        rewritten += stats.entries_rewritten
-        hubs += stats.from_hubs_recomputed + stats.to_hubs_recomputed
-    print(f"incremental labeling: {len(updates)} weight updates absorbed, "
-          f"{hubs} hub trees recomputed, {rewritten} entry rewrites across "
-          f"{labeling.total_entries()} stored entries — no rebuild")
+          f"{verdict.rounds_to_reconverge} rounds, {wrong} mismatches")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,6 @@ arXiv:2205.14897) as a self-contained Python library.  The package provides:
 
 * a CONGEST-model simulator (:mod:`repro.congest`),
 * low-treewidth graph substrates and generators (:mod:`repro.graphs`),
-* part-wise aggregation / low-congestion-shortcut primitives
-  (:mod:`repro.shortcuts`),
 * the paper's fully polynomial-time balanced separator and tree
   decomposition algorithms (:mod:`repro.decomposition`),
 * exact distance labeling and single-source shortest paths

@@ -1,8 +1,8 @@
 """Experiment harness: workloads, runners, result tables and scaling fits.
 
 The paper contains no empirical tables; the experiments here validate its
-quantitative theoretical claims (see DESIGN.md §3 for the experiment index
-E1–E9 and EXPERIMENTS.md for recorded results).  Each ``run_*`` function in
+quantitative theoretical claims (see docs/experiments.md for the experiment
+index E1–E9).  Each ``run_*`` function in
 :mod:`~repro.analysis.experiments` executes one experiment and returns a
 :class:`~repro.analysis.records.ResultTable` that can be printed, converted
 to CSV/markdown, or asserted on in benchmarks.

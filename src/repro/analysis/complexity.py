@@ -3,7 +3,7 @@
 The experiments check *shapes* — e.g. "rounds grow roughly linearly with D at
 fixed τ" or "rounds grow polynomially in τ but only polylogarithmically in n".
 These helpers perform the simple log-log / linear least-squares fits used to
-quantify those shapes in EXPERIMENTS.md.
+quantify those shapes in the E1–E9 benches (docs/experiments.md).
 
 Deliberately dependency-free: an ordinary 1-D least-squares line has a
 closed form, so the fits run identically in the no-numpy CI environment

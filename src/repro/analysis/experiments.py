@@ -1,4 +1,4 @@
-"""Experiment runners E1–E9 (see DESIGN.md §3 and EXPERIMENTS.md).
+"""Experiment runners E1–E9 (indexed in docs/experiments.md).
 
 Each function executes one experiment over a list of workloads and returns a
 :class:`~repro.analysis.records.ResultTable`.  Benchmarks wrap these runners

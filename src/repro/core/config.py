@@ -66,7 +66,7 @@ class SeparatorParams:
 
     @classmethod
     def practical(cls) -> "SeparatorParams":
-        """Scaled-down constants for laptop-scale experiments (see DESIGN.md)."""
+        """Scaled-down constants for laptop-scale experiments (docs/experiments.md)."""
         return cls(
             size_threshold_factor=4.0,
             balance_fraction=0.75,

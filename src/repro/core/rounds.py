@@ -12,8 +12,6 @@ communication graphs:
 * Corollary 2 — MVC(h, t): h simultaneous vertex-cut instances cost
   Õ(t·τ·D + h·t·τ) rounds.
 * Corollary 3 — BCT(h): h simultaneous broadcasts cost Õ(τ·D + h·τ) rounds.
-* Theorem 6 (Ghaffari scheduling) — running a set of algorithms with dilation
-  δ and total congestion γ takes Õ(δ + γ) rounds.
 
 :class:`CostModel` turns these formulas into concrete round charges (with the
 polylog factors made explicit and configurable), and :class:`RoundLedger`
@@ -109,10 +107,6 @@ class CostModel:
         """One PA invocation over a near-disjoint collection (Lemma 9 dilation Õ(τD))."""
         return self._c(max(1, width) * self.d * self.polylog)
 
-    def pa_congestion(self, width: int) -> int:
-        """Per-edge congestion of one PA invocation (Lemma 9: Õ(τ))."""
-        return self._c(max(1, width) * self.polylog)
-
     def subgraph_operation(self, width: int) -> int:
         """One RST / STA / SLE / CCD / BCT invocation (Lemma 8: Õ(1) PAs + SNCs)."""
         return self._c(self.partwise_aggregation(width) + self.snc())
@@ -127,23 +121,6 @@ class CostModel:
         w = max(1, width)
         t = max(1, t)
         return self._c((t * w * self.d + max(1, h) * t * w) * self.polylog)
-
-    def min_vertex_cut(self, width: int, t: int) -> int:
-        """MVC(t): a single vertex-cut instance (Lemma 8: Õ(t) PAs)."""
-        return self._c(max(1, t) * self.partwise_aggregation(width))
-
-    def scheduled(self, dilation: int, congestion: int) -> int:
-        """Ghaffari scheduling of a set of algorithms (Theorem 6: Õ(δ + γ))."""
-        return self._c((max(1, dilation) + max(0, congestion)) * self.polylog)
-
-    def local_broadcast_volume(self, width: int, words: int) -> int:
-        """Broadcast of ``words`` O(log n)-bit words inside every part.
-
-        This is BCT(h) with h = words (each word is one message-sized item),
-        used by the distance-labeling construction where each bag broadcasts
-        Õ(width²) edge entries of the auxiliary graph H_x.
-        """
-        return self.broadcast_multi(width, max(1, words))
 
 
 class RoundLedger:

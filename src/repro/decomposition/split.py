@@ -16,11 +16,12 @@ that
 The paper describes an iterative centroid-based procedure whose point is an
 efficient *parallel* CONGEST implementation (O(log t) invocations of subgraph
 operations).  Logically the output is exactly a bottom-up carving of the
-spanning tree; we implement the carving directly (single post-order pass) and
-charge the CONGEST cost of the paper's procedure through the cost model in
-:mod:`repro.shortcuts.operations`.  All output invariants listed above are the
-ones the correctness proof of ``Sep`` relies on (Appendix B.1) and are checked
-by the test suite.
+spanning tree; we implement the carving directly (single post-order pass).
+``BalancedSeparator._sep_once`` charges the CONGEST cost of the paper's
+procedure, O(log t) subgraph operations, through
+:meth:`~repro.core.rounds.CostModel.subgraph_operation`.  All output invariants
+listed above are the ones the correctness proof of ``Sep`` relies on
+(Appendix B.1) and are checked by the test suite.
 """
 
 from __future__ import annotations

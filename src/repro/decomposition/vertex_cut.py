@@ -13,8 +13,9 @@ capacity 1, original edges get infinite capacity, and a BFS-augmenting
 (Edmonds–Karp) max-flow bounded by ``limit + 1`` augmentations decides whether
 a cut of size ≤ ``limit`` exists and extracts it from the residual graph.
 In the distributed algorithm this is the MVC(t) primitive of Lemma 8, costing
-Õ(t) part-wise aggregations; the cost accounting lives in
-:mod:`repro.shortcuts.operations`.
+Õ(t) part-wise aggregations; ``BalancedSeparator._sep_once`` charges its
+sampled pairs together as MVC(h, t) through
+:meth:`~repro.core.rounds.CostModel.min_vertex_cut_multi`.
 """
 
 from __future__ import annotations

@@ -7,9 +7,7 @@ CONGEST rounds by recursing over the tree decomposition of §3: the label of u
 stores its distances to/from every vertex of B↑(u), the union of the bags on
 the root path to u's canonical bag.
 
-* :mod:`~repro.labeling.labels` — the label data structure, the decoder and
-  the incremental maintenance path (``DistanceLabeling.apply_edge_update``
-  with :class:`EdgeUpdateStats` accounting).
+* :mod:`~repro.labeling.labels` — the label data structure and the decoder.
 * :mod:`~repro.labeling.construction` — the recursive construction
   (auxiliary graphs H_x, Lemma 3/4 updates) with CONGEST round accounting.
 * :mod:`~repro.labeling.sssp` — single-source shortest paths by broadcasting
@@ -22,7 +20,6 @@ the root path to u's canonical bag.
 from repro.labeling.labels import (
     DistanceLabel,
     DistanceLabeling,
-    EdgeUpdateStats,
     decode_distance,
 )
 from repro.labeling.construction import build_distance_labeling, DistanceLabelingResult
@@ -32,7 +29,6 @@ from repro.labeling.sssp import single_source_shortest_paths, SSSPResult
 __all__ = [
     "DistanceLabel",
     "DistanceLabeling",
-    "EdgeUpdateStats",
     "PackedLabeling",
     "decode_distance",
     "build_distance_labeling",

@@ -8,28 +8,13 @@ pair of directed distances (d_G(u, s), d_G(s, u)).  The decoder computes
 
 which Lemma 2 proves equals d_G(u, v) because the bag at the lowest common
 ancestor of the two canonical nodes separates u from v.
-
-**Incremental maintenance.**  A labeling attached to its instance via
-:meth:`DistanceLabeling.attach_instance` supports weight updates through
-:meth:`DistanceLabeling.apply_edge_update` without a from-scratch rebuild.
-The hub sets B↑(u) depend only on the tree decomposition of the *undirected
-communication topology*, which weight changes (and edge removals /
-re-insertions — removing edges never breaks a separator) leave valid; only
-the stored distances can go stale.  An update of arc (a, b) from w_old to
-w_new changes d(s, ·) only if s can reach the arc on an improved path
-(``d(s,a) + w_new < d(s,b)``) or the arc lay on a shortest path out of s
-(``d(s,a) + w_old == d(s,b)``); both tests are answered *exactly* by the
-pre-update labels themselves, so the affected hubs are found with O(#hubs)
-decode calls and only those hubs re-run Dijkstra — everything else is
-provably untouched.  Updates that would *grow* the topology are rejected
-(a genuinely new edge could bypass the separators Lemma 2 relies on).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import LabelingError
 
@@ -157,37 +142,6 @@ def decode_distance(label_u: DistanceLabel, label_v: DistanceLabel) -> float:
     return best
 
 
-@dataclass
-class EdgeUpdateStats:
-    """Accounting for one :meth:`DistanceLabeling.apply_edge_update` call.
-
-    Attributes
-    ----------
-    tail, head:
-        The updated arc (a, b).
-    old_weight, new_weight:
-        Effective weight of the arc before/after (the minimum over parallel
-        edges; ``inf`` means the arc is absent).
-    candidate_hubs:
-        Hubs examined by the decode-based affectedness filter (each costs two
-        O(label) decodes, no graph traversal).
-    from_hubs_recomputed, to_hubs_recomputed:
-        Hubs whose outgoing (``d(s, ·)``) / incoming (``d(·, s)``) distance
-        trees were re-run with Dijkstra.
-    entries_rewritten:
-        Label entries overwritten with fresh distances.
-    """
-
-    tail: NodeId
-    head: NodeId
-    old_weight: float
-    new_weight: float
-    candidate_hubs: int = 0
-    from_hubs_recomputed: int = 0
-    to_hubs_recomputed: int = 0
-    entries_rewritten: int = 0
-
-
 class DistanceLabeling:
     """A complete labeling: one :class:`DistanceLabel` per vertex plus the decoder."""
 
@@ -195,16 +149,10 @@ class DistanceLabeling:
         self._labels: Dict[NodeId, DistanceLabel] = dict(labels)
         # Cached size statistics; recomputing max/total entries is an O(n)
         # sweep that query-serving callers hit per request, so both are
-        # computed once and invalidated by the two mutation paths that can
-        # change an entry count (set_entry / apply_edge_update).
+        # computed once and invalidated by set_entry, the one mutation path
+        # that can change an entry count.
         self._max_entries_cache: Optional[int] = None
         self._total_entries_cache: Optional[int] = None
-        # Incremental-maintenance state; populated by attach_instance().
-        self._instance = None
-        self._reverse = None
-        self._removed: Set[Tuple[NodeId, NodeId]] = set()
-        self._hub_members_to: Dict[NodeId, List[NodeId]] = {}
-        self._hub_members_from: Dict[NodeId, List[NodeId]] = {}
 
     def label(self, v: NodeId) -> DistanceLabel:
         try:
@@ -258,129 +206,3 @@ class DistanceLabeling:
 
     def __contains__(self, v: NodeId) -> bool:
         return v in self._labels
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance under edge updates
-    # ------------------------------------------------------------------ #
-    def attach_instance(self, instance) -> None:
-        """Snapshot ``instance`` so the labeling can absorb edge updates.
-
-        Stores private forward/reversed copies of the weighted instance the
-        labels were built from (the caller's graph is never mutated) and the
-        hub → member index needed to rewrite label entries.  Must be called
-        once before :meth:`apply_edge_update`; the labels are expected to be
-        exact for ``instance`` at attach time.
-        """
-        for v in self._labels:
-            if not instance.has_node(v):
-                raise LabelingError(
-                    f"labelled vertex {v!r} is not a vertex of the attached instance"
-                )
-        self._instance = instance.copy()
-        self._reverse = self._instance.reverse()
-        self._removed = set()
-        self._hub_members_to = {}
-        self._hub_members_from = {}
-        for u, lab in self._labels.items():
-            for s in lab.to_dist:
-                self._hub_members_to.setdefault(s, []).append(u)
-            for s in lab.from_dist:
-                self._hub_members_from.setdefault(s, []).append(u)
-
-    def apply_edge_update(self, tail: NodeId, head: NodeId, weight: float) -> EdgeUpdateStats:
-        """Update arc (tail, head) to ``weight`` and repair the labels in place.
-
-        Replaces every parallel (tail, head) edge of the attached instance
-        with a single edge of the new weight; ``weight=inf`` removes the arc
-        entirely, and a previously removed arc may be re-inserted at a finite
-        weight.  Arcs that never existed in the attached instance are
-        rejected — a genuinely new edge could bypass the decomposition's
-        separators and invalidate the decoder (see the module docstring).
-
-        Only hubs whose distance tree provably changed re-run Dijkstra; the
-        affected set is found with two exact label decodes per hub.  After the
-        call, ``distance(u, v)`` answers every pairwise query identically to a
-        from-scratch rebuild on the updated instance.
-        """
-        from repro.graphs.properties import dijkstra
-
-        if self._instance is None:
-            raise LabelingError(
-                "apply_edge_update requires attach_instance() to be called first"
-            )
-        if tail == head:
-            raise LabelingError("self-loop updates do not affect distances")
-        try:
-            known = self._instance.has_node(tail) and self._instance.has_node(head)
-        except TypeError:  # an unhashable id
-            known = False
-        if not known:
-            raise LabelingError(
-                f"arc ({tail!r}, {head!r}) endpoints are not vertices of the instance"
-            )
-        try:
-            valid = weight == INF or weight >= 0
-        except TypeError:  # a non-numeric weight, as WeightedDiGraph.add_edge rejects
-            valid = False
-        if not valid:
-            raise LabelingError(f"edge weight must be non-negative or inf, got {weight!r}")
-
-        parallel = [e for e in self._instance.out_edges(tail) if e.head == head]
-        w_old = min((e.weight for e in parallel), default=INF)
-        if not parallel and (tail, head) not in self._removed:
-            raise LabelingError(
-                f"arc ({tail!r}, {head!r}) is not an edge of the attached instance; "
-                "updates must not grow the topology"
-            )
-        w_new = INF if weight == INF else float(weight)
-        stats = EdgeUpdateStats(tail=tail, head=head, old_weight=w_old, new_weight=w_new)
-        # Entry rewrites below go straight at the label dicts, so the cached
-        # size statistics are invalidated up front (cheap, and keeps the
-        # cache contract simple: any update call resets it).
-        self._max_entries_cache = None
-        self._total_entries_cache = None
-
-        # Affectedness filters on the *pre-update* labels (exact distances).
-        # d(s, ·) changes iff s reaches the arc on an improved path, or the
-        # arc carried a shortest path out of s; mirror for d(·, s).  An
-        # unchanged effective weight (collapsing parallel edges) cannot move
-        # any distance.
-        affected_from: List[NodeId] = []
-        affected_to: List[NodeId] = []
-        if w_new != w_old:
-            for s in self._hub_members_from:
-                stats.candidate_hubs += 1
-                d_st, d_sh = self.distance(s, tail), self.distance(s, head)
-                if (d_st + w_new < d_sh) if w_new < w_old else (d_st + w_old == d_sh):
-                    affected_from.append(s)
-            for s in self._hub_members_to:
-                d_hs, d_ts = self.distance(head, s), self.distance(tail, s)
-                if (w_new + d_hs < d_ts) if w_new < w_old else (d_ts == w_old + d_hs):
-                    affected_to.append(s)
-
-        # Apply the update symmetrically to both maintained copies (reverse()
-        # preserves edge ids, so removals and explicit-id insertions stay in
-        # lockstep).
-        for e in parallel:
-            self._instance.remove_edge(e.eid)
-            self._reverse.remove_edge(e.eid)
-        if w_new == INF:
-            self._removed.add((tail, head))
-        else:
-            self._removed.discard((tail, head))
-            eid = self._instance.add_edge(tail, head, weight=w_new)
-            self._reverse.add_edge(head, tail, weight=w_new, eid=eid)
-
-        for s in affected_from:
-            dist = dijkstra(self._instance, s)
-            for u in self._hub_members_from[s]:
-                self._labels[u].from_dist[s] = dist.get(u, INF)
-                stats.entries_rewritten += 1
-            stats.from_hubs_recomputed += 1
-        for s in affected_to:
-            rdist = dijkstra(self._reverse, s)
-            for u in self._hub_members_to[s]:
-                self._labels[u].to_dist[s] = rdist.get(u, INF)
-                stats.entries_rewritten += 1
-            stats.to_hubs_recomputed += 1
-        return stats

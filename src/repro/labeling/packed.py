@@ -2,7 +2,7 @@
 
 :class:`~repro.labeling.labels.DistanceLabeling` is the construction-side
 representation — one Python dict pair per vertex, ideal for the recursive
-build and the incremental maintenance path, and hopeless for serving
+build, and hopeless for serving
 sustained query traffic (every ``decode_distance`` walks two dicts).
 :class:`PackedLabeling` is the serving-side twin: the same labels packed
 into four flat arrays in the ``PayloadSchema`` spirit (preallocated typed

@@ -104,24 +104,13 @@ class TestDistanceLabeling:
         assert labeling.total_entries() == 4
         assert labeling.label("u").to_dist["t"] == 9.0
 
-    def test_size_statistics_invalidated_by_edge_update(self, master_seed):
-        from repro.graphs import generators
-        from repro.labeling.construction import build_distance_labeling
-
-        graph = generators.partial_k_tree(10, 2, seed=master_seed)
-        instance = generators.to_directed_instance(
-            graph, weight_range=(1, 9), orientation="asymmetric",
-            seed=master_seed,
-        )
-        labeling = build_distance_labeling(instance).labeling
-        labeling.attach_instance(instance)
-        total = labeling.total_entries()
-        assert labeling._total_entries_cache == total
-        edge = next(e for e in instance.edges() if e.tail != e.head)
-        labeling.apply_edge_update(edge.tail, edge.head, 20.0)
-        assert labeling._total_entries_cache is None
-        # Weight updates rewrite values, never entry counts.
-        assert labeling.total_entries() == total
+    def test_set_entry_on_unknown_vertex_raises(self):
+        labeling = self._labeling()
+        assert labeling.total_entries() == 3
+        with pytest.raises(LabelingError, match="no label"):
+            labeling.set_entry("w", "s", 1.0, 1.0)
+        assert "w" not in labeling
+        assert labeling.total_entries() == 3
 
 
 class TestSortedHubsCache:

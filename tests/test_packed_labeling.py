@@ -7,8 +7,8 @@ batched kernel, pure-python fallback, memory-mapped reload) against
 label corpus is deliberately hostile — the ~30 seeded graph families of
 the engine-equivalence harness with synthetic labels whose to/from key
 sets *disagree* (one-sided hubs pack as ``inf``), explicit ``inf``
-entries, real built labelings including directed-unreachable (``inf``)
-pairs, and labels repacked after ``apply_edge_update`` churn.
+entries, and real built labelings including directed-unreachable (``inf``)
+pairs and labels repacked after ``DistanceLabeling.set_entry`` writes.
 """
 
 from __future__ import annotations
@@ -153,11 +153,11 @@ class TestOracleExactness:
 
 
 # --------------------------------------------------------------------------- #
-# Real built labelings, inf pairs, and post-update repacks
+# Real built labelings and inf pairs
 # --------------------------------------------------------------------------- #
 class TestBuiltLabelings:
-    def _instance(self, master_seed, orientation="asymmetric", n=24):
-        graph = generators.partial_k_tree(n, 3, 0.6, seed=master_seed)
+    def _instance(self, master_seed, orientation="asymmetric"):
+        graph = generators.partial_k_tree(24, 3, 0.6, seed=master_seed)
         return generators.to_directed_instance(
             graph, weight_range=(1, 9), orientation=orientation,
             seed=master_seed + 1,
@@ -190,19 +190,38 @@ class TestBuiltLabelings:
         pairs = [(u, v) for u in vertices[:8] for v in vertices]
         _assert_oracle_exact(packed, labeling, pairs)
 
-    def test_repack_after_edge_update(self, master_seed):
-        instance = self._instance(master_seed, n=18)
+    @pytest.mark.parametrize("kind", ["lower", "raise", "inf", "new_hub"])
+    def test_repack_after_set_entry(self, kind, master_seed):
+        # DistanceLabeling.set_entry is the labeling's one write path; a
+        # repack after such writes must decode exactly as the dicts do and
+        # carry the updated entry counts.  The first pack warms every cached
+        # hub order and entry count that the writes must invalidate.
+        instance = self._instance(master_seed)
         labeling = build_distance_labeling(instance).labeling
-        labeling.attach_instance(instance)
+        first = PackedLabeling.from_labeling(labeling)
+        assert first.total_entries == labeling.total_entries()
         rng = random.Random(master_seed + 7)
-        arcs = [(e.tail, e.head) for e in instance.edges() if e.tail != e.head]
-        for weight in (0.5, 17.0, INF):
-            tail, head = rng.choice(arcs)
-            labeling.apply_edge_update(tail, head, weight)
-            packed = PackedLabeling.from_labeling(labeling)
-            vertices = list(packed.vertices())
-            pairs = _sample_pairs(vertices, 150, random.Random(master_seed + 8))
-            _assert_oracle_exact(packed, labeling, pairs)
+        vertices = list(labeling.vertices())
+        smallest = sorted(vertices, key=lambda v: labeling.label(v).num_entries())
+        for u in smallest[:4]:
+            label = labeling.label(u)
+            if kind == "new_hub":
+                hub = rng.choice([v for v in vertices if v not in label.to_dist])
+                new = (float(rng.randint(1, 9)), float(rng.randint(1, 9)))
+            else:
+                hub = rng.choice(label.sorted_hubs())
+                to_hub, from_hub = label.to_dist[hub], label.from_dist[hub]
+                new = {
+                    "lower": (to_hub / 2, from_hub / 2),
+                    "raise": (to_hub + 17.0, from_hub + 17.0),
+                    "inf": (INF, INF),
+                }[kind]
+            labeling.set_entry(u, hub, *new)
+        packed = PackedLabeling.from_labeling(labeling)
+        assert packed.max_entries == labeling.max_entries()
+        assert packed.total_entries == labeling.total_entries()
+        pairs = _sample_pairs(vertices, 150, random.Random(master_seed + 8))
+        _assert_oracle_exact(packed, labeling, pairs)
 
 
 # --------------------------------------------------------------------------- #

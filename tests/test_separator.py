@@ -1,17 +1,20 @@
 """Tests for the Sep balanced-separator algorithm (Lemma 1)."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SeparatorParams
-from repro.core.rounds import CostModel
+from repro.core.rounds import CostModel, RoundLedger
 from repro.decomposition.separator import (
     BalancedSeparator,
     find_balanced_separator,
     is_mu_balanced,
 )
 from repro.decomposition.validation import is_balanced_separator, separator_quality
-from repro.errors import GraphError
+from repro.errors import GraphError, SeparatorFailure
 from repro.graphs import generators, properties
 from repro.graphs.treewidth import treewidth_upper_bound
 
@@ -104,6 +107,60 @@ class TestSepAlgorithm:
         result = find_balanced_separator(g, seed=2, known_width=4)
         assert result.width_guess >= 4
         assert is_balanced_separator(g, result.separator, 0.75 + 1e-9)
+
+
+class TestRoundCharges:
+    """Every charge in the ledger of ``Sep`` is a CostModel closed form.
+
+    The polylog factor is switched off, so each charge can be recomputed
+    exactly from the width guess t and the diameter.
+    """
+
+    def test_trivial_exit_charges_one_pa(self):
+        g = generators.cycle_graph(10)
+        cm = CostModel(n=10, diameter=5, log_factor_exponent=0)
+        result = find_balanced_separator(g, seed=0, cost_model=cm)
+        assert result.method == "trivial"
+        assert result.ledger.breakdown() == {
+            "sep/step1_count": cm.partwise_aggregation(result.width_guess)
+        }
+        assert result.rounds == result.ledger.total()
+
+    def test_root_path_charges_log_t_subgraph_operations_per_iteration(self):
+        g = generators.partial_k_tree(60, 2, seed=5)
+        cm = CostModel(n=60, diameter=properties.diameter(g), log_factor_exponent=0)
+        result = find_balanced_separator(g, seed=3, cost_model=cm)
+        assert (result.method, result.attempts) == ("roots", 1)
+        t = result.width_guess
+        charges = result.ledger.breakdown()
+        assert set(charges) == {"sep/step1_count", "sep/split", "sep/balance_check"}
+        assert charges["sep/step1_count"] == cm.partwise_aggregation(t)
+        # One balance check (CCD + PA) per splitting iteration ...
+        iterations, rest = divmod(charges["sep/balance_check"], cm.subgraph_operation(t))
+        assert iterations >= 1 and rest == 0
+        # ... and one Split, O(log t) subgraph operations, per iteration.
+        log_t = math.ceil(math.log2(t + 1))
+        assert charges["sep/split"] == iterations * log_t * cm.subgraph_operation(t)
+        assert result.rounds == result.ledger.total()
+
+    def test_pair_step_charges_bct_and_mvc_for_the_same_pairs(self):
+        # A trial that reaches step 4 charges its h sampled pairs as one
+        # BCT(h) and one MVC(h, t + 1); whether the trial then finds a
+        # balanced separator does not matter here.
+        g = generators.grid_graph(10, 10)
+        cm = CostModel(n=100, diameter=properties.diameter(g), log_factor_exponent=0)
+        sep = BalancedSeparator(rng=random.Random(3), cost_model=cm)
+        ledger = RoundLedger()
+        t = 2
+        try:
+            sep._sep_once(g, None, t, ledger)
+        except SeparatorFailure:
+            pass
+        charges = ledger.breakdown()
+        h, rest = divmod(charges["sep/pair_broadcast"] - t * cm.d, t)
+        assert h >= 1 and rest == 0
+        assert charges["sep/pair_broadcast"] == cm.broadcast_multi(t, h)
+        assert charges["sep/vertex_cuts"] == cm.min_vertex_cut_multi(t, h, t + 1)
 
 
 @given(st.integers(min_value=30, max_value=150), st.integers(min_value=0, max_value=300))
