@@ -55,6 +55,8 @@ def main() -> None:
               f"reconverged in {verdict.rounds_to_reconverge} rounds "
               f"after the last fault ({bf.rounds} rounds total)")
         print(f"  distances vs Dijkstra oracle: {wrong} mismatches\n")
+        if wrong:
+            raise SystemExit(f"{title}: {wrong} distances disagree with Dijkstra")
 
     # Hand-written schedules compose with the generators' output: here the
     # gateway itself reboots (it must come back — a schedule that leaves the
@@ -72,6 +74,8 @@ def main() -> None:
     print("gateway reboot (down rounds 6-9):")
     print(f"  {verdict.faults_injected} faults, reconverged in "
           f"{verdict.rounds_to_reconverge} rounds, {wrong} mismatches")
+    if wrong:
+        raise SystemExit(f"gateway reboot: {wrong} distances disagree with Dijkstra")
 
 
 if __name__ == "__main__":

@@ -48,6 +48,8 @@ def main() -> None:
     errors = sum(1 for v in instance.nodes() if abs(bf.distances[v] - reference[v]) > 1e-9)
     print(f"distributed Bellman-Ford SSSP: {bf.rounds} rounds, {bf.messages} messages, "
           f"{errors} mismatches vs Dijkstra")
+    if errors:
+        raise SystemExit(f"Bellman-Ford disagrees with Dijkstra at {errors} vertices")
     print("\n(The framework's labeling needs many fewer rounds per query once built — "
           "see examples/road_network_routing.py.)")
 

@@ -71,6 +71,8 @@ def main() -> None:
     print(f"  labeling rounds   : {labeling.rounds}")
     print(f"  SSSP total rounds : {sssp.total_rounds}")
     print(f"  mismatches vs Dijkstra: {mismatches}")
+    if mismatches:
+        raise SystemExit(f"SSSP disagrees with Dijkstra at {mismatches} vertices")
 
     # ----------------------------------------------------------------- #
     # 4. Bipartite maximum matching (Theorem 4) on a bipartite companion.
@@ -83,6 +85,10 @@ def main() -> None:
     print(f"  matching size : {matching.size}  (Hopcroft-Karp optimum: {optimum})")
     print(f"  augmentations : {matching.augmentations}")
     print(f"  rounds        : {matching.rounds}")
+    if matching.size != optimum:
+        raise SystemExit(
+            f"matching size {matching.size} is not the Hopcroft-Karp optimum {optimum}"
+        )
 
     # ----------------------------------------------------------------- #
     # 5. Weighted girth (Theorem 5) — on a randomly oriented copy, so that

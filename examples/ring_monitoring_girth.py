@@ -47,6 +47,10 @@ def main() -> None:
     print(f"  cheapest loop (exact)     : {exact}")
     print(f"  random-label trials       : {result.trials}")
     print(f"  CONGEST rounds            : {result.rounds}")
+    # Undirected girth is exact only w.h.p.; never undershooting the exact
+    # value is the half of that guarantee that holds on every run.
+    if result.girth < exact:
+        raise SystemExit(f"undirected girth {result.girth} is below the exact {exact}")
 
     # ----------------------------------------------------------------- #
     # Directed overlay: asymmetric latencies.
@@ -65,6 +69,8 @@ def main() -> None:
     print(f"  cheapest loop (framework) : {d_result.girth}")
     print(f"  cheapest loop (exact)     : {d_exact}")
     print(f"  CONGEST rounds            : {d_result.rounds}")
+    if d_result.girth != d_exact:
+        raise SystemExit(f"directed girth {d_result.girth} is not the exact {d_exact}")
 
     print(
         "\nThe paper's separation result: on low-treewidth, low-diameter networks the"

@@ -108,6 +108,8 @@ def main() -> None:
         if abs(got - expected) > 1e-9:
             errors += 1
     print(f"\nexactness check on 200 random origin/destination pairs: {errors} mismatches")
+    if errors:
+        raise SystemExit(f"labels disagree with Dijkstra on {errors} of 200 pairs")
 
 
 if __name__ == "__main__":

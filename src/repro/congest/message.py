@@ -33,6 +33,16 @@ NodeId = Hashable
 DEFAULT_WORDS_PER_MESSAGE = 8
 
 
+#: Item types (exact, not subclasses) that :func:`payload_size_words` counts
+#: as one word inside a container without a call per item.
+_FLAT_ITEM_TYPES = frozenset((type(None), bool, int, float))
+
+
+def _string_words(text: str) -> int:
+    # Strings of length ≤ 16 chars (identifiers, tags) count as one word.
+    return max(1, (len(text) + 15) // 16)
+
+
 def payload_size_words(payload: Any) -> int:
     """Return the size of ``payload`` in O(log n)-bit words.
 
@@ -41,14 +51,27 @@ def payload_size_words(payload: Any) -> int:
     framing.  This is intentionally coarse — the goal is to catch protocols
     that cheat by shipping whole subgraphs in a single message, not to model
     an exact wire format.
+
+    Inside a tuple, list, set or frozenset, plain ``None``, ``bool``,
+    ``int``, ``float`` and ``str`` items (Bellman-Ford's ``("dist", d)``)
+    are sized without a recursive call; only the other items (containers,
+    subclasses such as numpy's ``float64``, unknown objects) recurse.
     """
     if payload is None or isinstance(payload, (bool, int, float)):
         return 1
     if isinstance(payload, str):
-        # Strings of length ≤ 16 chars (identifiers, tags) count as one word.
-        return max(1, (len(payload) + 15) // 16)
+        return _string_words(payload)
     if isinstance(payload, (tuple, list, set, frozenset)):
-        return 1 + sum(payload_size_words(x) for x in payload)
+        words = 1
+        for x in payload:
+            kind = type(x)
+            if kind in _FLAT_ITEM_TYPES:
+                words += 1
+            elif kind is str:
+                words += _string_words(x)
+            else:
+                words += payload_size_words(x)
+        return words
     if isinstance(payload, dict):
         return 1 + sum(
             payload_size_words(k) + payload_size_words(v) for k, v in payload.items()

@@ -100,7 +100,14 @@ class FrameworkConfig:
     ----------
     seed:
         Seed for all randomized components (separator sampling, girth edge
-        labels).  ``None`` draws a fresh seed from the OS.
+        labels).  ``None`` draws a fresh seed from the OS.  A seed fixes
+        outputs across processes only for node ids whose hash Python does
+        not salt, such as ints and tuples of ints.  With ``str`` ids, for
+        instance the ``("L", i)`` of
+        :func:`~repro.graphs.generators.random_banded_bipartite`, set
+        iteration order follows ``PYTHONHASHSEED``, so two processes can
+        pick different separators and return different matchings and round
+        counts; fix ``PYTHONHASHSEED`` to make them agree.
     separator:
         Constants for the ``Sep`` algorithm.
     initial_width_guess:

@@ -10,7 +10,12 @@ bipartite matching (§6) but not the general case.
 
 :func:`find_augmenting_path` performs the product-graph search of Corollary 1
 from a single source (the re-inserted separator vertex of the divide-and-
-conquer driver) and returns the augmenting path, if one exists.
+conquer driver) and returns the augmenting path, if one exists.  The product
+graph G_C of Lemma 5 is searched without being built: a popped vertex (v, q)
+generates its successors on demand, in the order in which the G_C that
+:mod:`repro.walks.product` builds lists the out-edges of (v, q).  That order
+is kept because the Dijkstra's tie-breaks pick which of several shortest
+augmenting paths is returned, and so which matching the driver ends with.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ import math
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.digraph import WeightedDiGraph
+from repro.graphs.digraph import Edge
 from repro.graphs.graph import Graph
 from repro.walks.constraints import (
     INITIAL_STATE,
+    REJECT_STATE,
     AlternatingWalkConstraint,
 )
-from repro.walks.product import build_product_graph
 
 NodeId = Hashable
 MatchingEdge = FrozenSet[NodeId]
@@ -66,11 +71,20 @@ def find_augmenting_path(
 ) -> Optional[List[NodeId]]:
     """Find a shortest augmenting path starting at the unmatched vertex ``source``.
 
-    The search runs on the product graph G_C for the alternating-walk
-    constraint restricted to ``allowed`` vertices (defaults to all), exactly
-    as the distributed algorithm would query CDL(C_col(2)) labels from the
-    separator vertex.  Returns the path as a vertex list (length ≥ 2) or
-    ``None`` when no augmenting path from ``source`` exists.
+    The search is a Dijkstra from (source, ▽) over the product graph G_C for
+    the alternating-walk constraint restricted to ``allowed`` vertices
+    (defaults to all), exactly as the distributed algorithm would query
+    CDL(C_col(2)) labels from the separator vertex.  It stops at the first
+    popped (t, unmatched) with t free.  G_C is not built: a popped (v, q)
+    yields (w, δ_{v→w}(q)) for each arc v→w of the induced subgraph, then the
+    zero-weight (v, q) → (v, ⊥) when q ≠ ⊥.  That is the order in which the
+    built G_C lists the out-edges of (v, q): each undirected edge (a, b) of
+    ``graph.subgraph(allowed).edges()`` becomes the arc pair a→b, b→a, so v's
+    arcs follow that edge order.  Together with the (distance, push counter)
+    heap key this fixes which shortest path is returned.
+
+    Returns the path as a vertex list (length ≥ 2) or ``None`` when no
+    augmenting path from ``source`` exists.
 
     Raises :class:`GraphError` if ``source`` is matched or not allowed.
     """
@@ -81,50 +95,43 @@ def find_augmenting_path(
     if source in covered:
         raise GraphError(f"source {source!r} is already matched")
 
-    sub = graph.subgraph(allowed)
-    instance = WeightedDiGraph(sub.nodes())
-    for u, v in sub.edges():
-        instance.add_undirected_edge(u, v, weight=1.0)
-    constraint = AlternatingWalkConstraint(
+    arcs: Dict[NodeId, List[Edge]] = {}
+    for i, (a, b) in enumerate(graph.subgraph(allowed).edges()):
+        arcs.setdefault(a, []).append(Edge(2 * i, a, b))
+        arcs.setdefault(b, []).append(Edge(2 * i + 1, b, a))
+    delta = AlternatingWalkConstraint(
         {tuple(edge) for edge in matching if set(edge) <= allowed}
-    )
-    product = build_product_graph(instance, constraint)
+    ).delta
 
     start = (source, INITIAL_STATE)
     target_state = AlternatingWalkConstraint.UNMATCHED
-    graph_c = product.graph
 
-    # Single-source Dijkstra (unit weights, so effectively BFS) over G_C.
+    # Single-source Dijkstra (unit and zero weights) over G_C.
     dist: Dict = {start: 0.0}
     pred: Dict = {}
     heap: List[Tuple[float, int, Tuple]] = [(0.0, 0, start)]
     counter = 0
     settled: Set = set()
     best_target = None
-    best_dist = INF
     while heap:
         d, _, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
         vertex, state = node
-        if (
-            state == target_state
-            and vertex != source
-            and vertex not in covered
-            and d < best_dist
-        ):
-            best_target = node
-            best_dist = d
+        if state == target_state and vertex != source and vertex not in covered:
             # Dijkstra pops in non-decreasing order: first hit is the nearest.
+            best_target = node
             break
-        for e in graph_c.out_edges(node):
-            nd = d + e.weight
-            if nd < dist.get(e.head, INF):
-                dist[e.head] = nd
-                pred[e.head] = (node, e.eid)
+        successors = [((e.head, delta(state, e)), d + 1.0) for e in arcs.get(vertex, ())]
+        if state != REJECT_STATE:
+            successors.append(((vertex, REJECT_STATE), d))
+        for head, nd in successors:
+            if nd < dist.get(head, INF):
+                dist[head] = nd
+                pred[head] = node
                 counter += 1
-                heapq.heappush(heap, (nd, counter, e.head))
+                heapq.heappush(heap, (nd, counter, head))
 
     if best_target is None:
         return None
@@ -134,7 +141,7 @@ def find_augmenting_path(
     node = best_target
     while node != start:
         path_nodes.append(node[0])
-        node, _eid = pred[node]
+        node = pred[node]
     path_nodes.append(source)
     path_nodes.reverse()
 

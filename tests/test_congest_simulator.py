@@ -27,6 +27,47 @@ class TestMessageAccounting:
     def test_message_size(self):
         assert Message(1, 2, (1, 2)).size_words() == 3
 
+    def test_flat_sizing_matches_recursive_sizing(self):
+        zoo = [
+            None, True, False, 0, -7, 2**70, 3.5, float("inf"),
+            "", "x" * 16, "x" * 17, "x" * 33, _Opaque(),
+            (), [], ("dist", 4.0), (1, None, True, 2.5, "tag"),
+            ["x" * 17, "", "x" * 33, False], ("dist", (1, 2)), [(), []],
+            (1, _Opaque()), ("x" * 16, [None, ("y" * 33,)]),
+            {"a": 1, ("k", 2): [3, 4.0]}, {}, {1, 2, "z"}, frozenset({None, 3.0}),
+            ({"nested": (1, 2)}, {5}, frozenset({"w"})),
+        ]
+        try:
+            import numpy as np
+        except ImportError:
+            pass
+        else:
+            # float64 is a float subclass (1 word); int64 and bool_ are not
+            # ints (4 words each, as unknown objects).
+            scalars = [np.float64(1.5), np.int64(3), np.bool_(True)]
+            zoo += scalars + [tuple(scalars), ("dist", np.float64(2.0)), [np.int64(1), 2]]
+        for payload in zoo:
+            assert payload_size_words(payload) == _recursive_size_words(payload), payload
+
+
+class _Opaque:
+    """An object of a type the sizing rules do not know."""
+
+
+def _recursive_size_words(payload):
+    """Sizing of every payload by recursion over its items, one call per item."""
+    if payload is None or isinstance(payload, (bool, int, float)):
+        return 1
+    if isinstance(payload, str):
+        return max(1, (len(payload) + 15) // 16)
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        return 1 + sum(_recursive_size_words(x) for x in payload)
+    if isinstance(payload, dict):
+        return 1 + sum(
+            _recursive_size_words(k) + _recursive_size_words(v) for k, v in payload.items()
+        )
+    return 4
+
 
 class _Silent(NodeAlgorithm):
     def initialize(self, ctx):

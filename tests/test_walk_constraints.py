@@ -114,6 +114,24 @@ class TestValidation:
         g.add_edge("b", "c", label="b")
         ColoredWalkConstraint(["r", "b"]).validate(g)
 
+    def test_alternating_constraint_validates(self):
+        g = WeightedDiGraph()
+        g.add_undirected_edge("a", "b")
+        g.add_undirected_edge("b", "c")
+        constraint = AlternatingWalkConstraint([("c", "b")])
+        constraint.validate(g)
+        # Matched and unmatched arcs both occur, in both directions.
+        after_unmatched = {
+            (e.tail, e.head): constraint.delta(AlternatingWalkConstraint.UNMATCHED, e)
+            for e in g.edges()
+        }
+        assert after_unmatched == {
+            ("a", "b"): REJECT_STATE,
+            ("b", "a"): REJECT_STATE,
+            ("b", "c"): AlternatingWalkConstraint.MATCHED,
+            ("c", "b"): AlternatingWalkConstraint.MATCHED,
+        }
+
     def test_validate_catches_missing_specials(self):
         class Broken(ColoredWalkConstraint):
             def states(self):
