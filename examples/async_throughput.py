@@ -53,11 +53,15 @@ def main() -> None:
         heap = measure(instance, source, "heap")
         bucketed = measure(instance, source, "bucketed")
 
-        assert bucketed.distances == heap.distances
-        assert bucketed.parents == heap.parents
-        assert bucketed.simulation.virtual_time == heap.simulation.virtual_time
-        assert (bucketed.simulation.async_stats["events_processed"]
-                == heap.simulation.async_stats["events_processed"])
+        if bucketed.distances != heap.distances:
+            raise SystemExit(f"{label}: the two queues disagree on distances")
+        if bucketed.parents != heap.parents:
+            raise SystemExit(f"{label}: the two queues disagree on parents")
+        if bucketed.simulation.virtual_time != heap.simulation.virtual_time:
+            raise SystemExit(f"{label}: the two queues disagree on virtual time")
+        if (bucketed.simulation.async_stats["events_processed"]
+                != heap.simulation.async_stats["events_processed"]):
+            raise SystemExit(f"{label}: the two queues processed different events")
 
         events = heap.simulation.async_stats["events_processed"]
         eps_heap = heap.simulation.async_stats["events_per_sec"]

@@ -69,8 +69,10 @@ def main() -> None:
 
             packed = store.get(name)
             local = [packed.distance(u, v) for u, v in pairs[:BATCH]]
-            assert point_vals == local[:POINTS]
-            assert batch_vals == local
+            if point_vals != local[:POINTS]:
+                raise SystemExit("served point answers differ from the local decode")
+            if batch_vals != local:
+                raise SystemExit("served batch answers differ from the local decode")
 
             # Both workers map the same file once they serve it: the
             # zero-copy contract (labels are never copied to worker heaps).

@@ -39,7 +39,10 @@ def main() -> None:
         graph = generators.random_banded_bipartite(size, size + 5, band=3, edge_prob=0.5, seed=size)
         result = maximum_bipartite_matching(graph, config=FrameworkConfig(seed=size))
         optimum = len(hopcroft_karp_matching(graph))
-        assert result.size == optimum, "the framework matching must be optimal"
+        if result.size != optimum:
+            raise SystemExit(
+                f"framework matching size {result.size} is not the Hopcroft-Karp optimum {optimum}"
+            )
         table.add(
             devices=size,
             tasks=size + 5,

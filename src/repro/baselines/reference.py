@@ -11,6 +11,7 @@ from typing import Dict, Hashable
 
 import networkx as nx
 
+from repro.errors import ReproError
 from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
 from repro.graphs.convert import graph_to_networkx
 from repro.graphs.digraph import WeightedDiGraph
@@ -34,19 +35,23 @@ def reference_apsp(instance: WeightedDiGraph) -> Dict[NodeId, Dict[NodeId, float
 def reference_matching_size(graph: Graph) -> int:
     """Maximum matching size of a bipartite graph.
 
-    Cross-checked against networkx's Hopcroft–Karp implementation when the
-    graph is connected (networkx requires an explicit bipartition otherwise).
+    Hopcroft–Karp's size, cross-checked against networkx's Hopcroft–Karp
+    given the bipartition.  A disagreement raises
+    :class:`~repro.errors.ReproError`; only an error networkx itself raises
+    skips the cross-check.
     """
     own = len(hopcroft_karp_matching(graph))
+    parts = graph.bipartition()
+    if parts is None or graph.num_nodes() == 0:
+        return own
     try:
-        nxg = graph_to_networkx(graph)
-        parts = graph.bipartition()
-        if parts is not None and graph.num_nodes() > 0:
-            nx_match = nx.bipartite.maximum_matching(nxg, top_nodes=parts[0])
-            assert own == len(nx_match) // 2
-    except Exception:
-        # networkx cross-check is best-effort only (e.g. disconnected graphs).
-        pass
+        nx_match = nx.bipartite.maximum_matching(graph_to_networkx(graph), top_nodes=parts[0])
+    except nx.NetworkXException:
+        return own
+    if own != len(nx_match) // 2:
+        raise ReproError(
+            f"Hopcroft–Karp matches {own} pairs but networkx matches {len(nx_match) // 2}"
+        )
     return own
 
 

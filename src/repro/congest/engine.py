@@ -106,10 +106,7 @@ rather than silently ignoring faults or falling back:
                            result
    ======================  ==============================================
 
-   An async request that cannot be served (``supports_async = False``
-   protocols) normally falls back to ``fast``; with a fault schedule the
-   fallback is also an error, because no other tier can honour it.  A
-   ``FaultSchedule()`` with no events keeps the async tier on its
+   A ``FaultSchedule()`` with no events keeps the async tier on its
    fault-free fast path — bit-for-bit the run without the argument.
 
 **Per-tier option support** — which ``run()`` knobs each tier honours
@@ -174,25 +171,13 @@ NodeId = Hashable
 
 
 class EngineFallbackWarning(UserWarning):
-    """A requested engine tier was unavailable and the run fell back.
+    """A ``vectorized`` request ran on ``fast`` instead.
 
-    Emitted exactly once per :meth:`CongestNetwork.run` call, naming the
-    requested tier, the tier that actually ran, and the reason (no kernel,
-    no numpy, non-picklable delay model, ...).
+    Emitted exactly once per :meth:`CongestNetwork.run` call whose protocol
+    provides no :class:`~repro.congest.kernels.RoundKernel` or whose
+    environment has no numpy.  The text names the requested tier, the tier
+    that actually ran, and the reason.  No other tier falls back.
     """
-
-
-def fallback_message(requested: str, selected: str, reason: str) -> str:
-    """The canonical :class:`EngineFallbackWarning` text.
-
-    Every fallback warning goes through this helper so the message always
-    names *both* the requested and the selected tier (regression-tested in
-    ``tests/test_async_scheduler.py``), not just the reason.
-    """
-    return (
-        f"engine='{requested}' unavailable ({reason}); "
-        f"falling back to engine='{selected}'"
-    )
 
 
 @dataclass
@@ -303,7 +288,6 @@ def run_fast(
     neighbor_ids = idx.neighbor_ids
     out_maps = network._out_maps  # per node: original neighbour id -> (idx, edge id)
     budget = network.words_per_message
-    strict = network.strict_bandwidth
 
     algos: List[NodeAlgorithm] = [None] * n  # type: ignore[list-item]
     ctxs: List[NodeContext] = [None] * n  # type: ignore[list-item]
@@ -360,7 +344,7 @@ def run_fast(
                 size = payload_size_words(payload)
                 sized_payload = payload
                 sized_words = size
-            if size > budget and strict:
+            if size > budget:
                 raise BandwidthExceededError(
                     f"message from {sender_id!r} to {receiver!r} is {size} words "
                     f"(budget {budget})"
@@ -512,7 +496,6 @@ def run_vectorized(
     csr = network.indexed.to_arrays()
     n = csr.num_nodes
     budget = network.words_per_message
-    strict = network.strict_bandwidth
     schema = kernel.schema
     field_dtypes = dict(schema.fields)
 
@@ -553,7 +536,7 @@ def run_vectorized(
             batch_max_msg = int(w.max())
             batch_words = int(w.sum())
             edge_totals = np.bincount(csr.arc_edge_ids[sent], weights=w)
-        if batch_max_msg > budget and strict:
+        if batch_max_msg > budget:
             raise BandwidthExceededError(
                 f"packed message of schema {schema!r} is {batch_max_msg} words "
                 f"(budget {budget})"

@@ -5,8 +5,9 @@
 synchronous rounds, enforcing the per-edge bandwidth budget of the model and
 counting rounds.  The goal is a faithful round/bandwidth accounting.
 
-Four interchangeable execution tiers are provided (see
-:mod:`repro.congest.engine` for the full architecture notes):
+Four interchangeable execution tiers are provided, picked per run by
+``run(engine=...)`` (see :mod:`repro.congest.engine` for the full
+architecture notes):
 
 * ``engine="fast"`` (default) — the indexed CSR scalar path: flat integer
   node space, preallocated double-buffered inboxes, an active-node worklist,
@@ -27,12 +28,14 @@ Four interchangeable execution tiers are provided (see
   randomized equivalence suite can certify that every optimised tier
   produces identical rounds, outputs, and word counts on every instance.
 
-Requests for a tier the protocol/environment cannot satisfy (no kernel, no
-numpy, a non-picklable delay model, a synchronous-only protocol) gracefully
-fall back down the ladder and emit a single
+Every tier runs every protocol, except that ``vectorized`` needs a
+:class:`~repro.congest.kernels.RoundKernel` and numpy: without either the
+run falls back to ``fast`` and emits a single
 :class:`~repro.congest.engine.EngineFallbackWarning` naming the requested
 tier, the selected tier and the reason; the returned result's ``engine``
-field reports the tier that actually ran.
+field reports the tier that actually ran.  Every tier raises
+:class:`~repro.errors.BandwidthExceededError` on a message over the
+per-message word budget.
 
 All tiers account bandwidth *per edge per round*: the reported
 ``max_words_per_edge_round`` is the busiest (edge, round) pair with the words
@@ -43,14 +46,13 @@ still available as ``max_message_words``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.congest.engine import (
     EngineFallbackWarning,
     RoundStats,
     SimulationTrace,
-    fallback_message,
     run_fast,
     run_vectorized,
 )
@@ -65,11 +67,6 @@ NodeId = Hashable
 
 #: Engines accepted by :meth:`CongestNetwork.run`.
 ENGINES = ("fast", "legacy", "vectorized", "async")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 @dataclass
@@ -152,27 +149,19 @@ class CongestNetwork:
         Bandwidth budget per message in O(log n)-bit words, an ``int`` ≥ 1
         (anything else raises :class:`SimulationError`).  Because a node
         sends at most one message per neighbour per round, this is equivalent
-        to the CONGEST per-direction-per-round budget.
-    strict_bandwidth:
-        If ``True`` (default) oversized messages raise
-        :class:`BandwidthExceededError`; if ``False`` they are still delivered
-        but show up in the bandwidth statistics (useful for prototyping new
-        protocols).
-    engine:
-        Default execution engine for :meth:`run` (``"fast"``, ``"legacy"``,
-        ``"vectorized"`` or ``"async"``).
+        to the CONGEST per-direction-per-round budget.  A larger message
+        raises :class:`BandwidthExceededError` on every tier.
+
+    The execution tier is chosen per run, by :meth:`run`'s ``engine``.
     """
 
     def __init__(
         self,
         graph: Graph,
         words_per_message: int = DEFAULT_WORDS_PER_MESSAGE,
-        strict_bandwidth: bool = True,
-        engine: str = "fast",
     ) -> None:
         if graph.num_nodes() == 0:
             raise GraphError("cannot simulate an empty network")
-        _check_engine(engine)
         if (
             not isinstance(words_per_message, int)
             or isinstance(words_per_message, bool)
@@ -183,8 +172,6 @@ class CongestNetwork:
             )
         self.graph = graph
         self.words_per_message = words_per_message
-        self.strict_bandwidth = strict_bandwidth
-        self.engine = engine
         #: CSR snapshot of the communication graph (contiguous int node ids);
         #: refreshed automatically at ``run()`` if the graph was mutated.
         self.indexed = None
@@ -244,29 +231,25 @@ class CongestNetwork:
             the standard convention that the round complexity of an algorithm
             is the index of the last round in which a message is sent.
         engine:
-            Execution engine override (``"fast"``/``"legacy"``/
-            ``"vectorized"``/``"async"``); defaults to the network's engine.
-            All tiers produce identical results (the async tier bit-for-bit
-            under unit delays, output-identical under every seeded delay
-            model).
+            Execution tier (``"fast"``/``"legacy"``/``"vectorized"``/
+            ``"async"``); ``None`` means ``"fast"``.  All tiers produce
+            identical results (the async tier bit-for-bit under unit delays,
+            output-identical under every seeded delay model).
         trace:
             Optional :class:`~repro.congest.engine.SimulationTrace` collecting
             round-by-round statistics.
         kernel:
             Whole-round :class:`~repro.congest.kernels.RoundKernel` for the
-            ``vectorized`` tier.  When omitted, a ``round_kernel`` attribute
-            on ``algorithm_factory`` is used if present; with no kernel (or
-            no numpy) the run gracefully falls back to ``fast`` with a single
+            ``vectorized`` tier.  With no kernel (or no numpy) a
+            ``vectorized`` run falls back to ``fast`` with a single
             :class:`~repro.congest.engine.EngineFallbackWarning` — check
             ``SimulationResult.engine`` for the tier that actually ran.
         delay_model:
             :class:`~repro.congest.scheduler.DelayModel` assigning every
             (arc, message) envelope its delivery time on the ``async`` tier
             (default :class:`~repro.congest.scheduler.UnitDelay`).  Only
-            meaningful with ``engine="async"``; a non-picklable model (whose
-            schedule could not be snapshotted for reproduction) falls back
-            to ``fast`` with a single
-            :class:`~repro.congest.engine.EngineFallbackWarning`.
+            meaningful with ``engine="async"``, which runs every protocol
+            under every model.
         fault_schedule:
             :class:`~repro.congest.faults.FaultSchedule` (explicit timed
             node/edge crash+recover transitions) or seeded
@@ -288,15 +271,14 @@ class CongestNetwork:
             ``engine="async"``.
         """
         self._refresh_view()
-        chosen = engine if engine is not None else self.engine
-        _check_engine(chosen)
+        chosen = "fast" if engine is None else engine
+        if chosen not in ENGINES:
+            raise SimulationError(f"unknown engine {chosen!r}; expected one of {ENGINES}")
         if scheduler is not None and chosen != "async":
             raise SimulationError(
                 f"scheduler is only meaningful with engine='async' "
                 f"(requested engine {chosen!r})"
             )
-        if kernel is None:
-            kernel = getattr(algorithm_factory, "round_kernel", None)
         if delay_model is not None and chosen != "async":
             raise SimulationError(
                 f"delay_model is only meaningful with engine='async' "
@@ -309,36 +291,19 @@ class CongestNetwork:
                 "mid-round crash/recovery timing"
             )
         if chosen == "async":
-            from repro.congest.scheduler import async_incompatibility, run_async
+            from repro.congest.scheduler import run_async
 
-            reason, probe = async_incompatibility(self, algorithm_factory, delay_model)
-            if reason is None:
-                return run_async(
-                    self,
-                    algorithm_factory,
-                    delay_model=delay_model,
-                    max_rounds=max_rounds,
-                    local_inputs=local_inputs,
-                    stop_when_quiet=stop_when_quiet,
-                    trace=trace,
-                    fault_schedule=fault_schedule,
-                    scheduler=scheduler if scheduler is not None else "bucketed",
-                    _probe=probe,
-                )
-            if fault_schedule is not None:
-                # No silent fallback here: the fast tier cannot inject the
-                # faults, so degrading would silently run a different
-                # (fault-free) experiment.
-                raise SimulationError(
-                    f"fault_schedule requires the async tier, which cannot "
-                    f"serve this request ({reason})"
-                )
-            warnings.warn(
-                fallback_message("async", "fast", reason),
-                EngineFallbackWarning,
-                stacklevel=2,
+            return run_async(
+                self,
+                algorithm_factory,
+                delay_model=delay_model,
+                max_rounds=max_rounds,
+                local_inputs=local_inputs,
+                stop_when_quiet=stop_when_quiet,
+                trace=trace,
+                fault_schedule=fault_schedule,
+                scheduler=scheduler if scheduler is not None else "bucketed",
             )
-            chosen = "fast"
         if chosen == "vectorized":
             if kernel is not None and vectorized_available():
                 return run_vectorized(
@@ -356,7 +321,8 @@ class CongestNetwork:
                 else "numpy is unavailable"
             )
             warnings.warn(
-                fallback_message("vectorized", "fast", reason),
+                f"engine='vectorized' unavailable ({reason}); "
+                "falling back to engine='fast'",
                 EngineFallbackWarning,
                 stacklevel=2,
             )
@@ -432,7 +398,7 @@ class CongestNetwork:
                     )
                 msg = Message(sender, receiver, payload)
                 size = msg.size_words()
-                if size > self.words_per_message and self.strict_bandwidth:
+                if size > self.words_per_message:
                     raise BandwidthExceededError(
                         f"message from {sender!r} to {receiver!r} is {size} words "
                         f"(budget {self.words_per_message})"

@@ -75,18 +75,12 @@ class NodeAlgorithm:
     may *read* them for instrumentation, but its outputs must not depend on
     them — outputs are required to be schedule-invariant, which every
     protocol that treats ``ctx.round_number`` as a logical round counter
-    already satisfies.  A protocol that genuinely needs wall-synchronous
-    rounds can set ``supports_async = False``; an ``engine="async"`` request
-    then falls back to the fast tier with one
-    :class:`~repro.congest.engine.EngineFallbackWarning`.
+    already satisfies.  The α-synchronizer delivers exactly the synchronous
+    inboxes, so every protocol runs on the async tier unmodified.
     """
 
     #: See the class docstring; opt-in skip of idle rounds.
     event_driven = False
-
-    #: See the class docstring; opt-out from the asynchronous tier for
-    #: protocols whose semantics require lockstep rounds.
-    supports_async = True
 
     def __init__(self) -> None:
         self._halted = False

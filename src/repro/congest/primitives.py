@@ -363,9 +363,8 @@ def flood_chunks(
     engine, fault_schedule = resolve_fault_run(
         network, fault_schedule, engine, [root], "chunk flooding"
     )
-    # Always attach the kernel (construction is cheap); the dispatcher in
-    # CongestNetwork.run uses it only when a kernel tier actually runs, so
-    # the protocol follows the network's default engine too.
+    # Always attach the kernel (construction is cheap); CongestNetwork.run
+    # reads it only on engine="vectorized".
     result = network.run(
         lambda u: ChunkFloodNode(u, root, chunks),
         max_rounds=max_rounds,

@@ -126,7 +126,6 @@ returned as ``SimulationResult.fault_verdict``.
 
 from __future__ import annotations
 
-import pickle
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -195,18 +194,16 @@ class DelayModel:
     keyed configuration into dense arc positions).  Delays must be a
     deterministic function of the model's construction parameters and
     ``(arc, pulse)`` — never of call order — so that any observed schedule
-    is reproducible from the model alone.  Models must also be picklable
-    (:meth:`CongestNetwork.run` falls back to the fast tier, with an
-    :class:`~repro.congest.engine.EngineFallbackWarning`, for models that are
-    not: a schedule that cannot be snapshotted cannot be replayed).
+    is reproducible from the model alone.  The async tier runs every
+    instance.
     """
 
     def bind(self, indexed) -> None:
         """Resolve per-run structure; called once before the event loop.
 
         Subclasses may precompute dense per-arc tables here.  Keep only what
-        :meth:`delay` needs — models stay pickle-small and reusable across
-        runs (do not retain the graph snapshot itself).
+        :meth:`delay` needs, so a model stays small and reusable across runs
+        (do not retain the graph snapshot itself).
         """
 
     def delay(self, arc: int, pulse: int) -> int:
@@ -391,42 +388,6 @@ class EventRecord:
 
 
 # --------------------------------------------------------------------------- #
-# Dispatch support
-# --------------------------------------------------------------------------- #
-def async_incompatibility(network, algorithm_factory, delay_model):
-    """Why ``engine="async"`` cannot serve this request — ``(reason, probe)``.
-
-    Mirrors the capability checks of the other tiers' fallback ladder: the
-    ``reason`` string (or ``None`` when the tier can run) becomes the single
-    :class:`~repro.congest.engine.EngineFallbackWarning`.  Checking
-    ``supports_async`` requires instantiating the first node's algorithm;
-    that ``probe`` instance is returned so :func:`run_async` can adopt it as
-    node 0's algorithm — the factory is called exactly once per node, like
-    on every other tier.  A ``delay_model`` of the wrong type is a caller
-    error and raises instead of falling back.
-    """
-    if delay_model is not None:
-        if not isinstance(delay_model, DelayModel):
-            raise SimulationError(
-                f"delay_model must be a DelayModel instance, got {type(delay_model)!r}"
-            )
-        try:
-            pickle.dumps(delay_model)
-        except Exception:
-            return (
-                f"delay model {type(delay_model).__name__} is not picklable, so "
-                "its schedule cannot be snapshotted for reproduction"
-            ), None
-    probe = algorithm_factory(network.indexed.node_ids[0])
-    if isinstance(probe, NodeAlgorithm) and not probe.supports_async:
-        return (
-            f"protocol {type(probe).__name__} declares supports_async=False "
-            "(synchronous rounds only)"
-        ), None
-    return None, probe
-
-
-# --------------------------------------------------------------------------- #
 # The scheduler
 # --------------------------------------------------------------------------- #
 def run_async(
@@ -439,7 +400,6 @@ def run_async(
     trace: Optional[SimulationTrace] = None,
     fault_schedule=None,
     scheduler: str = "bucketed",
-    _probe: Optional[NodeAlgorithm] = None,
 ):
     """Execute one protocol on ``network`` through the event-driven tier.
 
@@ -455,9 +415,8 @@ def run_async(
     :class:`~repro.congest.faults.FaultModel` — injects seeded node/edge
     crash+recover transitions; the run then reports its fault accounting as
     ``SimulationResult.fault_verdict`` and crashed nodes that never recover
-    report ``None`` outputs.  ``_probe`` is the first node's
-    already-constructed algorithm from :func:`async_incompatibility`,
-    adopted so the factory is called exactly once per node.
+    report ``None`` outputs.  A ``delay_model`` that is not a
+    :class:`DelayModel` raises :class:`~repro.errors.SimulationError`.
     """
     from repro.congest.network import SimulationResult
 
@@ -466,6 +425,10 @@ def run_async(
             f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
         )
     use_buckets = scheduler == "bucketed"
+    if delay_model is not None and not isinstance(delay_model, DelayModel):
+        raise SimulationError(
+            f"delay_model must be a DelayModel instance, got {type(delay_model)!r}"
+        )
 
     idx = network.indexed
     n = idx.num_nodes
@@ -475,7 +438,6 @@ def run_async(
     indices = idx.indices
     out_maps = network._out_maps  # per node: original neighbour id -> (idx, edge id)
     budget = network.words_per_message
-    strict = network.strict_bandwidth
 
     model = delay_model if delay_model is not None else UnitDelay()
     model.bind(idx)
@@ -485,7 +447,7 @@ def run_async(
     ctxs: List[NodeContext] = [None] * n  # type: ignore[list-item]
     for i in range(n):
         u = node_ids[i]
-        algo = _probe if i == 0 and _probe is not None else algorithm_factory(u)
+        algo = algorithm_factory(u)
         if not isinstance(algo, NodeAlgorithm):
             raise SimulationError(
                 f"algorithm_factory must return NodeAlgorithm instances, got {type(algo)!r}"
@@ -896,7 +858,7 @@ def run_async(
                     size = payload_size_words(payload)
                     sized_payload = payload
                     sized_words = size
-                if size > budget and strict:
+                if size > budget:
                     raise BandwidthExceededError(
                         f"message from {sender_id!r} to {receiver!r} is {size} words "
                         f"(budget {budget})"

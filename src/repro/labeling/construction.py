@@ -153,7 +153,6 @@ def _measured_bct_broadcast(
     comm: Graph,
     vertices: FrozenSet[NodeId],
     chunks: List[Tuple],
-    engine: Optional[str] = None,
 ):
     """Execute one level's H_x broadcast inside G_x on the simulation engine.
 
@@ -164,15 +163,14 @@ def _measured_bct_broadcast(
     arbitrary node types can exceed the default CONGEST word budget; the
     model cost of a chunk is still O(1) words).
 
-    ``engine=None`` runs the array tier (the chunk flood's
+    The flood runs on the array tier (the chunk flood's
     :class:`~repro.congest.kernels.FloodingKernel`) when numpy is available
-    and the scalar ``fast`` tier otherwise; every tier measures the same
+    and on the scalar ``fast`` tier otherwise; both measure the same
     rounds.  Raises :class:`~repro.errors.LabelingError` when the flood does
     not reach every vertex of the part, since its rounds would then not be
     the cost of a complete broadcast.
     """
-    if engine is None:
-        engine = "vectorized" if kernels.vectorized_available() else "fast"
+    engine = "vectorized" if kernels.vectorized_available() else "fast"
     sub = comm.subgraph(vertices)
     root = min(vertices, key=str)
     total = len(chunks)
@@ -196,7 +194,6 @@ def build_distance_labeling(
     config: Optional[FrameworkConfig] = None,
     cost_model: Optional[CostModel] = None,
     measured_broadcast: bool = False,
-    broadcast_engine: Optional[str] = None,
 ) -> DistanceLabelingResult:
     """Construct the exact distance labeling of a weighted directed instance.
 
@@ -217,14 +214,10 @@ def build_distance_labeling(
         part, whose cost bounds the level) and the *measured* round counts
         are charged to the ledger instead of the cost model's
         ``broadcast_multi`` estimate.  The local-update SNC term stays
-        modeled.
-    broadcast_engine:
-        Engine tier for the measured broadcasts (``"fast"``, ``"legacy"``,
-        ``"vectorized"`` or ``"async"`` — the generic chunk flood runs as
-        :class:`~repro.congest.kernels.FloodingKernel` on ``vectorized``,
-        with identical measured rounds on every tier).  Default:
-        ``"vectorized"`` when numpy is available, else ``"fast"``, with no
-        fallback warning.
+        modeled.  The floods run on ``vectorized`` (the chunk flood's
+        :class:`~repro.congest.kernels.FloodingKernel`) when numpy imports
+        and on ``fast`` otherwise, with no fallback warning; both tiers
+        measure the same rounds.
 
     Returns
     -------
@@ -386,7 +379,7 @@ def build_distance_labeling(
         if measured_broadcast:
             vertices, payload_graph = level_payload[depth]
             chunks = _broadcast_chunks(payload_graph)
-            sim = _measured_bct_broadcast(comm, vertices, chunks, engine=broadcast_engine)
+            sim = _measured_bct_broadcast(comm, vertices, chunks)
             measured_rounds[depth] = sim.rounds
             ledger.charge(
                 f"distance_labeling/level_{depth}/broadcast[measured]",

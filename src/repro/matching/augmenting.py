@@ -11,18 +11,18 @@ bipartite matching (§6) but not the general case.
 :func:`find_augmenting_path` performs the product-graph search of Corollary 1
 from a single source (the re-inserted separator vertex of the divide-and-
 conquer driver) and returns the augmenting path, if one exists.  The product
-graph G_C of Lemma 5 is searched without being built: a popped vertex (v, q)
-generates its successors on demand, in the order in which the G_C that
-:mod:`repro.walks.product` builds lists the out-edges of (v, q).  That order
-is kept because the Dijkstra's tie-breaks pick which of several shortest
-augmenting paths is returned, and so which matching the driver ends with.
+graph G_C of Lemma 5 is searched without being built: a dequeued vertex
+(v, q) generates its successors on demand, in the order in which the G_C
+that :mod:`repro.walks.product` builds lists the out-edges of (v, q).  That
+order is kept because the search's tie-breaks pick which of several
+shortest augmenting paths is returned, and so which matching the driver
+ends with.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set
 
 from repro.errors import GraphError
 from repro.graphs.digraph import Edge
@@ -35,7 +35,6 @@ from repro.walks.constraints import (
 
 NodeId = Hashable
 MatchingEdge = FrozenSet[NodeId]
-INF = math.inf
 
 
 def matched_vertices(matching: Iterable[MatchingEdge]) -> Set[NodeId]:
@@ -71,17 +70,19 @@ def find_augmenting_path(
 ) -> Optional[List[NodeId]]:
     """Find a shortest augmenting path starting at the unmatched vertex ``source``.
 
-    The search is a Dijkstra from (source, ▽) over the product graph G_C for
-    the alternating-walk constraint restricted to ``allowed`` vertices
-    (defaults to all), exactly as the distributed algorithm would query
-    CDL(C_col(2)) labels from the separator vertex.  It stops at the first
-    popped (t, unmatched) with t free.  G_C is not built: a popped (v, q)
-    yields (w, δ_{v→w}(q)) for each arc v→w of the induced subgraph, then the
-    zero-weight (v, q) → (v, ⊥) when q ≠ ⊥.  That is the order in which the
-    built G_C lists the out-edges of (v, q): each undirected edge (a, b) of
-    ``graph.subgraph(allowed).edges()`` becomes the arc pair a→b, b→a, so v's
-    arcs follow that edge order.  Together with the (distance, push counter)
-    heap key this fixes which shortest path is returned.
+    The search is a breadth-first search from (source, ▽) over the product
+    graph G_C for the alternating-walk constraint restricted to ``allowed``
+    vertices (defaults to all), exactly as the distributed algorithm would
+    query CDL(C_col(2)) labels from the separator vertex.  It stops at the
+    first dequeued (t, unmatched) with t free.  G_C is not built: a dequeued
+    (v, q) yields (w, δ_{v→w}(q)) for each arc v→w of the induced subgraph.
+    That is the order in which the built G_C lists the out-edges of (v, q):
+    each undirected edge (a, b) of ``graph.subgraph(allowed).edges()``
+    becomes the arc pair a→b, b→a, so v's arcs follow that edge order.  The
+    reject state ⊥ is never enqueued: it leads only to ⊥ and is never a
+    target.  Without ⊥, every edge of G_C weighs 1, so this FIFO order is
+    the pop order of a Dijkstra over G_C with a (distance, push counter)
+    heap key, and the same shortest path is returned.
 
     Returns the path as a vertex list (length ≥ 2) or ``None`` when no
     augmenting path from ``source`` exists.
@@ -106,32 +107,21 @@ def find_augmenting_path(
     start = (source, INITIAL_STATE)
     target_state = AlternatingWalkConstraint.UNMATCHED
 
-    # Single-source Dijkstra (unit and zero weights) over G_C.
-    dist: Dict = {start: 0.0}
-    pred: Dict = {}
-    heap: List[Tuple[float, int, Tuple]] = [(0.0, 0, start)]
-    counter = 0
-    settled: Set = set()
+    pred: Dict = {start: None}
+    queue = deque([start])
     best_target = None
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
+    while queue:
+        node = queue.popleft()
         vertex, state = node
         if state == target_state and vertex != source and vertex not in covered:
-            # Dijkstra pops in non-decreasing order: first hit is the nearest.
+            # BFS dequeues in non-decreasing distance: first hit is the nearest.
             best_target = node
             break
-        successors = [((e.head, delta(state, e)), d + 1.0) for e in arcs.get(vertex, ())]
-        if state != REJECT_STATE:
-            successors.append(((vertex, REJECT_STATE), d))
-        for head, nd in successors:
-            if nd < dist.get(head, INF):
-                dist[head] = nd
+        for e in arcs.get(vertex, ()):
+            head = (e.head, delta(state, e))
+            if head[1] != REJECT_STATE and head not in pred:
                 pred[head] = node
-                counter += 1
-                heapq.heappush(heap, (nd, counter, head))
+                queue.append(head)
 
     if best_target is None:
         return None

@@ -14,9 +14,10 @@ The async tier's defining invariant (``src/repro/congest/scheduler.py``):
 
 The heavy multi-seed sweeps are marked ``fuzz`` (deselected by default; CI
 runs them in a dedicated step via ``-m fuzz``); a small-seed subset runs in
-the default job.  The module also regression-tests the async→fast fallback
-ladder and the :class:`EngineFallbackWarning` message contract (both the
-requested and the selected tier must be named).
+the default job.  The module also checks that the async tier runs every
+:class:`DelayModel` instance without falling back, and the
+:class:`EngineFallbackWarning` message contract of the one remaining
+fallback, ``vectorized`` → ``fast`` (both tiers must be named).
 """
 
 from __future__ import annotations
@@ -481,8 +482,7 @@ class TestDelayModels:
 
     def test_bound_model_stays_pickle_small(self):
         """bind() must not retain the graph snapshot: a model reused across
-        runs would otherwise drag an O(n + m) payload through the per-run
-        picklability check."""
+        runs would otherwise keep an O(n + m) payload alive."""
         import pickle
 
         net = CongestNetwork(generators.complete_graph(40))
@@ -657,13 +657,6 @@ class TestAsyncErrorSemantics:
         net = CongestNetwork(generators.path_graph(3), words_per_message=2)
         with pytest.raises(BandwidthExceededError):
             broadcast(net, 0, ("too", "many", "words", "here"), engine="async")
-        lenient = CongestNetwork(
-            generators.path_graph(3), words_per_message=2, strict_bandwidth=False
-        )
-        ref = broadcast(lenient, 0, ("too", "many", "words", "here"), engine="fast")[1]
-        run = broadcast(lenient, 0, ("too", "many", "words", "here"), engine="async")[1]
-        _assert_identical(ref, run)
-        assert run.max_message_words == ref.max_message_words > 2
 
     def test_non_neighbour_send(self):
         class Rogue(NodeAlgorithm):
@@ -689,8 +682,8 @@ class TestAsyncErrorSemantics:
         assert run.outputs == ref.outputs
 
     def test_factory_called_exactly_once_per_node(self):
-        """The supports_async probe is adopted as node 0's algorithm: the
-        async tier makes exactly n factory calls, like every other tier."""
+        """The async tier makes exactly n factory calls, like every other
+        tier."""
         calls = []
 
         def factory(u):
@@ -714,12 +707,11 @@ class TestAsyncErrorSemantics:
 
 
 # --------------------------------------------------------------------------- #
-# Fallback ladder + warning-message contract
+# No async fallback + warning-message contract
 # --------------------------------------------------------------------------- #
 class TestAsyncFallbackLadder:
-    """``engine="async"`` degrades to ``fast`` with exactly one
-    :class:`EngineFallbackWarning` naming *both* the requested and the
-    selected tier — mirroring the vectorized→fast ladder tests."""
+    """``engine="async"`` never falls back: it runs every protocol under
+    every :class:`DelayModel` instance, and a caller error raises."""
 
     def _run(self, graph=None, **kwargs):
         net = CongestNetwork(graph if graph is not None else generators.cycle_graph(9))
@@ -728,37 +720,17 @@ class TestAsyncFallbackLadder:
             result = net.run(lambda u: BroadcastAll(value=u), engine="async", **kwargs)
         return result, [w for w in rec if issubclass(w.category, EngineFallbackWarning)]
 
-    def test_non_picklable_delay_model_falls_back_once(self):
+    def test_non_picklable_delay_model_runs_async(self):
         model = UnitDelay()
         model.hook = lambda arc: 1  # lambdas cannot be pickled
         result, fallbacks = self._run(delay_model=model)
-        assert result.engine == "fast"
-        assert len(fallbacks) == 1
-        message = str(fallbacks[0].message)
-        assert "engine='async'" in message
-        assert "engine='fast'" in message
-        assert "not picklable" in message
-        # The fallback run is the plain fast run, bit for bit.
+        assert result.engine == "async"
+        assert fallbacks == []
         ref = CongestNetwork(generators.cycle_graph(9)).run(
             lambda u: BroadcastAll(value=u), engine="fast"
         )
         _assert_identical(ref, result)
-
-    def test_sync_only_protocol_falls_back_once(self):
-        class LockstepOnly(BroadcastAll):
-            supports_async = False
-
-        net = CongestNetwork(generators.cycle_graph(9))
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            result = net.run(lambda u: LockstepOnly(value=u), engine="async")
-        fallbacks = [w for w in rec if issubclass(w.category, EngineFallbackWarning)]
-        assert result.engine == "fast"
-        assert len(fallbacks) == 1
-        message = str(fallbacks[0].message)
-        assert "engine='async'" in message
-        assert "engine='fast'" in message
-        assert "supports_async=False" in message
+        assert result.virtual_time == ref.rounds
 
     def test_wrong_delay_model_type_raises(self):
         net = CongestNetwork(generators.cycle_graph(9))

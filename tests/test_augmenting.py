@@ -17,7 +17,7 @@ from repro.matching.augmenting import (
     verify_matching,
 )
 from repro.matching.hopcroft_karp import hopcroft_karp_matching
-from repro.walks.constraints import INITIAL_STATE, AlternatingWalkConstraint
+from repro.walks.constraints import INITIAL_STATE, REJECT_STATE, AlternatingWalkConstraint
 from repro.walks.product import build_product_graph
 from test_matching import BIPARTITE_FAMILIES
 
@@ -83,6 +83,25 @@ class TestAugmentingSearch:
         )
         assert restricted == [0, 1, 2, 3]
 
+    def test_reject_state_is_never_expanded(self, monkeypatch):
+        """⊥ reaches no target, so the search never calls δ from it."""
+        states = []
+        delta = AlternatingWalkConstraint.delta
+
+        def spy(self, state, edge):
+            states.append(state)
+            return delta(self, state, edge)
+
+        monkeypatch.setattr(AlternatingWalkConstraint, "delta", spy)
+        g = generators.grid_graph(3, 4)
+        matching = {frozenset({(0, 1), (1, 1)}), frozenset({(1, 2), (2, 2)})}
+        for source in sorted(g.nodes()):
+            if source not in matched_vertices(matching):
+                find_augmenting_path(g, matching, source)
+        assert find_augmenting_path(generators.star_graph(5), {frozenset({0, 1})}, 2) is None
+        assert states
+        assert REJECT_STATE not in states
+
     def test_repeated_augmentation_reaches_maximum(self):
         g = generators.grid_graph(3, 4)
         matching = set()
@@ -104,9 +123,9 @@ class TestAugmentingSearch:
 def _reference_search(graph, matching, source, allowed=None):
     """The search on a built G_C: one instance and one product graph per call.
 
-    The same Dijkstra and (distance, push counter) tie-break as
-    :func:`find_augmenting_path`, reading successors from
-    ``build_product_graph(...).graph.out_edges``.
+    A Dijkstra with a (distance, push counter) tie-break, reading successors
+    from ``build_product_graph(...).graph.out_edges``, ⊥ edges included.
+    :func:`find_augmenting_path` must return the same path.
     """
     allowed = set(graph.nodes()) if allowed is None else set(allowed)
     covered = matched_vertices(matching)
@@ -169,7 +188,7 @@ class TestSearchOrder:
     """The on-demand search returns the path the built-G_C search returns.
 
     Several shortest augmenting paths can tie; the successor order and the
-    heap tie-break pick one, and that pick decides the driver's matching.
+    tie-break pick one, and that pick decides the driver's matching.
     A search that visits neighbours in another order still finds *an*
     augmenting path of the right length, so only a path-for-path comparison
     against the built product graph catches it.

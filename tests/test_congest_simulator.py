@@ -3,7 +3,7 @@
 import pytest
 
 from repro.congest.engine import SimulationTrace
-from repro.congest.message import Message, payload_size_words, DEFAULT_WORDS_PER_MESSAGE
+from repro.congest.message import Message, payload_size_words
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll, NodeAlgorithm, NodeContext
 from repro.errors import BandwidthExceededError, ConvergenceError, GraphError, SimulationError
@@ -128,11 +128,6 @@ class TestNetwork:
         with pytest.raises(BandwidthExceededError):
             net.run(lambda u: _Oversized())
 
-    def test_oversized_allowed_when_not_strict(self):
-        net = CongestNetwork(generators.path_graph(3), strict_bandwidth=False)
-        result = net.run(lambda u: _Oversized())
-        assert result.max_words_per_edge_round > DEFAULT_WORDS_PER_MESSAGE
-
     def test_message_to_non_neighbor_raises(self):
         net = CongestNetwork(generators.path_graph(3))
         with pytest.raises(SimulationError):
@@ -225,8 +220,21 @@ class TestEngineSelection:
         net = CongestNetwork(generators.path_graph(3))
         with pytest.raises(SimulationError):
             net.run(lambda u: _Silent(), engine="warp")
-        with pytest.raises(SimulationError):
-            CongestNetwork(generators.path_graph(3), engine="warp")
+
+    def test_removed_options_are_refused(self):
+        """The tier is chosen by ``run(engine=...)`` alone, and every
+        oversized message raises: the network takes no default engine and
+        no lenient bandwidth mode, and the labeling no broadcast tier."""
+        from repro.labeling.construction import build_distance_labeling
+
+        graph = generators.path_graph(3)
+        with pytest.raises(TypeError):
+            CongestNetwork(graph, engine="fast")
+        with pytest.raises(TypeError):
+            CongestNetwork(graph, strict_bandwidth=False)
+        instance = generators.to_directed_instance(graph, seed=1)
+        with pytest.raises(TypeError):
+            build_distance_labeling(instance, measured_broadcast=True, broadcast_engine="fast")
 
     def test_removed_sharded_tier_is_refused(self):
         """``sharded`` is not an engine: a request for it raises instead of
@@ -237,9 +245,6 @@ class TestEngineSelection:
 
         assert ENGINES == ("fast", "legacy", "vectorized", "async")
         graph = generators.path_graph(3)
-        with pytest.raises(SimulationError) as exc:
-            CongestNetwork(graph, engine="sharded")
-        assert str(ENGINES) in str(exc.value)
         net = CongestNetwork(graph)
         with pytest.raises(SimulationError) as exc:
             net.run(lambda u: _Silent(), engine="sharded")

@@ -23,6 +23,7 @@ from repro.congest.bellman_ford import distributed_bellman_ford
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import build_bfs_tree
 from repro.core.config import FrameworkConfig
+from repro.errors import ReproError
 from repro.girth.girth import directed_girth, undirected_girth
 from repro.graphs import generators
 from repro.graphs.properties import diameter
@@ -110,6 +111,21 @@ class TestMatchingCrossValidation:
             graph = rng.choice(builders)()
             result = maximum_bipartite_matching(graph, config=config)
             assert result.size == reference_matching_size(graph)
+
+    def test_reference_raises_on_a_size_disagreement(self, monkeypatch):
+        """The oracle's networkx cross-check must not swallow a mismatch."""
+        from repro.baselines import reference
+
+        exact = reference.hopcroft_karp_matching
+
+        def one_short(graph):
+            return set(sorted(exact(graph), key=repr)[1:])
+
+        graph = generators.grid_graph(4, 5)
+        assert reference_matching_size(graph) == 10
+        monkeypatch.setattr(reference, "hopcroft_karp_matching", one_short)
+        with pytest.raises(ReproError, match="networkx matches 10"):
+            reference_matching_size(graph)
 
 
 class TestGirthCrossValidation:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -466,7 +467,8 @@ class TestVectorizedKernelEquivalence:
 
     def test_strict_bandwidth_error_on_packed_payloads(self, family_graph, master_seed):
         """A packed 3-word Bellman-Ford message must trip a 2-word budget on
-        every tier (and not trip it when strict accounting is off)."""
+        every tier, the vectorized one included (a fallback to ``fast``
+        would raise its warning instead)."""
         if family_graph.num_edges() == 0:
             pytest.skip("needs at least one edge to send a message")
         instance = generators.to_directed_instance(
@@ -476,39 +478,13 @@ class TestVectorizedKernelEquivalence:
         source = min(
             (u for u in family_graph.nodes() if family_graph.neighbors(u)), key=str
         )
-        engines = ("fast", "legacy", "vectorized")
-        for engine in engines:
-            with pytest.raises(BandwidthExceededError):
-                distributed_bellman_ford(
-                    instance, source, engine=engine, words_per_message=2
-                )
-        # With strict accounting off the oversized messages are delivered on
-        # every tier and only show up in the statistics.
-        from repro.congest.bellman_ford import BellmanFordKernel, BellmanFordNode
-
-        comm = instance.underlying_graph()
-        local_inputs = {
-            u: [(e.head, e.weight) for e in instance.out_edges(u)]
-            for u in instance.nodes()
-        }
-        net = CongestNetwork(comm, words_per_message=2, strict_bandwidth=False)
-        lenient = {}
-        for engine in engines:
-            kernel = (
-                BellmanFordKernel(source, local_inputs)
-                if engine == "vectorized"
-                else None
-            )
-            lenient[engine] = net.run(
-                lambda u: BellmanFordNode(u, source),
-                max_rounds=4 * comm.num_nodes() + 16,
-                local_inputs=local_inputs,
-                engine=engine,
-                kernel=kernel,
-            )
-        assert lenient["vectorized"].engine == "vectorized"
-        _assert_identical(*lenient.values())
-        assert lenient["fast"].max_message_words == 3 > net.words_per_message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineFallbackWarning)
+            for engine in ("fast", "legacy", "vectorized", "async"):
+                with pytest.raises(BandwidthExceededError):
+                    distributed_bellman_ford(
+                        instance, source, engine=engine, words_per_message=2
+                    )
 
 
 @pytest.mark.skipif(not vectorized_available(), reason="numpy unavailable")
@@ -566,9 +542,8 @@ class TestInstanceVariants:
         assert depth == family_graph.bfs_layers(root)
 
     def test_oversized_chunk_strict_and_lenient(self, family_graph, master_seed):
-        """One chunk wider than the budget trips strict bandwidth on every
-        tier; with strict accounting off it is delivered, and every tier
-        reports it as the same ``max_message_words``."""
+        """One chunk wider than the budget trips the bandwidth check on
+        every tier."""
         rng = random.Random(master_seed + family_graph.num_edges())
         root = min(
             (u for u in family_graph.nodes() if family_graph.neighbors(u)), key=str
@@ -582,26 +557,12 @@ class TestInstanceVariants:
         budget = 8
         wide_words = payload_size_words((wide, num_chunks, chunks[wide]))
         assert wide_words > budget
-        engines = ("fast", "legacy", "vectorized", "async")
         strict = CongestNetwork(family_graph, words_per_message=budget)
-        for engine in engines:
-            with pytest.raises(BandwidthExceededError):
-                flood_chunks(strict, root, chunks, engine=engine)
-        lenient = CongestNetwork(
-            family_graph, words_per_message=budget, strict_bandwidth=False
-        )
-        traces, received, runs = {}, {}, {}
-        for engine in engines:
-            traces[engine] = SimulationTrace()
-            received[engine], runs[engine] = flood_chunks(
-                lenient, root, chunks, engine=engine, trace=traces[engine]
-            )
-        assert runs["vectorized"].engine == "vectorized"
-        _assert_identical(*runs.values())
-        assert runs["fast"].max_message_words == wide_words
-        for engine in engines:
-            assert received[engine] == received["fast"], engine
-            assert traces[engine].as_dicts() == traces["fast"].as_dicts(), engine
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineFallbackWarning)
+            for engine in ("fast", "legacy", "vectorized", "async"):
+                with pytest.raises(BandwidthExceededError):
+                    flood_chunks(strict, root, chunks, engine=engine)
 
     def test_empty_and_partial_broadcasts(self, family_graph, master_seed):
         """A flood of zero chunks (only the root finishes), a label
