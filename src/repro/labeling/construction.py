@@ -22,14 +22,22 @@ all-pairs shortest paths locally.  For an internal node x:
 
 At the root the labels store exact full-graph distances to B↑(u), which is
 what the decoder of Lemma 2 requires.
+
+The local computations run on index rows: the leaf APSP and the APSP on H_x
+are Dijkstra over per-index ``(head_index, weight)`` lists, and H_x stays an
+arc map.  No stored value depends on this.  With non-negative weights and
+monotone float rounding, a Dijkstra distance is the minimum over all walks of
+the walk's float sum taken left to right, whatever the pop order or container;
+and a Lemma 4 candidate skipped through an ∞ boundary entry is ∞ + x = ∞.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import add
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.congest import kernels
 from repro.congest.message import DEFAULT_WORDS_PER_MESSAGE, payload_size_words
@@ -45,11 +53,12 @@ from repro.decomposition.tree_decomposition import (
 from repro.errors import GraphError, LabelingError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
-from repro.graphs.properties import dijkstra
 from repro.labeling.labels import DistanceLabel, DistanceLabeling
 
 NodeId = Hashable
 Label = Tuple[int, ...]
+Arc = Tuple[NodeId, NodeId, float]
+Cols = List[Tuple[NodeId, List[float]]]
 INF = math.inf
 
 
@@ -76,20 +85,43 @@ class DistanceLabelingResult:
         return self.labeling.max_entries()
 
 
+def _apsp_rows(vertices: List[NodeId], arcs: Iterable[Arc]) -> List[List[float]]:
+    """All-pairs shortest paths on index rows: ``rows[i][j]`` = d(vertices[i], vertices[j]).
+
+    Dijkstra from every index over per-index lists of ``(head_index, weight)``,
+    with a ``(distance, index)`` heap and lazy deletion.  An unreachable entry
+    is the shared ``INF`` object.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    out: List[List[Tuple[int, float]]] = [[] for _ in vertices]
+    for tail, head, w in arcs:
+        out[index[tail]].append((index[head], w))
+    n = len(vertices)
+    rows = []
+    for source in range(n):
+        dist = [INF] * n
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:  # stale: u was reached by a shorter walk since
+                continue
+            for v, w in out[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        rows.append(dist)
+    return rows
+
+
 def _local_apsp_labels(
-    sub: WeightedDiGraph, vertices: FrozenSet[NodeId]
+    vertices: List[NodeId], rows: List[List[float]]
 ) -> Dict[NodeId, DistanceLabel]:
-    """Leaf case: all-pairs shortest paths inside ``sub``, induced by ``vertices``."""
-    dist_from: Dict[NodeId, Dict[NodeId, float]] = {
-        u: dijkstra(sub, u) for u in vertices
-    }
+    """Labels of ``vertices`` holding all their pairwise distances, from APSP rows."""
     return {
-        u: DistanceLabel(
-            u,
-            {s: dist_from[u].get(s, INF) for s in vertices},
-            {s: dist_from[s].get(u, INF) for s in vertices},
-        )
-        for u in vertices
+        u: DistanceLabel(u, dict(zip(vertices, row)), dict(zip(vertices, col)))
+        for u, row, col in zip(vertices, rows, zip(*rows))
     }
 
 
@@ -97,9 +129,11 @@ def _build_auxiliary_graph(
     instance: WeightedDiGraph,
     bag: FrozenSet[NodeId],
     child_info: List[Tuple[FrozenSet[NodeId], Dict[NodeId, DistanceLabel]]],
-) -> WeightedDiGraph:
-    """Construct the directed auxiliary graph H_x on the bag B_x (paper §4.2)."""
-    h = WeightedDiGraph(bag)
+) -> Dict[Tuple[NodeId, NodeId], float]:
+    """The directed auxiliary graph H_x on the bag B_x (paper §4.2), as its arc map.
+
+    Returns ``{(u, v): w}``, w the least cost of a direct edge or child-graph path.
+    """
     best: Dict[Tuple[NodeId, NodeId], float] = {}
 
     def offer(u: NodeId, v: NodeId, w: float) -> None:
@@ -128,23 +162,39 @@ def _build_auxiliary_graph(
                 d = lab.to_dist.get(v, INF)
                 offer(u, v, d)
 
-    for (u, v), w in best.items():
-        h.add_edge(u, v, weight=w)
-    return h
+    return best
 
 
-def _broadcast_chunks(dg: WeightedDiGraph) -> List[Tuple]:
-    """The BCT broadcast payload of one part: its vertex and edge rows.
+def _hub_row(
+    row: List[float], cols: Cols, compressed: Dict[Tuple[int, ...], Cols], bag: FrozenSet[NodeId]
+) -> Dict[NodeId, float]:
+    """One vertex's Lemma 4 entries for the new hubs: ``{s: min_i row[i] + col_s[i]}``.
 
-    One chunk per vertex plus one per directed edge — the ``|V| + |E|``
+    ``row`` holds child-graph distances to (or from) the boundary; ``cols``
+    pairs each s ∈ B_x with its bag-APSP column over it.  ∞ row entries are
+    skipped, against columns compressed once per finite-index pattern and kept
+    in ``compressed``; ``min(INF, …)`` keeps ∞ as the shared ``INF`` object.
+    """
+    if INF in row:
+        finite = tuple(i for i, d in enumerate(row) if d < INF)
+        row = [row[i] for i in finite]
+        if finite not in compressed:
+            compressed[finite] = [(s, [col[i] for i in finite]) for s, col in cols]
+        cols = compressed[finite]
+    if not row:  # no boundary vertex is reachable, or G_{x·i} does not touch B_x
+        return dict.fromkeys(bag, INF)
+    return {s: min(INF, min(map(add, row, col))) for s, col in cols}
+
+
+def _broadcast_chunks(vertices: Iterable[NodeId], arcs: List[Arc]) -> List[Tuple]:
+    """The BCT broadcast payload of one part: its vertex and arc rows.
+
+    One chunk per vertex plus one per directed arc — the ``|V| + |E|``
     volume the cost model charges for the same broadcast — in a
     deterministic order so measured runs are seed-reproducible.
     """
-    chunks: List[Tuple] = [("v", u) for u in sorted(dg.nodes(), key=str)]
-    edges = sorted(
-        ((e.tail, e.head, e.weight) for u in dg.nodes() for e in dg.out_edges(u)),
-        key=lambda t: (str(t[0]), str(t[1]), t[2]),
-    )
+    chunks: List[Tuple] = [("v", u) for u in sorted(vertices, key=str)]
+    edges = sorted(arcs, key=lambda t: (str(t[0]), str(t[1]), t[2]))
     chunks.extend(("e", t, h, w) for t, h, w in edges)
     return chunks
 
@@ -248,22 +298,25 @@ def build_distance_labeling(
     # Per-level maximum broadcast volume (in words), charged once per level as
     # BCT(h) — the parts of one level are processed in parallel.  When the
     # broadcast is measured on the engine, the maximal part's vertex set and
-    # payload graph are kept; the chunk list is built once per level in the
-    # charge loop (only the final maximum survives the sweep).
+    # payload (vertices and arcs) are kept; the chunk list is built once per
+    # level in the charge loop (only the final maximum survives the sweep).
     level_volume: Dict[int, int] = {}
-    level_payload: Dict[int, Tuple[FrozenSet[NodeId], WeightedDiGraph]] = {}
+    level_payload: Dict[int, Tuple[FrozenSet[NodeId], Iterable[NodeId], List[Arc]]] = {}
 
     for label in order:
         node = td.nodes[label]
         if node.is_leaf or not node.children:
+            members = list(node.graph_vertices)
             sub = instance.subgraph(node.graph_vertices)
-            labels_by_node[label] = _local_apsp_labels(sub, node.graph_vertices)
-            volume = sub.num_edges() + sub.num_nodes()
+            rows = _apsp_rows(members, ((e.tail, e.head, e.weight) for e in sub.edges()))
+            labels_by_node[label] = _local_apsp_labels(members, rows)
+            volume = sub.num_edges() + len(members)
             depth = len(label)
             if volume > level_volume.get(depth, 0):
                 level_volume[depth] = volume
-                if measured_broadcast:
-                    level_payload[depth] = (node.graph_vertices, sub)
+                if measured_broadcast:  # a leaf's payload keeps its parallel arcs
+                    arcs = [(e.tail, e.head, e.weight) for e in sub.edges()]
+                    level_payload[depth] = (node.graph_vertices, members, arcs)
             continue
 
         child_info: List[Tuple[FrozenSet[NodeId], Dict[NodeId, DistanceLabel]]] = []
@@ -272,56 +325,47 @@ def build_distance_labeling(
             child_info.append((child_node.graph_vertices, labels_by_node[child]))
 
         bag = node.bag
+        members = list(bag)
         aux = _build_auxiliary_graph(instance, bag, child_info)
+        arcs = [(u, v, w) for (u, v), w in aux.items()]
         # All-pairs shortest paths on H_x = distances of G_x restricted to B_x
-        # (Lemma 3).
-        apsp_to: Dict[NodeId, Dict[NodeId, float]] = {u: dijkstra(aux, u) for u in bag}
+        # (Lemma 3); rows[i][j] = d_x(members[i], members[j]).
+        rows = _apsp_rows(members, arcs)
 
         depth = len(label)
-        volume = aux.num_edges() + aux.num_nodes()
+        volume = len(arcs) + len(members)
         if volume > level_volume.get(depth, 0):
             level_volume[depth] = volume
             if measured_broadcast:
-                level_payload[depth] = (node.graph_vertices, aux)
+                level_payload[depth] = (node.graph_vertices, members, arcs)
 
-        new_labels: Dict[NodeId, DistanceLabel] = {}
         # Bag vertices: their subtree hub set is exactly B_x (their canonical
         # node is at this depth or above), with exact G_x distances from H_x.
-        for u in bag:
-            du = apsp_to[u]
-            new_labels[u] = DistanceLabel(
-                u,
-                {s: du.get(s, INF) for s in bag},
-                {s: apsp_to[s].get(u, INF) for s in bag},
-            )
+        new_labels = _local_apsp_labels(members, rows)
 
         # Non-bag vertices: upgrade the child label (Lemma 4) and extend it
         # with distances to/from all of B_x.
+        cols = list(zip(*rows))
         for child_vertices, child_labels in child_info:
-            boundary = [v for v in bag if v in child_vertices]
+            at = [i for i, v in enumerate(members) if v in child_vertices]
+            boundary = [members[i] for i in at]
             # The bag APSP's boundary columns, gathered once per child:
             # d_x(s2, s) and d_x(s, s2) for s2 over the boundary, per s ∈ B_x.
-            to_cols = [(s, [apsp_to[s2].get(s, INF) for s2 in boundary]) for s in bag]
-            from_cols = [(s, [apsp_to[s].get(s2, INF) for s2 in boundary]) for s in bag]
+            to_cols = [(s, [col[i] for i in at]) for s, col in zip(members, cols)]
+            from_cols = [(s, [row[i] for i in at]) for s, row in zip(members, rows)]
+            to_compressed: Dict[Tuple[int, ...], Cols] = {}
+            from_compressed: Dict[Tuple[int, ...], Cols] = {}
             for u in child_vertices:
                 if u in bag:
                     continue
                 old_to = child_labels[u].to_dist
                 old_from = child_labels[u].from_dist
                 # New hub entries: every s ∈ B_x, reached through the boundary
-                # (a missing child entry is ∞, and ∞ + x = ∞ never wins).  The
-                # outer min(INF, …) stores an unreachable entry as the shared
-                # INF object, not as a fresh float per entry.
+                # (a missing child entry is ∞).
                 to_row = [old_to.get(s2, INF) for s2 in boundary]
                 from_row = [old_from.get(s2, INF) for s2 in boundary]
-                if boundary:
-                    to_dist = {s: min(INF, min(map(add, to_row, col))) for s, col in to_cols}
-                    from_dist = {
-                        s: min(INF, min(map(add, col, from_row))) for s, col in from_cols
-                    }
-                else:  # G_{x·i} does not touch B_x
-                    to_dist = dict.fromkeys(bag, INF)
-                    from_dist = dict.fromkeys(bag, INF)
+                to_dist = _hub_row(to_row, to_cols, to_compressed, bag)
+                from_dist = _hub_row(from_row, from_cols, from_compressed, bag)
                 # Upgraded deep entries: hubs of the child label not in B_x.
                 # Child labels hold exact G_{x·i} distances, so a boundary
                 # vertex s2 whose entry did not improve offers
@@ -364,7 +408,7 @@ def build_distance_labeling(
                             to_dist[v] = d
                             from_dist[v] = old_from.get(v, INF)
                 new_labels[u] = DistanceLabel(u, to_dist, from_dist)
-            del to_cols, from_cols
+            del to_cols, from_cols, to_compressed, from_compressed
 
         labels_by_node[label] = new_labels
         # Children labelings are no longer needed.
@@ -377,8 +421,8 @@ def build_distance_labeling(
     measured_rounds: Optional[Dict[int, int]] = {} if measured_broadcast else None
     for depth in sorted(level_volume):
         if measured_broadcast:
-            vertices, payload_graph = level_payload[depth]
-            chunks = _broadcast_chunks(payload_graph)
+            vertices, payload_vertices, payload_arcs = level_payload[depth]
+            chunks = _broadcast_chunks(payload_vertices, payload_arcs)
             sim = _measured_bct_broadcast(comm, vertices, chunks)
             measured_rounds[depth] = sim.rounds
             ledger.charge(

@@ -709,7 +709,7 @@ class TestAsyncErrorSemantics:
 # --------------------------------------------------------------------------- #
 # No async fallback + warning-message contract
 # --------------------------------------------------------------------------- #
-class TestAsyncFallbackLadder:
+class TestAsyncNeverFallsBack:
     """``engine="async"`` never falls back: it runs every protocol under
     every :class:`DelayModel` instance, and a caller error raises."""
 

@@ -1,7 +1,9 @@
 """Tests for the distance-labeling construction (Theorem 2): exactness is the headline claim."""
 
+import hashlib
 import math
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,9 @@ from repro.errors import GraphError
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.properties import dijkstra
-from repro.labeling.construction import build_distance_labeling
-from repro.walks.constraints import ColoredWalkConstraint
+from repro.labeling.construction import _apsp_rows, _hub_row, build_distance_labeling
+from repro.walks.cdl import build_constrained_labeling
+from repro.walks.constraints import ColoredWalkConstraint, CountWalkConstraint
 from repro.walks.product import build_product_graph, lift_tree_decomposition
 
 
@@ -124,6 +127,189 @@ class TestStoredEntries:
         lifted = lift_tree_decomposition(decomposition, constraint)
         result = build_distance_labeling(product.graph, decomposition=lifted, config=config)
         _assert_entries_exact(product.graph, lifted.decomposition, result.labeling)
+
+
+def _label_digest(labeling, rounds):
+    """sha256 over every stored entry's bits, in ``repr`` order, plus ``rounds``."""
+    h = hashlib.sha256()
+    for v in sorted(labeling.vertices(), key=repr):
+        lab = labeling.label(v)
+        for s in sorted(lab.to_dist, key=repr):
+            h.update(
+                f"{v!r}|{s!r}|{float.hex(lab.to_dist[s])}|{float.hex(lab.from_dist[s])}\n".encode()
+            )
+    h.update(f"rounds|{rounds}".encode())
+    return h.hexdigest()
+
+
+def _fractional_ktree_digest():
+    """Partial 3-tree: u→v weighs [0, 10), a reverse arc of [0, 1/3) kept w.p. 0.7."""
+    rng = random.Random(11)
+    graph = generators.partial_k_tree(300, 3, seed=3)
+    instance = WeightedDiGraph(graph.nodes())
+    for u, v in graph.edges():
+        instance.add_edge(u, v, weight=rng.random() * 10)
+        if rng.random() < 0.7:
+            instance.add_edge(v, u, weight=rng.random() / 3)
+    result = build_distance_labeling(instance, config=FrameworkConfig(seed=5))
+    return _label_digest(result.labeling, result.rounds)
+
+
+def _count1_cdl_digest():
+    """The count-1 CDL of a 4×8 grid with fractional weights and 0/1 labels."""
+    rng = random.Random(11)
+    grid = generators.grid_graph(4, 8)
+    instance = WeightedDiGraph(grid.nodes())
+    for u, v in grid.edges():
+        instance.add_undirected_edge(u, v, weight=rng.random() * 10, label=rng.randrange(2))
+    cdl = build_constrained_labeling(
+        instance, CountWalkConstraint(1), config=FrameworkConfig(seed=5)
+    )
+    return _label_digest(cdl.labeling._labeling, cdl.rounds)
+
+
+def _parallel_zero_arcs_digest():
+    """Partial 2-tree, both directions: 30% zero weights, 40% extra parallel arcs."""
+    rng = random.Random(11)
+    graph = generators.partial_k_tree(150, 2, seed=7)
+    instance = WeightedDiGraph(graph.nodes())
+    for u, v in graph.edges():
+        for tail, head in ((u, v), (v, u)):
+            instance.add_edge(tail, head, weight=0.0 if rng.random() < 0.3 else rng.random() * 5)
+            if rng.random() < 0.4:
+                instance.add_edge(tail, head, weight=rng.random() * 5)
+    result = build_distance_labeling(instance, config=FrameworkConfig(seed=5))
+    return _label_digest(result.labeling, result.rounds)
+
+
+class TestBitExact:
+    """Stored label bits are pinned, not only compared to Dijkstra within 1e-9.
+
+    With fractional weights, two summation orders of one walk can round
+    differently, so a change to how local shortest paths are computed can
+    move a label's last bits while every tolerance check still passes.
+    Re-pin the literals only in a change that means to alter label bits.
+    """
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                _fractional_ktree_digest,
+                "fa7681572602615dd0d3635ff2436f3f0cc4708621d2113997646c4005984a9c",
+            ),
+            (
+                _count1_cdl_digest,
+                "6941b35a818871f81e6ab86a6ee1d0f70ae14ed60d713e69eb8ee579e1ca3fff",
+            ),
+            (
+                _parallel_zero_arcs_digest,
+                "38dfe8b546ca1f036dbdc8e108aac9cb3bc88c854cc994b7a29723d64a1a9b88",
+            ),
+        ],
+        ids=["fractional_ktree", "count1_cdl_grid", "parallel_zero_arcs"],
+    )
+    def test_label_digest_is_pinned(self, build, digest):
+        assert build() == digest
+
+
+def _random_digraph(rng, n, m):
+    """Zero, fractional and parallel arcs on ``range(n)``, one-way, plus a sink ``n``."""
+    graph = WeightedDiGraph(range(n + 1))
+    for _ in range(m):
+        u, v = rng.randrange(n), rng.randrange(n)
+        weight = 0.0 if rng.random() < 0.2 else rng.random() * rng.choice((1, 10, 1000))
+        graph.add_edge(u, v, weight=weight)
+        if rng.random() < 0.25:
+            graph.add_edge(u, v, weight=rng.random() * 10)
+    graph.add_edge(rng.randrange(n), n, weight=rng.random())
+    return graph
+
+
+def _assert_rows_match_dijkstra(graph):
+    nodes = graph.nodes()
+    rows = _apsp_rows(nodes, [(e.tail, e.head, e.weight) for e in graph.edges()])
+    assert len(rows) == len(nodes)
+    for u, row in zip(nodes, rows):
+        expected = dijkstra(graph, u)
+        for v, d in zip(nodes, row):
+            if v in expected:
+                assert float.hex(d) == float.hex(expected[v]), (u, v)
+            else:
+                assert d is math.inf, (u, v)
+
+
+def _reference_hub_row(row, cols, bag):
+    """The Lemma 4 new-hub row taken over every boundary entry, ∞ ones included."""
+    if not row:
+        return dict.fromkeys(bag, math.inf)
+    return {s: min(math.inf, min(map(add, row, col))) for s, col in cols}
+
+
+def _assert_same_hub_row(got, want):
+    assert list(got) == list(want)
+    for s, d in want.items():
+        assert float.hex(got[s]) == float.hex(d), s
+        if d is math.inf:
+            assert got[s] is math.inf, s
+
+
+class TestLocalHelpers:
+    """The index-row APSP and the Lemma 4 row helper against their references."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(1, 0), (1, 3), (2, 1), (6, 9), (12, 30), (25, 60), (40, 200)]
+    )
+    def test_apsp_rows_match_dijkstra(self, n, m, master_seed):
+        _assert_rows_match_dijkstra(_random_digraph(random.Random(master_seed * 97 + n), n, m))
+
+    def test_apsp_rows_single_vertex_and_sink(self):
+        _assert_rows_match_dijkstra(WeightedDiGraph(["only"]))
+        graph = WeightedDiGraph()
+        graph.add_edge("a", "b", weight=0.1)
+        graph.add_edge("b", "a", weight=0.2)
+        graph.add_edge("b", "sink", weight=0.3)
+        _assert_rows_match_dijkstra(graph)
+
+    def test_hub_row_matches_reference(self):
+        inf = math.inf
+        bag = frozenset([0, 1, 2, (3, "q"), "s", 5])
+        values = {
+            0: [0.5, inf, 1.25, 0.0], 1: [inf, inf, inf, inf], 2: [0.1, 0.2, 0.3, 0.4],
+            (3, "q"): [inf, 7.5, inf, 0.3], "s": [2.2, 0.0, inf, 1e-9], 5: [0.7, 0.7, 0.7, inf],
+        }
+        cols = [(s, values[s]) for s in bag]
+        rows = [
+            [0.5, 1.25, 3.0, 0.0],  # no ∞
+            [inf, 2.5, inf, 0.1],  # some ∞ ...
+            [inf, 0.7, inf, 9.3],  # ... twice more with the same pattern
+            [inf, 1e-3, inf, 0.25],
+            [inf, inf, inf, 0.3],  # its only finite entry meets ∞ and finite columns
+            [inf, inf, inf, inf],  # all ∞
+        ]
+        compressed = {}
+        for row in rows:
+            got = _hub_row(row, cols, compressed, bag)
+            _assert_same_hub_row(got, _reference_hub_row(row, cols, bag))
+        assert {(1, 3), (3,)} <= set(compressed)
+        empty = [(s, []) for s in bag]  # the child graph does not touch the bag
+        _assert_same_hub_row(_hub_row([], empty, {}, bag), _reference_hub_row([], empty, bag))
+
+    def test_hub_row_matches_reference_on_random_rows(self, master_seed):
+        rng = random.Random(master_seed)
+        bag = frozenset(range(9))
+
+        def entry(p_inf):
+            return math.inf if rng.random() < p_inf else rng.random() * rng.choice((1, 100))
+
+        for width in range(7):
+            cols = [(s, [entry(0.2) for _ in range(width)]) for s in bag]
+            patterns = [[rng.random() < 0.4 for _ in range(width)] for _ in range(3)]
+            compressed = {}
+            for _ in range(20):
+                row = [math.inf if cut else entry(0) for cut in rng.choice(patterns)]
+                got = _hub_row(row, cols, compressed, bag)
+                _assert_same_hub_row(got, _reference_hub_row(row, cols, bag))
 
 
 class TestLabelSizeAndRounds:

@@ -541,7 +541,7 @@ class TestInstanceVariants:
         _, depth = runs["fast"]["bfs_tree"][0]
         assert depth == family_graph.bfs_layers(root)
 
-    def test_oversized_chunk_strict_and_lenient(self, family_graph, master_seed):
+    def test_oversized_chunk_raises_on_every_tier(self, family_graph, master_seed):
         """One chunk wider than the budget trips the bandwidth check on
         every tier."""
         rng = random.Random(master_seed + family_graph.num_edges())

@@ -121,7 +121,7 @@ class TestGracefulFallback:
             assert result.engine == engine
             assert fallbacks == []
 
-    def test_network_default_engine_attaches_protocol_kernels(self):
+    def test_vectorized_request_attaches_protocol_kernels(self):
         """A kernel-tier request through a helper function must get the
         protocol kernel the helper attaches — no spurious fallback
         warning."""
