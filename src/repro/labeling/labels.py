@@ -53,10 +53,10 @@ class DistanceLabel:
     def sorted_hubs(self) -> Tuple[NodeId, ...]:
         """The union of the to/from hub sets in deterministic ``str`` order.
 
-        Cached after the first call (and invalidated by :meth:`set_entry`):
-        the decoder scans the smaller label in this order, and
+        Cached after the first call (and invalidated by :meth:`set_entry`).
         :class:`~repro.labeling.packed.PackedLabeling` packs label segments
-        from it, so both see one canonical hub enumeration.
+        from it; :func:`decode_distance` does not need an order and never
+        calls it.
         """
         if self._hub_order is None:
             keys = self.to_dist.keys()
@@ -104,11 +104,12 @@ def decode_distance(label_u: DistanceLabel, label_v: DistanceLabel) -> float:
     """dec(la(u), la(v)): the exact directed distance d_G(u, v) (Lemma 2).
 
     Returns ``inf`` when v is unreachable from u.  The scan is
-    O(|smaller label|): it walks the smaller side's cached
-    :meth:`~DistanceLabel.sorted_hubs` order — the same canonical hub
-    enumeration the packed form uses for its sorted-array merge — and
-    resolves each hub against the larger side with one O(1) probe, so the
-    larger label's size never enters the cost.
+    O(|smaller side|): it walks the items of the smaller of u's
+    ``to_dist`` and v's ``from_dist`` and resolves each hub against the
+    other side with one O(1) probe, so the larger label's size never
+    enters the cost.  The minimum does not depend on the walk order: every
+    stored distance is a sum that starts from +0.0, so no candidate is
+    -0.0 and equal sums are equal bits.
     """
     if label_u.vertex == label_v.vertex:
         return 0.0
@@ -117,10 +118,7 @@ def decode_distance(label_u: DistanceLabel, label_v: DistanceLabel) -> float:
     from_dist = label_v.from_dist
     if len(to_dist) <= len(from_dist):
         probe = from_dist.get
-        for s in label_u.sorted_hubs():
-            d_us = to_dist.get(s)
-            if d_us is None:
-                continue
+        for s, d_us in to_dist.items():
             d_sv = probe(s)
             if d_sv is None:
                 continue
@@ -129,10 +127,7 @@ def decode_distance(label_u: DistanceLabel, label_v: DistanceLabel) -> float:
                 best = total
     else:
         probe = to_dist.get
-        for s in label_v.sorted_hubs():
-            d_sv = from_dist.get(s)
-            if d_sv is None:
-                continue
+        for s, d_sv in from_dist.items():
             d_us = probe(s)
             if d_us is None:
                 continue

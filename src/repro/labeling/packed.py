@@ -24,19 +24,20 @@ columns keyed by dense offsets, no per-entry objects):
 Queries
 -------
 ``distance(u, v)`` answers one pair with a sorted two-pointer merge of the
-two segments — the packed mirror of the scalar decoder.  ``query(us, vs)``
-answers a whole batch with one vectorized kernel call: the u-side segments
-are flattened, given composite ``pair * stride + hub`` keys, and matched
-against the v-side segments with a single ``searchsorted`` (the v-side key
-array is globally sorted because segments are pair-major and hub-sorted),
-then a segmented ``minimum.reduceat`` folds the matched sums per pair.
+two segments, each read once as Python lists — the packed mirror of the
+scalar decoder.  ``query(us, vs)`` answers a whole batch with one
+vectorized kernel call: the u-side segments are flattened, given
+composite ``pair * stride + hub`` keys, and matched against the v-side
+segments with a single ``searchsorted`` (the v-side key array is globally
+sorted because segments are pair-major and hub-sorted), then a segmented
+``minimum.reduceat`` folds the matched sums per pair.
 Without numpy the same API serves a pure-python two-pointer fallback
 (``backend="pure"``), so the packed form works on every CI configuration.
 
 File format (version 1)
 -----------------------
 ``save``/``load`` round-trip a versioned little-endian binary file built
-for ``np.memmap``: concurrent server workers map the same file and share
+for memory mapping: concurrent server workers map the same file and share
 its pages, so a corpus of labelings costs one copy of physical memory no
 matter how many processes serve it.
 
@@ -56,11 +57,16 @@ padding       zeros                   to the next 64-byte boundary
 ``from_hub``  ``<f8 × num_entries``
 ============  ======================  =========================================
 
-``load(path)`` memory-maps the four arrays read-only at their recorded
-offsets (zero copies; ``is_memory_mapped`` reports it and
-:meth:`stats` accounts ``copied_label_bytes == 0``).  ``load(path,
-mmap=False)`` or ``backend="pure"`` reads heap copies instead.  Unknown
-magic, an unsupported version, or a truncated file raise
+``load(path)`` maps the file once, read-only, and takes the four arrays
+as plain read-only ``numpy.ndarray`` views of that mapping at their
+recorded offsets (zero copies; ``is_memory_mapped`` reports it and
+:meth:`stats` accounts ``copied_label_bytes == 0``).  The views are not
+``np.memmap`` objects on purpose: ``np.memmap`` runs Python-level hooks
+(``__getitem__`` on every element read, ``__array_wrap__`` and
+``__array_finalize__`` on every array operation), which cost a point
+decode several times its merge.  ``load(path, mmap=False)`` or
+``backend="pure"`` reads heap copies instead.  Unknown magic, an
+unsupported version, or a truncated file raise
 :class:`~repro.errors.LabelingError` before any array is touched.
 """
 
@@ -68,9 +74,11 @@ from __future__ import annotations
 
 import io
 import math
+import mmap as mmap_mod
 import pickle
 import struct
 import sys
+from itertools import chain
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.errors import LabelingError
@@ -344,21 +352,32 @@ class PackedLabeling:
         return i
 
     def distance(self, u: NodeId, v: NodeId) -> float:
-        """Exact d_G(u, v) from the packed segments (one sorted merge)."""
+        """Exact d_G(u, v) from the packed segments (one sorted merge).
+
+        The merge runs over Python lists: each segment's hub and distance
+        columns are read once (``tolist()`` on numpy), so the loop reads no
+        numpy scalars.
+        """
         ui = self._vertex_index(u)
         vi = self._vertex_index(v)
         if ui == vi:
             return 0.0
-        offsets, hubs = self.offsets, self.hubs
-        to_hub, from_hub = self.to_hub, self.from_hub
-        a, a_hi = int(offsets[ui]), int(offsets[ui + 1])
-        b, b_hi = int(offsets[vi]), int(offsets[vi + 1])
+        offsets = self.offsets
+        u_lo, u_hi = offsets[ui], offsets[ui + 1]
+        v_lo, v_hi = offsets[vi], offsets[vi + 1]
+        u_hubs, to_u = self.hubs[u_lo:u_hi], self.to_hub[u_lo:u_hi]
+        v_hubs, from_v = self.hubs[v_lo:v_hi], self.from_hub[v_lo:v_hi]
+        if self._np is not None:
+            u_hubs, to_u = u_hubs.tolist(), to_u.tolist()
+            v_hubs, from_v = v_hubs.tolist(), from_v.tolist()
+        a_hi, b_hi = len(u_hubs), len(v_hubs)
+        a = b = 0
         best = INF
         while a < a_hi and b < b_hi:
-            ha = hubs[a]
-            hb = hubs[b]
+            ha = u_hubs[a]
+            hb = v_hubs[b]
             if ha == hb:
-                total = to_hub[a] + from_hub[b]
+                total = to_u[a] + from_v[b]
                 if total < best:
                     best = total
                 a += 1
@@ -367,14 +386,16 @@ class PackedLabeling:
                 a += 1
             else:
                 b += 1
-        return float(best)
+        return best
 
     def query(self, us: Sequence[NodeId], vs: Sequence[NodeId]):
         """Batched exact distances for the pairs ``zip(us, vs)``.
 
         One vectorized kernel call on the numpy backend (a ``float64``
         array comes back); a python merge loop on the pure backend (a list
-        of floats).
+        of floats).  The numpy backend resolves every id in one
+        ``dict.get`` pass; an unknown, unhashable or hub-only id raises
+        :class:`~repro.errors.LabelingError` naming the first such id.
         """
         if len(us) != len(vs):
             raise LabelingError(
@@ -383,14 +404,20 @@ class PackedLabeling:
         np = self._np
         if np is None:
             return [self.distance(u, v) for u, v in zip(us, vs)]
-        u_idx = np.fromiter(
-            (self._vertex_index(u) for u in us), dtype=np.int64, count=len(us)
-        )
-        v_idx = np.fromiter(
-            (self._vertex_index(v) for v in vs), dtype=np.int64, count=len(vs)
-        )
+        n = len(us)
+        try:
+            idx = np.fromiter(
+                map(self.index.get, chain(us, vs)), dtype=np.int64, count=2 * n
+            )
+        except TypeError:  # None for an unknown id, or an unhashable id
+            idx = None
+        if idx is None or (n and int(idx.max()) >= self.num_nodes):
+            # Some id names no vertex (slots from num_nodes on are hub-only
+            # table entries): resolve one at a time to raise on the first.
+            for v in chain(us, vs):
+                self._vertex_index(v)
         return _label_query_batch(
-            self.offsets, self.hubs, self.to_hub, self.from_hub, u_idx, v_idx
+            self.offsets, self.hubs, self.to_hub, self.from_hub, idx[:n], idx[n:]
         )
 
     # ------------------------------------------------------------------ #
@@ -434,10 +461,13 @@ class PackedLabeling:
     def load(cls, path, mmap: bool = True, backend: str = "auto") -> "PackedLabeling":
         """Open a saved packed labeling.
 
-        With numpy and ``mmap=True`` (the default) the four arrays are
-        read-only ``np.memmap`` views — concurrent processes opening the
-        same file share its physical pages, which is the zero-copy
-        contract :class:`~repro.serving.store.LabelStore` is built on.
+        With numpy and ``mmap=True`` (the default) the file is mapped once,
+        read-only, and the four arrays are plain read-only ``numpy.ndarray``
+        views of that mapping — concurrent processes opening the same file
+        share its physical pages, which is the zero-copy contract
+        :class:`~repro.serving.store.LabelStore` is built on.  They are not
+        ``np.memmap`` objects, whose Python-level element and array hooks
+        would dominate a point decode (see the module docstring).
         """
         np = _resolve_backend(backend)
         with open(path, "rb") as fh:
@@ -479,14 +509,16 @@ class PackedLabeling:
                 raise LabelingError(f"truncated packed-labeling file {path!r}")
 
             if np is not None and mmap:
+                mapping = mmap_mod.mmap(
+                    fh.fileno(), 0, access=mmap_mod.ACCESS_READ
+                )
                 arrays = []
                 offset = data_start
                 for typecode, count in sections:
                     dtype = "<i8" if typecode == "q" else "<f8"
                     arrays.append(
-                        np.memmap(
-                            path, dtype=dtype, mode="r", offset=offset,
-                            shape=(count,),
+                        np.frombuffer(
+                            mapping, dtype=dtype, count=count, offset=offset
                         )
                     )
                     offset += 8 * count

@@ -277,7 +277,7 @@ class QueryServer:
         if self.decode == "scalar":
             return [self._decode_point(name, u, v) for u, v in zip(us, vs)]
         vals = self.store.get(name).query(us, vs)
-        return [float(x) for x in vals]
+        return vals if isinstance(vals, list) else vals.tolist()
 
     def serve_forever(self, stop=None, tick_timeout: float = 0.05) -> None:
         """Tick until a ``shutdown`` request arrives or ``stop`` is set."""

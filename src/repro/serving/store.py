@@ -3,11 +3,12 @@
 The store is the corpus half of the serving stack: :meth:`LabelStore.build`
 precomputes labelings for a corpus of graphs and persists each as one
 ``<name>.rplb`` packed-labeling file (:mod:`repro.labeling.packed`), and
-:class:`LabelStore` reopens that directory with ``np.memmap`` views.  The
-zero-copy contract follows directly: every server worker process that opens
-the same store directory maps the same files, so the kernel shares one set
-of physical pages across all workers no matter how many processes serve —
-``stats()`` accounts ``mapped_bytes`` per graph and asserts-ably reports
+:class:`LabelStore` reopens that directory as plain read-only
+``numpy.ndarray`` views of each file's mapping.  The zero-copy contract
+follows directly: every server worker process that opens the same store
+directory maps the same files, so the kernel shares one set of physical
+pages across all workers no matter how many processes serve — ``stats()``
+accounts ``mapped_bytes`` per graph and asserts-ably reports
 ``copied_label_bytes == 0`` for the mapped configuration.
 """
 
@@ -71,9 +72,12 @@ def _pack_corpus_value(name: str, value) -> PackedLabeling:
 class LabelStore:
     """Open (and lazily memory-map) a directory of packed labelings.
 
-    ``mmap=True`` (default, numpy) opens every labeling as read-only
-    ``np.memmap`` views; ``mmap=False``, or a host without numpy (the
-    configuration the no-numpy CI job serves with), reads heap copies.
+    ``mmap=True`` (default, numpy) maps every labeling's file read-only and
+    serves it from plain ``numpy.ndarray`` views of that mapping — not
+    ``np.memmap`` objects, whose Python-level hooks on every element read
+    and array operation would cost more than the decode itself;
+    ``mmap=False``, or a host without numpy (the configuration the
+    no-numpy CI job serves with), reads heap copies.
     """
 
     def __init__(self, directory, mmap: bool = True) -> None:

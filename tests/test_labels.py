@@ -54,6 +54,15 @@ class TestDecoder:
         lab_v = DistanceLabel("v", dict(hubs, s=3.0), dict(hubs, s=4.0))
         assert decode_distance(lab_u, lab_v) == 6.0
 
+    def test_decode_leaves_hub_order_unset(self):
+        # The decoder walks dict items; only packing needs the str-sorted
+        # hub order, so neither branch may build it.
+        small = DistanceLabel("u", {"s": 2.0}, {"s": 2.0})
+        large = DistanceLabel("v", {"s": 3.0, "t": 1.0}, {"s": 4.0, "t": 5.0})
+        assert decode_distance(small, large) == 6.0  # walks u's to_dist
+        assert decode_distance(large, small) == 5.0  # walks u's from_dist
+        assert small._hub_order is None and large._hub_order is None
+
 
 class TestDistanceLabeling:
     def _labeling(self):

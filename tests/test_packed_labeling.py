@@ -14,7 +14,9 @@ pairs and labels repacked after ``DistanceLabeling.set_entry`` writes.
 from __future__ import annotations
 
 import math
+import mmap
 import random
+import re
 import struct
 
 import pytest
@@ -88,6 +90,34 @@ def _assert_oracle_exact(packed: PackedLabeling, labeling: DistanceLabeling, pai
     # Scalar two-pointer merge.
     for (u, v), want in list(zip(pairs, expected))[:40]:
         assert packed.distance(u, v) == want
+
+
+def _mapping_of(arr):
+    """The object at the end of ``arr``'s ``.base`` / ``memoryview.obj`` chain."""
+    obj = arr
+    while True:
+        nxt = obj.obj if isinstance(obj, memoryview) else getattr(obj, "base", None)
+        if nxt is None:
+            return obj
+        obj = nxt
+
+
+def assert_plain_mapped_views(packed: PackedLabeling) -> None:
+    """The zero-copy contract on the arrays themselves.
+
+    All four arrays are plain read-only ``numpy.ndarray`` views (not
+    ``np.memmap``, whose Python-level hooks a point decode would pay on
+    every read) of one ``mmap.mmap`` of the file.
+    """
+    import numpy as np
+
+    assert packed.is_memory_mapped
+    arrays = (packed.offsets, packed.hubs, packed.to_hub, packed.from_hub)
+    for arr in arrays:
+        assert type(arr) is np.ndarray
+        assert not arr.flags.writeable
+        assert isinstance(_mapping_of(arr), mmap.mmap)
+    assert len({id(_mapping_of(arr)) for arr in arrays}) == 1
 
 
 @pytest.fixture(params=[name for name, _ in FAMILIES])
@@ -259,6 +289,39 @@ class TestPersistence:
             assert reopened.max_entries == packed.max_entries
             _assert_oracle_exact(reopened, labeling, pairs)
 
+    def test_mapped_load_is_plain_views_answering_bit_identically(
+        self, tmp_path, master_seed
+    ):
+        pytest.importorskip("numpy")
+        # Random orientation leaves directed-unreachable (inf) pairs.
+        instance = generators.to_directed_instance(
+            generators.partial_k_tree(24, 3, 0.6, seed=master_seed),
+            weight_range=(1, 9), orientation="random", seed=master_seed + 1,
+        )
+        labeling = build_distance_labeling(instance).labeling
+        path = tmp_path / "built.rplb"
+        PackedLabeling.from_labeling(labeling).save(path)
+        mapped = PackedLabeling.load(path)
+        assert_plain_mapped_views(mapped)
+
+        vertices = list(mapped.vertices())
+        pairs = [(u, v) for u in vertices for v in vertices]
+        us = [u for u, _ in pairs]
+        vs = [v for _, v in pairs]
+        want = [
+            decode_distance(labeling.label(u), labeling.label(v)).hex()
+            for u, v in pairs
+        ]
+        assert "inf" in want
+        loads = {
+            "mapped": mapped,
+            "heap": PackedLabeling.load(path, mmap=False),
+            "pure": PackedLabeling.load(path, backend="pure"),
+        }
+        for name, packed in loads.items():
+            assert [packed.distance(u, v).hex() for u, v in pairs] == want, name
+            assert [float(x).hex() for x in packed.query(us, vs)] == want, name
+
     def test_pure_save_reloads_identically(self, tmp_path, master_seed):
         graph = generators.cycle_graph(9)
         labeling = _pseudo_labeling(graph, random.Random(master_seed + 11))
@@ -368,6 +431,26 @@ class TestApiEdges:
         assert "hub-only" not in packed  # hubs are not queryable vertices
         assert packed.distance("a", "b") == 1.0 + 4.0
         assert decode_distance(labeling.label("a"), labeling.label("b")) == 5.0
+
+    def test_mapped_query_rejects_ids_with_no_label(self, tmp_path):
+        pytest.importorskip("numpy")
+        lab = DistanceLabel("b")
+        lab.set_entry("hub-only", 3.0, 4.0)
+        labeling = DistanceLabeling({"a": DistanceLabel("a"), "b": lab})
+        labeling.set_entry("a", "hub-only", 1.0, 2.0)
+        path = tmp_path / "hubs.rplb"
+        PackedLabeling.from_labeling(labeling).save(path)
+        packed = PackedLabeling.load(path)
+        assert packed.is_memory_mapped and "hub-only" in packed.ids
+        # An unknown id, an unhashable id and a hub-only table slot, on
+        # either side of the batch: the error names the offending id.
+        for bad in ("missing", [1], "hub-only"):
+            msg = re.escape(f"no label for vertex {bad!r}")
+            for us, vs in (([bad, "a"], ["a", "b"]), (["a", "b"], ["b", bad])):
+                with pytest.raises(LabelingError, match=msg):
+                    packed.query(us, vs)
+        out = packed.query(["a", "b"], ["b", "a"])
+        assert out.dtype == "float64" and out.tolist() == [5.0, 5.0]
 
     def test_empty_labeling(self, tmp_path):
         packed = PackedLabeling.from_labeling(DistanceLabeling({}))

@@ -50,6 +50,7 @@ from repro.serving.frames import (
 )
 from repro.serving.server import _mp_context
 from repro.serving.store import STORE_SUFFIX
+from test_packed_labeling import assert_plain_mapped_views
 
 N = 14  # corpus graph size: small enough that every test is tier-1 fast
 
@@ -158,7 +159,7 @@ class TestLabelStore:
         per = after["per_graph"]["ktree"]
         assert per["file_bytes"] > per["array_bytes"] > 0
         if vectorized_available():
-            assert packed.is_memory_mapped
+            assert_plain_mapped_views(packed)
             assert after["copied_label_bytes"] == 0
             assert after["mapped_bytes"] == packed.array_bytes
         else:
