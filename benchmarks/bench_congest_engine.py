@@ -70,8 +70,6 @@ DENSE_SIZES = {"full": 400, "tiny": 60}
 FLOOD_SIZES = {"full": (10, 30, 1500), "tiny": (4, 20, 120)}
 #: Interleaved heap/bucketed run pairs for the async scheduler shoot-out.
 ASYNC_REPS = 5
-#: Fault-injection instances (partial 3-tree meshes on the async tier).
-FAULT_SIZES = {"full": 200, "tiny": 40}
 
 BENCH_JSON = os.environ.get("BENCH_ENGINE_JSON", "BENCH_engine.json")
 
@@ -427,94 +425,6 @@ def test_engine_async_unit_delay(report_sink, bench_scale, master_seed):
         f"({extra['bucketed_vs_heap']['deep_path']:.2f}x)"
     )
     _record_bench("bellman_ford_async", bench_scale, tiers, extra=extra)
-    report_sink.append("\n".join(lines))
-
-
-@pytest.mark.bench
-def test_engine_fault_churn_bellman_ford(report_sink, bench_scale, master_seed):
-    """Bellman-Ford reconvergence under seeded faults.
-
-    SSSP on a partial 3-tree mesh under a ``MassFailure(0.3)`` node outage
-    and a steady :class:`Churn` rotation, against the fault-free async
-    baseline, recorded as the ``bellman_ford_churn`` trajectory entry.
-    Every scenario is transient, so the final distances must equal the
-    fault-free Dijkstra oracle (asserted); the record keeps the scheduler's
-    events/sec under faults, the verdict's rounds-to-reconverge and the
-    payloads actually dropped, so fault-path overhead in the event loop
-    shows up across PRs.  No wall-clock floor is asserted.
-    """
-    from repro.congest.faults import Churn, MassFailure
-    from repro.congest.scheduler import UnitDelay
-    from repro.graphs.properties import dijkstra
-
-    n = FAULT_SIZES[bench_scale]
-    graph = generators.partial_k_tree(n, 3, seed=master_seed)
-    instance = generators.to_directed_instance(
-        graph, weight_range=(1, 9), orientation="both", seed=master_seed
-    )
-    source = 0
-    oracle = dijkstra(instance, source)
-
-    def run(fault_schedule=None):
-        return distributed_bellman_ford(
-            instance,
-            source,
-            engine="async",
-            delay_model=UnitDelay(),
-            fault_schedule=fault_schedule,
-        )
-
-    scenarios = {
-        "mass_failure": MassFailure(
-            fraction=0.3, at=6, outage=6, kind="node", seed=master_seed
-        ),
-        "churn": Churn(cycles=4, period=6, outage=3, start=4, seed=master_seed),
-    }
-
-    baseline, t_base = _timed(run)
-    tiers = {
-        "async_fault_free": _tier(t_base, baseline.simulation.messages_sent)
-    }
-    extra = {
-        "n": n,
-        "events_per_sec": {},
-        "rounds_to_reconverge": {},
-        "faults_injected": {},
-        "payloads_dropped": {},
-    }
-    base_events = baseline.simulation.async_stats["events_processed"]
-    extra["events_per_sec"]["fault_free"] = round(
-        base_events / max(t_base, 1e-9), 1
-    )
-    lines = [
-        f"== fault injection: async Bellman-Ford on partial 3-tree n={n} ==",
-        f"fault-free   {t_base * 1000:8.1f} ms "
-        f"({base_events} events, {baseline.rounds} rounds)",
-    ]
-    for name, model in scenarios.items():
-        result, t_run = _timed(lambda: run(fault_schedule=model))
-        sim = result.simulation
-        verdict = sim.fault_verdict
-        # Transient faults: after the last recovery the protocol must
-        # reconverge to the fault-free oracle on the intact mesh.
-        assert verdict.reconverged
-        assert not verdict.down_nodes_at_end and not verdict.down_edges_at_end
-        for v, d in oracle.items():
-            assert result.distances[v] == d
-        events = sim.async_stats["events_processed"]
-        tiers[f"async_{name}"] = _tier(t_run, sim.messages_sent)
-        extra["events_per_sec"][name] = round(events / max(t_run, 1e-9), 1)
-        extra["rounds_to_reconverge"][name] = verdict.rounds_to_reconverge
-        extra["faults_injected"][name] = verdict.faults_injected
-        extra["payloads_dropped"][name] = verdict.payloads_dropped
-        lines.append(
-            f"{name:12s} {t_run * 1000:8.1f} ms "
-            f"({events} events, {verdict.faults_injected} faults, "
-            f"{verdict.payloads_dropped} payloads dropped, "
-            f"reconverged in {verdict.rounds_to_reconverge} rounds)"
-        )
-
-    _record_bench("bellman_ford_churn", bench_scale, tiers, extra=extra)
     report_sink.append("\n".join(lines))
 
 

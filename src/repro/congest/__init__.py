@@ -26,11 +26,6 @@ This subpackage provides:
   vectorized tier: per-node and per-arc state vectors, packed numpy payload
   arrays (:class:`~repro.congest.message.PayloadSchema`) keyed by dense CSR
   arc slot, and rounds executed as segmented reductions.
-* :mod:`~repro.congest.faults` — seeded fault injection for the ``async``
-  tier: :class:`FaultSchedule` (node/edge crash+recover transitions as
-  first-class scheduler events), the :class:`MassFailure` / :class:`Churn` /
-  :class:`LinkFlap` scenario generators, and the :class:`FaultVerdict`
-  reconvergence accounting attached to ``SimulationResult``.
 * :class:`~repro.congest.node.NodeAlgorithm` — base class for per-node
   protocols.
 * :mod:`~repro.congest.primitives` — message-level BFS tree construction,
@@ -57,15 +52,6 @@ from repro.congest.kernels import (
     RoundKernel,
 )
 from repro.congest.network import CongestNetwork, SimulationResult
-from repro.congest.faults import (
-    Churn,
-    FaultEvent,
-    FaultModel,
-    FaultSchedule,
-    FaultVerdict,
-    LinkFlap,
-    MassFailure,
-)
 from repro.congest.scheduler import (
     DelayModel,
     EventRecord,
@@ -78,13 +64,6 @@ from repro.congest.scheduler import (
 from repro.congest import primitives, bellman_ford
 
 __all__ = [
-    "Churn",
-    "FaultEvent",
-    "FaultModel",
-    "FaultSchedule",
-    "FaultVerdict",
-    "LinkFlap",
-    "MassFailure",
     "DelayModel",
     "EventRecord",
     "PerArcDelay",

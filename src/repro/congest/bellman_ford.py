@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
-from repro.congest.faults import resolve_fault_run
 from repro.congest.kernels import PackedInbox, PackedSends, RoundKernel
 from repro.congest.message import Message, PayloadSchema
 from repro.congest.network import CongestNetwork, SimulationResult
@@ -96,21 +95,6 @@ class BellmanFordNode(NodeAlgorithm):
         if not improved:
             return {}
         return self._push(ctx)
-
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        # Self-stabilizing re-announce: the neighbour may have missed this
-        # node's distance while the link was down (or lost it by restarting
-        # from scratch).  Distances only ever decrease and transient faults
-        # leave the graph unchanged, so re-sending the current tentative
-        # distance along the input edge reconverges the monotone protocol.
-        if self.dist == INF or ctx.local_edges is None:
-            return {}
-        if self._best is None:
-            self._push(ctx)
-        weight = self._best.get(neighbor)
-        if weight is None:
-            return {}
-        return {neighbor: ("dist", self.dist + weight)}
 
 
 def _segmented_min_parent(vals, starts, senders, sentinel):
@@ -273,7 +257,6 @@ def distributed_bellman_ford(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> BellmanFordResult:
     """Run distributed Bellman-Ford SSSP from ``source`` on ``instance``.
@@ -288,14 +271,6 @@ def distributed_bellman_ford(
     ``scheduler`` selects the async tier's event queue (``"bucketed"``
     calendar queue, the default, or the ``"heap"`` reference — identical
     runs).
-
-    ``fault_schedule`` (a :class:`~repro.congest.faults.FaultSchedule` or
-    seeded :class:`~repro.congest.faults.FaultModel`) injects node/edge
-    crash+recover transitions; it implies ``engine="async"`` when no engine
-    is requested, requires the source to eventually recover (a source crashed
-    forever can never re-seed distance 0 — rejected with
-    :class:`~repro.errors.FaultInjectionError`), and raises the default round
-    limit to cover the fault horizon plus reconvergence.
     """
     if not instance.has_node(source):
         raise GraphError(f"source {source!r} not in instance")
@@ -307,11 +282,6 @@ def distributed_bellman_ford(
         u: [(e.head, e.weight) for e in instance.out_edges(u)] for u in instance.nodes()
     }
     limit = max_rounds if max_rounds is not None else 4 * instance.num_nodes() + 16
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, [source], "Bellman-Ford SSSP"
-    )
-    if fault_schedule is not None and max_rounds is None:
-        limit = 4 * instance.num_nodes() + 2 * fault_schedule.horizon + 32
     result = network.run(
         lambda u: BellmanFordNode(u, source),
         max_rounds=limit,
@@ -321,11 +291,10 @@ def distributed_bellman_ford(
         trace=trace,
         kernel=BellmanFordKernel(source, local_inputs),
         delay_model=delay_model,
-        fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
-    distances = {u: out[0] for u, out in result.outputs.items() if out is not None}
-    parents = {u: out[1] for u, out in result.outputs.items() if out is not None}
+    distances = {u: out[0] for u, out in result.outputs.items()}
+    parents = {u: out[1] for u, out in result.outputs.items()}
     return BellmanFordResult(
         distances=distances,
         parents=parents,

@@ -53,16 +53,17 @@ model).
    scheduler=...)``): the default ``scheduler="bucketed"`` is a calendar
    queue — events land in per-timestamp buckets, and a whole instant's
    batch is released with one dict pop instead of one heap pop per event.
-   Its buckets hold three event kinds: envelope, range-tick and fault.
+   Its buckets hold two event kinds: envelope and range-tick.
    Markers fuse only for a silent node under unit delay: its whole run of
    empty pulse markers plus its self-tick is one range-tick event.  Every
    other envelope is one event per arc, emitted by the per-arc loop the
    heap shares.  ``scheduler="heap"`` keeps the binary-heap queue as the
    reference implementation.  The two are bit-for-bit interchangeable —
-   results, ledger, round/event traces, ``virtual_time``, deterministic
-   ``async_stats`` entries and fault semantics — cross-checked event for
-   event by the ``ScheduleFuzzer`` sweep and the fault-injection suite; the
-   bucketed queue simply gets there faster (see *When each tier wins*).
+   results, ledger, round/event traces, ``virtual_time`` and deterministic
+   ``async_stats`` entries — cross-checked event for event by the
+   ``ScheduleFuzzer`` sweep and pinned to sha256 digests by
+   ``tests/test_async_scheduler.py``; the bucketed queue simply gets there
+   faster (see *When each tier wins*).
 
    **Accounting contract**: only protocol messages are charged, so the
    message/word/bandwidth ledger equals the synchronous tiers under *every*
@@ -86,32 +87,9 @@ model).
    fuzzing seeds (the ``ScheduleFuzzer`` harness in
    ``tests/test_async_scheduler.py``); keep the synchronous tiers for speed.
 
-**Fault injection** (:mod:`repro.congest.faults`) is an async-tier
-capability: crash/recovery timing is expressed in event-queue time, which
-the lockstep synchronous tiers do not have — a mid-round edge crash has no
-well-defined meaning when every message of the round commits atomically.
-``run(..., fault_schedule=...)`` therefore requires ``engine="async"``; the
-synchronous tiers reject the argument with a :class:`SimulationError`
-rather than silently ignoring faults or falling back:
-
-   ======================  ==============================================
-   tier                    ``fault_schedule=`` support
-   ======================  ==============================================
-   legacy / fast           rejected (``SimulationError``)
-   vectorized              rejected (``SimulationError``)
-   async                   full: seeded node/edge crash + recovery
-                           schedules, payload drops on dead links,
-                           self-stabilizing restart via
-                           ``on_link_recovery``, ``FaultVerdict`` on the
-                           result
-   ======================  ==============================================
-
-   A ``FaultSchedule()`` with no events keeps the async tier on its
-   fault-free fast path — bit-for-bit the run without the argument.
-
 **Per-tier option support** — which ``run()`` knobs each tier honours
-(``scheduler=`` with a non-async engine and ``fault_schedule=`` with a
-synchronous engine are rejected with :class:`SimulationError`):
+(``scheduler=`` with a non-async engine is rejected with
+:class:`SimulationError`):
 
    ============  =====================
    tier          ``scheduler=``

@@ -56,7 +56,6 @@ from repro.congest.engine import (
     run_fast,
     run_vectorized,
 )
-from repro.congest.faults import FaultVerdict
 from repro.congest.kernels import RoundKernel, vectorized_available
 from repro.congest.message import DEFAULT_WORDS_PER_MESSAGE, Message
 from repro.congest.node import NodeAlgorithm, NodeContext
@@ -112,14 +111,6 @@ class SimulationResult:
         high-water ≥ 2 — i.e. where messages pipelined across a slow link).
         ``None`` on the synchronous tiers.  Excluded from tier equivalence:
         it describes the schedule, not the protocol.
-    fault_verdict:
-        For async runs given a ``fault_schedule``: the
-        :class:`~repro.congest.faults.FaultVerdict` accounting of the run —
-        faults injected, whether the system reconverged (everything
-        recovered at stop time), the last fault round and the rounds the
-        protocol needed after it, payloads lost to crashed links/nodes, and
-        any elements left permanently down.  ``None`` on runs without a
-        fault schedule.
     """
 
     rounds: int
@@ -133,7 +124,6 @@ class SimulationResult:
     trace: Optional[SimulationTrace] = None
     virtual_time: Optional[int] = None
     async_stats: Optional[Dict[str, Any]] = None
-    fault_verdict: Optional[FaultVerdict] = None
 
 
 class CongestNetwork:
@@ -208,7 +198,6 @@ class CongestNetwork:
         trace: Optional[SimulationTrace] = None,
         kernel: Optional[RoundKernel] = None,
         delay_model=None,
-        fault_schedule=None,
         scheduler: Optional[str] = None,
     ) -> SimulationResult:
         """Execute one protocol on every node and return the round statistics.
@@ -250,19 +239,6 @@ class CongestNetwork:
             (default :class:`~repro.congest.scheduler.UnitDelay`).  Only
             meaningful with ``engine="async"``, which runs every protocol
             under every model.
-        fault_schedule:
-            :class:`~repro.congest.faults.FaultSchedule` (explicit timed
-            node/edge crash+recover transitions) or seeded
-            :class:`~repro.congest.faults.FaultModel` generator
-            (:class:`~repro.congest.faults.MassFailure` /
-            :class:`~repro.congest.faults.Churn` /
-            :class:`~repro.congest.faults.LinkFlap`) to inject into the run.
-            Only the ``async`` tier supports fault injection: the lockstep
-            synchronous tiers have no notion of mid-round crash timing, so
-            any other engine raises :class:`~repro.errors.SimulationError`
-            (no silent fallback — dropping the faults would silently change
-            the experiment).  The run's accounting is returned as
-            ``SimulationResult.fault_verdict``.
         scheduler:
             Event-queue implementation of the ``async`` tier:
             ``"bucketed"`` (the calendar-queue fast path, default) or
@@ -284,12 +260,6 @@ class CongestNetwork:
                 f"delay_model is only meaningful with engine='async' "
                 f"(requested engine {chosen!r})"
             )
-        if fault_schedule is not None and chosen != "async":
-            raise SimulationError(
-                f"fault_schedule requires engine='async' (requested engine "
-                f"{chosen!r}): the lockstep synchronous tiers cannot honour "
-                "mid-round crash/recovery timing"
-            )
         if chosen == "async":
             from repro.congest.scheduler import run_async
 
@@ -301,7 +271,6 @@ class CongestNetwork:
                 local_inputs=local_inputs,
                 stop_when_quiet=stop_when_quiet,
                 trace=trace,
-                fault_schedule=fault_schedule,
                 scheduler=scheduler if scheduler is not None else "bucketed",
             )
         if chosen == "vectorized":

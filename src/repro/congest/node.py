@@ -96,24 +96,6 @@ class NodeAlgorithm:
         """Called every round with the messages received; returns messages to send."""
         raise NotImplementedError
 
-    # -- fault recovery (async tier only) -------------------------------- #
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        """The link to ``neighbor`` just recovered — re-announce if needed.
-
-        Only the asynchronous tier with a fault schedule calls this hook: once
-        per recovered incident link (after an ``edge_up``, or on either side of
-        a restarted node once it is back).  Self-stabilizing protocols override
-        it to re-send whatever state the neighbour may have missed while the
-        link or one of its endpoints was down — typically the same announcement
-        they would make on first contact.  The returned mapping is merged into
-        the node's next outbox (the regular round's messages win on key
-        collisions); the hook may also un-halt the node (``self._halted =
-        False``) if reconvergence requires it to resume rounds.  The default
-        ignores recoveries, which is correct for protocols that are oblivious
-        to message loss.
-        """
-        return {}
-
     # -- termination ----------------------------------------------------- #
     def halt(self) -> None:
         """Mark this node as locally terminated."""

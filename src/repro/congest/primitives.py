@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.congest.faults import resolve_fault_run
 from repro.congest.message import Message
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.node import NodeAlgorithm, NodeContext
@@ -83,27 +82,14 @@ class BFSTreeNode(NodeAlgorithm):
             cand = (d, msg.sender)
             if best is None or cand < best:
                 best = cand
-        # Accept strict improvements even after halting.  Fault-free this
-        # never fires (the first receipt is already at BFS distance, so every
-        # later offer is >= depth - 1); under message loss the first offer a
-        # node hears may arrive over a detour, and the correct smaller depth
-        # shows up later via a recovery re-announcement — adopting it (and
-        # re-flooding) is what makes the tree self-stabilize back to the
-        # centralized BFS depths.
-        if best is None or (self.depth is not None and best[0] + 1 >= self.depth):
+        # Only the first receipt counts: it already arrives at BFS distance.
+        if best is None or self.depth is not None:
             return {}
         self.depth = best[0] + 1
         self.parent = best[1]
         self.output = (self.parent, self.depth)
         self.halt()
         return {v: ("bfs", self.depth) for v in ctx.neighbors if v != self.parent}
-
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        # Re-offer this node's depth across the healed link: the neighbour
-        # may have missed the original flood (or restarted with no state).
-        if self.depth is None:
-            return {}
-        return {neighbor: ("bfs", self.depth)}
 
 
 def build_bfs_tree(
@@ -113,7 +99,6 @@ def build_bfs_tree(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, int], SimulationResult]:
     """Construct a BFS tree rooted at ``root``.
@@ -125,18 +110,12 @@ def build_bfs_tree(
     :class:`~repro.congest.kernels.BFSTreeKernel`, and ``engine="async"``
     executes the scalar protocol on the event-driven scheduler under
     ``delay_model`` — identical parents/depths and measured traffic on every
-    tier.  ``fault_schedule`` injects seeded node/edge
-    crash+recover transitions on the async tier (implied when no engine is
-    requested); the root must eventually recover, since a permanently dead
-    root can never re-seed depth 0.
+    tier.
     """
     if not network.graph.has_node(root):
         raise GraphError(f"root {root!r} not in network")
     from repro.congest.kernels import BFSTreeKernel
 
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, [root], "BFS tree construction"
-    )
     result = network.run(
         lambda u: BFSTreeNode(u, root),
         max_rounds=max_rounds,
@@ -144,7 +123,6 @@ def build_bfs_tree(
         trace=trace,
         kernel=BFSTreeKernel(root),
         delay_model=delay_model,
-        fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
     parent: Dict[NodeId, Optional[NodeId]] = {}
@@ -189,13 +167,6 @@ class FloodBroadcastNode(NodeAlgorithm):
         self.halt()
         return {v: self.output for v in ctx.neighbors if v != inbox[0].sender}
 
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        # Re-flood the value across the healed link; an informed node is
-        # halted, so ``halted`` is exactly "this node holds the value".
-        if not self.halted:
-            return {}
-        return {neighbor: self.output}
-
 
 def broadcast(
     network: CongestNetwork,
@@ -205,25 +176,15 @@ def broadcast(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
-    """Broadcast ``value`` from ``root``; returns ``(received_values, result)``.
-
-    ``fault_schedule`` injects seeded crash+recover transitions on the async
-    tier (implied when no engine is requested); the root must eventually
-    recover.
-    """
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, [root], "flood broadcast"
-    )
+    """Broadcast ``value`` from ``root``; returns ``(received_values, result)``."""
     result = network.run(
         lambda u: FloodBroadcastNode(u, root, value),
         max_rounds=max_rounds,
         engine=engine,
         trace=trace,
         delay_model=delay_model,
-        fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
     return dict(result.outputs), result
@@ -316,21 +277,6 @@ class ChunkFloodNode(NodeAlgorithm):
             self._learn(msg.payload, msg.sender, ctx)
         return self._drain()
 
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        # The neighbour may have missed any subset of the chunks while the
-        # link (or a node) was down: requeue everything this node holds for
-        # that neighbour and resume draining one chunk per round (duplicates
-        # are deduplicated by chunk index on receipt).  Un-halting is safe —
-        # ``_finish_if_complete`` halts again once the queues drain.
-        if not self.chunks:
-            return {}
-        q = self.queues.setdefault(neighbor, deque())
-        q.clear()
-        for k in sorted(self.chunks):
-            q.append(self.chunks[k])
-        self._halted = False
-        return {}
-
 
 def flood_chunks(
     network: CongestNetwork,
@@ -340,7 +286,6 @@ def flood_chunks(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
     """Flood the ordered ``chunks`` from ``root``; O(D + len(chunks)) rounds.
@@ -360,9 +305,6 @@ def flood_chunks(
         raise GraphError(f"root {root!r} not in network")
     from repro.congest.kernels import FloodingKernel
 
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, [root], "chunk flooding"
-    )
     # Always attach the kernel (construction is cheap); CongestNetwork.run
     # reads it only on engine="vectorized".
     result = network.run(
@@ -372,7 +314,6 @@ def flood_chunks(
         trace=trace,
         kernel=FloodingKernel(root, chunks),
         delay_model=delay_model,
-        fault_schedule=fault_schedule,
         scheduler=scheduler,
     )
     received = {u: out for u, out in result.outputs.items() if out is not None}
@@ -430,14 +371,6 @@ class ConvergecastNode(NodeAlgorithm):
                 self.acc = self.combine(self.acc, msg.payload)
         return self._maybe_send()
 
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        # Re-send this node's report if the healed link leads to its tree
-        # parent: a restarted parent re-collects from scratch, and a parent
-        # that never lost the first report deduplicates via ``pending``.
-        if self.halted and self.parent == neighbor:
-            return {self.parent: self.acc}
-        return {}
-
 
 def _sum_combine(a: Any, b: Any) -> Any:
     """Default convergecast combiner.
@@ -465,7 +398,6 @@ def convergecast_sum(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[Any, SimulationResult]:
     """Aggregate ``values`` up the tree given as a child->parent map.
@@ -475,10 +407,7 @@ def convergecast_sum(
     :class:`~repro.congest.kernels.ConvergecastKernel`, so
     ``engine="vectorized"`` aggregates with whole-round segmented sums —
     bit-for-bit the scalar result; a custom ``combine`` (or exotic value
-    types) runs on the scalar tiers only.  ``fault_schedule``
-    injects seeded crash+recover transitions on the async tier (implied when
-    no engine is requested); the tree root must eventually recover, since
-    the aggregate is read off it.
+    types) runs on the scalar tiers only.
     """
     children: Dict[NodeId, List[NodeId]] = {u: [] for u in parent}
     root = None
@@ -489,9 +418,6 @@ def convergecast_sum(
             children[p].append(u)
     if root is None:
         raise GraphError("tree has no root")
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, [root], "convergecast"
-    )
 
     def factory(u: NodeId) -> NodeAlgorithm:
         if u in parent:
@@ -513,8 +439,7 @@ def convergecast_sum(
         kernel = ConvergecastKernel(parent, values)
     result = network.run(
         factory, max_rounds=max_rounds, engine=engine, trace=trace,
-        kernel=kernel, delay_model=delay_model, fault_schedule=fault_schedule,
-        scheduler=scheduler,
+        kernel=kernel, delay_model=delay_model, scheduler=scheduler,
     )
     return result.outputs[root], result
 
@@ -555,13 +480,6 @@ class LeaderElectionNode(NodeAlgorithm):
             return {}
         return {v: self.best_raw for v in ctx.neighbors}
 
-    def on_link_recovery(self, ctx: NodeContext, neighbor: NodeId) -> Dict[NodeId, Any]:
-        # Re-announce the best identifier seen so far: a restarted neighbour
-        # knows only its own id and adopts (then re-floods) any smaller one.
-        if self.best is None:
-            return {}
-        return {neighbor: self.best_raw}
-
 
 def elect_leader(
     network: CongestNetwork,
@@ -569,7 +487,6 @@ def elect_leader(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
     scheduler: Optional[str] = None,
 ) -> Tuple[NodeId, SimulationResult]:
     """Elect the minimum-id node as leader; returns ``(leader, result)``.
@@ -578,23 +495,16 @@ def elect_leader(
     disagree on the leader).  The helper attaches
     :class:`~repro.congest.kernels.LeaderElectionKernel`, so
     ``engine="vectorized"`` floods precomputed id ranks with whole-round
-    segmented minima — bit-for-bit the scalar election.  ``fault_schedule``
-    injects seeded crash+recover transitions on the async tier (implied
-    when no engine is requested); every node must eventually recover, since
-    the min-id flood only converges once every node can report the leader.
+    segmented minima — bit-for-bit the scalar election.
     """
     if not network.graph.is_connected():
         raise GraphError("leader election requires a connected network")
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, network.graph.nodes(), "leader election"
-    )
     from repro.congest.kernels import LeaderElectionKernel
 
     result = network.run(
         lambda u: LeaderElectionNode(u), max_rounds=max_rounds, engine=engine,
         trace=trace, kernel=LeaderElectionKernel(),
-        delay_model=delay_model, fault_schedule=fault_schedule,
-        scheduler=scheduler,
+        delay_model=delay_model, scheduler=scheduler,
     )
     leaders = set(map(str, result.outputs.values()))
     if len(leaders) != 1:

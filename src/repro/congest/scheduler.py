@@ -15,8 +15,8 @@ protocol whenever the messages they are waiting for have arrived.
     and the loop pops whole buckets instead of individual heap entries.
     Because delays are ``>= 1``, every push targets a strictly future
     instant, so a draining bucket never grows and append order within a
-    bucket equals the heap's sequence order.  A bucket holds three event
-    kinds: envelope, range-tick and fault.  The one fused event is the
+    bucket equals the heap's sequence order.  A bucket holds two event
+    kinds: envelope and range-tick.  The one fused event is the
     silent pulse under unit delay — the dominant traffic of a converging
     protocol: a node with nothing to send emits its whole run of empty
     pulse markers plus its self-tick as a single range-tick over its
@@ -30,15 +30,15 @@ protocol whenever the messages they are waiting for have arrived.
 ``"heap"``
     The reference implementation: one binary-heap entry per envelope and
     per self-tick, ordered by ``(time, seq)``, with its own push and drain.
-    The schedule-fuzz sweep and the fault suite cross-check the two queues
-    event for event.
+    The schedule-fuzz sweep cross-checks the two queues event for event.
 
 Both queues process the same events in the same order, so results, message
 ledger, round trace, recorded :class:`EventRecord` streams,
-``virtual_time``, fault semantics (``_EV_FAULT`` fires before any
-same-instant envelope) and the deterministic ``async_stats`` fields are
+``virtual_time`` and the deterministic ``async_stats`` fields are
 bit-for-bit identical — asserted across the equivalence families in
-``tests/test_async_scheduler.py``.  The only divergence is the wall-clock
+``tests/test_async_scheduler.py``, which also pins them to sha256 digests
+(the queues share the per-arc send loop and delivery, so only a digest
+sees a bug there).  The only divergence is the wall-clock
 ``events_per_sec`` figure.
 
 **The α-synchronizer adapter.**  The protocols of this repository are written
@@ -94,21 +94,6 @@ either some node sends one (the run certainly continues) or every node has
 completed pulse ``p`` and the run is known to continue — so no protocol
 callback ever runs that the synchronous tiers would not have run.
 
-**Fault injection.**  ``run_async(..., fault_schedule=...)`` accepts a
-:class:`~repro.congest.faults.FaultSchedule` (or seeded
-:class:`~repro.congest.faults.FaultModel` generator) whose node/edge
-crash+recover transitions enter the same event queue as ``_EV_FAULT``
-events.  The synchronizer's control plane is modelled as reliable: a
-crashed node's pulses keep ticking as scheduler-driven *ghost* pulses that
-run no protocol code, so pulse structure, round accounting and the
-fault-free fast path are untouched — only protocol payloads (dropped on
-crashed links / to-from crashed nodes, but still charged to the ledger at
-send) and protocol state (lost on crash, rebuilt from ``initialize`` plus
-:meth:`~repro.congest.node.NodeAlgorithm.on_link_recovery` re-announcements
-on restart) fail.  See :mod:`repro.congest.faults` for the model,
-determinism and reconvergence contracts; the run's fault accounting is
-returned as ``SimulationResult.fault_verdict``.
-
 **Delay models** (all deterministic: a delay is a pure seeded function of
 ``(arc, pulse)``, so a run is reproducible from the model alone):
 
@@ -134,7 +119,6 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.congest.engine import RoundStats, SimulationTrace
-from repro.congest.faults import FaultVerdict, _mix, resolve_fault_schedule
 from repro.congest.message import Message, payload_size_words
 from repro.congest.node import NodeAlgorithm, NodeContext
 from repro.errors import (
@@ -146,13 +130,31 @@ from repro.errors import (
 
 NodeId = Hashable
 
-#: Event kinds.  The heap queue uses envelope, tick and fault; the bucketed
-#: queue uses envelope, range-tick and fault.
+_M64 = (1 << 64) - 1
+
+
+def _mix(*parts: int) -> int:
+    """A SplitMix64-style integer hash, order-sensitive and seed-stable.
+
+    The delay models use it instead of :class:`random.Random` state, so
+    every delay is a pure function of ``(seed, ...)`` — independent of
+    draw order.
+    """
+    x = 0x9E3779B97F4A7C15
+    for v in parts:
+        x = (x ^ (v & _M64)) * 0xBF58476D1CE4E5B9 & _M64
+        x ^= x >> 31
+    x = (x * 0x94D049BB133111EB) & _M64
+    x ^= x >> 29
+    return x
+
+
+#: Event kinds.  The heap queue uses envelope and tick; the bucketed queue
+#: uses envelope and range-tick.
 _EV_ENVELOPE = 0  # an envelope reaches its arc head: a protocol payload, or
 #                   the _no_payload sentinel for an empty pulse marker
 _EV_TICK = 1  # heap queue only: a node's per-pulse self-clock fires
-_EV_FAULT = 2  # a scheduled fault transition fires (see repro.congest.faults)
-_EV_RANGE_TICK = 3  # bucketed queue only, (kind, lo, hi, p, i): pulse-p
+_EV_RANGE_TICK = 2  # bucketed queue only, (kind, lo, hi, p, i): pulse-p
 #                     markers on sender i's consecutive arcs [lo, hi), then
 #                     i's self-tick.  A silent node under unit delay covers
 #                     its whole arc slice; any other self-tick has lo == hi.
@@ -370,12 +372,6 @@ class EventRecord:
     ``kind`` is ``"execute"`` (a node runs a pulse), ``"send"`` (a protocol
     message departs on an arc) or ``"deliver"`` (a protocol message reaches
     its receiver); ``peer`` is the other endpoint for send/deliver events.
-    Runs with a fault schedule additionally record one event per fault
-    transition (``kind`` is the fault kind — ``"node_down"``, ``"node_up"``,
-    ``"edge_down"``, ``"edge_up"``, with ``peer`` the far endpoint for edge
-    faults) and a ``"drop"`` event per lost protocol payload (at the send
-    instant when the link/receiver is already down, at the scheduled arrival
-    instant when the message was voided mid-flight).
     Times are virtual (event-queue) times, pulses are logical round numbers.
     """
 
@@ -398,7 +394,6 @@ def run_async(
     local_inputs: Optional[Mapping[NodeId, Any]] = None,
     stop_when_quiet: bool = True,
     trace: Optional[SimulationTrace] = None,
-    fault_schedule=None,
     scheduler: str = "bucketed",
 ):
     """Execute one protocol on ``network`` through the event-driven tier.
@@ -411,12 +406,8 @@ def run_async(
     ``scheduler`` selects the event-queue implementation — ``"bucketed"``
     (the calendar-queue fast path, default) or ``"heap"`` (the reference
     binary heap); both produce identical runs (see the module docstring).
-    ``fault_schedule`` — a :class:`~repro.congest.faults.FaultSchedule` or
-    :class:`~repro.congest.faults.FaultModel` — injects seeded node/edge
-    crash+recover transitions; the run then reports its fault accounting as
-    ``SimulationResult.fault_verdict`` and crashed nodes that never recover
-    report ``None`` outputs.  A ``delay_model`` that is not a
-    :class:`DelayModel` raises :class:`~repro.errors.SimulationError`.
+    A ``delay_model`` that is not a :class:`DelayModel` raises
+    :class:`~repro.errors.SimulationError`.
     """
     from repro.congest.network import SimulationResult
 
@@ -521,91 +512,6 @@ def run_async(
     buckets = _Calendar()
     times = buckets.times
 
-    # -- fault-injection state (inert when no schedule is given) ---------- #
-    bound_faults: List = []
-    if fault_schedule is not None:
-        bound_faults = resolve_fault_schedule(fault_schedule, idx).bind(network)
-    faults_on = bool(bound_faults)
-    faults_fired = 0
-    last_fault_round = 0
-    payloads_dropped = 0
-    node_up_ = [True] * n
-    node_last_down = [-1] * n  # virtual time of each node's last crash
-    restart_pending = [False] * n  # recovered, fresh instance not yet built
-    edge_down: set = set()  # edge ids currently crashed
-    edge_last_down: Dict[int, int] = {}  # edge id -> time of last crash
-    link_notices: List[set] = [set() for _ in range(n)]  # pending recoveries
-    arc_eid = [0] * num_arcs
-    edge_ends: Dict[int, Tuple[NodeId, NodeId]] = {}
-    if faults_on:
-        for i in range(n):
-            omap = out_maps[i]
-            lo = indptr[i]
-            for k, nbr in enumerate(neighbor_ids[i]):
-                arc_eid[lo + k] = omap[nbr][1]
-        for bev in bound_faults:
-            if bev.eid >= 0:
-                edge_ends.setdefault(bev.eid, (node_ids[bev.u], node_ids[bev.v]))
-        # Fault transitions enter the queue first: their sequence numbers are
-        # the smallest (equivalently, they sit at the front of their bucket),
-        # so at any instant every fault applies before that instant's
-        # envelope arrivals (and hence before the executions those arrivals
-        # trigger) — faults take effect at the *start* of their time.
-        if use_buckets:
-            for k, bev in enumerate(bound_faults):
-                buckets[bev.time].append((_EV_FAULT, k))
-        else:
-            fault_tail = (0, _no_payload, 0, 0)  # hoisted sentinel packing
-            for k, bev in enumerate(bound_faults):
-                seq += 1
-                heappush(heap, (bev.time, seq, _EV_FAULT, k) + fault_tail)
-
-    def _apply_fault(bev, now: int) -> None:
-        nonlocal faults_fired, last_fault_round
-        faults_fired += 1
-        last_fault_round = rounds
-        if bev.kind == "node_down":
-            i = bev.node
-            node_up_[i] = False
-            node_last_down[i] = now
-            algos[i] = None  # fail-stop: all volatile protocol state is lost
-            restart_pending[i] = False
-            inbuf[i].clear()
-            link_notices[i].clear()
-            if record_events:
-                trace.record_event(EventRecord(now, "node_down", node_ids[i], rounds))
-        elif bev.kind == "node_up":
-            i = bev.node
-            node_up_[i] = True
-            restart_pending[i] = True
-            # Re-announce both ways across every currently-live link: the
-            # restarted node learns its live neighbours, and they learn it.
-            for pos in range(indptr[i], indptr[i + 1]):
-                jn = indices[pos]
-                if node_up_[jn] and arc_eid[pos] not in edge_down:
-                    link_notices[i].add(jn)
-                    link_notices[jn].add(i)
-            if record_events:
-                trace.record_event(EventRecord(now, "node_up", node_ids[i], rounds))
-        elif bev.kind == "edge_down":
-            edge_down.add(bev.eid)
-            edge_last_down[bev.eid] = now
-            if record_events:
-                trace.record_event(
-                    EventRecord(now, "edge_down", node_ids[bev.u], rounds,
-                                peer=node_ids[bev.v])
-                )
-        else:  # edge_up
-            edge_down.discard(bev.eid)
-            if node_up_[bev.u] and node_up_[bev.v]:
-                link_notices[bev.u].add(bev.v)
-                link_notices[bev.v].add(bev.u)
-            if record_events:
-                trace.record_event(
-                    EventRecord(now, "edge_up", node_ids[bev.u], rounds,
-                                peer=node_ids[bev.v])
-                )
-
     def _delay(pos: int, pulse: int) -> int:
         d = model.delay(pos, pulse)
         try:
@@ -621,37 +527,10 @@ def run_async(
             )
         return d
 
-    def _drop(now: int, node: int, p: int, peer: int, words: int) -> None:
-        """Count a lost protocol payload and record its ``drop`` event.
-
-        ``node`` is the endpoint where the loss shows: the sender when the
-        payload dies at send, the receiver when it was voided in flight.
-        """
-        nonlocal payloads_dropped
-        payloads_dropped += 1
-        if record_events:
-            trace.record_event(
-                EventRecord(now, "drop", node_ids[node], p, peer=node_ids[peer],
-                            words=words)
-            )
-
     def _deliver(pos: int, j: int, p: int, payload: Any, size: int,
                  sent_at: int, now: int) -> None:
         """A payload on arc ``pos`` reaches ``j``: buffer it for pulse p+1."""
         s = arc_sender[pos]
-        if faults_on and (
-            arc_eid[pos] in edge_down
-            or edge_last_down.get(arc_eid[pos], -1) > sent_at
-            or not node_up_[j]
-            or node_last_down[j] > sent_at
-            or node_last_down[s] > sent_at
-        ):
-            # Voided mid-flight: the link or either endpoint crashed after
-            # the send (strictly — a transition at time t precedes every
-            # send at time t) or is still down now.  The envelope degrades
-            # to an empty pulse marker.
-            _drop(now, j, p, s, size)
-            return
         inbuf[j].setdefault(p, []).append((s, payload, size, sent_at, now))
         if record_events:
             trace.record_event(
@@ -666,16 +545,6 @@ def run_async(
             Message(node_ids[s], node_ids[i], payload, sent_time=st, delivery_time=at)
             for s, payload, _w, st, at in entries
         ]
-
-    def _recover(algo: NodeAlgorithm, ctx: NodeContext, notices) -> Dict[NodeId, Any]:
-        """Run the pending link-recovery notices in neighbour-index order;
-        returns the merged re-announcements."""
-        out: Dict[NodeId, Any] = {}
-        for jn in sorted(notices):
-            ret = algo.on_link_recovery(ctx, node_ids[jn])
-            if ret:
-                out.update(ret)
-        return out
 
     def _seal_batch(r: int) -> None:
         """Fix round ``r``'s per-edge words once all its sends are known."""
@@ -697,17 +566,7 @@ def run_async(
         stop rules (the exact check order of the round loops, including the
         convergence check preceding the quiescence breaks)."""
         nonlocal stopped, rounds, halted_recorded
-        if faults_on:
-            # Crashes and recovery re-announcements can un-halt nodes, so the
-            # fault-free prefix accounting does not apply: recount the live
-            # halted population (down nodes are crashed, not halted).
-            halted_count = sum(
-                1 for i2 in range(n)
-                if node_up_[i2] and algos[i2] is not None and algos[i2].halted
-            )
-        else:
-            halted_recorded += halted_in_pulse.pop(p, 0)
-            halted_count = halted_recorded
+        halted_recorded += halted_in_pulse.pop(p, 0)
         if p >= 1 and trace is not None:
             trace.record(
                 RoundStats(
@@ -716,7 +575,7 @@ def run_async(
                     messages_delivered=sent_msgs.get(p - 1, 0),
                     words_delivered=sent_words.get(p - 1, 0),
                     max_edge_words=batch_edge_max.pop(p, 0),
-                    halted_nodes=halted_count,
+                    halted_nodes=halted_recorded,
                 )
             )
         staged = sent_msgs.get(p, 0)
@@ -724,20 +583,8 @@ def run_async(
             raise ConvergenceError(
                 f"simulation did not terminate within {max_rounds} rounds"
             )
-        # Under faults, quiescence may only stop the run once every scheduled
-        # transition has fired and every restart / recovery re-announcement
-        # has been consumed — otherwise the protocol would be declared done
-        # while reconvergence work is still pending.  Pulses keep ticking in
-        # the meantime (every node self-clocks >= 1 time unit per pulse), so
-        # virtual time always reaches the fault horizon.
-        can_stop = not faults_on or (
-            faults_fired == len(bound_faults)
-            and not any(restart_pending)
-            and not any(link_notices)
-        )
-        if can_stop and (
-            (halted_count == n and staged == 0)
-            or (stop_when_quiet and staged == 0 and p > 0)
+        if (halted_recorded == n and staged == 0) or (
+            stop_when_quiet and staged == 0 and p > 0
         ):
             stopped = True
             rounds = p
@@ -753,87 +600,28 @@ def run_async(
         if now > virtual_time:
             virtual_time = now
         outbox: Optional[Mapping[NodeId, Any]] = None
-        if faults_on and not node_up_[i]:
-            # Ghost pulse: the node is crashed, so no protocol code runs and
-            # nothing it would have sent exists — but the synchronizer's
-            # control plane is reliable, so the scheduler still emits the
-            # pulse markers / self-tick below and counts the completion.
-            # Pulse structure is therefore identical to a fault-free run.
-            pass
-        elif p == 0:
+        if p == 0:
             if record_events:
                 trace.record_event(EventRecord(now, "execute", node_ids[i], 0))
             outbox = algo.initialize(ctxs[i])
             if algo.halted:
                 halted_in_pulse[0] = halted_in_pulse.get(0, 0) + 1
-        elif faults_on and restart_pending[i]:
-            # Recovery restart: build a fresh instance (volatile state was
-            # lost at crash time) and re-run its init at the current pulse;
-            # pending link-recovery notices then let it and its neighbours
-            # re-announce, which is what drives reconvergence.
-            restart_pending[i] = False
-            algo = algorithm_factory(node_ids[i])
-            if not isinstance(algo, NodeAlgorithm):
-                raise SimulationError(
-                    f"algorithm_factory must return NodeAlgorithm instances, "
-                    f"got {type(algo)!r}"
-                )
-            algos[i] = algo
-            event_flags[i] = algo.event_driven
-            ctx = ctxs[i]
-            ctx.round_number = p
-            if record_events:
-                trace.record_event(EventRecord(now, "execute", node_ids[i], p))
-            outbox = algo.initialize(ctx)
-            invoked[p] = invoked.get(p, 0) + 1
-            notices = link_notices[i]
-            if notices:
-                link_notices[i] = set()
-                recovery_out = _recover(algo, ctx, notices)
-                if recovery_out:
-                    if outbox:
-                        recovery_out.update(outbox)  # init's sends win
-                    outbox = recovery_out
-            # Everything buffered here is post-recovery mail — the crash
-            # cleared the inbox and the in-flight void checks stop anything
-            # sent before the restart — so the fresh instance must consume
-            # it (neighbours' recovery re-announcements arrive this way).
-            entries = inbuf[i].pop(p - 1, None)
-            if entries:
-                round_out = algo.on_round(ctx, _inbox(i, entries))
-                if round_out:
-                    if outbox:
-                        outbox = dict(outbox)
-                        outbox.update(round_out)  # the round's sends win
-                    else:
-                        outbox = round_out
         else:
             entries = inbuf[i].pop(p - 1, None)
-            notices = None
-            if faults_on and link_notices[i]:
-                notices = link_notices[i]
-                link_notices[i] = set()
             # The synchronous worklist rule: every running non-event-driven
             # node runs each round, plus any node (running or halted) that
-            # received protocol mail — plus, under faults, any node with a
-            # pending link-recovery notice (which may itself un-halt it).
-            if entries is not None or notices or not (algo.halted or event_flags[i]):
+            # received protocol mail.
+            if entries is not None or not (algo.halted or event_flags[i]):
                 was_halted = algo.halted
                 ctx = ctxs[i]
                 ctx.round_number = p
-                recovery_out = _recover(algo, ctx, notices) if notices else None
-                if entries is not None or not (algo.halted or event_flags[i]):
-                    msgs = _inbox(i, entries) if entries else []
-                    if record_events:
-                        trace.record_event(EventRecord(now, "execute", node_ids[i], p))
-                    outbox = algo.on_round(ctx, msgs)
-                    if algo.halted and not was_halted:
-                        halted_in_pulse[p] = halted_in_pulse.get(p, 0) + 1
+                msgs = _inbox(i, entries) if entries else []
+                if record_events:
+                    trace.record_event(EventRecord(now, "execute", node_ids[i], p))
+                outbox = algo.on_round(ctx, msgs)
+                if algo.halted and not was_halted:
+                    halted_in_pulse[p] = halted_in_pulse.get(p, 0) + 1
                 invoked[p] = invoked.get(p, 0) + 1
-                if recovery_out:
-                    if outbox:
-                        recovery_out.update(outbox)  # the round's sends win
-                    outbox = recovery_out
 
         # -- protocol sends (the collect() analogue) ---------------------- #
         if outbox:
@@ -900,29 +688,17 @@ def run_async(
                     size = 0
                 else:
                     payload, size = entry
-                    j = indices[pos]
-                    if faults_on and (
-                        arc_eid[pos] in edge_down or not node_up_[j]
-                    ):
-                        # Dead at send: the link or the receiver is down
-                        # right now.  The message was charged to the ledger
-                        # above (the node paid for the send) but the payload
-                        # is lost — the envelope goes out as a pulse marker.
-                        _drop(now, i, p, j, size)
-                        payload = _no_payload
-                        size = 0
-                    else:
-                        outstanding = arc_outstanding.setdefault(pos, [])
-                        while outstanding and outstanding[0] <= now:
-                            heappop(outstanding)
-                        heappush(outstanding, t)
-                        if len(outstanding) > arc_high_water.get(pos, 0):
-                            arc_high_water[pos] = len(outstanding)
-                        if record_events:
-                            trace.record_event(
-                                EventRecord(now, "send", node_ids[i], p,
-                                            peer=node_ids[j], words=size)
-                            )
+                    outstanding = arc_outstanding.setdefault(pos, [])
+                    while outstanding and outstanding[0] <= now:
+                        heappop(outstanding)
+                    heappush(outstanding, t)
+                    if len(outstanding) > arc_high_water.get(pos, 0):
+                        arc_high_water[pos] = len(outstanding)
+                    if record_events:
+                        trace.record_event(
+                            EventRecord(now, "send", node_ids[i], p,
+                                        peer=node_ids[indices[pos]], words=size)
+                        )
                 if use_buckets:
                     buckets[t].append((_EV_ENVELOPE, pos, p, payload, size, now))
                 else:
@@ -1025,17 +801,17 @@ def run_async(
                                 todo_append((j, p + 1, now))
                             else:
                                 held_sd(p + 1, []).append(j)
-                elif kind == _EV_ENVELOPE:  # (kind, pos, p, payload, size, sent_at)
+                else:  # _EV_ENVELOPE: (kind, pos, p, payload, size, sent_at)
                     events_processed += 1
                     pos = ev[1]
                     p = ev[2]
                     j = indices_l[pos]
                     if ev[3] is not no_payload:
-                        if faults_on or record_events:
+                        if record_events:
                             _deliver(pos, j, p, ev[3], ev[4], ev[5], now)
                         else:
-                            # _deliver without faults or records, inlined:
-                            # deliveries dominate payload-bound runs.
+                            # _deliver without records, inlined: deliveries
+                            # dominate payload-bound runs.
                             inbuf_l[j].setdefault(p, []).append(
                                 (arc_sender_l[pos], ev[3], ev[4], ev[5], now)
                             )
@@ -1049,9 +825,6 @@ def run_async(
                             todo_append((j, p + 1, now))
                         else:
                             held_sd(p + 1, []).append(j)
-                else:  # _EV_FAULT: (kind, index into the bound fault list)
-                    events_processed += 1
-                    _apply_fault(bound_faults[ev[1]], now)
                 if todo:
                     break
     else:
@@ -1068,41 +841,14 @@ def run_async(
                 if payload is not _no_payload:
                     _deliver(a, j, p, payload, size, sent_at, now)
                 _heard(j, p, now)
-            elif kind == _EV_TICK:  # node a's pulse-p self-clock
+            else:  # _EV_TICK: node a's pulse-p self-clock
                 _heard(a, p, now)
-            else:  # _EV_FAULT: scheduled transition a of the bound fault list
-                _apply_fault(bound_faults[a], now)
     wall_seconds = perf_counter() - wall_start
 
     if not stopped:  # pragma: no cover - the verdict always decides first
         raise SimulationError("async scheduler ran out of events before a verdict")
 
-    outputs = {
-        node_ids[i]: (None if algos[i] is None else algos[i].output)
-        for i in range(n)
-    }
-    fault_verdict = None
-    if fault_schedule is not None:
-        down_nodes = tuple(node_ids[i] for i in range(n) if not node_up_[i])
-        down_edges = tuple(edge_ends[eid] for eid in sorted(edge_down))
-        fault_verdict = FaultVerdict(
-            faults_injected=faults_fired,
-            reconverged=not down_nodes and not down_edges,
-            last_fault_round=last_fault_round,
-            rounds_to_reconverge=(
-                max(0, rounds - last_fault_round) if faults_fired else 0
-            ),
-            payloads_dropped=payloads_dropped,
-            down_nodes_at_end=down_nodes,
-            down_edges_at_end=down_edges,
-        )
-    if faults_on:
-        all_halted = all(
-            node_up_[i] and algos[i] is not None and algos[i].halted
-            for i in range(n)
-        )
-    else:
-        all_halted = halted_recorded == n
+    outputs = {node_ids[i]: algos[i].output for i in range(n)}
     async_stats = {
         "delay_model": repr(model),
         "events_processed": events_processed,
@@ -1128,11 +874,10 @@ def run_async(
         messages_sent=messages_sent,
         words_sent=words_sent,
         max_words_per_edge_round=max_edge_round_words,
-        halted=all_halted,
+        halted=halted_recorded == n,
         max_message_words=max_message_words,
         engine="async",
         trace=trace,
         virtual_time=virtual_time,
         async_stats=async_stats,
-        fault_verdict=fault_verdict,
     )

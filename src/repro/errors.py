@@ -17,8 +17,7 @@ The full hierarchy::
     ├── LabelingError           — malformed labels / incompatible decode
     ├── ConstraintError         — invalid stateful-walk constraint definition
     ├── SimulationError         — CONGEST simulator protocol/usage violation
-    │   ├── BandwidthExceededError — per-edge per-round word budget overrun
-    │   └── FaultInjectionError — malformed/overlapping fault schedule
+    │   └── BandwidthExceededError — per-edge per-round word budget overrun
     └── ConvergenceError        — round/iteration budget exhausted
 """
 
@@ -69,17 +68,6 @@ class SimulationError(ReproError):
 
 class BandwidthExceededError(SimulationError):
     """A node attempted to send more than the per-edge per-round bandwidth budget."""
-
-
-class FaultInjectionError(SimulationError):
-    """A fault schedule is malformed, overlapping, or unsatisfiable.
-
-    Raised when a :class:`~repro.congest.faults.FaultSchedule` targets
-    nodes/edges that do not exist, crashes an element that is already down
-    (or recovers one that is up), uses non-positive fault times — or when a
-    single-source protocol's source node is crashed with no recovery, so the
-    protocol could never reconverge.
-    """
 
 
 class ConvergenceError(ReproError):

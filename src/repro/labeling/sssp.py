@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.congest.faults import resolve_fault_run
 from repro.congest.kernels import FloodingKernel
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.primitives import ChunkFloodNode
@@ -177,7 +176,6 @@ def measured_label_broadcast(
     engine: Optional[str] = None,
     trace=None,
     delay_model=None,
-    fault_schedule=None,
 ) -> SimulationResult:
     """Execute the pipelined la(s) broadcast on ``network`` and return the run.
 
@@ -192,17 +190,10 @@ def measured_label_broadcast(
     scheduler under ``delay_model`` — the decoded distances are
     schedule-invariant, and the measured rounds/traffic equal the
     synchronous tiers.
-
-    A ``fault_schedule`` (see :mod:`repro.congest.faults`) implies the async
-    tier; the broadcast self-stabilizes through crashes and recoveries via
-    the chunk-flood recovery hook, provided the source eventually stays up.
     """
     if source not in labeling:
         raise LabelingError(f"source {source!r} has no label")
     src_label = labeling.label(source)
-    engine, fault_schedule = resolve_fault_run(
-        network, fault_schedule, engine, [source], "label broadcast"
-    )
 
     def factory(u: NodeId) -> LabelBroadcastNode:
         own = labeling.label(u) if u in labeling else None
@@ -216,7 +207,6 @@ def measured_label_broadcast(
         trace=trace,
         kernel=LabelBroadcastKernel(source, src_label, labeling),
         delay_model=delay_model,
-        fault_schedule=fault_schedule,
     )
 
 

@@ -13,7 +13,6 @@ if _SRC not in sys.path:
 
 import pytest
 
-from repro.congest.faults import Churn, LinkFlap, MassFailure
 from repro.congest.scheduler import SlowLinkDelay, UniformDelay, UnitDelay
 from repro.core.config import FrameworkConfig
 from repro.graphs import generators
@@ -61,58 +60,6 @@ class ScheduleFuzzer:
     def models(self, kind: str, case: str, count: int):
         """``count`` independently seeded schedules of ``kind`` for ``case``."""
         return [self.model(kind, case, index) for index in range(count)]
-
-    FAULT_KINDS = ("mass_node", "mass_edge", "churn", "flap")
-
-    def fault_model(self, kind: str, case: str, index: int = 0):
-        """One seeded fault model of ``kind`` for test case ``case``.
-
-        Same reproducibility contract as :meth:`model`: every schedule is
-        derived from ``--seed`` plus the (case, index) pair, so a failing
-        sweep entry replays from the command line.  All four families are
-        transient — every crashed node/edge recovers — so reconvergence to
-        the fault-free oracle is always well-defined.
-        """
-        seed = self.case_seed(case, index)
-        if kind == "mass_node":
-            return MassFailure(
-                fraction=0.2 + (seed % 3) * 0.1,
-                at=4 + seed % 4,
-                outage=4 + (seed >> 2) % 5,
-                kind="node",
-                seed=seed,
-            )
-        if kind == "mass_edge":
-            return MassFailure(
-                fraction=0.2 + (seed % 4) * 0.1,
-                at=4 + seed % 4,
-                outage=4 + (seed >> 2) % 5,
-                kind="edge",
-                seed=seed,
-            )
-        if kind == "churn":
-            return Churn(
-                cycles=3 + seed % 3,
-                period=4 + (seed >> 1) % 3,
-                outage=2 + seed % 2,
-                start=3 + seed % 3,
-                seed=seed,
-            )
-        if kind == "flap":
-            period = 6 + seed % 4
-            return LinkFlap(
-                fraction=0.1 + (seed % 3) * 0.1,
-                cycles=2 + seed % 2,
-                period=period,
-                outage=2 + seed % (period - 3),
-                start=3 + seed % 3,
-                seed=seed,
-            )
-        raise ValueError(f"unknown fault-model kind {kind!r}")
-
-    def fault_models(self, kind: str, case: str, count: int):
-        """``count`` independently seeded fault schedules of ``kind``."""
-        return [self.fault_model(kind, case, index) for index in range(count)]
 
 
 @pytest.fixture(scope="session")

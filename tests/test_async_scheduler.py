@@ -10,7 +10,9 @@ The async tier's defining invariant (``src/repro/congest/scheduler.py``):
   labels, leaders) and the full message ledger are **schedule-invariant**,
   asserted across multiple independently seeded schedules per family via
   the :class:`ScheduleFuzzer` fixture (``conftest.py``), whose seeds all
-  derive from the session ``--seed``.
+  derive from the session ``--seed``;
+* the event streams themselves — per family and delay model, under both
+  event queues — are pinned to sha256 digests (:class:`TestEventStreamDigest`).
 
 The heavy multi-seed sweeps are marked ``fuzz`` (deselected by default; CI
 runs them in a dedicated step via ``-m fuzz``); a small-seed subset runs in
@@ -22,6 +24,7 @@ fallback, ``vectorized`` → ``fast`` (both tiers must be named).
 
 from __future__ import annotations
 
+import hashlib
 import random
 import warnings
 
@@ -38,6 +41,7 @@ from repro.congest.primitives import (
     FloodBroadcastNode,
     broadcast,
     build_bfs_tree,
+    convergecast_sum,
     elect_leader,
     flood_chunks,
 )
@@ -57,7 +61,7 @@ from repro.errors import (
 )
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.labeling.sssp import measured_label_broadcast
+from repro.labeling.sssp import LabelBroadcastNode, measured_label_broadcast
 
 #: Families exercised by the default-job schedule-invariance subset (the
 #: ``fuzz``-marked sweep covers every family).
@@ -334,6 +338,164 @@ class TestSchedulerCrossCheck:
         stats = run.async_stats
         assert stats["events_per_sec"] > 0.0
         assert stats["events_processed"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Pinned event streams
+# --------------------------------------------------------------------------- #
+#: Families whose node ids are ints or tuples of ints, so no run depends on
+#: ``PYTHONHASHSEED`` (string hashes are salted per process).
+DIGEST_FAMILIES = (
+    "path_40",
+    "cycle_9",
+    "star_15",
+    "grid_6x7",
+    "grid_diag_5x5",
+    "random_tree_2",
+    "partial_k_tree_1",
+    "k_tree_1",
+    "series_parallel_1",
+    "cycle_chords_1",
+)
+
+DIGEST_MODELS = {
+    "unit": UnitDelay,
+    "uniform": lambda: UniformDelay(1, 4),
+    "slow_link": lambda: SlowLinkDelay(0.3, 7),
+}
+
+
+def _async_digest(graph, model, scheduler):
+    """sha256 over six protocols run on the async tier on ``graph``.
+
+    Each run contributes its outputs, ledger, round trace, recorded
+    :class:`EventRecord` stream, ``virtual_time`` and deterministic
+    ``async_stats``.  Inputs are seeded from the graph alone, never from
+    ``--seed``, so the digest is a fixed function of the scheduler's code.
+    """
+    rng = random.Random(graph.num_nodes())
+    net = CongestNetwork(graph, words_per_message=16)
+    root = min(graph.nodes())
+    instance = _bf_instance(graph, graph.num_edges())
+    chunks = [("chunk", k, rng.randint(0, 99)) for k in range(rng.randint(1, 7))]
+    labeling = _pseudo_labeling(graph, rng)
+    src_label = labeling.label(root)
+    parent = graph.spanning_tree(root)
+    values = {u: rng.randint(-50, 50) for u in parent}
+    kw = dict(engine="async", delay_model=model, scheduler=scheduler)
+    calls = {
+        "bellman_ford": lambda t: distributed_bellman_ford(
+            instance, root, trace=t, **kw
+        ).simulation,
+        "bfs_tree": lambda t: build_bfs_tree(net, root, trace=t, **kw)[-1],
+        "chunk_flood": lambda t: flood_chunks(net, root, chunks, trace=t, **kw)[-1],
+        "convergecast": lambda t: convergecast_sum(
+            net, parent, values, trace=t, **kw
+        )[-1],
+        # measured_label_broadcast takes no scheduler=, so run its protocol.
+        "label_broadcast": lambda t: net.run(
+            lambda u: LabelBroadcastNode(u, root, src_label, labeling.label(u)),
+            trace=t, **kw,
+        ),
+        "leader": lambda t: elect_leader(net, trace=t, **kw)[-1],
+    }
+    digest = hashlib.sha256()
+    for name, call in calls.items():
+        trace = SimulationTrace(record_events=True)
+        run = call(trace)
+        record = (
+            name,
+            run.outputs,
+            (run.rounds, run.messages_sent, run.words_sent,
+             run.max_words_per_edge_round, run.max_message_words, run.halted),
+            trace.as_dicts(),
+            [(e.time, e.kind, e.node, e.pulse, e.peer, e.words) for e in trace.events],
+            run.virtual_time,
+            _deterministic_stats(run),
+        )
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestEventStreamDigest:
+    """The async tier's runs pinned to sha256 literals.
+
+    Heap-vs-bucketed checks cannot see a bug in the per-arc send loop or in
+    delivery, because both queues share that code; a pinned digest can.
+    Re-pin a literal only in a change that means to alter the async tier's
+    event stream, and say why in CHANGES.md.
+    """
+
+    PINNED = {
+        ("path_40", "unit"):
+            "243591db54f4683d39719a0044849cb59c53596d5e4eb82b3b1461bbd7fb4790",
+        ("path_40", "uniform"):
+            "117631269953e23c795a06f043a49fa42af24cb5f978e220007aec74d183b8b0",
+        ("path_40", "slow_link"):
+            "584375faef442a2a5afdc31ffecf658f3ebf56c4b7a45132a07bcd7831985b40",
+        ("cycle_9", "unit"):
+            "79ab0b91ab8a368791b550364754401e48d4ff5627d0dc028b4ab1f0fde67f9c",
+        ("cycle_9", "uniform"):
+            "8037b9d0e1da4f9decaa66e544948e392e04d45b23e5b879c93f9e01ac274833",
+        ("cycle_9", "slow_link"):
+            "e165f3037142108c6225f51ec46de29256fb87e48e2c13addb8504de406e7781",
+        ("star_15", "unit"):
+            "29332362f623d27619b6b7e22fb31d9dc9a4046a25d9c9a871a0ba080d2cf7b4",
+        ("star_15", "uniform"):
+            "05c1ac714f0bc877957f0172b261f1b8c9f394cfe8c497218de9c49ad3779a40",
+        ("star_15", "slow_link"):
+            "de5406f3174c22e8e57646d0fcd99c33a3dca3e38975a073286fa19c4714c5c7",
+        ("grid_6x7", "unit"):
+            "4767017768881230c984e92470a72ca5d96389f6725af6e6527fb28c39f8ce5c",
+        ("grid_6x7", "uniform"):
+            "6189e54c158fdc4966a8bb8fdcd3d6d3fb94556dec528d9b7a5724d9c56ded06",
+        ("grid_6x7", "slow_link"):
+            "13450a4282bbddcb7beb99f01a4a5e33eeb3dbb83fc5e00fefba124d7a3d587c",
+        ("grid_diag_5x5", "unit"):
+            "fa4f73ae1cdce744e02b3c3c590c871ee6cb929982d5701bb6c7cdf937d7fa74",
+        ("grid_diag_5x5", "uniform"):
+            "1f30afaf92f74ddca617f345418e7c4712c2e1537a2a9f69a6fd9b30fd242546",
+        ("grid_diag_5x5", "slow_link"):
+            "bd1bc15f050d2fe50f30c70c644db84c9292f5ed9121e4af220137db0ab9eb0b",
+        ("random_tree_2", "unit"):
+            "4ba14a0861b45bac9ce25c85f6970b445e664373c928db5dc05d80a316956a8c",
+        ("random_tree_2", "uniform"):
+            "b75fb7e5df97e540d9deb3b1f72475627f89f82bba4ffb77281ee68b2075d88f",
+        ("random_tree_2", "slow_link"):
+            "1a7da67a3771e520ec73d529673dee63cf84539601e6afdf042cab7c67d0307e",
+        ("partial_k_tree_1", "unit"):
+            "2246d82cfbe16cb23f349c2c6c3a8ba5ef8e0a413fca7a7d5229aa7a6baf82f9",
+        ("partial_k_tree_1", "uniform"):
+            "f8f3ceea847c797fc42daf16dac01368ac0726ebd1f255e82bb98f28e78d6ff7",
+        ("partial_k_tree_1", "slow_link"):
+            "0b5cc06547d9f8867ce4e844a8b565d48bd12ba648b5696e211da6e79e1e01a6",
+        ("k_tree_1", "unit"):
+            "9530e85fbed760ce44ab4b09a47c277efc258f6a8f56cb7950a12b092241d4f5",
+        ("k_tree_1", "uniform"):
+            "9000619cccf54713f6ceff34bdf7aa78dea234ff15f052228709f286cf019bd3",
+        ("k_tree_1", "slow_link"):
+            "8b4df6e3a1315435bf935fd55a45607dd7427730be51e6787278d230d1129e99",
+        ("series_parallel_1", "unit"):
+            "6edbe63d347c16140173b8df4ef633acbb22827564cf9e314489c571c0c512e8",
+        ("series_parallel_1", "uniform"):
+            "d4511cf3db9407f5658ae521b55023fab36ba00927fcd74e5d439bfd65b7e483",
+        ("series_parallel_1", "slow_link"):
+            "bbf094ed84ca1e1a8baee178b4654c012a7165ee46c6f863528d9c01c6a06f9d",
+        ("cycle_chords_1", "unit"):
+            "b65a06bb37ef5054c177d26723f50859837334d62e3e7a1df4f0d5810cc89489",
+        ("cycle_chords_1", "uniform"):
+            "ffb00d35b6b9ed5acb6555b63efe5526b245cd72660070010691818879fc10d6",
+        ("cycle_chords_1", "slow_link"):
+            "67149779efe5f9bcca026ae790366c47b22663cb074011ef15f0def8d6d8b012",
+    }
+
+    @pytest.mark.parametrize("model", list(DIGEST_MODELS))
+    @pytest.mark.parametrize("family", DIGEST_FAMILIES)
+    def test_async_digest_is_pinned(self, family, model):
+        graph = dict(FAMILIES)[family](len(family))
+        for scheduler in ("heap", "bucketed"):
+            digest = _async_digest(graph, DIGEST_MODELS[model](), scheduler)
+            assert digest == self.PINNED[family, model], scheduler
 
 
 # --------------------------------------------------------------------------- #

@@ -255,6 +255,86 @@ class TestEngineSelection:
         with pytest.raises(TypeError):
             distributed_bellman_ford(instance, 0, num_shards=2)
 
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            "CongestNetwork.run",
+            "run_async",
+            "distributed_bellman_ford",
+            "build_bfs_tree",
+            "broadcast",
+            "flood_chunks",
+            "convergecast_sum",
+            "elect_leader",
+            "measured_label_broadcast",
+            "repro.congest.faults",
+            "SimulationResult.fault_verdict",
+            "NodeAlgorithm.on_link_recovery",
+            "FaultInjectionError",
+        ],
+    )
+    def test_removed_fault_layer_is_refused(self, removed):
+        """The simulator is fault-free, like the paper's CONGEST model: no
+        entry point takes ``fault_schedule=``, and the fault module, the
+        verdict field, the recovery hook and the error class are gone."""
+        import importlib
+
+        import repro.errors
+        from repro.congest.bellman_ford import distributed_bellman_ford
+        from repro.congest.network import SimulationResult
+        from repro.congest.primitives import (
+            broadcast,
+            build_bfs_tree,
+            convergecast_sum,
+            elect_leader,
+            flood_chunks,
+        )
+        from repro.congest.scheduler import run_async
+        from repro.labeling.construction import build_distance_labeling
+        from repro.labeling.sssp import measured_label_broadcast
+
+        graph = generators.path_graph(3)
+        net = CongestNetwork(graph)
+        instance = generators.to_directed_instance(graph, seed=1)
+        kw = {"fault_schedule": None}
+        calls = {
+            "CongestNetwork.run": lambda: net.run(lambda u: _Silent(), engine="async", **kw),
+            "run_async": lambda: run_async(net, lambda u: _Silent(), **kw),
+            "distributed_bellman_ford": lambda: distributed_bellman_ford(instance, 0, **kw),
+            "build_bfs_tree": lambda: build_bfs_tree(net, 0, **kw),
+            "broadcast": lambda: broadcast(net, 0, "x", **kw),
+            "flood_chunks": lambda: flood_chunks(net, 0, ["c"], **kw),
+            "convergecast_sum": lambda: convergecast_sum(
+                net, {0: None, 1: 0, 2: 1}, {0: 1, 1: 2, 2: 3}, **kw
+            ),
+            "elect_leader": lambda: elect_leader(net, **kw),
+            "measured_label_broadcast": lambda: measured_label_broadcast(
+                net, build_distance_labeling(instance).labeling, 0, **kw
+            ),
+        }
+        names = {
+            "repro.congest.faults": (
+                ModuleNotFoundError,
+                lambda: importlib.import_module("repro.congest.faults"),
+            ),
+            "SimulationResult.fault_verdict": (
+                TypeError,
+                lambda: SimulationResult(0, {}, 0, 0, 0, True, fault_verdict=None),
+            ),
+            "NodeAlgorithm.on_link_recovery": (
+                AttributeError,
+                lambda: NodeAlgorithm.on_link_recovery,
+            ),
+            "FaultInjectionError": (AttributeError, lambda: repro.errors.FaultInjectionError),
+        }
+        if removed in calls:
+            with pytest.raises(TypeError, match="fault_schedule"):
+                calls[removed]()
+        else:
+            error, call = names[removed]
+            with pytest.raises(error, match=removed.rsplit(".", 1)[-1]):
+                call()
+
     def test_result_records_engine(self):
         net = CongestNetwork(generators.path_graph(3))
         assert net.run(lambda u: _Silent()).engine == "fast"

@@ -364,3 +364,77 @@ def test_labeling_exact_on_random_instances(n, k, seed):
     nodes = inst.nodes()
     sample = nodes[:: max(1, len(nodes) // 5)]
     _assert_exact(inst, result.labeling, sources=sample)
+
+
+# --------------------------------------------------------------------------- #
+# Labels after churn: labels are static, so a changed instance is rebuilt
+# --------------------------------------------------------------------------- #
+INF = math.inf
+
+
+def _mesh(seed: int):
+    return generators.partial_k_tree(24, 3, seed=seed)
+
+
+def _instance(graph, seed: int):
+    return generators.to_directed_instance(
+        graph, weight_range=(1, 9), orientation="asymmetric", seed=seed
+    )
+
+
+def _set_arc(instance, tail, head, weight):
+    """Replace every tail -> head arc by one of ``weight`` (no arc for inf)."""
+    for e in [x for x in instance.out_edges(tail) if x.head == head]:
+        instance.remove_edge(e.eid)
+    if weight != INF:
+        instance.add_edge(tail, head, weight)
+
+
+class TestRebuildAfterChurn:
+    def _assert_rebuild_exact(self, instance):
+        labeling = build_distance_labeling(instance).labeling
+        for s in instance.nodes():
+            oracle = dijkstra(instance, s)
+            for t in instance.nodes():
+                assert labeling.distance(s, t) == oracle.get(t, INF), (s, t)
+
+    @staticmethod
+    def _forward_arcs(instance):
+        # One arc per antiparallel pair, so a removal never takes both
+        # directions and the communication graph stays connected.
+        return sorted(
+            (e.tail, e.head, e.weight) for e in instance.edges() if e.tail < e.head
+        )
+
+    @pytest.mark.parametrize("kind", ["decrease", "increase", "removal", "reinsert"])
+    def test_rebuild_after_update_matches_dijkstra(self, kind, master_seed):
+        instance = _instance(_mesh(29), 30)
+        rng = random.Random(master_seed)
+        for tail, head, weight in rng.sample(self._forward_arcs(instance), 4):
+            if kind == "decrease":
+                _set_arc(instance, tail, head, weight / 4)
+            elif kind == "increase":
+                _set_arc(instance, tail, head, weight + 20.0)
+            elif kind == "removal":
+                _set_arc(instance, tail, head, INF)
+            else:
+                _set_arc(instance, tail, head, INF)
+                _set_arc(instance, tail, head, float(rng.randint(1, 9)))
+        self._assert_rebuild_exact(instance)
+
+    def test_rebuild_after_each_step_of_a_churn_sequence(self, master_seed):
+        instance = _instance(_mesh(31), 32)
+        rng = random.Random(master_seed + 1)
+        arcs = [(tail, head) for tail, head, _ in self._forward_arcs(instance)]
+        removed = set()
+        for _ in range(8):
+            tail, head = rng.choice(arcs)
+            if (tail, head) in removed:
+                weight = float(rng.randint(1, 9))
+                removed.discard((tail, head))
+            else:
+                weight = rng.choice([0.5, 2.0, 7.0, 20.0, INF])
+                if weight == INF:
+                    removed.add((tail, head))
+            _set_arc(instance, tail, head, weight)
+            self._assert_rebuild_exact(instance)
