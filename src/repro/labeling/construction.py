@@ -251,10 +251,19 @@ def build_distance_labeling(
     ----------
     instance:
         The weighted directed (multi)graph G.  Its underlying undirected
-        graph must be connected.
+        graph ⟦G⟧ must be connected (``GraphError`` otherwise) unless both
+        a ``decomposition`` and a ``cost_model`` are supplied and
+        ``measured_broadcast`` is off.
     decomposition:
-        Optional pre-built decomposition of ⟦G⟧ (with its round cost); when
-        omitted it is built here and its rounds are included in the result.
+        Optional pre-built tree decomposition of ⟦G⟧ (with its round cost);
+        when omitted it is built here and its rounds are included in the
+        result.  A supplied decomposition skips the connectivity check, so
+        G may be disconnected when its rounds are modelled on another
+        network: the constrained labeling labels G_C − ⊥ with a cost model
+        derived from the base graph's ⟦G⟧.  Without a ``cost_model`` the
+        diameter of ⟦G⟧ is still computed, which raises ``GraphError``
+        when ⟦G⟧ is disconnected; ``measured_broadcast`` floods ⟦G⟧ itself
+        and checks its connectivity up front.
     config / cost_model:
         Framework configuration and round-cost model.
     measured_broadcast:
@@ -276,16 +285,17 @@ def build_distance_labeling(
         d_G(u, v) for all pairs.
     """
     config = config or FrameworkConfig()
-    comm = instance.underlying_graph()
-    if comm.num_nodes() == 0:
+    if instance.num_nodes() == 0:
         raise GraphError("cannot label an empty graph")
-    if not comm.is_connected():
-        raise GraphError("distance labeling requires a connected communication graph")
-
-    if cost_model is None:
-        cost_model = CostModel.for_graph(comm, config)
-    if decomposition is None:
-        decomposition = build_tree_decomposition(comm, config=config, cost_model=cost_model)
+    comm: Optional[Graph] = None
+    if cost_model is None or decomposition is None or measured_broadcast:
+        comm = instance.underlying_graph()
+        if (decomposition is None or measured_broadcast) and not comm.is_connected():
+            raise GraphError("distance labeling requires a connected communication graph")
+        if cost_model is None:
+            cost_model = CostModel.for_graph(comm, config)
+        if decomposition is None:
+            decomposition = build_tree_decomposition(comm, config=config, cost_model=cost_model)
     td = decomposition.decomposition
     width_guess = max(1, decomposition.width_guess)
 

@@ -12,7 +12,8 @@ machinery of §4 solves the constrained problem at an overhead polynomial in
   two worked examples (c-colored walks and count-c walks) and the
   matching-specific alternating-walk constraint.
 * :mod:`~repro.walks.product` — construction of the product graph G_C and the
-  lifting of tree decompositions from G to G_C.
+  lifting of tree decompositions from G to G_C − ⊥, the part of G_C that the
+  constrained labeling labels.
 * :mod:`~repro.walks.cdl` — constrained distance labeling CDL(C) and shortest
   constrained walk queries (Theorem 3, Corollary 1).
 """

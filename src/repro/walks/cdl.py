@@ -8,17 +8,29 @@ from u to v whose state is q — can be decoded from sla(u) and sla(v).
 The construction is the reduction of §5.2: build the product graph G_C, run
 the (unconstrained) distance labeling of Theorem 2 on it, and let sla(u) be
 the collection of product-graph labels of the group U_Q(u) = {u} × Q.  The
-CONGEST simulation overhead of running on G_C instead of G is a factor
-O(|Q| · p_max) in rounds (every physical edge simulates the ≤ |Q|·p_max
-product edges between two groups), which Theorem 3 folds into the
-Õ(|Q|·p_max·((|Q|τ)²D + (|Q|τ)⁴)) bound.
+labeling runs on G_C − ⊥, the product graph without its (v, ⊥) copies, with
+the base decomposition lifted to the accepting copies {v} × (Q − {⊥}).  That
+is exact: ⊥ is absorbing (Definition 2, condition 3), so a walk that enters
+⊥ never leaves it, and by Lemma 5 no walk between two non-⊥ product vertices
+visits ⊥.  Every C(q)-distance with q ≠ ⊥ is therefore the same in G_C and in
+G_C − ⊥, and ⊥ is no valid query target.  G_C − ⊥ need not be connected (with
+no edge of label 1, the count-0 and count-1 layers of a count-c constraint
+share no arc); the communication graph stays ⟦G⟧.
+
+Rounds are charged for the labeling that runs, with |Q| kept in the model.
+The levels' H_x broadcast volumes are those of G_C − ⊥; the lifted
+decomposition's width guess, the product cost model's |Q|·n nodes and the
+simulation overhead all read the full |Q|.  The CONGEST simulation overhead
+of running on G_C instead of G is a factor O(|Q| · p_max) in rounds (every
+physical edge simulates the ≤ |Q|·p_max product edges between two groups),
+which Theorem 3 folds into the Õ(|Q|·p_max·((|Q|τ)²D + (|Q|τ)⁴)) bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, Optional
 
 from repro.core.config import FrameworkConfig
 from repro.core.rounds import CostModel, RoundLedger
@@ -43,7 +55,12 @@ INF = math.inf
 
 
 class ConstrainedDistanceLabeling:
-    """The decoder side of CDL(C): per-vertex labels over the product graph."""
+    """The decoder side of CDL(C): per-vertex labels over G_C − ⊥.
+
+    ``product_labeling`` labels the accepting copies (u, q), q ≠ ⊥, with
+    hubs among them; no (u, ⊥) label is stored, and ⊥ is refused as a
+    query target.
+    """
 
     def __init__(
         self,
@@ -74,9 +91,9 @@ class ConstrainedDistanceLabeling:
         return best
 
     def label_entries(self, u: NodeId) -> int:
-        """Total hub entries stored at u (u simulates all of U_Q(u))."""
+        """Total hub entries stored at u (u simulates its accepting copies)."""
         total = 0
-        for q in self.constraint.states():
+        for q in self.constraint.accepting_states():
             total += self._labeling.label((u, q)).num_entries()
         return total
 
@@ -117,15 +134,19 @@ def build_constrained_labeling(
         graph ⟦G⟧ (the simulation overhead on the product graph is applied on
         top, per Theorem 3).
     decomposition:
-        Optional decomposition of ⟦G⟧; it is lifted to ⟦G_C⟧ rather than
+        Optional decomposition of ⟦G⟧; it is lifted to ⟦G_C − ⊥⟧ rather than
         recomputed.
+
+    The labeling of Theorem 2 runs on G_C − ⊥ (see the module docstring);
+    ``product`` is the whole G_C.
     """
     config = config or FrameworkConfig()
-    comm = instance.underlying_graph()
-    if cost_model is None:
-        cost_model = CostModel.for_graph(comm, config)
-    if decomposition is None:
-        decomposition = build_tree_decomposition(comm, config=config, cost_model=cost_model)
+    if cost_model is None or decomposition is None:
+        comm = instance.underlying_graph()
+        if cost_model is None:
+            cost_model = CostModel.for_graph(comm, config)
+        if decomposition is None:
+            decomposition = build_tree_decomposition(comm, config=config, cost_model=cost_model)
 
     product = build_product_graph(instance, constraint)
     lifted = lift_tree_decomposition(decomposition, constraint)
@@ -134,13 +155,13 @@ def build_constrained_labeling(
     # §5.2), |Q|·n nodes.
     num_states = constraint.state_count()
     product_cost_model = CostModel(
-        n=comm.num_nodes() * num_states,
+        n=instance.num_nodes() * num_states,
         diameter=cost_model.diameter + 2,
         log_factor_exponent=cost_model.log_factor_exponent,
         constant=cost_model.constant,
     )
     dl = build_distance_labeling(
-        product.graph,
+        product.accepting_graph(),
         decomposition=lifted,
         config=config,
         cost_model=product_cost_model,

@@ -7,11 +7,12 @@ communication diameter of ⟦G_C⟧ within O(D)).  Lemma 5: walks of C with stat
 q from s to t correspond exactly to walks from (s, ▽) to (t, q) in G_C, with
 the same weight.
 
-The module also *lifts* a tree decomposition of ⟦G⟧ to one of ⟦G_C⟧ by
-replacing every vertex v with the group U_Q(v) = {v} × Q — the decomposition
-argument used in §5.2 to bound the treewidth of G_C by O(|Q|·τ) — so that the
-constrained distance labeling never needs to decompose the (larger) product
-graph from scratch.
+The module also *lifts* a tree decomposition of ⟦G⟧ to one of ⟦G_C − ⊥⟧ by
+replacing every vertex v with its accepting copies {v} × (Q − {⊥}) — the
+decomposition argument used in §5.2 to bound the treewidth of G_C by
+O(|Q|·τ), restricted to the part of G_C that the constrained distance
+labeling labels — so that the labeling never needs to decompose the (larger)
+product graph from scratch.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ class ProductGraph:
     def num_states(self) -> int:
         return self.constraint.state_count()
 
+    def accepting_graph(self) -> WeightedDiGraph:
+        """G_C − ⊥: the subgraph on the accepting copies (v, q), q ≠ ⊥.
+
+        This is the part of G_C that the constrained distance labeling
+        labels, and :func:`lift_tree_decomposition` returns a decomposition
+        of it (not of the whole ``graph``).  It can be disconnected: with no
+        edge of label 1, the count-0 and count-1 layers of a count-c
+        constraint share no arc.
+        """
+        return self.graph.subgraph(v for v in self.graph.nodes() if v[1] != REJECT_STATE)
+
 
 def build_product_graph(
     instance: WeightedDiGraph, constraint: StatefulWalkConstraint
@@ -106,13 +118,19 @@ def build_product_graph(
 def lift_tree_decomposition(
     decomposition: DecompositionResult, constraint: StatefulWalkConstraint
 ) -> DecompositionResult:
-    """Lift a decomposition of ⟦G⟧ to one of ⟦G_C⟧ (§5.2).
+    """Lift a decomposition of ⟦G⟧ to one of ⟦G_C − ⊥⟧ (§5.2).
 
-    Every vertex v of every bag / subgraph is replaced by the group
-    U_Q(v) = {(v, q) : q ∈ Q}; the tree structure and the round accounting are
-    unchanged (the lift is a local relabeling, costing no communication).
+    The result decomposes :meth:`ProductGraph.accepting_graph`, not the
+    whole G_C.  Every vertex v of every bag / subgraph is replaced by its
+    accepting copies {v} × (Q − {⊥}), the part of U_Q(v) that the
+    constrained labeling labels: ⊥ is absorbing (Definition 2, condition
+    3), so by Lemma 5 no walk between two non-⊥ product vertices visits a
+    (v, ⊥) copy.  The tree structure and the round accounting are unchanged
+    (the lift is a local relabeling, costing no communication), and
+    ``width_guess`` is scaled by the full |Q|, so Theorem 3's |Q| stays in
+    every charge made with it.
     """
-    states = constraint.states()
+    states = constraint.accepting_states()
     base_td = decomposition.decomposition
     lifted = TreeDecomposition()
     for label in sorted(base_td.labels(), key=len):
@@ -138,7 +156,7 @@ def lift_tree_decomposition(
         decomposition=lifted,
         rounds=decomposition.rounds,
         ledger=ledger,
-        width_guess=decomposition.width_guess * max(1, len(states)),
+        width_guess=decomposition.width_guess * max(1, constraint.state_count()),
         separator_calls=decomposition.separator_calls,
     )
 

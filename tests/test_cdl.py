@@ -6,16 +6,25 @@ import random
 import pytest
 
 from repro.core.config import FrameworkConfig
+from repro.core.rounds import CostModel
 from repro.decomposition.tree_decomposition import build_tree_decomposition
-from repro.errors import ConstraintError
+from repro.errors import ConstraintError, GraphError
 from repro.graphs import generators
+from repro.graphs.digraph import WeightedDiGraph
+from repro.graphs.properties import dijkstra
+from repro.labeling.construction import build_distance_labeling
 from repro.walks.cdl import build_constrained_labeling, shortest_constrained_walk_length
 from repro.walks.constraints import (
+    INITIAL_STATE,
     REJECT_STATE,
     ColoredWalkConstraint,
     CountWalkConstraint,
 )
-from repro.walks.product import build_product_graph, shortest_constrained_walk
+from repro.walks.product import (
+    build_product_graph,
+    lift_tree_decomposition,
+    shortest_constrained_walk,
+)
 
 
 def _instance_with_labels(n=24, seed=0, colors=("r", "b")):
@@ -80,13 +89,114 @@ class TestConstrainedLabeling:
         # Base decomposition rounds are carried into the CDL ledger.
         assert result.ledger.breakdown(1).get("base_decomposition", 0) == decomposition.ledger.total()
 
-    def test_label_entry_counts_cover_all_states(self, config):
+    def test_label_entry_counts_cover_accepting_states(self, config):
         inst = _instance_with_labels(seed=10, n=14, colors=(0, 1))
         constraint = CountWalkConstraint(1)
         result = build_constrained_labeling(inst, constraint, config=config)
         u = inst.nodes()[0]
         assert result.labeling.label_entries(u) > 0
         assert result.labeling.max_label_entries() >= result.labeling.label_entries(u)
+
+    @pytest.mark.parametrize(
+        "constraint, colors",
+        [(CountWalkConstraint(1), (0, 1)), (ColoredWalkConstraint(["r", "b"]), ("r", "b"))],
+        ids=["count1", "colored2"],
+    )
+    def test_no_reject_labels_or_hubs_are_stored(self, config, constraint, colors):
+        inst = _instance_with_labels(seed=12, n=16, colors=colors)
+        result = build_constrained_labeling(inst, constraint, config=config)
+        product_labeling = result.labeling._labeling
+        accepting = constraint.accepting_states()
+        assert sorted(product_labeling.vertices(), key=repr) == sorted(
+            ((v, q) for v in inst.nodes() for q in accepting), key=repr
+        )
+        for vertex in product_labeling.vertices():
+            lab = product_labeling.label(vertex)
+            assert all(s[1] != REJECT_STATE for s in lab.to_dist), vertex
+            assert all(s[1] != REJECT_STATE for s in lab.from_dist), vertex
+        for u in inst.nodes():
+            assert result.labeling.label_entries(u) == sum(
+                product_labeling.label((u, q)).num_entries() for q in accepting
+            )
+        assert result.labeling.max_label_entries() == max(
+            result.labeling.label_entries(u) for u in inst.nodes()
+        )
+
+
+class TestDisconnectedAcceptingPart:
+    """With no edge of label 1, G_C − ⊥ splits into the ▽/count-0 part and the
+    count-1 layer, while the CDL's communication graph stays ⟦G⟧."""
+
+    def _setup(self):
+        inst = _instance_with_labels(seed=13, n=18, colors=(0,))
+        constraint = CountWalkConstraint(1)
+        product = build_product_graph(inst, constraint)
+        accepting = product.accepting_graph()
+        assert not accepting.underlying_graph().is_connected()
+        return inst, constraint, product, accepting
+
+    def test_all_zero_labels_match_dijkstra_on_full_product(self, config):
+        inst, constraint, product, _ = self._setup()
+        result = build_constrained_labeling(inst, constraint, config=config)
+        exact = constraint.exact_target_state()
+        for s in inst.nodes():
+            oracle = dijkstra(product.graph, (s, INITIAL_STATE))
+            for t in inst.nodes():
+                for q in constraint.accepting_states():
+                    got = result.labeling.distance(s, t, q)
+                    assert got == oracle.get((t, q), math.inf), (s, t, q)
+                assert result.labeling.distance(s, t, exact) == math.inf, (s, t)
+
+    def test_supplied_decomposition_skips_the_connectivity_check(self, config):
+        inst, constraint, _, accepting = self._setup()
+        comm = inst.underlying_graph()
+        cost_model = CostModel.for_graph(comm, config)
+        lifted = lift_tree_decomposition(
+            build_tree_decomposition(comm, config=config, cost_model=cost_model), constraint
+        )
+        result = build_distance_labeling(
+            accepting, decomposition=lifted, config=config, cost_model=cost_model
+        )
+        for u in accepting.nodes():
+            oracle = dijkstra(accepting, u)
+            for v in accepting.nodes():
+                assert result.labeling.distance(u, v) == oracle.get(v, math.inf), (u, v)
+        # Without a cost model the diameter of the disconnected graph is undefined.
+        with pytest.raises(GraphError):
+            build_distance_labeling(accepting, decomposition=lifted, config=config)
+        # A measured broadcast floods the graph itself, so it is refused up front.
+        with pytest.raises(GraphError, match="connected"):
+            build_distance_labeling(
+                accepting, decomposition=lifted, config=config, cost_model=cost_model,
+                measured_broadcast=True,
+            )
+
+
+@pytest.mark.scale
+def test_count1_cdl_matches_dijkstra_at_scale(master_seed):
+    """The count-1 CDL of a 5×40 grid against Dijkstra on the whole G_C.
+
+    Integer weights 0–9 keep every sum exact, so decoded C(q)-distances must
+    equal Dijkstra's from (s, ▽) bit for bit, for every q ≠ ⊥ and every
+    target, from 8 seeded sources.
+    """
+    rng = random.Random(master_seed)
+    grid = generators.grid_graph(5, 40)
+    instance = WeightedDiGraph(grid.nodes())
+    for u, v in grid.edges():
+        label = 1 if rng.random() < 0.1 else 0
+        instance.add_undirected_edge(u, v, weight=float(rng.randint(0, 9)), label=label)
+    constraint = CountWalkConstraint(1)
+    result = build_constrained_labeling(
+        instance, constraint, config=FrameworkConfig(seed=master_seed)
+    )
+    nodes = sorted(instance.nodes())
+    for s in rng.sample(nodes, 8):
+        oracle = dijkstra(result.product.graph, (s, INITIAL_STATE))
+        for t in nodes:
+            for q in constraint.accepting_states():
+                want = oracle.get((t, q), math.inf)
+                assert result.labeling.distance(s, t, q) == want, (s, t, q)
 
 
 class TestOneShotHelper:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from test_api import _adversarial_instance
 
 from repro.core.config import FrameworkConfig
+from repro.core.rounds import CostModel
 from repro.decomposition.tree_decomposition import build_tree_decomposition
 from repro.errors import GraphError
 from repro.graphs import generators
@@ -18,7 +19,7 @@ from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.properties import dijkstra
 from repro.labeling.construction import _apsp_rows, _hub_row, build_distance_labeling
 from repro.walks.cdl import build_constrained_labeling
-from repro.walks.constraints import ColoredWalkConstraint, CountWalkConstraint
+from repro.walks.constraints import REJECT_STATE, ColoredWalkConstraint, CountWalkConstraint
 from repro.walks.product import build_product_graph, lift_tree_decomposition
 
 
@@ -122,23 +123,32 @@ class TestStoredEntries:
             base.set_label(e.eid, rng.choice("rb"))
         constraint = ColoredWalkConstraint(["r", "b"])
         config = FrameworkConfig(seed=master_seed)
-        decomposition = build_tree_decomposition(base.underlying_graph(), config=config)
+        # G_C − ⊥ can be disconnected, so the cost model is the base graph's.
+        cost_model = CostModel.for_graph(base.underlying_graph(), config)
+        decomposition = build_tree_decomposition(
+            base.underlying_graph(), config=config, cost_model=cost_model
+        )
         product = build_product_graph(base, constraint)
+        accepting = product.accepting_graph()
         lifted = lift_tree_decomposition(decomposition, constraint)
-        result = build_distance_labeling(product.graph, decomposition=lifted, config=config)
-        _assert_entries_exact(product.graph, lifted.decomposition, result.labeling)
+        result = build_distance_labeling(
+            accepting, decomposition=lifted, config=config, cost_model=cost_model
+        )
+        _assert_entries_exact(accepting, lifted.decomposition, result.labeling)
 
 
-def _label_digest(labeling, rounds):
-    """sha256 over every stored entry's bits, in ``repr`` order, plus ``rounds``."""
+def _label_digest(labeling, rounds=None, keep=lambda vertex: True):
+    """sha256 over the bits of every stored entry between ``keep`` vertices, in
+    ``repr`` order, plus ``rounds`` unless it is ``None``."""
     h = hashlib.sha256()
-    for v in sorted(labeling.vertices(), key=repr):
+    for v in sorted(filter(keep, labeling.vertices()), key=repr):
         lab = labeling.label(v)
-        for s in sorted(lab.to_dist, key=repr):
+        for s in sorted(filter(keep, lab.to_dist), key=repr):
             h.update(
                 f"{v!r}|{s!r}|{float.hex(lab.to_dist[s])}|{float.hex(lab.from_dist[s])}\n".encode()
             )
-    h.update(f"rounds|{rounds}".encode())
+    if rounds is not None:
+        h.update(f"rounds|{rounds}".encode())
     return h.hexdigest()
 
 
@@ -155,17 +165,31 @@ def _fractional_ktree_digest():
     return _label_digest(result.labeling, result.rounds)
 
 
-def _count1_cdl_digest():
+def _count1_cdl_grid():
     """The count-1 CDL of a 4×8 grid with fractional weights and 0/1 labels."""
     rng = random.Random(11)
     grid = generators.grid_graph(4, 8)
     instance = WeightedDiGraph(grid.nodes())
     for u, v in grid.edges():
         instance.add_undirected_edge(u, v, weight=rng.random() * 10, label=rng.randrange(2))
-    cdl = build_constrained_labeling(
+    return build_constrained_labeling(
         instance, CountWalkConstraint(1), config=FrameworkConfig(seed=5)
     )
+
+
+def _count1_cdl_digest():
+    cdl = _count1_cdl_grid()
     return _label_digest(cdl.labeling._labeling, cdl.rounds)
+
+
+def _count1_cdl_non_bottom_digest():
+    """The count-1 CDL's entries between non-⊥ product vertices, without rounds.
+
+    Pinned to the value of the build that still labelled the (v, ⊥) copies,
+    so dropping them moved no other stored bit.
+    """
+    cdl = _count1_cdl_grid()
+    return _label_digest(cdl.labeling._labeling, keep=lambda vertex: vertex[1] != REJECT_STATE)
 
 
 def _parallel_zero_arcs_digest():
@@ -200,14 +224,21 @@ class TestBitExact:
             ),
             (
                 _count1_cdl_digest,
-                "6941b35a818871f81e6ab86a6ee1d0f70ae14ed60d713e69eb8ee579e1ca3fff",
+                "1fa508a4c7ae10ee5ea46a5b924774de8b821d763808f13e0675033459fc7d0a",
+            ),
+            (
+                _count1_cdl_non_bottom_digest,
+                "e8a51042f2ce013aed4ae9bf58aa8d67311848e36bd2bb98f919b7f3febf05f0",
             ),
             (
                 _parallel_zero_arcs_digest,
                 "38dfe8b546ca1f036dbdc8e108aac9cb3bc88c854cc994b7a29723d64a1a9b88",
             ),
         ],
-        ids=["fractional_ktree", "count1_cdl_grid", "parallel_zero_arcs"],
+        ids=[
+            "fractional_ktree", "count1_cdl_grid", "count1_cdl_grid_non_bottom",
+            "parallel_zero_arcs",
+        ],
     )
     def test_label_digest_is_pinned(self, build, digest):
         assert build() == digest

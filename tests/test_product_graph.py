@@ -129,13 +129,19 @@ class TestDecompositionLifting:
         base = build_tree_decomposition(comm, config=config)
         lifted = lift_tree_decomposition(base, constraint)
         product = build_product_graph(inst, constraint)
+        accepting = product.accepting_graph()
+        assert set(accepting.nodes()) == {
+            (v, q) for v in inst.nodes() for q in constraint.accepting_states()
+        }
         violations = tree_decomposition_violations(
-            product.graph.underlying_graph(), lifted.decomposition
+            accepting.underlying_graph(), lifted.decomposition
         )
         assert violations == []
-        # Width of the lift is |Q|·(width+1) − 1.
+        # Each vertex becomes its |Q| − 1 accepting copies: width (|Q|−1)·(width+1) − 1.
         q = constraint.state_count()
-        assert lifted.decomposition.width() == q * (base.decomposition.width() + 1) - 1
+        assert lifted.decomposition.width() == (q - 1) * (base.decomposition.width() + 1) - 1
+        # The width guess keeps the full |Q| (Theorem 3's factor).
+        assert lifted.width_guess == base.width_guess * q
 
 
 @given(st.integers(min_value=6, max_value=16), st.integers(min_value=0, max_value=200))
