@@ -19,8 +19,8 @@ def test_e5_cdl_overhead_grows_with_state_count(benchmark, report_sink):
     # Rounds increase monotonically with the palette size (product graph grows).
     rounds = [row["rounds"] for row in colored]
     assert rounds[0] <= rounds[1] <= rounds[2]
-    # Product graph has exactly |Q|·n nodes.
+    # The built product graph, G_C − ⊥, has exactly (|Q| − 1)·n nodes.
     for row in table:
-        assert row["product_nodes"] == row["states"] * 36
+        assert row["product_nodes"] == (row["states"] - 1) * 36
     # Every CDL construction is more expensive than the unconstrained labeling.
     assert all(row["rounds"] >= row["base_rounds"] for row in table)

@@ -12,11 +12,11 @@ bipartite matching (§6) but not the general case.
 from a single source (the re-inserted separator vertex of the divide-and-
 conquer driver) and returns the augmenting path, if one exists.  The product
 graph G_C of Lemma 5 is searched without being built: a dequeued vertex
-(v, q) generates its successors on demand, in the order in which the G_C
-that :mod:`repro.walks.product` builds lists the out-edges of (v, q).  That
-order is kept because the search's tie-breaks pick which of several
-shortest augmenting paths is returned, and so which matching the driver
-ends with.
+(v, q) generates its successors on demand, in the order in which the
+G_C − ⊥ that :mod:`repro.walks.product` builds lists the out-edges of
+(v, q).  That order is kept because the search's tie-breaks pick which of
+several shortest augmenting paths is returned, and so which matching the
+driver ends with.
 """
 
 from __future__ import annotations
@@ -75,14 +75,16 @@ def find_augmenting_path(
     vertices (defaults to all), exactly as the distributed algorithm would
     query CDL(C_col(2)) labels from the separator vertex.  It stops at the
     first dequeued (t, unmatched) with t free.  G_C is not built: a dequeued
-    (v, q) yields (w, δ_{v→w}(q)) for each arc v→w of the induced subgraph.
-    That is the order in which the built G_C lists the out-edges of (v, q):
-    each undirected edge (a, b) of ``graph.subgraph(allowed).edges()``
-    becomes the arc pair a→b, b→a, so v's arcs follow that edge order.  The
-    reject state ⊥ is never enqueued: it leads only to ⊥ and is never a
-    target.  Without ⊥, every edge of G_C weighs 1, so this FIFO order is
-    the pop order of a Dijkstra over G_C with a (distance, push counter)
-    heap key, and the same shortest path is returned.
+    (v, q) yields (w, δ_{v→w}(q)) for each arc v→w of the induced subgraph
+    with δ_{v→w}(q) ≠ ⊥.  That is the order in which
+    :func:`~repro.walks.product.build_product_graph` lists the out-edges of
+    (v, q) in G_C − ⊥: each undirected edge (a, b) of
+    ``graph.subgraph(allowed).edges()`` becomes the arc pair a→b, b→a, so
+    v's arcs follow that edge order.  Like G_C − ⊥, the search holds no ⊥
+    copy: ⊥ leads only to ⊥ and is never a target.  Every edge of G_C − ⊥
+    weighs 1, so this FIFO order is the pop order of a Dijkstra over
+    G_C − ⊥ with a (distance, push counter) heap key, and the same shortest
+    path is returned.
 
     Returns the path as a vertex list (length ≥ 2) or ``None`` when no
     augmenting path from ``source`` exists.

@@ -11,9 +11,10 @@ machinery of §4 solves the constrained problem at an overhead polynomial in
 * :mod:`~repro.walks.constraints` — the constraint interface plus the paper's
   two worked examples (c-colored walks and count-c walks) and the
   matching-specific alternating-walk constraint.
-* :mod:`~repro.walks.product` — construction of the product graph G_C and the
-  lifting of tree decompositions from G to G_C − ⊥, the part of G_C that the
-  constrained labeling labels.
+* :mod:`~repro.walks.product` — construction of G_C − ⊥, the product graph
+  without its reject copies (the part of G_C that the constrained labeling
+  labels), and the lifting of tree decompositions from G to G_C − ⊥.  The
+  round model still charges the simulation of the paper's whole G_C.
 * :mod:`~repro.walks.cdl` — constrained distance labeling CDL(C) and shortest
   constrained walk queries (Theorem 3, Corollary 1).
 """
@@ -33,7 +34,6 @@ from repro.walks.cdl import (
     build_constrained_labeling,
     ConstrainedDistanceLabeling,
     ConstrainedLabelingResult,
-    shortest_constrained_walk_length,
 )
 
 __all__ = [
@@ -50,5 +50,4 @@ __all__ = [
     "build_constrained_labeling",
     "ConstrainedDistanceLabeling",
     "ConstrainedLabelingResult",
-    "shortest_constrained_walk_length",
 ]

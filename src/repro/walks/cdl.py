@@ -7,23 +7,26 @@ from u to v whose state is q — can be decoded from sla(u) and sla(v).
 
 The construction is the reduction of §5.2: build the product graph G_C, run
 the (unconstrained) distance labeling of Theorem 2 on it, and let sla(u) be
-the collection of product-graph labels of the group U_Q(u) = {u} × Q.  The
-labeling runs on G_C − ⊥, the product graph without its (v, ⊥) copies, with
-the base decomposition lifted to the accepting copies {v} × (Q − {⊥}).  That
-is exact: ⊥ is absorbing (Definition 2, condition 3), so a walk that enters
-⊥ never leaves it, and by Lemma 5 no walk between two non-⊥ product vertices
+the collection of product-graph labels of the group U_Q(u) = {u} × Q.  What
+is built and labelled is G_C − ⊥, the product graph without its (v, ⊥)
+copies (:func:`~repro.walks.product.build_product_graph`), with the base
+decomposition lifted to the accepting copies {v} × (Q − {⊥}).  That is
+exact: ⊥ is absorbing (Definition 2, condition 3), so a walk that enters ⊥
+never leaves it, and by Lemma 5 no walk between two non-⊥ product vertices
 visits ⊥.  Every C(q)-distance with q ≠ ⊥ is therefore the same in G_C and in
 G_C − ⊥, and ⊥ is no valid query target.  G_C − ⊥ need not be connected (with
 no edge of label 1, the count-0 and count-1 layers of a count-c constraint
 share no arc); the communication graph stays ⟦G⟧.
 
-Rounds are charged for the labeling that runs, with |Q| kept in the model.
-The levels' H_x broadcast volumes are those of G_C − ⊥; the lifted
-decomposition's width guess, the product cost model's |Q|·n nodes and the
-simulation overhead all read the full |Q|.  The CONGEST simulation overhead
-of running on G_C instead of G is a factor O(|Q| · p_max) in rounds (every
-physical edge simulates the ≤ |Q|·p_max product edges between two groups),
-which Theorem 3 folds into the Õ(|Q|·p_max·((|Q|τ)²D + (|Q|τ)⁴)) bound.
+Rounds are charged for the labeling that runs, with the paper's G_C kept in
+the model.  The levels' H_x broadcast volumes are those of G_C − ⊥; the
+lifted decomposition's width guess, the product cost model's |Q|·n nodes and
+the simulation overhead all read the full |Q|, and the cost model keeps
+G_C's diameter D + 2.  The base decomposition is charged once: lifting it is
+local and charges nothing.  The CONGEST simulation overhead of running on
+G_C instead of G is a factor O(|Q| · p_max) in rounds (every physical edge
+simulates the ≤ |Q|·p_max product edges between two groups), which
+Theorem 3 folds into the Õ(|Q|·p_max·((|Q|τ)²D + (|Q|τ)⁴)) bound.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ def build_constrained_labeling(
         Optional decomposition of ⟦G⟧; it is lifted to ⟦G_C − ⊥⟧ rather than
         recomputed.
 
-    The labeling of Theorem 2 runs on G_C − ⊥ (see the module docstring);
-    ``product`` is the whole G_C.
+    The labeling of Theorem 2 runs on ``product.graph``, which is G_C − ⊥
+    (see the module docstring).
     """
     config = config or FrameworkConfig()
     if cost_model is None or decomposition is None:
@@ -151,8 +154,8 @@ def build_constrained_labeling(
     product = build_product_graph(instance, constraint)
     lifted = lift_tree_decomposition(decomposition, constraint)
 
-    # Cost model for the product communication graph: same diameter (up to +2,
-    # §5.2), |Q|·n nodes.
+    # Cost model for the communication graph of the paper's G_C, ⊥ layer
+    # included: same diameter (up to +2, §5.2), |Q|·n nodes.
     num_states = constraint.state_count()
     product_cost_model = CostModel(
         n=instance.num_nodes() * num_states,
@@ -161,7 +164,7 @@ def build_constrained_labeling(
         constant=cost_model.constant,
     )
     dl = build_distance_labeling(
-        product.accepting_graph(),
+        product.graph,
         decomposition=lifted,
         config=config,
         cost_model=product_cost_model,
@@ -184,15 +187,3 @@ def build_constrained_labeling(
         product_label_rounds=dl.rounds,
     )
 
-
-def shortest_constrained_walk_length(
-    instance: WeightedDiGraph,
-    constraint: StatefulWalkConstraint,
-    source: NodeId,
-    target: NodeId,
-    target_state: State,
-    config: Optional[FrameworkConfig] = None,
-) -> float:
-    """One-shot convenience: the C(q)-distance from source to target."""
-    result = build_constrained_labeling(instance, constraint, config=config)
-    return result.labeling.distance(source, target, target_state)

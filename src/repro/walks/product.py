@@ -7,11 +7,18 @@ communication diameter of ⟦G_C⟧ within O(D)).  Lemma 5: walks of C with stat
 q from s to t correspond exactly to walks from (s, ▽) to (t, q) in G_C, with
 the same weight.
 
+:func:`build_product_graph` builds G_C − ⊥, the accepting copies
+{v} × (Q − {⊥}) and the arcs between them, and nothing of the ⊥ layer.  That
+loses no walk: ⊥ is absorbing (Definition 2, condition 3), so a walk that
+enters ⊥ never leaves it, and by Lemma 5 no walk between two non-⊥ vertices
+visits ⊥.  The ⊥ copies and give-up arcs serve only the simulation of G_C on
+⟦G⟧, and the round model still charges that simulation for the paper's G_C
+(see :mod:`repro.walks.cdl`).
+
 The module also *lifts* a tree decomposition of ⟦G⟧ to one of ⟦G_C − ⊥⟧ by
 replacing every vertex v with its accepting copies {v} × (Q − {⊥}) — the
 decomposition argument used in §5.2 to bound the treewidth of G_C by
-O(|Q|·τ), restricted to the part of G_C that the constrained distance
-labeling labels — so that the labeling never needs to decompose the (larger)
+O(|Q|·τ) — so that the labeling never needs to decompose the (larger)
 product graph from scratch.
 """
 
@@ -20,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.rounds import RoundLedger
 from repro.decomposition.tree_decomposition import (
@@ -44,71 +51,57 @@ INF = math.inf
 
 @dataclass
 class ProductGraph:
-    """The product graph G_C together with bookkeeping for walk recovery.
+    """The product graph G_C − ⊥ together with bookkeeping for walk recovery.
 
     Attributes
     ----------
     graph:
-        The weighted directed product graph on V(G) × Q.
+        The weighted directed product graph on V(G) × (Q − {⊥}).
     constraint:
         The stateful walk constraint used to build it.
     base:
         The original input instance G.
     edge_origin:
-        Maps each product-graph edge id to the originating input edge id
-        (``None`` for the structural (u, i) → (u, ⊥) edges).
+        Maps each product-graph edge id to the originating input edge id.
     """
 
     graph: WeightedDiGraph
     constraint: StatefulWalkConstraint
     base: WeightedDiGraph
-    edge_origin: Dict[int, Optional[int]]
-
-    def node(self, v: NodeId, state: State) -> ProductNode:
-        return (v, state)
-
-    def num_states(self) -> int:
-        return self.constraint.state_count()
-
-    def accepting_graph(self) -> WeightedDiGraph:
-        """G_C − ⊥: the subgraph on the accepting copies (v, q), q ≠ ⊥.
-
-        This is the part of G_C that the constrained distance labeling
-        labels, and :func:`lift_tree_decomposition` returns a decomposition
-        of it (not of the whole ``graph``).  It can be disconnected: with no
-        edge of label 1, the count-0 and count-1 layers of a count-c
-        constraint share no arc.
-        """
-        return self.graph.subgraph(v for v in self.graph.nodes() if v[1] != REJECT_STATE)
+    edge_origin: Dict[int, int]
 
 
 def build_product_graph(
     instance: WeightedDiGraph, constraint: StatefulWalkConstraint
 ) -> ProductGraph:
-    """Construct G_C for ``instance`` and ``constraint`` (Lemma 5)."""
+    """Construct G_C − ⊥ for ``instance`` and ``constraint`` (Lemma 5).
+
+    The out-arcs of an accepting copy (v, q) lead to (e.head, δ_e(q)) for
+    the edges e leaving v, in ``instance.edges()`` order, skipping those
+    with δ_e(q) = ⊥.  Raises :class:`ConstraintError` when some δ_e(q)
+    leaves the state set.
+    """
     constraint.validate(instance)
-    states = constraint.states()
+    state_set = set(constraint.states())
+    accepting = constraint.accepting_states()
     product = WeightedDiGraph()
-    edge_origin: Dict[int, Optional[int]] = {}
+    edge_origin: Dict[int, int] = {}
 
     for v in instance.nodes():
-        for q in states:
+        for q in accepting:
             product.add_node((v, q))
 
-    # Condition (1): transitions along input edges.
     for e in instance.edges():
-        for q in states:
+        for q in accepting:
             nxt = constraint.delta(q, e)
+            if nxt == REJECT_STATE:
+                continue
+            if nxt not in state_set:
+                raise ConstraintError(
+                    f"transition δ_e({q!r}) = {nxt!r} of edge {e.eid} leaves the state set"
+                )
             eid = product.add_edge((e.tail, q), (e.head, nxt), weight=e.weight, label=e.label)
             edge_origin[eid] = e.eid
-
-    # Condition (2): (u, i) → (u, ⊥) for i ≠ ⊥ (zero weight; keeps D(⟦G_C⟧) = O(D)).
-    for v in instance.nodes():
-        for q in states:
-            if q == REJECT_STATE:
-                continue
-            eid = product.add_edge((v, q), (v, REJECT_STATE), weight=0.0)
-            edge_origin[eid] = None
 
     return ProductGraph(
         graph=product, constraint=constraint, base=instance, edge_origin=edge_origin
@@ -120,15 +113,13 @@ def lift_tree_decomposition(
 ) -> DecompositionResult:
     """Lift a decomposition of ⟦G⟧ to one of ⟦G_C − ⊥⟧ (§5.2).
 
-    The result decomposes :meth:`ProductGraph.accepting_graph`, not the
-    whole G_C.  Every vertex v of every bag / subgraph is replaced by its
-    accepting copies {v} × (Q − {⊥}), the part of U_Q(v) that the
-    constrained labeling labels: ⊥ is absorbing (Definition 2, condition
-    3), so by Lemma 5 no walk between two non-⊥ product vertices visits a
-    (v, ⊥) copy.  The tree structure and the round accounting are unchanged
-    (the lift is a local relabeling, costing no communication), and
-    ``width_guess`` is scaled by the full |Q|, so Theorem 3's |Q| stays in
-    every charge made with it.
+    The result decomposes ``ProductGraph.graph``: every vertex v of every
+    bag / subgraph is replaced by its accepting copies {v} × (Q − {⊥}), the
+    part of U_Q(v) that :func:`build_product_graph` builds.  The tree
+    structure is unchanged.  The lift is a local relabeling that costs no
+    communication, so the result charges no rounds (the base decomposition
+    is charged once, by whoever built it).  ``width_guess`` is scaled by the
+    full |Q|, so Theorem 3's |Q| stays in every charge made with it.
     """
     states = constraint.accepting_states()
     base_td = decomposition.decomposition
@@ -150,12 +141,10 @@ def lift_tree_decomposition(
         )
         lifted._add_node(lifted_node)
     lifted._finalize()
-    ledger = RoundLedger()
-    ledger.merge(decomposition.ledger)
     return DecompositionResult(
         decomposition=lifted,
-        rounds=decomposition.rounds,
-        ledger=ledger,
+        rounds=0,
+        ledger=RoundLedger(),
         width_guess=decomposition.width_guess * max(1, constraint.state_count()),
         separator_calls=decomposition.separator_calls,
     )
@@ -203,15 +192,11 @@ def shortest_constrained_walk(
 
     if goal not in dist:
         return None
-    # Reconstruct the walk, skipping structural edges (they never appear on a
-    # path to a non-reject state anyway).
     edges: List[Edge] = []
     node = goal
     while node != start:
         prev, eid = pred[node]
-        origin = product.edge_origin.get(eid)
-        if origin is not None:
-            edges.append(product.base.edge(origin))
+        edges.append(product.base.edge(product.edge_origin[eid]))
         node = prev
     edges.reverse()
     return dist[goal], edges

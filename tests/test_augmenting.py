@@ -121,10 +121,10 @@ class TestAugmentingSearch:
 
 
 def _reference_search(graph, matching, source, allowed=None):
-    """The search on a built G_C: one instance and one product graph per call.
+    """The search on a built G_C − ⊥: one instance and one product graph per call.
 
     A Dijkstra with a (distance, push counter) tie-break, reading successors
-    from ``build_product_graph(...).graph.out_edges``, ⊥ edges included.
+    from ``build_product_graph(...).graph.out_edges``.
     :func:`find_augmenting_path` must return the same path.
     """
     allowed = set(graph.nodes()) if allowed is None else set(allowed)

@@ -1,21 +1,21 @@
 """Tests for constrained distance labeling CDL(C) (Theorem 3)."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from repro.core.config import FrameworkConfig
-from repro.core.rounds import CostModel
+from repro.core.rounds import CostModel, RoundLedger
 from repro.decomposition.tree_decomposition import build_tree_decomposition
 from repro.errors import ConstraintError, GraphError
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.properties import dijkstra
 from repro.labeling.construction import build_distance_labeling
-from repro.walks.cdl import build_constrained_labeling, shortest_constrained_walk_length
+from repro.walks.cdl import build_constrained_labeling
 from repro.walks.constraints import (
-    INITIAL_STATE,
     REJECT_STATE,
     ColoredWalkConstraint,
     CountWalkConstraint,
@@ -25,6 +25,7 @@ from repro.walks.product import (
     lift_tree_decomposition,
     shortest_constrained_walk,
 )
+from walk_oracle import constrained_distances
 
 
 def _instance_with_labels(n=24, seed=0, colors=("r", "b")):
@@ -88,6 +89,16 @@ class TestConstrainedLabeling:
         )
         # Base decomposition rounds are carried into the CDL ledger.
         assert result.ledger.breakdown(1).get("base_decomposition", 0) == decomposition.ledger.total()
+        # Exactly once: the lift charges nothing, so the same decomposition
+        # with no rounds gives the same product labeling rounds and a total
+        # smaller by exactly the base decomposition's.
+        free = dataclasses.replace(decomposition, rounds=0, ledger=RoundLedger())
+        unpaid = build_constrained_labeling(
+            inst, CountWalkConstraint(1), config=config, decomposition=free
+        )
+        assert decomposition.ledger.total() > 0
+        assert result.product_label_rounds == unpaid.product_label_rounds
+        assert result.rounds - unpaid.rounds == decomposition.ledger.total()
 
     def test_label_entry_counts_cover_accepting_states(self, config):
         inst = _instance_with_labels(seed=10, n=14, colors=(0, 1))
@@ -130,17 +141,16 @@ class TestDisconnectedAcceptingPart:
     def _setup(self):
         inst = _instance_with_labels(seed=13, n=18, colors=(0,))
         constraint = CountWalkConstraint(1)
-        product = build_product_graph(inst, constraint)
-        accepting = product.accepting_graph()
+        accepting = build_product_graph(inst, constraint).graph
         assert not accepting.underlying_graph().is_connected()
-        return inst, constraint, product, accepting
+        return inst, constraint, accepting
 
-    def test_all_zero_labels_match_dijkstra_on_full_product(self, config):
-        inst, constraint, product, _ = self._setup()
+    def test_all_zero_labels_match_dijkstra(self, config):
+        inst, constraint, _ = self._setup()
         result = build_constrained_labeling(inst, constraint, config=config)
         exact = constraint.exact_target_state()
         for s in inst.nodes():
-            oracle = dijkstra(product.graph, (s, INITIAL_STATE))
+            oracle = constrained_distances(inst, constraint, s)
             for t in inst.nodes():
                 for q in constraint.accepting_states():
                     got = result.labeling.distance(s, t, q)
@@ -148,7 +158,7 @@ class TestDisconnectedAcceptingPart:
                 assert result.labeling.distance(s, t, exact) == math.inf, (s, t)
 
     def test_supplied_decomposition_skips_the_connectivity_check(self, config):
-        inst, constraint, _, accepting = self._setup()
+        inst, constraint, accepting = self._setup()
         comm = inst.underlying_graph()
         cost_model = CostModel.for_graph(comm, config)
         lifted = lift_tree_decomposition(
@@ -174,10 +184,10 @@ class TestDisconnectedAcceptingPart:
 
 @pytest.mark.scale
 def test_count1_cdl_matches_dijkstra_at_scale(master_seed):
-    """The count-1 CDL of a 5×40 grid against Dijkstra on the whole G_C.
+    """The count-1 CDL of a 5×40 grid against Dijkstra over (vertex, state) pairs.
 
     Integer weights 0–9 keep every sum exact, so decoded C(q)-distances must
-    equal Dijkstra's from (s, ▽) bit for bit, for every q ≠ ⊥ and every
+    equal the oracle's from (s, ▽) bit for bit, for every q ≠ ⊥ and every
     target, from 8 seeded sources.
     """
     rng = random.Random(master_seed)
@@ -192,24 +202,9 @@ def test_count1_cdl_matches_dijkstra_at_scale(master_seed):
     )
     nodes = sorted(instance.nodes())
     for s in rng.sample(nodes, 8):
-        oracle = dijkstra(result.product.graph, (s, INITIAL_STATE))
+        oracle = constrained_distances(instance, constraint, s)
         for t in nodes:
             for q in constraint.accepting_states():
                 want = oracle.get((t, q), math.inf)
                 assert result.labeling.distance(s, t, q) == want, (s, t, q)
 
-
-class TestOneShotHelper:
-    def test_shortest_constrained_walk_length(self):
-        inst = _instance_with_labels(seed=11, n=12)
-        constraint = ColoredWalkConstraint(["r", "b"])
-        nodes = inst.nodes()
-        length = shortest_constrained_walk_length(
-            inst, constraint, nodes[0], nodes[-1], ("color", "b"), config=FrameworkConfig(seed=1)
-        )
-        product = build_product_graph(inst, constraint)
-        direct = shortest_constrained_walk(product, nodes[0], nodes[-1], ("color", "b"))
-        if direct is None:
-            assert math.isinf(length)
-        else:
-            assert abs(length - direct[0]) < 1e-9

@@ -1,4 +1,4 @@
-"""Tests for the product graph G_C and the Lemma 5 correspondence."""
+"""Tests for the product graph G_C − ⊥ and the Lemma 5 correspondence."""
 
 import math
 import random
@@ -12,9 +12,10 @@ from repro.decomposition.validation import tree_decomposition_violations
 from repro.errors import ConstraintError
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
+from repro.walks.cdl import build_constrained_labeling
 from repro.walks.constraints import (
-    INITIAL_STATE,
     REJECT_STATE,
+    AlternatingWalkConstraint,
     ColoredWalkConstraint,
     CountWalkConstraint,
     walk_state,
@@ -24,6 +25,7 @@ from repro.walks.product import (
     lift_tree_decomposition,
     shortest_constrained_walk,
 )
+from walk_oracle import constrained_distances
 
 
 def _colored_instance(seed=0, n=20):
@@ -35,35 +37,96 @@ def _colored_instance(seed=0, n=20):
     return inst
 
 
+def _constraint_cases():
+    """(instance, constraint) params: colored, count-1 and alternating walks."""
+    colored = _colored_instance()
+    counted = _colored_instance(seed=1)
+    rng = random.Random(1)
+    for e in counted.edges():
+        counted.set_label(e.eid, 1 if rng.random() < 0.3 else 0)
+    grid = generators.grid_graph(3, 5)
+    alternating = WeightedDiGraph(grid.nodes())
+    for u, v in grid.edges():
+        alternating.add_undirected_edge(u, v)
+    matching = {((0, 0), (0, 1)), ((1, 2), (2, 2))}
+    return [
+        pytest.param(colored, ColoredWalkConstraint(["r", "b"]), id="colored2"),
+        pytest.param(counted, CountWalkConstraint(1), id="count1"),
+        pytest.param(alternating, AlternatingWalkConstraint(matching), id="alternating"),
+    ]
+
+
+CONSTRAINT_CASES = _constraint_cases()
+
+
+class _LeavesStateSet(CountWalkConstraint):
+    """count-1 walks, except that δ_e leaves Q for every edge id from 100 on.
+
+    ``validate`` samples only the first 64 edges, so it accepts this.
+    """
+
+    def transition(self, state, edge):
+        if edge.eid >= 100:
+            return ("count", 7)
+        return super().transition(state, edge)
+
+
 class TestConstruction:
-    def test_node_and_edge_counts(self):
-        inst = _colored_instance()
-        constraint = ColoredWalkConstraint(["r", "b"])
+    @pytest.mark.parametrize("inst, constraint", CONSTRAINT_CASES)
+    def test_accepting_copies_and_arcs(self, inst, constraint):
         product = build_product_graph(inst, constraint)
-        q = constraint.state_count()
-        assert product.graph.num_nodes() == q * inst.num_nodes()
-        # |Q| product edges per input edge + (|Q|-1) structural edges per node.
-        expected = q * inst.num_edges() + (q - 1) * inst.num_nodes()
-        assert product.graph.num_edges() == expected
+        accepting = constraint.accepting_states()
+        assert product.graph.num_nodes() == (constraint.state_count() - 1) * inst.num_nodes()
+        assert set(product.graph.nodes()) == {(v, q) for v in inst.nodes() for q in accepting}
+        # One arc per (e, q ≠ ⊥) with δ_e(q) ≠ ⊥; no ⊥ copy, no give-up arc.
+        expected = [
+            (e.eid, (e.tail, q), (e.head, constraint.delta(q, e)))
+            for e in inst.edges()
+            for q in accepting
+            if constraint.delta(q, e) != REJECT_STATE
+        ]
+        assert product.graph.num_edges() == len(expected)
+        got = [(product.edge_origin[pe.eid], pe.tail, pe.head) for pe in product.graph.edges()]
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
+        assert set(product.edge_origin) == {pe.eid for pe in product.graph.edges()}
+        for pe in product.graph.edges():
+            origin = product.edge_origin[pe.eid]
+            assert isinstance(origin, int)
+            base = inst.edge(origin)
+            assert (pe.tail[0], pe.head[0]) == (base.tail, base.head)
+            assert (pe.weight, pe.label) == (base.weight, base.label)
 
-    def test_structural_edges_lead_to_reject_only(self):
-        inst = _colored_instance()
-        product = build_product_graph(inst, ColoredWalkConstraint(["r", "b"]))
-        for eid, origin in product.edge_origin.items():
-            e = product.graph.edge(eid)
-            if origin is None:
-                assert e.head[1] == REJECT_STATE
-                assert e.tail[0] == e.head[0]
-                assert e.weight == 0.0
+    @pytest.mark.parametrize("inst, constraint", CONSTRAINT_CASES)
+    def test_out_edges_follow_instance_order(self, inst, constraint):
+        """(v, q) lists (e.head, δ_e(q)) for e in ``instance.out_edges(v)``, in
+        that order, ⊥ skipped: the order that matching's tie-breaks follow."""
+        product = build_product_graph(inst, constraint)
+        for v in inst.nodes():
+            for q in constraint.accepting_states():
+                want = [
+                    (e.eid, (e.head, constraint.delta(q, e)))
+                    for e in inst.out_edges(v)
+                    if constraint.delta(q, e) != REJECT_STATE
+                ]
+                got = [
+                    (product.edge_origin[pe.eid], pe.head)
+                    for pe in product.graph.out_edges((v, q))
+                ]
+                assert got == want, (v, q)
 
-    def test_diameter_of_product_comm_graph_close_to_base(self):
-        from repro.graphs.properties import diameter
-
-        inst = _colored_instance(n=16)
-        product = build_product_graph(inst, ColoredWalkConstraint(["r", "b"]))
-        base_d = diameter(inst.underlying_graph())
-        prod_d = diameter(product.graph.underlying_graph())
-        assert prod_d <= base_d + 2
+    @pytest.mark.parametrize(
+        "build", [build_product_graph, build_constrained_labeling], ids=["product", "cdl"]
+    )
+    def test_transition_leaving_the_state_set_is_refused(self, build):
+        grid = generators.grid_graph(4, 20)
+        inst = WeightedDiGraph(grid.nodes())
+        for u, v in grid.edges():
+            inst.add_undirected_edge(u, v, label=0)
+        assert inst.num_edges() == 272
+        constraint = _LeavesStateSet(1)
+        constraint.validate(inst)
+        with pytest.raises(ConstraintError, match="leaves the state set"):
+            build(inst, constraint)
 
 
 class TestLemma5Correspondence:
@@ -92,33 +155,12 @@ class TestLemma5Correspondence:
             shortest_constrained_walk(product, inst.nodes()[0], inst.nodes()[1], REJECT_STATE)
 
 
-def _brute_force_constrained_distance(instance, constraint, source, target, target_state, max_len=8):
-    """Exhaustive search over walks of bounded edge count (test oracle)."""
-    best = math.inf
-    frontier = [(0.0, source, INITIAL_STATE)]
-    # Dijkstra-like BFS over (vertex, state) using the constraint directly —
-    # independent of the product-graph construction under test.
-    import heapq
-
-    dist = {(source, INITIAL_STATE): 0.0}
-    heap = [(0.0, 0, source, INITIAL_STATE)]
-    counter = 0
-    while heap:
-        d, _, u, q = heapq.heappop(heap)
-        if d > dist.get((u, q), math.inf):
-            continue
-        if u == target and q == target_state:
-            best = min(best, d)
-        for e in instance.out_edges(u):
-            nq = constraint.delta(q, e)
-            if nq == REJECT_STATE:
-                continue
-            nd = d + e.weight
-            if nd < dist.get((e.head, nq), math.inf):
-                dist[(e.head, nq)] = nd
-                counter += 1
-                heapq.heappush(heap, (nd, counter, e.head, nq))
-    return best
+def _brute_force_constrained_distance(instance, constraint, source, target, target_state):
+    """The C(q)-distance from the (vertex, state) Dijkstra of ``walk_oracle``,
+    which is independent of the product-graph construction under test."""
+    return constrained_distances(instance, constraint, source).get(
+        (target, target_state), math.inf
+    )
 
 
 class TestDecompositionLifting:
@@ -129,12 +171,8 @@ class TestDecompositionLifting:
         base = build_tree_decomposition(comm, config=config)
         lifted = lift_tree_decomposition(base, constraint)
         product = build_product_graph(inst, constraint)
-        accepting = product.accepting_graph()
-        assert set(accepting.nodes()) == {
-            (v, q) for v in inst.nodes() for q in constraint.accepting_states()
-        }
         violations = tree_decomposition_violations(
-            accepting.underlying_graph(), lifted.decomposition
+            product.graph.underlying_graph(), lifted.decomposition
         )
         assert violations == []
         # Each vertex becomes its |Q| − 1 accepting copies: width (|Q|−1)·(width+1) − 1.
@@ -142,6 +180,9 @@ class TestDecompositionLifting:
         assert lifted.decomposition.width() == (q - 1) * (base.decomposition.width() + 1) - 1
         # The width guess keeps the full |Q| (Theorem 3's factor).
         assert lifted.width_guess == base.width_guess * q
+        # The lift is local: it charges no rounds of its own or of the base.
+        assert lifted.rounds == 0 and lifted.ledger.total() == 0
+        assert base.rounds > 0
 
 
 @given(st.integers(min_value=6, max_value=16), st.integers(min_value=0, max_value=200))
