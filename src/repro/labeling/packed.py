@@ -26,11 +26,16 @@ Queries
 ``distance(u, v)`` answers one pair with a sorted two-pointer merge of the
 two segments, each read once as Python lists — the packed mirror of the
 scalar decoder.  ``query(us, vs)`` answers a whole batch with one
-vectorized kernel call: the u-side segments are flattened, given
-composite ``pair * stride + hub`` keys, and matched against the v-side
-segments with a single ``searchsorted`` (the v-side key array is globally
-sorted because segments are pair-major and hub-sorted), then a segmented
-``minimum.reduceat`` folds the matched sums per pair.
+vectorized kernel call that intersects every pair's two hub lists in one
+merge, the way hub-labeling query engines do (Abraham, Delling, Goldberg
+and Werneck, SEA 2011).  The u-side and v-side segments are flattened
+and given composite ``pair * stride + hub`` keys; each side's key array
+is already globally sorted (segments are pair-major and hub-sorted), so
+one stable ``argsort`` of the two concatenated runs merges them.  A
+shared hub is then two adjacent equal keys, a u entry followed by a v
+entry.  The sort must be stable: of two equal keys it keeps the lower
+index first, and u entries precede v entries in the concatenation.  A
+segmented ``minimum.reduceat`` folds the matched sums per pair.
 Without numpy the same API serves a pure-python two-pointer fallback
 (``backend="pure"``), so the packed form works on every CI configuration.
 
@@ -129,6 +134,17 @@ def _label_query_batch(offsets, hubs, to_hub, from_hub, u_idx, v_idx):
     and ``v_idx[i]`` of ``to_hub[u entry of s] + from_hub[v entry of s]``
     (``inf`` when the segments share no hub), with 0.0 forced for
     ``u_idx[i] == v_idx[i]``.  Returns ``float64[len(u_idx)]``.
+
+    The intersection is one merge.  Every queried entry gets the composite
+    key ``pair * stride + hub``; the u-side keys, then the v-side keys,
+    are each globally sorted (segments are pair-major and hub-ascending),
+    so one stable argsort of the two runs merges them.  A shared hub is
+    two adjacent equal keys, a u entry then a v entry: the sort must be
+    stable so that the u entry of a tie, the lower index, comes first.
+    Both sides of a match are checked, so a malformed segment (a repeated
+    hub) cannot pair two entries of one side.  The matches come out
+    pair-major and hub-ascending, and ``minimum.reduceat`` folds each
+    pair's run of sums.
     """
     import numpy as np
 
@@ -136,48 +152,32 @@ def _label_query_batch(offsets, hubs, to_hub, from_hub, u_idx, v_idx):
     out = np.full(num_pairs, np.inf, dtype=np.float64)
     if num_pairs == 0:
         return out
-    u_start = offsets[u_idx]
-    u_cnt = offsets[u_idx + 1] - u_start
-    v_start = offsets[v_idx]
-    v_cnt = offsets[v_idx + 1] - v_start
-    total_u = int(u_cnt.sum())
-    total_v = int(v_cnt.sum())
-    if total_u and total_v:
-        # Flat CSR gather: position arrays into `hubs` for every entry
-        # of every queried segment, pair-major.
-        a_pair = np.repeat(np.arange(num_pairs, dtype=np.int64), u_cnt)
-        a_pos = (
-            np.arange(total_u, dtype=np.int64)
-            - np.repeat(np.cumsum(u_cnt) - u_cnt, u_cnt)
-            + np.repeat(u_start, u_cnt)
-        )
-        b_pos = (
-            np.arange(total_v, dtype=np.int64)
-            - np.repeat(np.cumsum(v_cnt) - v_cnt, v_cnt)
-            + np.repeat(v_start, v_cnt)
-        )
-        a_hub = hubs[a_pos]
-        b_hub = hubs[b_pos]
-        # Composite keys: pair-major + hub-sorted segments make the
-        # v-side key array globally sorted, so one searchsorted matches
-        # every u-side entry against its pair's v-segment.
-        stride = np.int64(max(int(a_hub.max()), int(b_hub.max())) + 1)
-        a_key = a_pair * stride + a_hub
-        b_key = np.repeat(
-            np.arange(num_pairs, dtype=np.int64), v_cnt
-        ) * stride + b_hub
-        loc = np.searchsorted(b_key, a_key)
-        loc_c = np.minimum(loc, total_v - 1)
-        hit = b_key[loc_c] == a_key
-        sums = to_hub[a_pos[hit]] + from_hub[b_pos[loc_c[hit]]]
+    seg = np.concatenate((u_idx, v_idx))
+    start = offsets[seg]
+    cnt = offsets[seg + 1] - start
+    end = np.cumsum(cnt)
+    total_u, total = int(end[num_pairs - 1]), int(end[-1])
+    if total_u and total > total_u:
+        # Flat CSR gather over the u segments, then the v segments: the
+        # position in `hubs` of every queried entry (u entries come first,
+        # at indices below total_u), and its composite key.
+        pos = np.arange(total, dtype=np.int64) + np.repeat(start - (end - cnt), cnt)
+        keys = hubs[pos]
+        stride = int(keys.max()) + 1
+        pair_key = np.arange(num_pairs, dtype=np.int64) * stride
+        keys += np.repeat(np.concatenate((pair_key, pair_key)), cnt)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        tie = np.flatnonzero(keys[1:] == keys[:-1])
+        first, second = order[tie], order[tie + 1]
+        match = (first < total_u) & (second >= total_u)
+        sums = to_hub[pos[first[match]]] + from_hub[pos[second[match]]]
         if sums.shape[0]:
-            pairs_hit = a_pair[hit]
-            run_starts = np.flatnonzero(
-                np.r_[True, pairs_hit[1:] != pairs_hit[:-1]]
-            )
-            out[pairs_hit[run_starts]] = np.minimum.reduceat(
-                sums, run_starts
-            )
+            pair_hit = keys[tie[match]] // stride
+            run_start = np.ones(pair_hit.shape[0], dtype=bool)
+            np.not_equal(pair_hit[1:], pair_hit[:-1], out=run_start[1:])
+            run_starts = np.flatnonzero(run_start)
+            out[pair_hit[run_starts]] = np.minimum.reduceat(sums, run_starts)
     out[u_idx == v_idx] = 0.0
     return out
 

@@ -78,11 +78,17 @@ def build_product_graph(
 
     The out-arcs of an accepting copy (v, q) lead to (e.head, δ_e(q)) for
     the edges e leaving v, in ``instance.edges()`` order, skipping those
-    with δ_e(q) = ⊥.  Raises :class:`ConstraintError` when some δ_e(q)
-    leaves the state set.
+    with δ_e(q) = ⊥.  Raises :class:`ConstraintError` when Q lacks ▽ or ⊥,
+    when some δ_e(q) leaves the state set, or when some δ_e(⊥) ≠ ⊥ (⊥ must
+    be absorbing, Definition 2, condition 3, for G_C − ⊥ to lose no walk).
+    Every edge is checked.
     """
-    constraint.validate(instance)
-    state_set = set(constraint.states())
+    states = constraint.states()
+    if INITIAL_STATE not in states or REJECT_STATE not in states:
+        raise ConstraintError(
+            "state set must contain the initial state ▽ and the reject state ⊥"
+        )
+    state_set = set(states)
     accepting = constraint.accepting_states()
     product = WeightedDiGraph()
     edge_origin: Dict[int, int] = {}
@@ -92,6 +98,11 @@ def build_product_graph(
             product.add_node((v, q))
 
     for e in instance.edges():
+        if constraint.delta(REJECT_STATE, e) != REJECT_STATE:
+            raise ConstraintError(
+                f"the reject state must be absorbing (condition 3): δ_e(⊥) ≠ ⊥ "
+                f"for edge {e.eid}"
+            )
         for q in accepting:
             nxt = constraint.delta(q, e)
             if nxt == REJECT_STATE:

@@ -370,8 +370,76 @@ class TestPersistence:
 
 
 # --------------------------------------------------------------------------- #
-# The batched kernel on hand-computed arrays
+# The batched kernel on hand-computed and random arrays
 # --------------------------------------------------------------------------- #
+def _merge_reference(offsets, hubs, to_hub, from_hub, u_idx, v_idx):
+    """Pair by pair, the scalar two-pointer merge that the kernel batches."""
+    offsets, hubs = offsets.tolist(), hubs.tolist()
+    to_hub, from_hub = to_hub.tolist(), from_hub.tolist()
+    out = []
+    for u, v in zip(u_idx.tolist(), v_idx.tolist()):
+        if u == v:
+            out.append(0.0)
+            continue
+        best = INF
+        a, a_hi = offsets[u], offsets[u + 1]
+        b, b_hi = offsets[v], offsets[v + 1]
+        while a < a_hi and b < b_hi:
+            if hubs[a] == hubs[b]:
+                total = to_hub[a] + from_hub[b]
+                if total < best:
+                    best = total
+                a += 1
+                b += 1
+            elif hubs[a] < hubs[b]:
+                a += 1
+            else:
+                b += 1
+        out.append(best)
+    return out
+
+
+def _random_segments(np, rng, num_nodes, table_len, max_entries, hub_pool=None):
+    """Seeded CSR arrays: every fourth segment empty, sorted hub ids drawn
+    from the whole table (slots from ``num_nodes`` on are hub-only), and
+    distances that are ``inf``, 0.0 or fractional.
+    ``hub_pool(i)``, when given, is the set vertex ``i`` draws its hubs from.
+    """
+    offsets, hubs, to_hub, from_hub = [0], [], [], []
+
+    def dist():
+        r = rng.random()
+        return INF if r < 0.15 else 0.0 if r < 0.3 else rng.random() * 50.0
+
+    for i in range(num_nodes):
+        pool = range(table_len) if hub_pool is None else hub_pool(i)
+        k = 0 if i % 4 == 1 else rng.randint(1, min(max_entries, len(pool)))
+        for h in sorted(rng.sample(pool, k)):
+            hubs.append(h)
+            to_hub.append(dist())
+            from_hub.append(dist())
+        offsets.append(len(hubs))
+    return (
+        np.array(offsets, dtype=np.int64),
+        np.array(hubs, dtype=np.int64),
+        np.array(to_hub, dtype=np.float64),
+        np.array(from_hub, dtype=np.float64),
+    )
+
+
+def _random_batch(np, rng, vertices, size):
+    """``size`` seeded pairs over ``vertices``: every 7th an identity pair,
+    every 11th a repeat of an earlier pair."""
+    us = [rng.choice(vertices) for _ in range(size)]
+    vs = [rng.choice(vertices) for _ in range(size)]
+    for i in range(0, size, 7):
+        vs[i] = us[i]
+    for i in range(5, size, 11):
+        j = rng.randrange(i)
+        us[i], vs[i] = us[j], vs[j]
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
 class TestQueryKernel:
     def test_label_query_batch(self):
         np = pytest.importorskip("numpy")
@@ -389,6 +457,49 @@ class TestQueryKernel:
         # (0→1): only shared hub 1, 5 + 4 = 9.  (1→0): hub 1, 3 + 1 = 4.
         # (0→0): identity 0.  (2→1): no shared hub → inf.  (1→2): empty → inf.
         assert out.tolist() == [9.0, 4.0, 0.0, INF, INF]
+
+    @pytest.mark.parametrize(
+        "num_nodes, table_len, max_entries",
+        [(30, 45, 8), (400, 520, 40)],
+        ids=["small", "wide"],
+    )
+    @pytest.mark.parametrize("size", [0, 1, 1500])
+    def test_matches_scalar_merge_on_random_segments(
+        self, num_nodes, table_len, max_entries, size, master_seed
+    ):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(master_seed * 7 + num_nodes + size)
+        arrays = _random_segments(np, rng, num_nodes, table_len, max_entries)
+        assert int(arrays[1].max()) >= num_nodes, "no hub-only table slot"
+        u_idx, v_idx = _random_batch(np, rng, range(num_nodes), size)
+        out = _label_query_batch(*arrays, u_idx, v_idx)
+        want = np.array(
+            _merge_reference(*arrays, u_idx, v_idx), dtype=np.float64
+        )
+        assert out.dtype == np.float64 and out.shape == (size,)
+        assert out.tobytes() == want.tobytes()
+        if size > 1:
+            # The batch covers every shape: a finite sum, inf (one side
+            # inf or no shared hub) and identity zeros.
+            others = want[u_idx != v_idx]
+            assert np.isfinite(others).any() and np.isinf(others).any()
+            assert (u_idx == v_idx).any()
+
+    def test_batch_where_no_pair_shares_a_hub(self, master_seed):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(master_seed + 29)
+        # Even vertices draw even hubs, odd vertices odd hubs, and every pair
+        # joins an even vertex to an odd one.
+        arrays = _random_segments(
+            np, rng, 60, 90, 12, hub_pool=lambda i: range(i % 2, 90, 2)
+        )
+        us = np.array([rng.randrange(0, 60, 2) for _ in range(500)], dtype=np.int64)
+        vs = np.array([rng.randrange(1, 60, 2) for _ in range(500)], dtype=np.int64)
+        for u_idx, v_idx in ((us, vs), (vs, us)):
+            out = _label_query_batch(*arrays, u_idx, v_idx)
+            want = np.array(_merge_reference(*arrays, u_idx, v_idx))
+            assert np.isinf(want).all()
+            assert out.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------- #
@@ -460,3 +571,36 @@ class TestApiEdges:
         path = tmp_path / "empty.rplb"
         packed.save(path)
         assert len(PackedLabeling.load(path)) == 0
+
+
+# --------------------------------------------------------------------------- #
+# The batch kernel against the dict decoder at serving scale
+# --------------------------------------------------------------------------- #
+@pytest.mark.scale
+def test_mapped_queries_match_decode_at_serving_scale(tmp_path, master_seed):
+    """A 5×200 grid with asymmetric weights 1–9, the shape of the repo
+    benchmark's ``grid5x200`` serving corpus: 20,000 seeded pairs through the
+    mapped store, in one call and in 256-pair batches, each answer equal to
+    ``decode_distance`` by ``float.hex``."""
+    pytest.importorskip("numpy")
+    instance = generators.to_directed_instance(
+        generators.grid_graph(5, 200), weight_range=(1, 9),
+        orientation="asymmetric", seed=master_seed,
+    )
+    labeling = build_distance_labeling(instance).labeling
+    path = tmp_path / "grid5x200.rplb"
+    PackedLabeling.from_labeling(labeling).save(path)
+    packed = PackedLabeling.load(path)
+    assert packed.is_memory_mapped
+    pairs = _sample_pairs(list(packed.vertices()), 20_000, random.Random(master_seed))
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    want = [
+        decode_distance(labeling.label(u), labeling.label(v)).hex()
+        for u, v in pairs
+    ]
+    assert [d.hex() for d in packed.query(us, vs).tolist()] == want
+    batched = []
+    for lo in range(0, len(pairs), 256):
+        batched.extend(packed.query(us[lo:lo + 256], vs[lo:lo + 256]).tolist())
+    assert [d.hex() for d in batched] == want

@@ -71,6 +71,28 @@ class _LeavesStateSet(CountWalkConstraint):
         return super().transition(state, edge)
 
 
+class _LeavesReject(CountWalkConstraint):
+    """count-1 walks, except that δ_e(⊥) = ("count", 0) for every edge id
+    from 100 on: ⊥ is not absorbing there.
+
+    ``validate`` samples only the first 64 edges, so it accepts this.
+    """
+
+    def delta(self, state, edge):
+        if state == REJECT_STATE and edge.eid >= 100:
+            return ("count", 0)
+        return super().delta(state, edge)
+
+
+def _labelled_grid_4x20():
+    grid = generators.grid_graph(4, 20)
+    inst = WeightedDiGraph(grid.nodes())
+    for u, v in grid.edges():
+        inst.add_undirected_edge(u, v, label=0)
+    assert inst.num_edges() == 272
+    return inst
+
+
 class TestConstruction:
     @pytest.mark.parametrize("inst, constraint", CONSTRAINT_CASES)
     def test_accepting_copies_and_arcs(self, inst, constraint):
@@ -118,15 +140,31 @@ class TestConstruction:
         "build", [build_product_graph, build_constrained_labeling], ids=["product", "cdl"]
     )
     def test_transition_leaving_the_state_set_is_refused(self, build):
-        grid = generators.grid_graph(4, 20)
-        inst = WeightedDiGraph(grid.nodes())
-        for u, v in grid.edges():
-            inst.add_undirected_edge(u, v, label=0)
-        assert inst.num_edges() == 272
+        inst = _labelled_grid_4x20()
         constraint = _LeavesStateSet(1)
         constraint.validate(inst)
         with pytest.raises(ConstraintError, match="leaves the state set"):
             build(inst, constraint)
+
+    @pytest.mark.parametrize(
+        "build", [build_product_graph, build_constrained_labeling], ids=["product", "cdl"]
+    )
+    def test_reject_state_not_absorbing_is_refused(self, build):
+        """G_C − ⊥ loses no walk only if ⊥ is absorbing, so every edge's
+        δ_e(⊥) is checked, not only the 64 that ``validate`` samples."""
+        inst = _labelled_grid_4x20()
+        constraint = _LeavesReject(1)
+        constraint.validate(inst)
+        with pytest.raises(ConstraintError, match="absorbing"):
+            build(inst, constraint)
+
+    def test_state_set_without_the_special_states_is_refused(self):
+        class NoSpecials(CountWalkConstraint):
+            def states(self):
+                return [("count", i) for i in range(self.budget + 1)]
+
+        with pytest.raises(ConstraintError, match="must contain"):
+            build_product_graph(_labelled_grid_4x20(), NoSpecials(1))
 
 
 class TestLemma5Correspondence:
