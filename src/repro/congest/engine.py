@@ -111,7 +111,8 @@ overhead dominates when rounds are nearly empty.  Dense rounds invert the
 picture: on complete-graph Bellman-Ford (K_400, ~288k messages in 3 rounds)
 ``vectorized`` takes 99 ms against ``fast``'s 2.4 s (24×), and on a
 1500-chunk pipelined flood over a 10×30 grid (1538 rounds, 1.2M messages)
-the ``FloodingKernel`` takes 0.56 s against 7.7 s (14×).  ``legacy`` exists
+the queue-free ``FloodingKernel`` takes 0.13 s against 3.9 s (30×, the
+``chunk_flood_grid`` record).  ``legacy`` exists
 only as the reference the other tiers are certified against (``fast`` is
 4.4× faster on the 40×40 BFS+broadcast grid).  On the async tier the
 bucketed calendar queue clears 3.3× the heap's events/s on the deep-path

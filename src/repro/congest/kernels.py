@@ -52,6 +52,13 @@ def vectorized_available() -> bool:
     return True
 
 
+def array_tier() -> str:
+    """The tier an engine-measured kernel protocol runs on: ``"vectorized"``
+    when numpy imports, ``"fast"`` otherwise.  Both measure the same rounds,
+    and neither warns."""
+    return "vectorized" if vectorized_available() else "fast"
+
+
 class PackedSends:
     """One round's outgoing traffic as preallocated arc-slot arrays.
 
@@ -158,14 +165,6 @@ class RoundKernel:
         raise NotImplementedError
 
 
-def _count_dtype(limit: int) -> str:
-    """The narrowest signed int dtype string holding every value in ``0..limit``."""
-    for dtype, top in (("i1", 127), ("i2", 32767), ("i4", 2**31 - 1)):
-        if limit <= top:
-            return dtype
-    return "i8"
-
-
 def _run_starts(keys):
     """Boolean mask of the first entry of every run of equal values in ``keys``."""
     import numpy as np
@@ -183,33 +182,36 @@ class FloodingKernel(RoundKernel):
     Bit-for-bit equivalent to the scalar transport.  The ``C`` chunks are a
     finite table precomputed at ``init``, so a message is packed as one int64
     *chunk index* per arc slot and ``payload_size_words`` is an O(1) table
-    lookup (``chunk_words``).  The scalar protocol's per-neighbour FIFO
-    queues stay FIFO queues, one per arc slot: an ``(arc, C)`` matrix of
-    chunk indices with per-arc ``head``/``tail`` cursors.  A node appends to
-    an arc only when it learns a chunk, so an arc never holds more than
-    ``C`` entries and the cursors never wrap:
+    lookup (``chunk_words``).
 
-    * *learning* chunk ``k`` from sender ``s`` appends ``k`` at ``tail`` on
-      every out-arc except the one back to ``s``.  One arc's appends of a
-      round go in ascending sender index, the scalar learn order (inbox
-      scans run in ascending sender index); the root's round-0 chunks fill
-      ``0..C-1``;
-    * *draining* pops the entry at ``head`` of every arc with
-      ``head < tail`` — the FIFO ``popleft``;
-    * a node halts once its ``learned`` count is ``C`` and none of its
-      out-arcs has ``head < tail`` — the scalar ``_finish_if_complete``
-      after a drain.  With ``C = 0`` only the root halts, at init.
+    The kernel keeps no queues; it rests on one invariant of the synchronous
+    flood.  A node at hop distance ``d`` from the root learns chunk ``k`` in
+    round ``d + k``, and learns nothing else in that round.  By induction on
+    ``d``: the root holds every chunk and sends chunk ``r`` on all its arcs
+    in round ``r``.  A node at distance ``d ≥ 1`` hears only from
+    neighbours at distance ``d - 1``, ``d`` and ``d + 1``.  Those at
+    ``d - 1`` learn chunk ``k`` in round ``d - 1 + k`` and forward it at
+    once, so it arrives in round ``d + k``, and no neighbour can deliver it
+    earlier.  Those at distance ``d`` and ``d + 1`` forward, in that round,
+    chunks ``k - 1`` and ``k - 2``, which the node already holds.  So every
+    non-root scalar queue holds at most the one chunk learned this round,
+    drained in the same round, and the root's queue sends chunk ``r`` in
+    round ``r``.  The state is therefore:
 
-    A round costs O(arcs + n + deliveries + appends) array work, independent
-    of ``C``.  The queue and cursors use the narrowest int dtype that holds
-    ``C``, so an arc's state is ``C + 2`` such entries.  (In a synchronous
-    flood node ``u`` learns chunk ``k`` exactly in round ``dist(root, u) +
-    k``, so only the root's arcs ever hold more than one entry; the queue
-    does not rely on that.)
+    * ``learned`` — per node, how many chunks it holds (the root holds all
+      ``C``).  A delivery of chunk ``learned[u]`` to ``u`` is new, a smaller
+      one is a duplicate, and a larger one breaks the invariant: it raises
+      :class:`~repro.errors.SimulationError` instead of being queued;
+    * the reused send buffers (chunk index, mask and word size per arc).
 
-    Duplicate deliveries of one chunk to one node in the same round resolve
-    to the minimum-index sender (the first inbox hit), so the excluded
-    back-arc matches the scalar run exactly.
+    A learner forwards its new chunk in the same round on every out-arc but
+    the one to its *teacher*: the lowest-index sender that delivered the
+    chunk, the first hit of the scalar inbox scan (inboxes list senders in
+    ascending index).  A node halts in the round it learns chunk ``C - 1``;
+    the root halts in the round it sends chunk ``C - 1``, or at init when
+    ``C ≤ 1`` or it has no arcs — the scalar ``_finish_if_complete`` after
+    a drain.  With ``C = 0`` only the root halts.  A round costs
+    O(arcs + n + deliveries) array work, independent of ``C``.
 
     Subclasses override :meth:`_chunk_table` (the wire chunks, each starting
     with ``(k, total)``) and :meth:`outputs` — see
@@ -245,123 +247,104 @@ class FloodingKernel(RoundKernel):
 
         table = self._chunk_table()
         c = len(table)
-        chunk_words = np.zeros(max(c, 1), dtype=np.int64)
-        self.chunks = []
+        # One trailing zero: chunk index -1 marks "no send" and costs nothing.
+        chunk_words = np.zeros(c + 1, dtype=np.int64)
         for chunk in table:
-            self.chunks.append(chunk)
             chunk_words[chunk[0]] = payload_size_words(chunk)
+        self.chunks = list(table)
         self.chunk_words = chunk_words
 
         n, m = csr.num_nodes, csr.num_arcs
-        count = _count_dtype(c)
         state["halted"] = np.zeros(n, dtype=bool)
-        state["known"] = np.zeros((n, c), dtype=bool)
-        state["learned"] = np.zeros(n, dtype=count)
-        state["queue"] = np.zeros((m, c), dtype=count)
-        state["head"] = np.zeros(m, dtype=count)
-        state["tail"] = np.zeros(m, dtype=count)
-        # Preallocated round buffers: the chunk-index payload array, the
-        # send mask and the per-arc word sizes, all reused every round.
+        state["learned"] = np.zeros(n, dtype=np.int64)
+        # Preallocated round buffers, reused every round: the chunk each
+        # node sends (-1 for none), the chunk-index payload array, the send
+        # mask and the per-arc word sizes.
+        state["out"] = np.full(n, -1, dtype=np.int64)
         state["send"] = self.schema.alloc(m)
         state["send_mask"] = np.zeros(m, dtype=bool)
         state["send_words"] = np.zeros(m, dtype=np.int64)
+        # Teacher tie-break key of each receiver-side slot, sender index
+        # first: the minimum over one node's deliveries is its lowest-index
+        # sender, and that key modulo ``m`` is the node's arc back to it.
+        self._sender_key = csr.indices * m + np.arange(m, dtype=np.int64)
+        self._empty = np.empty(0, dtype=np.int64)
+        state["root_next"] = 0
 
         src = csr.index_of.get(self.root)
-        if src is not None:
-            state["known"][src, :] = True
-            state["learned"][src] = c
-            state["halted"][src] = c == 0
-            lo, hi = int(csr.indptr[src]), int(csr.indptr[src + 1])
-            state["queue"][lo:hi, :] = np.arange(c)
-            state["tail"][lo:hi] = c
-        sends = self._pop(state)
-        self._update_halts(state, csr)
-        return sends
-
-    def _pop(self, state) -> Optional[PackedSends]:
-        """Drain one chunk per arc: the entry at its queue's head."""
-        import numpy as np
-
-        head = state["head"]
-        mask = state["send_mask"]
-        np.less(head, state["tail"], out=mask)
-        rows = np.flatnonzero(mask)
-        if rows.shape[0] == 0:
+        self._root = -1 if src is None else src
+        if src is None:
             return None
-        ks = state["queue"][rows, head[rows]]
-        head[rows] += 1
-        state["send"]["chunk"][rows] = ks
-        state["send_words"][rows] = self.chunk_words[ks]
+        state["learned"][src] = c
+        if c == 0 or csr.indptr[src + 1] == csr.indptr[src]:
+            state["halted"][src] = True
+            return None
+        return self._sends(state, csr, self._empty, self._empty, self._empty)
+
+    def _sends(self, state, csr, learners, ks, teacher_arcs) -> Optional[PackedSends]:
+        """This round's traffic: the root's next chunk on each of its arcs
+        until it halts, and each learner's new chunk on each of its arcs but
+        the one back to its teacher."""
+        import numpy as np
+
+        root = self._root
+        root_sends = root >= 0 and not state["halted"][root]
+        if not root_sends and learners.shape[0] == 0:
+            return None
+        out = state["out"]
+        out.fill(-1)
+        out[learners] = ks
+        if root_sends:
+            r = state["root_next"]
+            out[root] = r
+            state["root_next"] = r + 1
+            if r + 1 == len(self.chunks):
+                state["halted"][root] = True
+        chunk = state["send"]["chunk"]
+        out.take(csr.arc_owner, out=chunk)
+        mask = state["send_mask"]
+        np.greater_equal(chunk, 0, out=mask)
+        mask[teacher_arcs] = False
+        self.chunk_words.take(chunk, out=state["send_words"])
         return PackedSends(mask, state["send"], words=state["send_words"])
-
-    @staticmethod
-    def _append(state, arcs, senders, chunks, n: int) -> None:
-        """Append ``chunks[i]``, learned from ``senders[i]``, to the queue of
-        arc ``arcs[i]``.
-
-        One arc's entries go in ascending sender index, at offsets ``0, 1,
-        ...`` from its ``tail``.  Each (arc, sender) pair occurs at most once:
-        a sender delivers one message per arc per round.
-        """
-        import numpy as np
-
-        order = np.argsort(arcs * n + senders)
-        arcs, chunks = arcs[order], chunks[order]
-        starts = np.flatnonzero(_run_starts(arcs))
-        sizes = np.diff(np.append(starts, arcs.shape[0]))
-        rank = np.arange(arcs.shape[0]) - np.repeat(starts, sizes)
-        tail = state["tail"]
-        state["queue"][arcs, tail[arcs] + rank] = chunks
-        tail[arcs[starts]] += sizes
-
-    def _update_halts(self, state, csr) -> None:
-        import numpy as np
-
-        c = state["known"].shape[1]
-        if not c:
-            return
-        halted = state["halted"]
-        complete = ~halted & (state["learned"] == c)
-        if complete.any():
-            busy = np.less(state["head"], state["tail"])
-            complete[csr.arc_owner[busy]] = False
-            halted[complete] = True
 
     def round(self, state: Dict[str, Any], inbox: PackedInbox,
               inbox_senders, csr) -> Optional[PackedSends]:
         import numpy as np
 
-        known = state["known"]
-        c = known.shape[1]
-        if c and len(inbox):
+        learners = kw = teacher_arcs = self._empty
+        if len(inbox):
             ks = inbox["chunk"]
-            recv = csr.arc_owner[inbox.arcs]
-            fresh = ~known[recv, ks]  # (a halted node knows every chunk)
-            if fresh.any():
-                n = csr.num_nodes
-                # One key per fresh delivery, sorted (receiver, chunk,
-                # sender): the first of each (receiver, chunk) run is the
-                # first inbox hit, the minimum-index sender.
-                key = (recv[fresh] * c + ks[fresh]) * n + inbox_senders[fresh]
-                key.sort()
-                key = key[_run_starts(key // n)]
-                rk, sw = np.divmod(key, n)
-                rw, kw = np.divmod(rk, c)
-                known[rw, kw] = True
-                state["learned"] += np.bincount(rw, minlength=n)
-                # Append on every out-arc of each learner except the one
-                # pointing back at the teaching sender.
-                lo = csr.indptr[rw]
-                deg = csr.indptr[rw + 1] - lo
-                arcs = ragged_slices(lo, deg)
-                sw = np.repeat(sw, deg)
-                keep = csr.indices[arcs] != sw
-                if keep.any():
-                    self._append(state, arcs[keep], sw[keep],
-                                 np.repeat(kw, deg)[keep], n)
-        sends = self._pop(state)
-        self._update_halts(state, csr)
-        return sends
+            arcs = inbox.arcs
+            recv = csr.arc_owner[arcs]
+            learned = state["learned"]
+            have = learned[recv]
+            ahead = ks > have
+            if ahead.any():
+                i = int(ahead.argmax())
+                raise SimulationError(
+                    f"chunk flood delivered chunk {int(ks[i])} to node "
+                    f"{csr.node_ids[int(recv[i])]!r}, which holds only "
+                    f"{int(have[i])} chunks: a synchronous flood delivers "
+                    "chunk k to a node only in the round after it learned "
+                    "chunk k - 1"
+                )
+            fresh = (ks == have).nonzero()[0]
+            if fresh.shape[0]:
+                # Every new delivery to one node carries the same chunk,
+                # learned[u]; the minimum sender key of its run names the
+                # teacher's arc.
+                rw = recv[fresh]
+                starts = _run_starts(rw).nonzero()[0]
+                teacher_arcs = np.minimum.reduceat(
+                    self._sender_key[arcs[fresh]], starts
+                )
+                teacher_arcs %= csr.num_arcs
+                learners = rw[starts]
+                kw = learned[learners]
+                learned[learners] = kw + 1
+                state["halted"][learners] = kw == len(self.chunks) - 1
+        return self._sends(state, csr, learners, kw, teacher_arcs)
 
 
 class BFSTreeKernel(RoundKernel):

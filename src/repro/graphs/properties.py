@@ -36,11 +36,15 @@ def diameter(graph: Graph, exact: bool = True, sample: int = 8) -> int:
     Parameters
     ----------
     exact:
-        If ``True`` (default) run a BFS from every node, over integer
-        adjacency lists built once per call.  If ``False``, run a 2-sweep
+        If ``True`` (default) compute the exact diameter by iFUB (Crescenzi,
+        Grossi, Habib, Lanzi and Marino, "On computing the diameter of
+        real-world undirected graphs", TCS 2013) over integer adjacency
+        lists built once per call: a few BFS runs on grids and low-treewidth
+        graphs, at most one per node.  If ``False``, run a 2-sweep
         style estimate from ``sample`` BFS sources, which is a lower bound
         on the diameter and within a factor 2 of it; useful for large
-        benchmark instances where the exact all-pairs sweep dominates runtime.
+        benchmark instances, where the exact worst case of one BFS per node
+        would dominate runtime.
     sample:
         Number of BFS sweeps used when ``exact`` is ``False``.
 
@@ -57,7 +61,7 @@ def diameter(graph: Graph, exact: bool = True, sample: int = 8) -> int:
     if exact:
         index = {u: i for i, u in enumerate(nodes)}
         adj = [[index[v] for v in graph.neighbors(u)] for u in nodes]
-        return max(_bfs_depth(adj, s) for s in range(len(nodes)))
+        return _ifub(adj)
     # 2-sweep style heuristic: repeatedly jump to the farthest node found.
     best = 0
     current = nodes[0]
@@ -71,22 +75,76 @@ def diameter(graph: Graph, exact: bool = True, sample: int = 8) -> int:
     return best
 
 
-def _bfs_depth(adj: List[List[int]], source: int) -> int:
-    """Eccentricity of ``source`` over integer adjacency lists (level-synchronous BFS)."""
+def _ifub(adj: List[List[int]]) -> int:
+    """Exact diameter of a connected graph given as integer adjacency lists.
+
+    iFUB: BFS from a 4-sweep centre ``u``, then take eccentricities level
+    by level from the deepest.  Once every level below ``i`` is done, a
+    node at level ``i`` or above is within ``2i`` of every other such node
+    (both paths run through ``u``), and within the best eccentricity found
+    of every node already done.  So once the best found reaches ``2i`` no
+    remaining node can beat it, and it is the diameter.
+    """
+    lb, u = _four_sweep(adj)
+    levels = _bfs_levels(adj, u)
+    lb = max(lb, len(levels) - 1)
+    for i in range(len(levels) - 1, 0, -1):
+        if lb >= 2 * i:
+            break
+        for v in levels[i]:
+            lb = max(lb, len(_bfs_levels(adj, v)) - 1)
+    return lb
+
+
+def _four_sweep(adj: List[List[int]]) -> Tuple[int, int]:
+    """4-sweep: a diameter lower bound and a node near the centre.
+
+    Two double sweeps, from the highest-degree node and then from the
+    middle of the first sweep's longest path; the second path's middle is
+    the centre that iFUB starts from.
+    """
+    start = max(range(len(adj)), key=lambda v: len(adj[v]))
+    lb = 0
+    for _ in range(2):
+        a = _bfs_path(adj, start)[0]
+        path = _bfs_path(adj, a)
+        lb = max(lb, len(path) - 1)
+        start = path[len(path) // 2]
+    return lb, start
+
+
+def _bfs_path(adj: List[List[int]], source: int) -> List[int]:
+    """A shortest path from the last node that a BFS from ``source`` reaches
+    (a farthest node) back to ``source``."""
+    parent = [-1] * len(adj)
+    parent[source] = source
+    order = [source]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    path = [order[-1]]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path
+
+
+def _bfs_levels(adj: List[List[int]], source: int) -> List[List[int]]:
+    """The BFS levels of ``source``: ``levels[d]`` holds the nodes at distance ``d``."""
     seen = bytearray(len(adj))
     seen[source] = 1
-    frontier = [source]
-    depth = -1
-    while frontier:
-        depth += 1
+    levels = [[source]]
+    while True:
         nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    nxt.append(v)
-        frontier = nxt
-    return depth
+        for v in levels[-1]:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 def radius(graph: Graph) -> int:

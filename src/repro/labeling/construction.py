@@ -213,14 +213,14 @@ def _measured_bct_broadcast(
     arbitrary node types can exceed the default CONGEST word budget; the
     model cost of a chunk is still O(1) words).
 
-    The flood runs on the array tier (the chunk flood's
+    The flood runs on :func:`~repro.congest.kernels.array_tier`: the
+    array tier (the chunk flood's
     :class:`~repro.congest.kernels.FloodingKernel`) when numpy is available
-    and on the scalar ``fast`` tier otherwise; both measure the same
-    rounds.  Raises :class:`~repro.errors.LabelingError` when the flood does
+    and the scalar ``fast`` tier otherwise; both measure the same rounds.
+    Raises :class:`~repro.errors.LabelingError` when the flood does
     not reach every vertex of the part, since its rounds would then not be
     the cost of a complete broadcast.
     """
-    engine = "vectorized" if kernels.vectorized_available() else "fast"
     sub = comm.subgraph(vertices)
     root = min(vertices, key=str)
     total = len(chunks)
@@ -229,7 +229,7 @@ def _measured_bct_broadcast(
         max((payload_size_words((k, total, c)) for k, c in enumerate(chunks)), default=1),
     )
     network = CongestNetwork(sub, words_per_message=budget)
-    received, sim = flood_chunks(network, root, chunks, engine=engine)
+    received, sim = flood_chunks(network, root, chunks, engine=kernels.array_tier())
     if not sim.halted:
         raise LabelingError(
             f"measured BCT broadcast over a part of {len(vertices)} vertices "
@@ -273,9 +273,10 @@ def build_distance_labeling(
         part, whose cost bounds the level) and the *measured* round counts
         are charged to the ledger instead of the cost model's
         ``broadcast_multi`` estimate.  The local-update SNC term stays
-        modeled.  The floods run on ``vectorized`` (the chunk flood's
-        :class:`~repro.congest.kernels.FloodingKernel`) when numpy imports
-        and on ``fast`` otherwise, with no fallback warning; both tiers
+        modeled.  The floods run on
+        :func:`~repro.congest.kernels.array_tier`: ``vectorized`` (the chunk
+        flood's :class:`~repro.congest.kernels.FloodingKernel`) when numpy
+        imports and ``fast`` otherwise, with no fallback warning; both tiers
         measure the same rounds.
 
     Returns

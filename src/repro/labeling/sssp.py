@@ -14,7 +14,10 @@ Two round accountings are available:
   communication graph via ``network=`` and the label broadcast is actually
   executed as a pipelined flooding protocol on that network's engine
   (:mod:`repro.congest.engine`), one hub entry per message, and the measured
-  round count is used.  Each node's simulated output is the decoded distance
+  round count is used.  It runs on the array tier
+  (:class:`LabelBroadcastKernel`) when numpy is available and on ``fast``
+  otherwise (:func:`~repro.congest.kernels.array_tier`), with the same
+  rounds on both.  Each node's simulated output is the decoded distance
   dec(la(s), la(v)), which the cross-validation suite checks against the
   centralized decode.
 
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.congest.kernels import FloodingKernel
+from repro.congest.kernels import FloodingKernel, array_tier
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.primitives import ChunkFloodNode
 from repro.core.rounds import CostModel, RoundLedger
@@ -123,12 +126,14 @@ class LabelBroadcastKernel(FloodingKernel):
     """Whole-round vectorized pipelined la(s) flooding (``engine="vectorized"``).
 
     Bit-for-bit equivalent to :class:`LabelBroadcastNode`.  The transport —
-    chunk-index packing, O(1) ``chunk_words`` accounting and the per-arc FIFO
-    chunk queues with ``head``/``tail`` cursors — is inherited from
+    chunk-index packing, O(1) ``chunk_words`` accounting, and the queue-free
+    forwarding of each chunk in the round it is learned, to every
+    neighbour but the teacher — is inherited from
     :class:`~repro.congest.kernels.FloodingKernel`; this subclass only
     supplies the wire chunks (one hub entry each) and the label-decoding
     outputs, mirroring how the scalar ``LabelBroadcastNode`` subclasses
-    ``ChunkFloodNode``.
+    ``ChunkFloodNode``.  :func:`single_source_shortest_paths` runs it when
+    numpy is available.
     """
 
     def __init__(
@@ -234,6 +239,10 @@ def single_source_shortest_paths(
         Optional :class:`CongestNetwork` over the communication graph: the
         label broadcast is then actually executed on the simulation engine
         and the *measured* round count replaces the cost-model estimate.
+        It runs on :func:`~repro.congest.kernels.array_tier`: the array tier
+        (:class:`LabelBroadcastKernel`) when numpy is available and ``fast``
+        otherwise, with the same rounds, traffic and outputs on both;
+        ``simulation.engine`` names the tier that ran.
     """
     if source not in labeling:
         raise LabelingError(f"source {source!r} has no label")
@@ -248,7 +257,9 @@ def single_source_shortest_paths(
     rounds = 0
     simulation: Optional[SimulationResult] = None
     if network is not None:
-        simulation = measured_label_broadcast(network, labeling, source)
+        simulation = measured_label_broadcast(
+            network, labeling, source, engine=array_tier()
+        )
         rounds = simulation.rounds
     elif cost_model is not None:
         # Pipelined broadcast of the source label: D + (#words) rounds, where

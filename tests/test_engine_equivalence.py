@@ -16,6 +16,7 @@ rest exercise the graceful fallback.  All instances derive from the session
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import warnings
@@ -652,3 +653,108 @@ class TestNetworkReuse:
             _, depth = runs["bfs_tree"][0]
             assert depth == graph.bfs_layers(root), engine
             assert depth != before["bfs_tree"][0][1], engine
+
+
+#: Families whose floods :class:`TestFloodDigest` pins, each built from its
+#: name alone (never from ``--seed``).
+FLOOD_DIGEST_FAMILIES = (
+    "path_40",
+    "cycle_9",
+    "star_15",
+    "grid_6x7",
+    "grid_diag_5x5",
+    "complete_7",
+    "random_tree_2",
+    "partial_k_tree_1",
+    "k_tree_1",
+    "series_parallel_1",
+    "cycle_chords_1",
+    "glued_0",
+)
+
+
+def _flood_digest(graph, engine):
+    """sha256 over the chunk floods and the label broadcast of ``graph``.
+
+    Three runs on ``engine`` from the smallest id: a flood of 1-7 chunks, a
+    flood of 300 chunks of 3-7 words, and a pseudo-label broadcast.  Each
+    contributes its received outputs, ledger and round trace.  Inputs are
+    seeded from the graph alone, so the digest is a fixed function of the
+    transport's code.
+    """
+    rng = random.Random(graph.num_nodes())
+    net = CongestNetwork(graph, words_per_message=16)
+    root = min(graph.nodes(), key=str)
+    short = [("chunk", k, rng.randint(0, 99)) for k in range(rng.randint(1, 7))]
+    deep = [("chunk", k) + (0,) * rng.randint(0, 4) for k in range(300)]
+    labeling = _pseudo_labeling(graph, rng)
+
+    def label_broadcast(trace):
+        run = measured_label_broadcast(net, labeling, root, engine=engine, trace=trace)
+        return run.outputs, run
+
+    calls = {
+        "short_flood": lambda t: flood_chunks(net, root, short, engine=engine, trace=t),
+        "deep_flood": lambda t: flood_chunks(net, root, deep, engine=engine, trace=t),
+        "label_broadcast": label_broadcast,
+    }
+    digest = hashlib.sha256()
+    for name, call in calls.items():
+        trace = SimulationTrace()
+        received, run = call(trace)
+        assert run.engine == engine, name
+        record = (
+            name,
+            sorted(received.items(), key=repr),
+            (run.rounds, run.messages_sent, run.words_sent,
+             run.max_words_per_edge_round, run.max_message_words, run.halted),
+            trace.as_dicts(),
+        )
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestFloodDigest:
+    """The chunk floods and the label broadcast pinned to sha256 literals.
+
+    The literals were computed on ``fast``; every synchronous tier must
+    reproduce them, so a change to the flooding kernel is checked against
+    fixed values, not only against the scalar tiers of the same commit.
+    Re-pin a literal only in a change that means to alter a flood's rounds,
+    traffic or outputs, and say why in CHANGES.md.
+    """
+
+    PINNED = {
+        "path_40":
+            "bceba94fe10bfdf0dd6ce1b9f8702bf23f4c653827018b179b54b39e333ef6bd",
+        "cycle_9":
+            "f3514655cce2ec83485c0f71b6e528ab556c0959c3d56b847bdd2dd578ceb2a9",
+        "star_15":
+            "63eba658ff094b0458b9e5d220f356d58266f0aad94db50551c71051420d8bdb",
+        "grid_6x7":
+            "b5f1fbd72976f777db2809fb6d2a9f087c09878761c77daed71c5f87b8542534",
+        "grid_diag_5x5":
+            "104ec9d9b78dc563fa79da67fe325f58c0fe591c77b43536f9624a17f527e30c",
+        "complete_7":
+            "7f364f724e1af48bfc8ce9ef1cbdd34154fc190981ba450f046781db4eebc3e3",
+        "random_tree_2":
+            "81917b3b7ffd50c9ba872c6208352cdf44285d1c15394f1b82626b57d619b899",
+        "partial_k_tree_1":
+            "9d8c39e9b46a05011947b60f6aa5fc8cf2513634cb1518f4dace7733b41ea2db",
+        "k_tree_1":
+            "059a11d45cd98f25281fc6f796768d75d838db5da0c13b7ce25f9c3b61c6af21",
+        "series_parallel_1":
+            "9cff88e9eda011698b7c9612c25e1ce855c58c649f8176bbc37acdb2a22ca045",
+        "cycle_chords_1":
+            "ed260d9965a0537ddd361c5d6813ca13d0aab69b6fdfe73283300404c786de93",
+        "glued_0":
+            "1afa53c91bff0da32ee091bd744973dc853001212eb3fca8be71aa117ae09c16",
+    }
+
+    @pytest.mark.parametrize("engine", ["fast", "legacy", "vectorized"])
+    @pytest.mark.parametrize("family", FLOOD_DIGEST_FAMILIES)
+    def test_flood_digest_is_pinned(self, family, engine):
+        if engine == "vectorized" and not vectorized_available():
+            pytest.skip("numpy unavailable")
+        graph = dict(FAMILIES)[family](len(family))
+        assert _flood_digest(graph, engine) == self.PINNED[family]

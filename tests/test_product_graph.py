@@ -60,10 +60,8 @@ CONSTRAINT_CASES = _constraint_cases()
 
 
 class _LeavesStateSet(CountWalkConstraint):
-    """count-1 walks, except that δ_e leaves Q for every edge id from 100 on.
-
-    ``validate`` samples only the first 64 edges, so it accepts this.
-    """
+    """count-1 walks, except that δ_e leaves Q for every edge id from 100 on,
+    so a check of only the first 64 edges would accept this."""
 
     def transition(self, state, edge):
         if edge.eid >= 100:
@@ -73,10 +71,8 @@ class _LeavesStateSet(CountWalkConstraint):
 
 class _LeavesReject(CountWalkConstraint):
     """count-1 walks, except that δ_e(⊥) = ("count", 0) for every edge id
-    from 100 on: ⊥ is not absorbing there.
-
-    ``validate`` samples only the first 64 edges, so it accepts this.
-    """
+    from 100 on: ⊥ is not absorbing there, and a check of only the first 64
+    edges would accept this."""
 
     def delta(self, state, edge):
         if state == REJECT_STATE and edge.eid >= 100:
@@ -142,7 +138,6 @@ class TestConstruction:
     def test_transition_leaving_the_state_set_is_refused(self, build):
         inst = _labelled_grid_4x20()
         constraint = _LeavesStateSet(1)
-        constraint.validate(inst)
         with pytest.raises(ConstraintError, match="leaves the state set"):
             build(inst, constraint)
 
@@ -151,10 +146,9 @@ class TestConstruction:
     )
     def test_reject_state_not_absorbing_is_refused(self, build):
         """G_C − ⊥ loses no walk only if ⊥ is absorbing, so every edge's
-        δ_e(⊥) is checked, not only the 64 that ``validate`` samples."""
+        δ_e(⊥) is checked, not only the first 64."""
         inst = _labelled_grid_4x20()
         constraint = _LeavesReject(1)
-        constraint.validate(inst)
         with pytest.raises(ConstraintError, match="absorbing"):
             build(inst, constraint)
 

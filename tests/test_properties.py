@@ -1,6 +1,7 @@
 """Tests for graph properties: diameters, Dijkstra, tree helpers."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,87 @@ class TestDiameter:
         assert properties.diameter(g) == max(
             properties.eccentricity(g, u) for u in g.nodes()
         )
+
+    @staticmethod
+    def _all_sources_bfs_diameter(g):
+        """The reference: the largest BFS depth over every source."""
+        best = 0
+        for s in g.nodes():
+            depth = {s: 0}
+            frontier = [s]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in g.neighbors(u):
+                        if v not in depth:
+                            depth[v] = depth[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            best = max(best, max(depth.values()))
+        return best
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: Graph(nodes=["only"]),
+            lambda r: generators.path_graph(2),
+            lambda r: generators.star_graph(20),
+            lambda r: generators.complete_graph(12),
+            lambda r: generators.cycle_graph(60),
+            lambda r: generators.cycle_graph(61),
+            lambda r: generators.grid_graph(4, 80),
+            lambda r: generators.grid_graph(5, 30),
+            lambda r: generators.grid_graph(7, 7, diagonal=True),
+            lambda r: generators.random_tree(150, seed=r),
+            lambda r: generators.partial_k_tree(200, 1, seed=r),
+            lambda r: generators.partial_k_tree(300, 2, seed=r),
+            lambda r: generators.partial_k_tree(600, 3, seed=r),
+            lambda r: generators.partial_k_tree(120, 5, seed=r),
+        ],
+        ids=[
+            "single_node", "path_2", "star_20", "complete_12", "cycle_60",
+            "cycle_61", "grid_4x80", "grid_5x30", "grid_diag_7x7", "tree_150",
+            "partial_1_tree_200", "partial_2_tree_300", "partial_3_tree_600",
+            "partial_5_tree_120",
+        ],
+    )
+    def test_exact_equals_all_sources_bfs(self, build, master_seed):
+        """iFUB stops early on most of these, and must still return the
+        largest BFS depth over every source."""
+        for offset in range(3):
+            g = build(master_seed + offset)
+            if not g.is_connected():
+                continue
+            assert properties.diameter(g) == self._all_sources_bfs_diameter(g)
+
+    def test_exact_where_the_four_sweep_bound_falls_short(self, master_seed):
+        """Seeded cycles with chords, series-parallel graphs and trees with
+        extra edges, where the 4-sweep lower bound alone is below the
+        diameter on a few percent of inputs: those exercise iFUB's level
+        loop and its stopping rule."""
+        short = 0
+        for i in range(100):
+            seed = master_seed * 1000 + i
+            rng = random.Random(seed)
+            tree_plus = Graph(nodes=range(rng.randint(6, 30)))
+            n = tree_plus.num_nodes()
+            for v in range(1, n):
+                tree_plus.add_edge(v, rng.randrange(v))
+            for _ in range(rng.randint(0, n)):
+                tree_plus.add_edge(*rng.sample(range(n), 2))
+            for g in (
+                generators.cycle_with_chords(rng.randint(8, 40), rng.randint(1, 6), seed=seed),
+                generators.series_parallel_graph(rng.randint(8, 40), seed=seed),
+                tree_plus,
+            ):
+                if not g.is_connected():
+                    continue
+                want = self._all_sources_bfs_diameter(g)
+                assert properties.diameter(g) == want
+                index = {u: j for j, u in enumerate(g.nodes())}
+                adj = [[index[v] for v in g.neighbors(u)] for u in g.nodes()]
+                short += properties._four_sweep(adj)[0] < want
+        assert short > 0
 
     def test_path_diameter(self):
         assert properties.diameter(generators.path_graph(10)) == 9

@@ -3,8 +3,9 @@
 The randomized three-tier equivalence harness lives in
 ``test_engine_equivalence.py``; this file covers the building blocks in
 isolation — :class:`PayloadSchema` packing, the numpy CSR arc-slot view,
-the graceful capability fallback, the pipelined chunk-flood primitive, and
-the engine-measured BCT broadcast of the labeling construction.
+the graceful capability fallback, the pipelined chunk-flood primitive, the
+engine-measured BCT broadcast of the labeling construction, and the tier of
+SSSP's measured label broadcast.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ import warnings
 
 import pytest
 
-from repro.congest.engine import EngineFallbackWarning, _deliver_order
-from repro.congest.kernels import FloodingKernel
+from repro.congest.engine import EngineFallbackWarning, SimulationTrace, _deliver_order
+from repro.congest.kernels import FloodingKernel, PackedInbox
 from repro.congest.message import PayloadSchema, payload_size_words
 from repro.congest.network import CongestNetwork
 from repro.congest.node import BroadcastAll
 from repro.congest.primitives import flood_chunks
 from repro.errors import LabelingError, SimulationError
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 from repro.labeling import construction
 from repro.labeling.construction import build_distance_labeling
+from repro.labeling.sssp import single_source_shortest_paths
 
 
 class TestPayloadSchema:
@@ -157,24 +160,65 @@ class TestChunkFlood:
         d = 5 + 6 - 2
         assert sim.rounds <= d * 2 + len(chunks) + 2
 
-    def test_append_orders_each_arcs_entries_by_sender(self):
-        """Entries appended to one arc in one call land after its tail in
-        ascending sender index, whatever their order in the call."""
+    @staticmethod
+    def _step(kernel, state, csr, sends):
+        """Deliver ``sends`` the way the engine does and run one round."""
         np = pytest.importorskip("numpy")
-        state = {
-            "queue": np.zeros((3, 4), dtype="i1"),
-            "tail": np.array([1, 0, 0], dtype="i1"),
-        }
-        FloodingKernel._append(
-            state,
-            arcs=np.array([2, 0, 0, 2]),
-            senders=np.array([5, 3, 1, 0]),
-            chunks=np.array([7, 8, 9, 6]),
-            n=6,
-        )
-        assert state["tail"].tolist() == [3, 0, 2]
-        assert state["queue"][0, 1:3].tolist() == [9, 8]
-        assert state["queue"][2, :2].tolist() == [6, 7]
+        pending = np.flatnonzero(sends.mask)
+        arcs, senders, perm = _deliver_order(csr.rev, csr.indices, pending)
+        inbox = PackedInbox(arcs, {"chunk": sends.values["chunk"][perm]})
+        return kernel.round(state, inbox, senders, csr)
+
+    def test_delivery_ahead_of_the_learned_chunks_raises(self):
+        """A synchronous flood delivers chunk k to a node only after it
+        learned chunks 0..k-1; a crafted inbox that breaks this fails loudly
+        instead of being queued."""
+        np = pytest.importorskip("numpy")
+        csr = generators.path_graph(3).to_indexed().to_arrays()
+        kernel = FloodingKernel(0, ["a", "b", "c"])
+        state = {}
+        sends = self._step(kernel, state, csr, kernel.init(state, csr))
+        assert state["learned"].tolist() == [3, 1, 0]
+        slot = int(csr.rev[csr.indptr[0]])  # node 1's arc from the root
+        inbox = PackedInbox(np.array([slot]), {"chunk": np.array([2])})
+        with pytest.raises(SimulationError, match="delivered chunk 2 to node 1"):
+            kernel.round(state, inbox, np.array([0]), csr)
+
+    def test_teacher_is_the_lowest_index_sender(self):
+        """Diamond 0-{9, 10}-3: node 3 gets each chunk from 9 and 10 in the
+        same round and excludes only its teacher, the lower-index sender 9
+        (the second of its CSR slots, which list neighbours in ``str``
+        order).  The arc back to 10 still carries the chunk, and the
+        traces match ``fast``."""
+        pytest.importorskip("numpy")
+        graph = Graph()
+        for u in (0, 9, 10, 3):
+            graph.add_node(u)
+        for u, v in ((0, 9), (0, 10), (9, 3), (10, 3)):
+            graph.add_edge(u, v)
+        csr = graph.to_indexed().to_arrays()
+        assert csr.node_ids == [0, 9, 10, 3]
+        kernel = FloodingKernel(0, ["a", "b"])
+        state = {}
+        sends = kernel.init(state, csr)
+        sends = self._step(kernel, state, csr, sends)  # 9 and 10 learn "a"
+        sends = self._step(kernel, state, csr, sends)  # 3 learns "a" from both
+        lo = int(csr.indptr[3])
+        out_arcs = dict(zip(csr.indices[lo:lo + 2].tolist(), range(lo, lo + 2)))
+        assert bool(sends.mask[out_arcs[2]]) and sends.values["chunk"][out_arcs[2]] == 0
+        assert not sends.mask[out_arcs[1]]
+
+        runs, traces = {}, {}
+        for engine in ("fast", "vectorized"):
+            traces[engine] = SimulationTrace()
+            runs[engine] = flood_chunks(
+                CongestNetwork(graph), 0, ["a", "b"], engine=engine, trace=traces[engine]
+            )
+        assert runs["vectorized"][1].engine == "vectorized"
+        assert runs["vectorized"][0] == runs["fast"][0]
+        assert traces["vectorized"].as_dicts() == traces["fast"].as_dicts()
+        # Per chunk: the root's 2 sends, 9 -> 3, 10 -> 3 and 3 -> 10.
+        assert runs["fast"][1].messages_sent == runs["vectorized"][1].messages_sent == 10
 
     def test_single_node_root_halts_immediately(self):
         graph = generators.path_graph(1)
@@ -261,3 +305,40 @@ class TestMeasuredBctBroadcast:
         assert without_numpy[1]
         if with_numpy is not None:
             assert with_numpy == ({"vectorized"}, without_numpy[1])
+
+
+class TestMeasuredSsspBroadcast:
+    def test_runs_on_the_array_tier_with_identical_results(self, rng, config, monkeypatch):
+        """``single_source_shortest_paths(network=...)`` broadcasts la(s) on
+        ``vectorized`` when numpy is importable and on ``fast`` when it is
+        not, with the same rounds, traffic and decoded distances."""
+        from repro.congest import kernels
+
+        graph = generators.partial_k_tree(30, 2, seed=rng.randrange(1 << 30))
+        instance = generators.to_directed_instance(
+            graph, weight_range=(1, 9), orientation="asymmetric", seed=rng.randrange(1 << 30)
+        )
+        labeling = build_distance_labeling(instance, config=config).labeling
+        source = instance.nodes()[0]
+        net = CongestNetwork(graph, words_per_message=8)
+
+        def measure():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", EngineFallbackWarning)
+                return single_source_shortest_paths(labeling, source, network=net)
+
+        with_numpy = measure() if kernels.vectorized_available() else None
+        monkeypatch.setattr(kernels, "vectorized_available", lambda: False)
+        without_numpy = measure()
+        assert without_numpy.simulation.engine == "fast"
+        assert without_numpy.simulation.halted
+        if with_numpy is None:
+            return
+        a, b = with_numpy.simulation, without_numpy.simulation
+        assert a.engine == "vectorized"
+        assert (a.rounds, a.messages_sent, a.words_sent, a.max_words_per_edge_round) == (
+            b.rounds, b.messages_sent, b.words_sent, b.max_words_per_edge_round
+        )
+        assert a.outputs == b.outputs
+        assert with_numpy.rounds == without_numpy.rounds == a.rounds
+        assert with_numpy.distances == without_numpy.distances

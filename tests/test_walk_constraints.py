@@ -13,6 +13,7 @@ from repro.walks.constraints import (
     is_walk_in_constraint,
     walk_state,
 )
+from repro.walks.product import build_product_graph
 
 
 def _edge(eid, u, v, label=None):
@@ -108,18 +109,23 @@ class TestAlternatingWalks:
 
 
 class TestValidation:
-    def test_validate_on_graph(self):
+    """``build_product_graph`` checks the Definition-2 conditions on every
+    edge of its instance."""
+
+    def test_colored_constraint_builds(self):
         g = WeightedDiGraph()
         g.add_edge("a", "b", label="r")
         g.add_edge("b", "c", label="b")
-        ColoredWalkConstraint(["r", "b"]).validate(g)
+        product = build_product_graph(g, ColoredWalkConstraint(["r", "b"]))
+        assert product.graph.num_nodes() == 3 * g.num_nodes()
 
-    def test_alternating_constraint_validates(self):
+    def test_alternating_constraint_builds(self):
         g = WeightedDiGraph()
         g.add_undirected_edge("a", "b")
         g.add_undirected_edge("b", "c")
         constraint = AlternatingWalkConstraint([("c", "b")])
-        constraint.validate(g)
+        product = build_product_graph(g, constraint)
+        assert product.graph.num_nodes() == 3 * g.num_nodes()
         # Matched and unmatched arcs both occur, in both directions.
         after_unmatched = {
             (e.tail, e.head): constraint.delta(AlternatingWalkConstraint.UNMATCHED, e)
@@ -132,22 +138,22 @@ class TestValidation:
             ("c", "b"): AlternatingWalkConstraint.MATCHED,
         }
 
-    def test_validate_catches_missing_specials(self):
+    def test_missing_specials_refused(self):
         class Broken(ColoredWalkConstraint):
             def states(self):
                 return [("color", c) for c in self.palette]
 
         g = WeightedDiGraph()
         g.add_edge("a", "b", label="r")
-        with pytest.raises(ConstraintError):
-            Broken(["r"]).validate(g)
+        with pytest.raises(ConstraintError, match="must contain"):
+            build_product_graph(g, Broken(["r"]))
 
-    def test_validate_catches_state_escape(self):
+    def test_state_escape_refused(self):
         class Escaping(CountWalkConstraint):
             def transition(self, state, edge):
                 return ("count", 999)
 
         g = WeightedDiGraph()
         g.add_edge("a", "b", label=0)
-        with pytest.raises(ConstraintError):
-            Escaping(1).validate(g)
+        with pytest.raises(ConstraintError, match="leaves the state set"):
+            build_product_graph(g, Escaping(1))
