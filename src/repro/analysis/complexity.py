@@ -2,8 +2,8 @@
 
 The experiments check *shapes* — e.g. "rounds grow roughly linearly with D at
 fixed τ" or "rounds grow polynomially in τ but only polylogarithmically in n".
-These helpers perform the simple log-log / linear least-squares fits used to
-quantify those shapes in the E1–E9 benches (docs/experiments.md).
+These helpers perform the simple log-log least-squares fits used to quantify
+those shapes in the E1–E9 benches (docs/experiments.md).
 
 Deliberately dependency-free: an ordinary 1-D least-squares line has a
 closed form, so the fits run identically in the no-numpy CI environment
@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass
 class FitResult:
-    """Least-squares fit y ≈ a · x^b (power law) or y ≈ a + b·x (linear).
+    """Least-squares power-law fit y ≈ a · x^b.
 
     Attributes
     ----------
     coefficient:
-        a (scale / intercept).
+        a (scale).
     exponent:
-        b (power-law exponent or linear slope).
+        b (power-law exponent).
     r_squared:
-        Coefficient of determination of the fit in the transformed space.
+        Coefficient of determination of the fit in log-log space.
     """
 
     coefficient: float
@@ -68,17 +68,6 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
         exponent=slope,
         r_squared=r_squared,
     )
-
-
-def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
-    """Fit y ≈ a + b·x by ordinary least squares."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-    if len({x for x, _ in pairs}) < 2:
-        raise ValueError("fit_linear needs at least two distinct x values")
-    x = [p[0] for p in pairs]
-    y = [p[1] for p in pairs]
-    slope, intercept, r_squared = _least_squares_line(x, y)
-    return FitResult(coefficient=intercept, exponent=slope, r_squared=r_squared)
 
 
 def growth_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.records import ResultTable
 from repro.analysis.workloads import WorkloadSpec
@@ -153,14 +153,9 @@ def run_labeling_experiment(
 # --------------------------------------------------------------------------- #
 # E4: SSSP scaling vs. the general-graph baselines
 # --------------------------------------------------------------------------- #
-def run_sssp_scaling_experiment(
-    ns: Sequence[int], k: int = 3, seed: int = 0, engine: Optional[str] = None
-) -> ResultTable:
-    """E4 — fully-polynomial SSSP vs distributed Bellman-Ford and √n-type baselines.
-
-    ``engine`` selects the simulation engine for the Bellman-Ford baseline
-    (``"fast"``/``"legacy"``; default: the network's fast path).
-    """
+def run_sssp_scaling_experiment(ns: Sequence[int], k: int = 3, seed: int = 0) -> ResultTable:
+    """E4 — fully-polynomial SSSP vs distributed Bellman-Ford (run on the
+    ``fast`` engine) and √n-type baselines."""
     table = ResultTable(
         "E4: SSSP round scaling at fixed treewidth (vs general-graph baselines)",
         [
@@ -186,7 +181,7 @@ def run_sssp_scaling_experiment(
         sssp = single_source_shortest_paths(
             labeling.labeling, source, cost_model=cm, labeling_result=labeling
         )
-        bf = distributed_bellman_ford(instance, source, engine=engine)
+        bf = distributed_bellman_ford(instance, source)
         table.add(
             n=n,
             D=d,

@@ -1,18 +1,15 @@
 """Result tables for the experiment harness.
 
-A :class:`ResultTable` is a small column-oriented table with formatting
-helpers (fixed-width text, markdown, CSV) — enough for the benchmark harness
-to print the same kind of rows/series a paper evaluation section would,
-without pulling in pandas.
+A :class:`ResultTable` is a small column-oriented table with a fixed-width
+text rendering — enough for the benchmark harness to print the same kind of
+rows/series a paper evaluation section would, without pulling in pandas.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 @dataclass
@@ -81,25 +78,6 @@ class ResultTable:
         for row in rows:
             lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
         return "\n".join(lines)
-
-    def to_markdown(self) -> str:
-        """GitHub-flavoured markdown table."""
-        headers = self.columns
-        lines = ["| " + " | ".join(headers) + " |"]
-        lines.append("| " + " | ".join("---" for _ in headers) + " |")
-        for r in self.records:
-            lines.append(
-                "| " + " | ".join(_format_value(r.get(c, "")) for c in headers) + " |"
-            )
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.columns)
-        for r in self.records:
-            writer.writerow([r.get(c, "") for c in self.columns])
-        return buf.getvalue()
 
     def summary(self, column: str) -> Dict[str, float]:
         """Min/max/mean of a numeric column (ignoring missing values)."""

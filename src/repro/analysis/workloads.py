@@ -4,13 +4,13 @@ A :class:`WorkloadSpec` names a graph family with fixed parameters and a
 seed, and can materialise the undirected communication graph or a weighted
 directed instance on demand.  The ``standard_workloads`` factory enumerates
 the sweeps used by the benchmark harness (varying n at fixed treewidth,
-varying treewidth at fixed n, varying diameter, bipartite families, …).
+varying treewidth at fixed n, bipartite families, …).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
@@ -69,15 +69,12 @@ class WorkloadSpec:
             return generators.subdivided_graph(base)
         raise ValueError(f"unknown workload family {self.family!r}")
 
-    def build_instance(
-        self,
-        weight_range: Tuple[int, int] = (1, 10),
-        orientation: str = "asymmetric",
-    ) -> WeightedDiGraph:
-        """Materialise a weighted directed instance of the workload."""
+    def build_instance(self, orientation: str = "asymmetric") -> WeightedDiGraph:
+        """Materialise a weighted directed instance of the workload, with
+        integer weights drawn from 1..10."""
         return generators.to_directed_instance(
             self.build_graph(),
-            weight_range=weight_range,
+            weight_range=(1, 10),
             orientation=orientation,
             seed=self.seed + 1,
         )
@@ -145,13 +142,6 @@ def sweep_k(fixed_n: int, ks: Iterable[int], seed: int = 0) -> List[WorkloadSpec
     return [
         workload(f"pkt(n={fixed_n},k={k})", "partial_k_tree", seed=seed + k, n=fixed_n, k=k)
         for k in ks
-    ]
-
-
-def sweep_diameter(fixed_k: int, spines: Iterable[int]) -> List[WorkloadSpec]:
-    """Caterpillar workloads sweeping the diameter at treewidth 1."""
-    return [
-        workload(f"caterpillar(spine={s})", "caterpillar", spine=s, legs=1) for s in spines
     ]
 
 

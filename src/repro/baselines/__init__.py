@@ -1,14 +1,7 @@
 """Centralized and general-graph baselines shared by tests and benchmarks."""
 
-from repro.baselines.reference import (
-    reference_apsp,
-    reference_sssp,
-    reference_matching_size,
-    reference_girth_directed,
-    reference_girth_undirected,
-)
+from repro.baselines.reference import reference_matching_size
 from repro.baselines.congest_bounds import (
-    bellman_ford_rounds_estimate,
     general_graph_sssp_rounds,
     general_graph_exact_sssp_rounds,
     matching_baseline_rounds,
@@ -17,12 +10,7 @@ from repro.baselines.congest_bounds import (
 )
 
 __all__ = [
-    "reference_apsp",
-    "reference_sssp",
     "reference_matching_size",
-    "reference_girth_directed",
-    "reference_girth_undirected",
-    "bellman_ford_rounds_estimate",
     "general_graph_sssp_rounds",
     "general_graph_exact_sssp_rounds",
     "matching_baseline_rounds",

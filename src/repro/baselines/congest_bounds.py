@@ -18,11 +18,6 @@ def _log(n: int) -> float:
     return math.log2(max(2, n))
 
 
-def bellman_ford_rounds_estimate(n: int, hop_depth: int) -> float:
-    """Distributed Bellman-Ford: rounds equal to the shortest-path-tree hop depth (≤ n)."""
-    return float(min(n, max(1, hop_depth)))
-
-
 def general_graph_sssp_rounds(n: int, diameter: int) -> float:
     """(1+ε)-approximate SSSP in general graphs: Õ(√n + D) [BKKL17]."""
     return (math.sqrt(n) + diameter) * _log(n)

@@ -1,35 +1,29 @@
-"""Centralized reference solutions (exactness oracles).
+"""Centralized matching oracle, cross-checked against networkx.
 
-Thin, well-named wrappers around the centralized algorithms scattered through
-the library (and networkx where convenient), so that tests and benchmarks have
-a single import point for "the correct answer".
+networkx is a test-only dependency: both functions below import it in their
+bodies, so ``import repro`` never loads it.  The other centralized references
+live next to the code they certify (:func:`repro.graphs.properties.dijkstra`,
+:func:`repro.girth.baselines.exact_girth_directed` and
+:func:`~repro.girth.baselines.exact_girth_undirected`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
-
-import networkx as nx
-
 from repro.errors import ReproError
-from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
-from repro.graphs.convert import graph_to_networkx
-from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
-from repro.graphs.properties import all_pairs_shortest_paths, dijkstra
 from repro.matching.hopcroft_karp import hopcroft_karp_matching
 
-NodeId = Hashable
 
+def graph_to_networkx(graph: Graph):
+    """Convert an undirected :class:`Graph` to a :class:`networkx.Graph`
+    with the same nodes, edges and ``weight`` attributes."""
+    import networkx as nx
 
-def reference_sssp(instance: WeightedDiGraph, source: NodeId) -> Dict[NodeId, float]:
-    """Exact single-source distances (Dijkstra)."""
-    return dijkstra(instance, source)
-
-
-def reference_apsp(instance: WeightedDiGraph) -> Dict[NodeId, Dict[NodeId, float]]:
-    """Exact all-pairs distances (n Dijkstra runs)."""
-    return all_pairs_shortest_paths(instance)
+    g = nx.Graph()
+    g.add_nodes_from(graph.nodes())
+    for u, v, w in graph.weighted_edges():
+        g.add_edge(u, v, weight=w)
+    return g
 
 
 def reference_matching_size(graph: Graph) -> int:
@@ -40,6 +34,8 @@ def reference_matching_size(graph: Graph) -> int:
     :class:`~repro.errors.ReproError`; only an error networkx itself raises
     skips the cross-check.
     """
+    import networkx as nx
+
     own = len(hopcroft_karp_matching(graph))
     parts = graph.bipartition()
     if parts is None or graph.num_nodes() == 0:
@@ -53,13 +49,3 @@ def reference_matching_size(graph: Graph) -> int:
             f"Hopcroft–Karp matches {own} pairs but networkx matches {len(nx_match) // 2}"
         )
     return own
-
-
-def reference_girth_directed(instance: WeightedDiGraph) -> float:
-    """Exact weighted directed girth."""
-    return exact_girth_directed(instance)
-
-
-def reference_girth_undirected(graph: Graph) -> float:
-    """Exact weighted undirected girth."""
-    return exact_girth_undirected(graph)

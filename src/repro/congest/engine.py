@@ -227,18 +227,6 @@ class SimulationTrace:
     def __iter__(self):
         return iter(self.rounds)
 
-    def total_messages(self) -> int:
-        return sum(r.messages_delivered for r in self.rounds)
-
-    def total_words(self) -> int:
-        return sum(r.words_delivered for r in self.rounds)
-
-    def peak_edge_words(self) -> int:
-        return max((r.max_edge_words for r in self.rounds), default=0)
-
-    def peak_active_nodes(self) -> int:
-        return max((r.active_nodes for r in self.rounds), default=0)
-
     def as_dicts(self) -> List[Dict[str, int]]:
         """Return the trace as plain dicts (for tables / JSON dumps)."""
         return [vars(r).copy() for r in self.rounds]

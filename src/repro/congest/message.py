@@ -109,9 +109,9 @@ class PayloadSchema:
 
     A schema names the scalar fields a protocol ships per message (plus an
     optional constant string tag, the common ``("tag", value, ...)`` idiom of
-    the scalar protocols).  Packed payloads round-trip to the exact tuples the
-    scalar protocol sends — ``pack(3.0)`` for a schema with tag ``"dist"``
-    yields ``("dist", 3.0)`` — so the two representations are bit-for-bit
+    the scalar protocols).  Packed payloads are the exact tuples the scalar
+    protocol sends — ``pack(3.0)`` for a schema with tag ``"dist"`` yields
+    ``("dist", 3.0)`` — so the two representations are bit-for-bit
     interchangeable in the accounting.
 
     Parameters
@@ -121,7 +121,7 @@ class PayloadSchema:
         One preallocated array per field holds a round's traffic in the
         vectorized tier.
     tag:
-        Optional constant leading tag included in every unpacked tuple.
+        Optional constant leading tag included in every packed tuple.
 
     Attributes
     ----------
@@ -139,9 +139,6 @@ class PayloadSchema:
         self._zero = tuple(0 for _ in self.fields)
         self.size_words = payload_size_words(self.pack(*self._zero))
 
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.fields)
-
     def pack(self, *values: Any) -> Tuple[Any, ...]:
         """Return the scalar-protocol tuple for one message's field values."""
         if len(values) != len(self.fields):
@@ -151,21 +148,6 @@ class PayloadSchema:
         if self.tag is None:
             return tuple(values)
         return (self.tag,) + tuple(values)
-
-    def unpack(self, payload: Any) -> Tuple[Any, ...]:
-        """Return the field values of a scalar-protocol payload tuple."""
-        if not isinstance(payload, tuple):
-            raise ValueError(f"packed payloads are tuples, got {type(payload)!r}")
-        body = payload
-        if self.tag is not None:
-            if not payload or payload[0] != self.tag:
-                raise ValueError(f"payload {payload!r} does not carry tag {self.tag!r}")
-            body = payload[1:]
-        if len(body) != len(self.fields):
-            raise ValueError(
-                f"payload {payload!r} does not match schema fields {self.field_names()}"
-            )
-        return tuple(body)
 
     def alloc(self, num_slots: int) -> Dict[str, Any]:
         """Preallocate one numpy array per field for ``num_slots`` messages.

@@ -13,12 +13,10 @@ how a deployed distributed system would reuse the labeling.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, Optional, TYPE_CHECKING
+from typing import Dict, Hashable, Optional, TYPE_CHECKING
 
-from repro.core.config import FrameworkConfig, SeparatorParams
-from repro.core.rounds import CostModel, RoundLedger
+from repro.core.config import FrameworkConfig
+from repro.core.rounds import CostModel
 from repro.errors import GraphError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
@@ -91,11 +89,11 @@ class LowTreewidthSolver:
             self._cost_model = CostModel.for_graph(self.communication_graph, self.config)
         return self._cost_model
 
-    def tree_decomposition(self, rebuild: bool = False) -> "DecompositionResult":
+    def tree_decomposition(self) -> "DecompositionResult":
         """Build (and cache) the distributed tree decomposition (Theorem 1)."""
         from repro.decomposition.tree_decomposition import build_tree_decomposition
 
-        if self._decomposition is None or rebuild:
+        if self._decomposition is None:
             self._decomposition = build_tree_decomposition(
                 self.communication_graph, config=self.config, cost_model=self.cost_model
             )

@@ -19,7 +19,7 @@ algorithms (randomness, round-cost model parameters, recursion limits).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -76,10 +76,6 @@ class SeparatorParams:
             split_upper_divisor=2,
             max_retries=4,
         )
-
-    def with_overrides(self, **kwargs) -> "SeparatorParams":
-        """Return a copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
     def validate(self) -> None:
         if not 0.5 <= self.balance_fraction < 1.0:

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.config import FrameworkConfig
 from repro.graphs.graph import Graph
@@ -174,23 +174,8 @@ class RoundLedger:
             out[key] = out.get(key, 0) + rounds
         return out
 
-    def phases(self) -> List[str]:
-        return list(self._charges.keys())
-
     def __getitem__(self, phase: str) -> int:
         return self._charges.get(phase, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoundLedger(total={self.total()}, phases={len(self._charges)})"
-
-    def as_table(self, depth: int = 2) -> str:
-        """Render the breakdown as a fixed-width text table (for reports)."""
-        rows = sorted(self.breakdown(depth).items(), key=lambda kv: -kv[1])
-        if not rows:
-            return "(no rounds charged)"
-        width = max(len(k) for k, _ in rows)
-        lines = [f"{'phase'.ljust(width)}  rounds"]
-        for phase, rounds in rows:
-            lines.append(f"{phase.ljust(width)}  {rounds}")
-        lines.append(f"{'TOTAL'.ljust(width)}  {self.total()}")
-        return "\n".join(lines)

@@ -27,7 +27,6 @@ from repro.decomposition.tree_decomposition import (
 from repro.decomposition.validation import (
     is_valid_tree_decomposition,
     is_balanced_separator,
-    validate_tree_decomposition,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "build_tree_decomposition",
     "is_valid_tree_decomposition",
     "is_balanced_separator",
-    "validate_tree_decomposition",
 ]

@@ -86,8 +86,3 @@ def centralized_tree_decomposition(graph: Graph, heuristic: str = "min_fill") ->
     bags, parent = tw.decomposition_from_elimination_order(graph, order)
     # Note: the elimination-order tree is built child -> parent on bag indices.
     return _tree_from_bag_parent(bags, parent, graph)
-
-
-def centralized_width(graph: Graph) -> int:
-    """Width achieved by the best centralized heuristic (upper bound on τ)."""
-    return tw.treewidth_upper_bound(graph)

@@ -24,12 +24,10 @@ vertex-disjoint, so Lemma 9 / Theorem 6 apply).
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from repro.core.config import FrameworkConfig, SeparatorParams
+from repro.core.config import FrameworkConfig
 from repro.core.rounds import CostModel, RoundLedger
 from repro.decomposition.separator import BalancedSeparator, SeparatorResult
 from repro.errors import DecompositionError, GraphError
@@ -158,10 +156,6 @@ class TreeDecomposition:
         for label in self.ancestors(self.canonical_label(v)):
             union |= self.nodes[label].bag
         return union
-
-    def bags_containing(self, v: NodeId) -> List[Label]:
-        """All labels whose bag contains ``v``."""
-        return [label for label, node in self.nodes.items() if v in node.bag]
 
     def covered_vertices(self) -> Set[NodeId]:
         out: Set[NodeId] = set()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.decomposition.tree_decomposition import TreeDecomposition
-from repro.errors import DecompositionError
 from repro.graphs.graph import Graph
 
 NodeId = Hashable
@@ -92,13 +91,6 @@ def is_valid_tree_decomposition(graph: Graph, td: TreeDecomposition) -> bool:
     return not tree_decomposition_violations(graph, td)
 
 
-def validate_tree_decomposition(graph: Graph, td: TreeDecomposition) -> None:
-    """Raise :class:`DecompositionError` listing all violations, if any."""
-    problems = tree_decomposition_violations(graph, td)
-    if problems:
-        raise DecompositionError("; ".join(problems))
-
-
 def is_balanced_separator(
     graph: Graph,
     separator: Iterable[NodeId],
@@ -122,21 +114,18 @@ def is_balanced_separator(
     return True
 
 
-def separator_quality(
-    graph: Graph, separator: Iterable[NodeId], focus: Optional[Set[NodeId]] = None
-) -> Dict[str, float]:
+def separator_quality(graph: Graph, separator: Iterable[NodeId]) -> Dict[str, float]:
     """Return quality metrics of a separator: size, balance, number of parts.
 
-    ``balance`` is the fraction of focus weight in the heaviest remaining
-    component (lower is better; 0 means the separator swallowed all focus
-    vertices).
+    ``balance`` is the fraction of all vertices in the heaviest remaining
+    component (lower is better; 0 means the separator swallowed every
+    vertex).
     """
     sep = set(separator)
-    focus_set = set(graph.nodes()) if focus is None else set(focus)
-    total = max(1, len(focus_set))
+    total = max(1, graph.num_nodes())
     remaining = graph.without_nodes(sep)
     comps = remaining.connected_components()
-    heaviest = max((len(c & focus_set) for c in comps), default=0)
+    heaviest = max((len(c) for c in comps), default=0)
     return {
         "size": float(len(sep)),
         "balance": heaviest / total,

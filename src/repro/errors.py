@@ -9,9 +9,8 @@ from simulator violations (bandwidth overruns in the CONGEST simulator).
 The full hierarchy::
 
     ReproError
-    ├── GraphError              — malformed graph arguments / preconditions
-    │   ├── NotBipartiteError   — bipartite input required
-    │   └── DisconnectedGraphError — connected input required
+    ├── GraphError              — malformed graph / unmet precondition (e.g. disconnected)
+    │   └── NotBipartiteError   — bipartite input required
     ├── DecompositionError      — invalid/unproducible tree decomposition
     │   └── SeparatorFailure    — one randomized ``Sep`` run failed (retryable)
     ├── LabelingError           — malformed labels / incompatible decode
@@ -34,10 +33,6 @@ class GraphError(ReproError):
 
 class NotBipartiteError(GraphError):
     """An algorithm requiring a bipartite input graph received a non-bipartite one."""
-
-
-class DisconnectedGraphError(GraphError):
-    """An algorithm requiring a connected input graph received a disconnected one."""
 
 
 class DecompositionError(ReproError):

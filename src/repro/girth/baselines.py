@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Set, Tuple
 
-from repro.errors import GraphError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
 from repro.graphs.properties import dijkstra
@@ -87,11 +86,3 @@ def exact_girth_undirected(graph: Graph) -> float:
         if detour != INF:
             best = min(best, w + detour)
     return best
-
-
-def unweighted_girth_undirected(graph: Graph) -> float:
-    """Exact unweighted girth (number of edges of the shortest cycle)."""
-    unit = Graph(nodes=graph.nodes())
-    for u, v in graph.edges():
-        unit.add_edge(u, v, weight=1.0)
-    return exact_girth_undirected(unit)

@@ -12,7 +12,7 @@ exactly as defined in paper §2.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
@@ -44,9 +44,6 @@ class Edge:
     weight: float = 1.0
     label: Any = None
 
-    def endpoints(self) -> Tuple[NodeId, NodeId]:
-        return (self.tail, self.head)
-
     def relabeled(self, label: Any) -> "Edge":
         """Return a copy of this edge carrying a different label."""
         return Edge(self.eid, self.tail, self.head, self.weight, label)
@@ -56,10 +53,9 @@ class WeightedDiGraph:
     """A weighted directed multigraph with stable integer edge ids.
 
     The class supports the operations needed by the framework: incidence
-    queries, reversal, per-edge relabeling, conversion to the underlying
-    simple undirected communication graph, and conversion to/from lists of
-    edges.  It is deliberately *not* a general-purpose graph library — see
-    :mod:`repro.graphs.convert` for networkx interoperability.
+    queries, reversal, per-edge relabeling and conversion to the underlying
+    simple undirected communication graph.  It is deliberately *not* a
+    general-purpose graph library.
     """
 
     def __init__(self, nodes: Optional[Iterable[NodeId]] = None) -> None:
@@ -203,18 +199,6 @@ class WeightedDiGraph:
             raise GraphError(f"node {u!r} not in graph")
         return [self._edges[eid] for eid in self._in[u]]
 
-    def successors(self, u: NodeId) -> Set[NodeId]:
-        return {e.head for e in self.out_edges(u)}
-
-    def predecessors(self, u: NodeId) -> Set[NodeId]:
-        return {e.tail for e in self.in_edges(u)}
-
-    def out_degree(self, u: NodeId) -> int:
-        return len(self._out[u])
-
-    def in_degree(self, u: NodeId) -> int:
-        return len(self._in[u])
-
     def max_multiplicity(self) -> int:
         """Return the maximum edge multiplicity p_max between any ordered pair."""
         counts: Dict[Tuple[NodeId, NodeId], int] = {}
@@ -222,9 +206,6 @@ class WeightedDiGraph:
             key = (e.tail, e.head)
             counts[key] = counts.get(key, 0) + 1
         return max(counts.values(), default=0)
-
-    def total_weight(self) -> float:
-        return sum(e.weight for e in self._edges.values())
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -372,21 +353,4 @@ class WeightedDiGraph:
         g = cls(graph.nodes())
         for u, v, w in graph.weighted_edges():
             g.add_undirected_edge(u, v, weight=w if w is not None else default_weight)
-        return g
-
-    @classmethod
-    def from_edge_list(
-        cls, edges: Iterable[Tuple], directed: bool = True
-    ) -> "WeightedDiGraph":
-        """Build a graph from ``(u, v)`` or ``(u, v, weight)`` tuples."""
-        g = cls()
-        for t in edges:
-            if len(t) == 2:
-                u, v, w = t[0], t[1], 1.0
-            else:
-                u, v, w = t[0], t[1], t[2]
-            if directed:
-                g.add_edge(u, v, weight=w)
-            else:
-                g.add_undirected_edge(u, v, weight=w)
         return g

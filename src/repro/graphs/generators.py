@@ -25,7 +25,7 @@ undirected graph into a weighted directed instance.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.digraph import WeightedDiGraph
@@ -183,13 +183,12 @@ def partial_k_tree(
     k: int,
     edge_keep_prob: float = 0.7,
     seed=None,
-    ensure_connected: bool = True,
 ) -> Graph:
     """A random partial k-tree: a random subgraph of a random k-tree.
 
-    Treewidth is at most ``k``.  With ``ensure_connected=True`` (default) a
-    spanning tree of the k-tree is always retained so the result is connected
-    (required by every distributed algorithm in the paper).
+    Treewidth is at most ``k``.  A spanning tree of the k-tree is always
+    retained so the result is connected (required by every distributed
+    algorithm in the paper).
     """
     rng = _rng(seed)
     if not 0.0 <= edge_keep_prob <= 1.0:
@@ -197,11 +196,10 @@ def partial_k_tree(
     full = k_tree(n, k, seed=rng)
     g = Graph(nodes=full.nodes())
     kept_tree: Set[Tuple[int, int]] = set()
-    if ensure_connected:
-        parent = full.spanning_tree(root=0)
-        for child, par in parent.items():
-            if par is not None:
-                kept_tree.add(tuple(sorted((child, par))))
+    parent = full.spanning_tree(root=0)
+    for child, par in parent.items():
+        if par is not None:
+            kept_tree.add(tuple(sorted((child, par))))
     for u, v in full.edges():
         key = tuple(sorted((u, v)))
         if key in kept_tree or rng.random() < edge_keep_prob:
@@ -276,18 +274,6 @@ def subdivided_graph(graph: Graph) -> Graph:
         next_id += 1
         g.add_edge(u, mid)
         g.add_edge(mid, v)
-    return g
-
-
-def bipartite_double_cover(graph: Graph) -> Graph:
-    """The bipartite double cover (tensor product with K2); treewidth ≤ 2·tw(G)+1."""
-    g = Graph()
-    for u in graph.nodes():
-        g.add_node((u, 0))
-        g.add_node((u, 1))
-    for u, v in graph.edges():
-        g.add_edge((u, 0), (v, 1))
-        g.add_edge((u, 1), (v, 0))
     return g
 
 
@@ -390,12 +376,3 @@ def to_directed_instance(
         else:
             raise GraphError(f"unknown orientation {orientation!r}")
     return dg
-
-
-def relabel_to_integers(graph: Graph) -> Tuple[Graph, Dict]:
-    """Relabel the nodes of ``graph`` to 0..n-1; returns (new_graph, old->new map)."""
-    mapping = {u: i for i, u in enumerate(sorted(graph.nodes(), key=str))}
-    g = Graph(nodes=mapping.values())
-    for u, v, w in graph.weighted_edges():
-        g.add_edge(mapping[u], mapping[v], weight=w)
-    return g, mapping

@@ -109,16 +109,6 @@ class Graph:
         else:
             self._weights[key] = weight
 
-    def remove_node(self, u: NodeId) -> None:
-        """Remove node ``u`` and all incident edges."""
-        if u not in self._adj:
-            raise GraphError(f"node {u!r} not in graph")
-        for v in list(self._adj[u]):
-            self._adj[v].discard(u)
-            self._weights.pop(_edge_key(u, v), None)
-        del self._adj[u]
-        self._version += 1
-
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """Remove the edge ``{u, v}``."""
         if v not in self._adj.get(u, ()):

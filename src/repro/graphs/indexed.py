@@ -12,10 +12,10 @@ for hashing arbitrary node ids and for rebuilding neighbour sets.
 * the adjacency structure is CSR — ``indptr``/``indices`` — with neighbours
   sorted by ``str(node_id)``, matching the neighbour order the simulator
   exposes to protocols;
-* every undirected edge gets a dense integer *edge id* in ``0..m-1``; the id
-  of the edge ``{u, v}`` is an O(1) dict lookup via :meth:`edge_id`, and each
-  CSR arc position carries its edge id in ``arc_edge_ids`` so per-edge
-  statistics (e.g. words per edge per round) index a flat array.
+* every undirected edge gets a dense integer *edge id* in ``0..m-1`` (in
+  first-encounter order), and each CSR arc position carries its edge id in
+  ``arc_edge_ids`` so per-edge statistics (e.g. words per edge per round)
+  index a flat array.
 
 The view is a snapshot: mutating the source graph afterwards does not update
 the view.  :meth:`Graph.to_indexed` caches the view and invalidates the cache
@@ -24,9 +24,7 @@ when the graph is mutated.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
-
-from repro.errors import GraphError
+from typing import Dict, Hashable, List, Tuple
 
 NodeId = Hashable
 
@@ -49,11 +47,8 @@ class IndexedGraph:
         as ``indices`` (what the simulator exposes as ``ctx.neighbors``;
         immutable so a protocol cannot corrupt the shared snapshot).
     arc_edge_ids:
-        Parallel to ``indices``: the undirected edge id of each arc.
-    arc_weights:
-        Parallel to ``indices``: the weight of each arc's edge.
-    edge_endpoints:
-        ``edge id -> (i, j)`` index pair (first-encounter orientation).
+        Parallel to ``indices``: the undirected edge id of each arc (both
+        arcs of an edge share one id).
     """
 
     __slots__ = (
@@ -63,9 +58,6 @@ class IndexedGraph:
         "indices",
         "neighbor_ids",
         "arc_edge_ids",
-        "arc_weights",
-        "edge_endpoints",
-        "_edge_index",
         "_neighbor_maps",
         "_csr_arrays",
         "num_nodes",
@@ -81,9 +73,10 @@ class IndexedGraph:
         indices: List[int] = []
         neighbor_ids: List[Tuple[NodeId, ...]] = []
         arc_edge_ids: List[int] = []
-        arc_weights: List[float] = []
-        edge_endpoints: List[Tuple[int, int]] = []
-        edge_index: Dict[Tuple[int, int], int] = {}
+        # The id of each edge whose first arc (i -> j) is listed and whose
+        # reverse arc is not yet, keyed by that first arc.
+        pending: Dict[Tuple[int, int], int] = {}
+        num_edges = 0
 
         for i, u in enumerate(node_ids):
             nbrs = tuple(sorted(graph.neighbors(u), key=str))
@@ -91,13 +84,12 @@ class IndexedGraph:
             for v in nbrs:
                 j = index_of[v]
                 indices.append(j)
-                eid = edge_index.get((j, i))
+                eid = pending.pop((j, i), None)
                 if eid is None:
-                    eid = len(edge_endpoints)
-                    edge_endpoints.append((i, j))
-                edge_index[(i, j)] = eid
+                    eid = num_edges
+                    num_edges += 1
+                    pending[(i, j)] = eid
                 arc_edge_ids.append(eid)
-                arc_weights.append(graph.weight(u, v))
             indptr[i + 1] = len(indices)
 
         self.node_ids = node_ids
@@ -106,46 +98,10 @@ class IndexedGraph:
         self.indices = indices
         self.neighbor_ids = neighbor_ids
         self.arc_edge_ids = arc_edge_ids
-        self.arc_weights = arc_weights
-        self.edge_endpoints = edge_endpoints
-        self._edge_index = edge_index
         self._neighbor_maps = None
         self._csr_arrays = None
         self.num_nodes = n
-        self.num_edges = len(edge_endpoints)
-
-    # ------------------------------------------------------------------ #
-    # Queries (all O(1) or O(deg))
-    # ------------------------------------------------------------------ #
-    def neighbors(self, i: int) -> Sequence[int]:
-        """Return the neighbour indices of node index ``i`` (a list slice)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def arc_range(self, i: int) -> Tuple[int, int]:
-        """Return the ``(start, end)`` CSR arc positions of node index ``i``."""
-        return self.indptr[i], self.indptr[i + 1]
-
-    def degree(self, i: int) -> int:
-        return self.indptr[i + 1] - self.indptr[i]
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self._edge_index
-
-    def edge_id(self, i: int, j: int) -> int:
-        """Return the dense id of edge ``{i, j}`` (O(1); raises if absent)."""
-        eid = self._edge_index.get((i, j))
-        if eid is None:
-            raise GraphError(f"edge ({i}, {j}) not in indexed graph")
-        return eid
-
-    def edge_weight(self, eid: int) -> float:
-        i, j = self.edge_endpoints[eid]
-        # The arc (i -> j) exists by construction; scan i's arcs for j.
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        for pos in range(lo, hi):
-            if self.indices[pos] == j:
-                return self.arc_weights[pos]
-        raise GraphError(f"edge id {eid} has no arc")  # pragma: no cover
+        self.num_edges = num_edges
 
     @property
     def neighbor_maps(self) -> List[Dict[NodeId, Tuple[int, int]]]:
@@ -185,17 +141,6 @@ class IndexedGraph:
             arrays = CsrArrays(self)
             self._csr_arrays = arrays
         return arrays
-
-    def original(self, i: int) -> NodeId:
-        """Return the original node id of index ``i``."""
-        return self.node_ids[i]
-
-    def id_of(self, u: NodeId) -> int:
-        """Return the index of original node ``u``."""
-        idx = self.index_of.get(u)
-        if idx is None:
-            raise GraphError(f"node {u!r} not in indexed graph")
-        return idx
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedGraph(n={self.num_nodes}, m={self.num_edges})"

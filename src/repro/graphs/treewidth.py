@@ -24,12 +24,15 @@ decomposition.  This module provides:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
 NodeId = Hashable
+
+# The largest graph that ``treewidth_exact_small`` accepts.
+_EXACT_MAX_NODES = 14
 
 
 # --------------------------------------------------------------------------- #
@@ -308,17 +311,17 @@ def _has_order_of_width(graph: Graph, k: int) -> bool:
     return solve(full_mask)
 
 
-def treewidth_exact_small(graph: Graph, max_nodes: int = 14) -> int:
+def treewidth_exact_small(graph: Graph) -> int:
     """Exact treewidth by incremental width search (tiny graphs only).
 
-    Raises :class:`GraphError` if the graph has more than ``max_nodes`` nodes.
+    Raises :class:`GraphError` if the graph has more than 14 nodes.
     """
     n = graph.num_nodes()
     if n == 0:
         return 0
-    if n > max_nodes:
+    if n > _EXACT_MAX_NODES:
         raise GraphError(
-            f"treewidth_exact_small supports at most {max_nodes} nodes (got {n})"
+            f"treewidth_exact_small supports at most {_EXACT_MAX_NODES} nodes (got {n})"
         )
     upper = treewidth_upper_bound(graph)
     lower = treewidth_lower_bound(graph)

@@ -87,15 +87,6 @@ class DistanceLabel:
         self.to_dist[hub] = to_hub
         self.from_dist[hub] = from_hub
 
-    def restrict(self, hubs: Iterable[NodeId]) -> "DistanceLabel":
-        """Return a copy keeping only the given hub vertices."""
-        keep = set(hubs)
-        return DistanceLabel(
-            vertex=self.vertex,
-            to_dist={s: d for s, d in self.to_dist.items() if s in keep},
-            from_dist={s: d for s, d in self.from_dist.items() if s in keep},
-        )
-
     def copy(self) -> "DistanceLabel":
         return DistanceLabel(self.vertex, dict(self.to_dist), dict(self.from_dist))
 

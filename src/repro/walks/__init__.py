@@ -27,7 +27,6 @@ from repro.walks.constraints import (
     CountWalkConstraint,
     AlternatingWalkConstraint,
     walk_state,
-    is_walk_in_constraint,
 )
 from repro.walks.product import build_product_graph, ProductGraph
 from repro.walks.cdl import (
@@ -44,7 +43,6 @@ __all__ = [
     "CountWalkConstraint",
     "AlternatingWalkConstraint",
     "walk_state",
-    "is_walk_in_constraint",
     "build_product_graph",
     "ProductGraph",
     "build_constrained_labeling",

@@ -17,8 +17,7 @@ walk whose colours are "matched"/"unmatched" edges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Hashable, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import ConstraintError
 from repro.graphs.digraph import Edge
@@ -78,11 +77,6 @@ def walk_state(constraint: StatefulWalkConstraint, walk: Sequence[Edge]) -> Stat
         if state == REJECT_STATE:
             return REJECT_STATE
     return state
-
-
-def is_walk_in_constraint(constraint: StatefulWalkConstraint, walk: Sequence[Edge]) -> bool:
-    """Whether the walk belongs to C (its state is not ⊥)."""
-    return walk_state(constraint, walk) != REJECT_STATE
 
 
 # --------------------------------------------------------------------------- #

@@ -4,18 +4,16 @@ import math
 
 import pytest
 
-from repro.analysis.complexity import fit_linear, fit_power_law, growth_ratio
+from repro.analysis.complexity import fit_power_law, growth_ratio
 from repro.analysis.records import ResultTable
 from repro.analysis.workloads import (
     bipartite_workloads,
     standard_workloads,
-    sweep_diameter,
     sweep_k,
     sweep_n,
     workload,
 )
 from repro.baselines.congest_bounds import (
-    bellman_ford_rounds_estimate,
     diameter_lower_bound_rounds,
     general_graph_exact_sssp_rounds,
     general_graph_sssp_rounds,
@@ -33,10 +31,7 @@ class TestResultTable:
         assert "c" in table.columns
         text = table.to_text()
         assert "demo" in text and "inf" in text
-        md = table.to_markdown()
-        assert md.count("|") > 6
-        csv_text = table.to_csv()
-        assert csv_text.splitlines()[0] == "a,b,c"
+        assert text.splitlines()[1].split() == ["a", "b", "c"]
 
     def test_column_and_summary(self):
         table = ResultTable("t", ["x"])
@@ -60,18 +55,18 @@ class TestComplexityFits:
         assert abs(fit.coefficient - 3.0) < 1e-6
         assert fit.r_squared > 0.999
 
-    def test_linear_fit(self):
-        xs = [1, 2, 3, 4]
-        ys = [5 + 2 * x for x in xs]
-        fit = fit_linear(xs, ys)
-        assert abs(fit.exponent - 2.0) < 1e-9
-        assert abs(fit.coefficient - 5.0) < 1e-9
+    def test_linear_data_has_exponent_one(self):
+        xs = [5, 10, 20, 40, 80]
+        fit = fit_power_law(xs, [7 * x for x in xs])
+        assert fit.exponent == pytest.approx(1.0)
+        assert fit.coefficient == pytest.approx(7.0)
+        assert fit.r_squared == pytest.approx(1.0)
 
     def test_insufficient_data_rejected(self):
         with pytest.raises(ValueError):
             fit_power_law([1], [1])
         with pytest.raises(ValueError):
-            fit_linear([2, 2], [1, 1])
+            fit_power_law([2, 2], [1, 1])
 
     def test_growth_ratio_detects_sublinear_growth(self):
         xs = [100, 200, 400, 800]
@@ -98,7 +93,6 @@ class TestWorkloads:
     def test_sweeps(self):
         assert [s.params["n"] for s in sweep_n(3, [10, 20])] == [10, 20]
         assert [s.params["k"] for s in sweep_k(30, [2, 4])] == [2, 4]
-        assert len(sweep_diameter(1, [5, 10, 20])) == 3
 
     def test_bipartite_workloads_are_bipartite(self):
         for spec in bipartite_workloads("small"):
@@ -116,12 +110,14 @@ class TestBaselineCurves:
         assert general_graph_exact_sssp_rounds(10_000, 10) > general_graph_exact_sssp_rounds(100, 10)
         assert diameter_lower_bound_rounds(10_000) > diameter_lower_bound_rounds(100)
 
-    def test_bellman_ford_estimate_capped_at_n(self):
-        assert bellman_ford_rounds_estimate(50, 1000) == 50
-
     def test_matching_baseline_grows_with_matching_size(self):
         assert matching_baseline_rounds(100) > matching_baseline_rounds(10)
 
     def test_girth_baseline_handles_infinite_girth(self):
         assert girth_baseline_rounds(100, math.inf) == 100
         assert girth_baseline_rounds(100, 3) > 0
+
+    def test_girth_baseline_capped_at_n_log_n(self):
+        for n in (10, 100, 10_000):
+            for girth in (3, 5, 12, 100):
+                assert girth_baseline_rounds(n, girth) <= n * math.log2(n)

@@ -8,11 +8,6 @@ import sys
 import pytest
 
 from repro import LowTreewidthSolver
-from repro.baselines.reference import (
-    reference_girth_directed,
-    reference_girth_undirected,
-    reference_sssp,
-)
 from repro.core.config import FrameworkConfig
 from repro.errors import GraphError
 from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
@@ -230,19 +225,19 @@ class TestAdversarialFamilies:
         solver = LowTreewidthSolver(instance, seed=master_seed)
         nodes = sorted(instance.nodes(), key=str)
         for source in nodes[:3]:
-            want = reference_sssp(instance, source)
+            want = dijkstra(instance, source)
             got = solver.single_source_shortest_paths(source).distances
             for v in nodes:
                 assert got[v] == want.get(v, math.inf), (source, v)
         rng = random.Random(master_seed)
         for _ in range(15):
             u, v = rng.choice(nodes), rng.choice(nodes)
-            want = reference_sssp(instance, u).get(v, math.inf)
+            want = dijkstra(instance, u).get(v, math.inf)
             assert solver.pairwise_distance(u, v) == want, (u, v)
         if is_symmetric(instance):
-            want_girth = reference_girth_undirected(
+            want_girth = exact_girth_undirected(
                 instance.underlying_weighted_graph()
             )
         else:
-            want_girth = reference_girth_directed(instance)
+            want_girth = exact_girth_directed(instance)
         assert solver.girth().girth == want_girth

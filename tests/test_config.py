@@ -1,5 +1,7 @@
 """Tests for configuration objects."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import FrameworkConfig, SeparatorParams
@@ -21,11 +23,6 @@ class TestSeparatorParams:
         assert p.balance_fraction < SeparatorParams.paper().balance_fraction
         assert p.size_threshold_factor < SeparatorParams.paper().size_threshold_factor
 
-    def test_with_overrides(self):
-        p = SeparatorParams.practical().with_overrides(num_sampled_pairs=7)
-        assert p.num_sampled_pairs == 7
-        assert p.balance_fraction == SeparatorParams.practical().balance_fraction
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -38,7 +35,7 @@ class TestSeparatorParams:
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SeparatorParams.practical().with_overrides(**kwargs).validate()
+            dataclasses.replace(SeparatorParams.practical(), **kwargs).validate()
 
 
 class TestFrameworkConfig:

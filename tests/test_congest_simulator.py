@@ -347,9 +347,10 @@ class TestEngineSelection:
         result = net.run(lambda u: BroadcastAll(value=u), engine=engine, trace=trace)
         assert result.trace is trace
         assert len(trace) == result.rounds
-        assert trace.total_messages() == result.messages_sent
-        assert trace.total_words() == result.words_sent
-        assert trace.peak_edge_words() == result.max_words_per_edge_round
+        assert sum(r.messages_delivered for r in trace.rounds) == result.messages_sent
+        assert sum(r.words_delivered for r in trace.rounds) == result.words_sent
+        assert max(r.max_edge_words for r in trace.rounds) == result.max_words_per_edge_round
+        assert max(r.active_nodes for r in trace.rounds) == 8
         rounds_seen = [r.round_number for r in trace]
         assert rounds_seen == list(range(1, result.rounds + 1))
         assert trace.rounds[-1].halted_nodes == 8
@@ -368,29 +369,55 @@ class TestIndexedView:
         idx = g.to_indexed()
         assert idx.num_nodes == g.num_nodes()
         assert idx.num_edges == g.num_edges()
+        assert idx.indptr[0] == 0 and idx.indptr[-1] == len(idx.indices)
         for i, u in enumerate(idx.node_ids):
-            assert idx.id_of(u) == i
-            nbrs = {idx.original(j) for j in idx.neighbors(i)}
-            assert nbrs == set(g.neighbors(u))
-            assert idx.degree(i) == g.degree(u)
+            assert idx.index_of[u] == i
+            row = idx.indices[idx.indptr[i] : idx.indptr[i + 1]]
+            assert idx.neighbor_ids[i] == tuple(sorted(g.neighbors(u), key=str))
+            assert [idx.node_ids[j] for j in row] == list(idx.neighbor_ids[i])
 
     def test_edge_ids_dense_and_consistent(self):
         g = generators.partial_k_tree(25, 3, seed=3)
         idx = g.to_indexed()
-        seen = set()
+        assert len(idx.arc_edge_ids) == len(idx.indices) == 2 * idx.num_edges
+        arc_ids = {}
         for i in range(idx.num_nodes):
-            for j in idx.neighbors(i):
-                eid = idx.edge_id(i, j)
-                assert eid == idx.edge_id(j, i)
-                assert 0 <= eid < idx.num_edges
-                seen.add(eid)
-        assert len(seen) == idx.num_edges
+            for pos in range(idx.indptr[i], idx.indptr[i + 1]):
+                arc_ids[i, idx.indices[pos]] = idx.arc_edge_ids[pos]
+        for (i, j), eid in arc_ids.items():
+            assert arc_ids[j, i] == eid
+        assert sorted(arc_ids.values()) == sorted(list(range(idx.num_edges)) * 2)
 
-    def test_edge_weight_roundtrip(self):
-        g = Graph(edges=[(0, 1, 2.5), (1, 2, 7.0)])
+    def test_edge_ids_follow_first_encounter_order(self):
+        """Scanning the arcs in CSR order, each edge's id is the number of
+        distinct edges met before it."""
+        idx = generators.grid_graph(3, 4).to_indexed()
+        first_seen = {}
+        for eid in idx.arc_edge_ids:
+            first_seen.setdefault(eid, len(first_seen))
+            assert first_seen[eid] == eid
+
+    def test_neighbor_maps_agree_with_the_graph(self):
+        g = generators.partial_k_tree(20, 2, seed=5)
         idx = g.to_indexed()
-        eid = idx.edge_id(idx.id_of(0), idx.id_of(1))
-        assert idx.edge_weight(eid) == 2.5
+        maps = idx.neighbor_maps
+        assert idx.neighbor_maps is maps  # built once per snapshot
+        for u in g.nodes():
+            i = idx.index_of[u]
+            assert set(maps[i]) == set(g.neighbors(u))
+            for v, (j, eid) in maps[i].items():
+                assert j == idx.index_of[v]
+                assert maps[j][u] == (i, eid)
+
+    def test_isolated_node_has_an_empty_row(self):
+        g = Graph(edges=[(0, 1, 2.5), (1, 2, 7.0)])
+        g.add_node("iso")
+        idx = g.to_indexed()
+        i = idx.index_of["iso"]
+        assert idx.indptr[i] == idx.indptr[i + 1]
+        assert idx.neighbor_ids[i] == ()
+        assert idx.neighbor_maps[i] == {}
+        assert (idx.num_nodes, idx.num_edges) == (4, 2)
 
     def test_cache_invalidated_on_mutation(self):
         g = generators.path_graph(4)
@@ -400,14 +427,6 @@ class TestIndexedView:
         second = g.to_indexed()
         assert second is not first
         assert second.num_edges == first.num_edges + 1
-
-    def test_missing_edge_raises(self):
-        g = generators.path_graph(3)
-        idx = g.to_indexed()
-        with pytest.raises(GraphError):
-            idx.edge_id(idx.id_of(0), idx.id_of(2))
-        with pytest.raises(GraphError):
-            idx.id_of("nope")
 
     def test_partially_ordered_node_ids(self):
         # frozensets compare by subset relation (a partial order): the edge

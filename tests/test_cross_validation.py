@@ -2,6 +2,7 @@
 
 Every check runs a *distributed* (or framework) computation on a seeded random
 instance and compares against the corresponding centralized reference from
+:mod:`repro.graphs.properties`, :mod:`repro.girth.baselines` and
 :mod:`repro.baselines.reference` — so protocol bugs surface on fresh random
 instances without hand-built fixtures.  All randomness derives from the
 session ``--seed``.
@@ -13,20 +14,17 @@ import math
 
 import pytest
 
-from repro.baselines.reference import (
-    reference_girth_directed,
-    reference_girth_undirected,
-    reference_matching_size,
-    reference_sssp,
-)
+from repro.baselines.reference import graph_to_networkx, reference_matching_size
 from repro.congest.bellman_ford import distributed_bellman_ford
 from repro.congest.network import CongestNetwork
 from repro.congest.primitives import build_bfs_tree
 from repro.core.config import FrameworkConfig
 from repro.errors import ReproError
+from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
 from repro.girth.girth import directed_girth, undirected_girth
 from repro.graphs import generators
-from repro.graphs.properties import diameter
+from repro.graphs.graph import Graph
+from repro.graphs.properties import diameter, dijkstra
 from repro.labeling.construction import build_distance_labeling
 from repro.labeling.sssp import measured_label_broadcast, single_source_shortest_paths
 from repro.matching.bipartite import maximum_bipartite_matching
@@ -52,7 +50,7 @@ class TestSSSPCrossValidation:
         for graph, instance in _instances(rng, 8):
             source = min(graph.nodes(), key=str)
             bf = distributed_bellman_ford(instance, source)
-            ref = reference_sssp(instance, source)
+            ref = dijkstra(instance, source)
             for v in graph.nodes():
                 assert bf.distances[v] == pytest.approx(ref.get(v, math.inf)), (
                     f"BF mismatch at {v!r} (n={graph.num_nodes()})"
@@ -63,7 +61,7 @@ class TestSSSPCrossValidation:
             labeling = build_distance_labeling(instance, config=config)
             source = min(graph.nodes(), key=str)
             sssp = single_source_shortest_paths(labeling.labeling, source)
-            ref = reference_sssp(instance, source)
+            ref = dijkstra(instance, source)
             for v in graph.nodes():
                 assert sssp.distances[v] == pytest.approx(ref.get(v, math.inf))
 
@@ -75,7 +73,7 @@ class TestSSSPCrossValidation:
             network = CongestNetwork(instance.underlying_graph())
             sim = measured_label_broadcast(network, labeling.labeling, source)
             assert sim.halted
-            ref = reference_sssp(instance, source)
+            ref = dijkstra(instance, source)
             for v in graph.nodes():
                 assert sim.outputs[v] == pytest.approx(ref.get(v, math.inf))
             # Pipelined flooding: D + #chunks rounds, up to queueing slack.
@@ -127,6 +125,22 @@ class TestMatchingCrossValidation:
         with pytest.raises(ReproError, match="networkx matches 10"):
             reference_matching_size(graph)
 
+    def test_reference_matching_size_on_known_graphs(self):
+        assert reference_matching_size(generators.path_graph(5)) == 2
+        assert reference_matching_size(generators.cycle_graph(6)) == 3
+        assert reference_matching_size(generators.star_graph(6)) == 1
+        assert reference_matching_size(generators.grid_graph(3, 3)) == 4
+        assert reference_matching_size(Graph()) == 0
+
+    def test_graph_to_networkx_keeps_nodes_edges_and_weights(self):
+        g = generators.with_random_weights(generators.partial_k_tree(25, 3, seed=1), 1, 9, seed=2)
+        g.add_node("isolated")
+        nxg = graph_to_networkx(g)
+        assert set(nxg.nodes()) == set(g.nodes())
+        assert nxg.number_of_edges() == g.num_edges()
+        for u, v, w in g.weighted_edges():
+            assert nxg[u][v]["weight"] == w
+
 
 class TestGirthCrossValidation:
     def test_directed_girth_matches_exact(self, rng, config):
@@ -137,7 +151,7 @@ class TestGirthCrossValidation:
                 graph, weight_range=(1, 6), orientation="random", seed=rng.randrange(1 << 30)
             )
             result = directed_girth(instance, config=config)
-            exact = reference_girth_directed(instance)
+            exact = exact_girth_directed(instance)
             if math.isinf(exact):
                 assert math.isinf(result.girth)
             else:
@@ -153,5 +167,5 @@ class TestGirthCrossValidation:
                 seed=rng.randrange(1 << 30),
             )
             result = undirected_girth(graph, config=config)
-            exact = reference_girth_undirected(graph)
+            exact = exact_girth_undirected(graph)
             assert result.girth == pytest.approx(exact)

@@ -93,13 +93,6 @@ class TestBipartiteFamilies:
         assert sub.is_connected()
         assert sub.num_nodes() == base.num_nodes() + base.num_edges()
 
-    def test_bipartite_double_cover(self):
-        base = generators.cycle_graph(5)  # odd cycle, not bipartite
-        cover = generators.bipartite_double_cover(base)
-        assert cover.is_bipartite()
-        assert cover.num_nodes() == 2 * base.num_nodes()
-        assert cover.num_edges() == 2 * base.num_edges()
-
     def test_banded_bipartite_is_bipartite(self):
         g = generators.random_banded_bipartite(15, 20, band=2, seed=3)
         assert g.is_bipartite()
@@ -130,13 +123,6 @@ class TestWeightsAndOrientation:
     def test_to_directed_instance_unknown_orientation(self):
         with pytest.raises(GraphError):
             generators.to_directed_instance(generators.cycle_graph(4), orientation="bogus")
-
-    def test_relabel_to_integers(self):
-        g = generators.grid_graph(2, 3)
-        relabeled, mapping = generators.relabel_to_integers(g)
-        assert set(relabeled.nodes()) == set(range(6))
-        assert relabeled.num_edges() == g.num_edges()
-        assert len(mapping) == 6
 
 
 @given(

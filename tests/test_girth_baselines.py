@@ -4,11 +4,7 @@ import math
 
 import pytest
 
-from repro.girth.baselines import (
-    exact_girth_directed,
-    exact_girth_undirected,
-    unweighted_girth_undirected,
-)
+from repro.girth.baselines import exact_girth_directed, exact_girth_undirected
 from repro.graphs import generators
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.graph import Graph
@@ -42,11 +38,10 @@ class TestUndirectedBaseline:
         g.add_edge("d", "a", weight=10)
         assert exact_girth_undirected(g) == 3
 
-    def test_unweighted_helper_ignores_weights(self):
-        g = Graph()
-        for i in range(4):
-            g.add_edge(i, (i + 1) % 4, weight=100)
-        assert unweighted_girth_undirected(g) == 4
+    def test_unit_weights_give_the_shortest_cycle_length(self):
+        assert exact_girth_undirected(generators.grid_graph(3, 3)) == 4
+        assert exact_girth_undirected(generators.complete_graph(4)) == 3
+        assert exact_girth_undirected(generators.subdivided_graph(generators.complete_graph(4))) == 6
 
     def test_empty_graph(self):
         assert math.isinf(exact_girth_undirected(Graph()))

@@ -43,18 +43,6 @@ class TestConstruction:
         assert g.num_edges() == 1
         assert g.weight(1, 2) == 3
 
-    def test_remove_node_removes_incident_edges(self):
-        g = generators.complete_graph(4)
-        g.remove_node(0)
-        assert g.num_nodes() == 3
-        assert g.num_edges() == 3
-        assert not g.has_node(0)
-
-    def test_remove_missing_node_raises(self):
-        g = Graph()
-        with pytest.raises(GraphError):
-            g.remove_node("missing")
-
     def test_remove_edge(self):
         g = Graph(edges=[(1, 2), (2, 3)])
         g.remove_edge(1, 2)
@@ -113,6 +101,13 @@ class TestSubgraphs:
         h = g.without_nodes([2])
         assert h.num_nodes() == 4
         assert not h.is_connected()
+
+    def test_without_nodes_drops_incident_edges(self):
+        g = generators.complete_graph(4)
+        h = g.without_nodes([0])
+        assert (h.num_nodes(), h.num_edges()) == (3, 3)
+        assert not h.has_node(0)
+        assert (g.num_nodes(), g.num_edges()) == (4, 6)  # the source graph is untouched
 
 
 class TestTraversal:

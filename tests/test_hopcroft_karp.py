@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import networkx as nx
 
+from repro.baselines.reference import graph_to_networkx
 from repro.errors import NotBipartiteError
 from repro.graphs import generators
-from repro.graphs.convert import graph_to_networkx
 from repro.graphs.graph import Graph
 from repro.matching.augmenting import verify_matching
 from repro.matching.hopcroft_karp import hopcroft_karp_matching, maximum_matching_size

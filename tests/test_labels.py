@@ -17,13 +17,6 @@ class TestDistanceLabel:
         assert set(lab.hubs()) == {"a", "b"}
         assert lab.size_bits(n=16) == 2 * (4 + 2 * 4)
 
-    def test_restrict(self):
-        lab = DistanceLabel("u", {"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0})
-        restricted = lab.restrict(["a"])
-        assert restricted.num_entries() == 1
-        assert "b" not in restricted.to_dist
-        assert lab.num_entries() == 2  # original unchanged
-
     def test_copy_independent(self):
         lab = DistanceLabel("u", {"a": 1.0}, {"a": 1.0})
         cp = lab.copy()

@@ -1,11 +1,13 @@
-"""Tests for graph properties: diameters, Dijkstra, tree helpers."""
+"""Tests for graph properties: diameters, Dijkstra, the tree helper."""
 
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.reference import graph_to_networkx
 from repro.errors import GraphError
 from repro.graphs import generators, properties
 from repro.graphs.digraph import WeightedDiGraph
@@ -131,14 +133,18 @@ class TestDiameter:
         estimate = properties.diameter(g, exact=False)
         assert estimate <= exact <= 2 * estimate
 
-    def test_radius_center(self):
+    def test_eccentricity_is_least_at_the_middle_of_a_path(self):
         g = generators.path_graph(7)
-        assert properties.radius(g) == 3
-        assert set(properties.center(g)) == {3}
+        ecc = {u: properties.eccentricity(g, u) for u in g.nodes()}
+        assert ecc[0] == ecc[6] == 6
+        assert [u for u, e in ecc.items() if e == min(ecc.values())] == [3]
 
-    def test_largest_component(self):
+    def test_eccentricity_stays_within_the_component(self):
         g = Graph(edges=[(1, 2), (2, 3), (10, 11)])
-        assert properties.largest_component(g) == {1, 2, 3}
+        g.add_node(20)
+        assert properties.eccentricity(g, 1) == 2
+        assert properties.eccentricity(g, 10) == 1
+        assert properties.eccentricity(g, 20) == 0
 
 
 class TestDijkstra:
@@ -161,82 +167,53 @@ class TestDijkstra:
         with pytest.raises(GraphError):
             properties.dijkstra(WeightedDiGraph(), "x")
 
-    def test_dijkstra_with_paths_reconstructs_shortest_path(self):
+    def test_every_distance_is_tight_along_an_in_edge(self):
+        """No edge offers a shorter distance, and every reached node but the
+        source has an in-edge that attains its distance: the distances
+        telescope along a shortest-path tree."""
         g = generators.to_directed_instance(
-            generators.grid_graph(4, 4), weight_range=(1, 5), orientation="both", seed=2
+            generators.grid_graph(4, 4), weight_range=(1, 5), orientation="asymmetric", seed=2
         )
-        dist, pred = properties.dijkstra_with_paths(g, (0, 0))
-        # Walk back from the far corner and check the length telescopes.
-        node = (3, 3)
-        total = 0.0
-        while pred[node] is not None:
-            prev = pred[node]
-            step = min(e.weight for e in g.out_edges(prev) if e.head == node)
-            total += step
-            node = prev
-        assert abs(total - dist[(3, 3)]) < 1e-9
+        dist = properties.dijkstra(g, (0, 0))
+        assert len(dist) == g.num_nodes()
+        for e in g.edges():
+            assert dist[e.head] <= dist[e.tail] + e.weight
+        for v, d in dist.items():
+            if v != (0, 0):
+                assert min(dist[e.tail] + e.weight for e in g.in_edges(v)) == d
 
-    def test_undirected_dijkstra_matches_directed_encoding(self):
+    def test_bidirected_encoding_matches_networkx(self):
+        """On the antiparallel encoding of a weighted undirected graph,
+        Dijkstra agrees with networkx's undirected Dijkstra."""
         base = generators.with_random_weights(generators.cycle_with_chords(20, 3, seed=1), 1, 7, seed=2)
         inst = WeightedDiGraph.from_undirected(base)
-        for src in list(base.nodes())[:5]:
-            d1 = properties.undirected_dijkstra(base, src)
-            d2 = properties.dijkstra(inst, src)
-            assert d1 == d2
+        nxg = graph_to_networkx(base)
+        for src in base.nodes()[:5]:
+            assert properties.dijkstra(inst, src) == nx.single_source_dijkstra_path_length(nxg, src)
 
-    def test_all_pairs_and_weighted_diameter(self):
+    def test_antipode_of_a_bidirected_cycle(self):
         g = generators.to_directed_instance(generators.cycle_graph(6), orientation="both")
-        apsp = properties.all_pairs_shortest_paths(g)
-        assert apsp[0][3] == 3
-        assert properties.weighted_diameter(g) == 3
+        for s in range(6):
+            dist = properties.dijkstra(g, s)
+            assert dist[(s + 3) % 6] == 3
+            assert max(dist.values()) == 3
 
 
 class TestTreeHelpers:
-    def _path_tree(self, n):
-        return {i: (i - 1 if i > 0 else None) for i in range(n)}
-
-    def test_subtree_sizes_path(self):
-        parent = self._path_tree(5)
-        sizes = properties.tree_subtree_sizes(parent)
-        assert sizes[0] == 5
-        assert sizes[4] == 1
-
-    def test_subtree_sizes_weighted(self):
-        parent = self._path_tree(4)
-        weights = {0: 0, 1: 1, 2: 0, 3: 1}
-        sizes = properties.tree_subtree_sizes(parent, weights)
-        assert sizes[0] == 2
-
     def test_children_map(self):
         parent = {0: None, 1: 0, 2: 0, 3: 1}
         children = properties.tree_children(parent)
         assert sorted(children[0]) == [1, 2]
         assert children[3] == []
 
-    def test_centroid_of_path_is_middle(self):
-        parent = self._path_tree(7)
-        c = properties.tree_centroid(parent)
-        assert c == 3
+    def test_children_of_a_path_tree(self):
+        parent = {i: (i - 1 if i > 0 else None) for i in range(5)}
+        assert properties.tree_children(parent) == {0: [1], 1: [2], 2: [3], 3: [4], 4: []}
 
-    def test_centroid_of_star_is_hub(self):
-        parent = {0: None}
-        parent.update({i: 0 for i in range(1, 8)})
-        assert properties.tree_centroid(parent) == 0
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(GraphError):
-            properties.tree_centroid({})
-
-    def test_reroot_tree(self):
-        parent = self._path_tree(5)
-        rerooted = properties.reroot_tree(parent, 4)
-        assert rerooted[4] is None
-        assert rerooted[0] == 1
-        assert len(rerooted) == 5
-
-    def test_reroot_missing_node_raises(self):
-        with pytest.raises(GraphError):
-            properties.reroot_tree({0: None}, 1)
+    def test_children_of_a_forest_keep_insertion_order(self):
+        parent = {"r": None, "s": None, 3: "r", 1: "r", 2: "s"}
+        assert properties.tree_children(parent) == {"r": [3, 1], "s": [2], 3: [], 1: [], 2: []}
+        assert properties.tree_children({}) == {}
 
 
 @given(st.integers(min_value=5, max_value=35), st.integers(min_value=0, max_value=300))

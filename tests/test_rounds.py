@@ -125,6 +125,15 @@ class TestRoundLedger:
         assert ledger["outer/inner"] == 2
         assert ledger["outer/nested/deep"] == 3
 
+    def test_phase_scope_closes_on_exception(self):
+        ledger = RoundLedger()
+        with pytest.raises(RuntimeError):
+            with ledger.phase("failed"):
+                ledger.charge("a", 1)
+                raise RuntimeError("boom")
+        ledger.charge("b", 2)
+        assert ledger.breakdown() == {"failed/a": 1, "b": 2}
+
     def test_breakdown_by_depth(self):
         ledger = RoundLedger()
         ledger.charge("a/x", 1)
@@ -141,10 +150,3 @@ class TestRoundLedger:
         a.merge(b, prefix="sub")
         assert a["sub/y"] == 2
         assert a.total() == 3
-
-    def test_as_table_renders(self):
-        ledger = RoundLedger()
-        assert "no rounds" in ledger.as_table()
-        ledger.charge("phase/a", 10)
-        text = ledger.as_table()
-        assert "TOTAL" in text and "10" in text

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import networkx as nx
 
+from repro.baselines.reference import graph_to_networkx
 from repro.errors import GraphError
 from repro.graphs import generators
-from repro.graphs.convert import graph_to_networkx
 from repro.graphs import treewidth as tw
 
 

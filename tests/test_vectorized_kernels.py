@@ -30,11 +30,9 @@ from repro.labeling.sssp import single_source_shortest_paths
 
 
 class TestPayloadSchema:
-    def test_pack_unpack_roundtrip_with_tag(self):
+    def test_pack_with_tag(self):
         schema = PayloadSchema(fields=(("dist", "f8"),), tag="dist")
-        payload = schema.pack(3.5)
-        assert payload == ("dist", 3.5)
-        assert schema.unpack(payload) == (3.5,)
+        assert schema.pack(3.5) == ("dist", 3.5)
 
     def test_size_words_matches_freeform_accounting(self):
         schema = PayloadSchema(fields=(("dist", "f8"),), tag="dist")
@@ -54,8 +52,6 @@ class TestPayloadSchema:
         schema = PayloadSchema(fields=(("dist", "f8"),), tag="dist")
         with pytest.raises(ValueError):
             schema.pack(1.0, 2.0)
-        with pytest.raises(ValueError):
-            schema.unpack(("other", 1.0))
 
 
 class TestCsrArrays:

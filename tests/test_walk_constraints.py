@@ -10,7 +10,6 @@ from repro.walks.constraints import (
     AlternatingWalkConstraint,
     ColoredWalkConstraint,
     CountWalkConstraint,
-    is_walk_in_constraint,
     walk_state,
 )
 from repro.walks.product import build_product_graph
@@ -31,12 +30,11 @@ class TestColoredWalks:
 
     def test_alternating_colors_accepted(self):
         walk = [_edge(0, "a", "b", "r"), _edge(1, "b", "c", "b"), _edge(2, "c", "d", "r")]
-        assert is_walk_in_constraint(self.constraint, walk)
         assert walk_state(self.constraint, walk) == ("color", "r")
 
     def test_monochromatic_consecutive_rejected(self):
         walk = [_edge(0, "a", "b", "r"), _edge(1, "b", "c", "r")]
-        assert not is_walk_in_constraint(self.constraint, walk)
+        assert walk_state(self.constraint, walk) == REJECT_STATE
 
     def test_empty_walk_has_initial_state(self):
         assert walk_state(self.constraint, []) == INITIAL_STATE
